@@ -77,10 +77,19 @@ def _superpotential(doc, args):
     return 0
 
 
+def _bound(doc, args, default):
+    """The divisor bound: --bound, else the document's, else default."""
+    bound = args.bound if args.bound is not None \
+        else doc.options.get("bound", default)
+    if bound < 0:
+        raise InputError(f"bound must be nonnegative, got {bound}")
+    return bound
+
+
 def _consistency(doc, args):
+    bound = _bound(doc, args, 2)
     Q = doc.quiver()
     W = build_superpotential(Q)
-    bound = args.bound if args.bound is not None else doc.options.get("bound", 2)
     rep = consistency(Q, W, bound=bound)
     _emit({
         "consistent": rep.consistent,
@@ -147,6 +156,7 @@ def _complex(doc, args):
 
 
 def _resolution(doc, args):
+    bound = _bound(doc, args, 1) if args.verify_exactness else None
     C = _build_complex(doc, args)
     signs = getattr(C, "explicit_signs", None)
     res = build_resolution(C, signs=signs)
@@ -159,9 +169,7 @@ def _resolution(doc, args):
     }
     code = 0 if minimal.minimal else 1
     if args.verify_exactness:
-        bound = args.bound if args.bound is not None \
-            else doc.options.get("bound", 1)
-        rep = verify_exactness(res, bound, jobs=args.jobs)
+        rep = verify_exactness(res, bound)
         payload["exact"] = rep.exact
         payload["exactness_bound"] = list(rep.bound)
         payload["pieces_checked"] = rep.pieces_checked
@@ -283,7 +291,6 @@ def main(argv=None):
                    help="force the hypercube complex of a quotient input")
     p.add_argument("--verify-exactness", action="store_true")
     p.add_argument("--bound", type=int, help="divisor bound for exactness")
-    p.add_argument("--jobs", type=int, default=1)
     p = add("reconstruct", _reconstruct, help="torus tiling of a threefold")
     p.add_argument("--svg", metavar="FILE", help="write an SVG rendering")
     p = add("signcheck", _signcheck,

@@ -1,17 +1,22 @@
-"""Exact integer/rational linear algebra on small dense matrices.
+"""Exact integer/rational linear algebra.
 
 Everything here works with plain Python ints (arbitrary precision) or
 fractions.Fraction; no floats anywhere.  Vectors are tuples, matrices are
-lists (or tuples) of row tuples.  The sizes involved are tiny (dimensions
-in the tens), so the implementations favour clarity and exactness over
-asymptotics.
+lists (or tuples) of row tuples.  Most matrices are small (dimensions in
+the tens: cone generators, lattice maps, Smith forms), and those routines
+favour clarity over asymptotics.  The exception is rank, which also
+serves the differentials of graded pieces: for Z/6(1,2,3) at divisor
+bound 5 a piece has up to 1,331 basis elements and a differential up to
+243,000 entries, almost all zero.  So rank works on sparse rows.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import add, le, sub
 
 
 class LinAlgError(ValueError):
@@ -23,11 +28,11 @@ class LinAlgError(ValueError):
 
 
 def vadd(v, w):
-    return tuple(a + b for a, b in zip(v, w))
+    return tuple(map(add, v, w))
 
 
 def vsub(v, w):
-    return tuple(a - b for a, b in zip(v, w))
+    return tuple(map(sub, v, w))
 
 
 def vscale(s, v):
@@ -63,7 +68,7 @@ def nonneg(v):
 
 def leq(v, w):
     """Componentwise v <= w."""
-    return all(a <= b for a, b in zip(v, w))
+    return all(map(le, v, w))
 
 
 # ---------------------------------------------------------------------------
@@ -345,56 +350,84 @@ def lattice_basis(vectors, dim):
 
 
 def rank(A):
-    """Exact rank of an integer matrix.
+    """Exact rank of an integer matrix given as a list of rows."""
+    return sparse_rank([{j: x for j, x in enumerate(row) if x} for row in A])
 
-    Sparse elimination with unit pivots (exact over Z, no division) while
-    they exist; any leftover block without a unit entry is handed to the
-    dense fraction-free routine.
+
+def sparse_rank(rows):
+    """Exact rank of an integer matrix given as sparse rows ``{col: coeff}``.
+
+    Pivot rule: while some entry is a unit, pivot on the first unit entry
+    found in the sparsest column that has one (fewest nonzero rows, ties
+    to the lowest column index).  A unit pivot needs no division, so the
+    elimination is exact over Z, and picking the sparsest column keeps
+    the fill-in small, as in Markowitz ordering.  The columns holding a
+    unit and their sizes are kept up to date as each step changes them,
+    so finding the next pivot costs a heap pop, not a scan of the matrix.
+
+    Read as algebraic Morse reduction (Sköldberg, Trans. AMS 2006), each
+    unit pivot is a matched pair of basis elements joined by an
+    invertible entry.  Cancelling the pair leaves the Schur complement,
+    which has rank exactly one less.  A leftover block with no unit
+    entry goes to the dense fraction-free routine.  The input rows are
+    not modified.
     """
-    rows = {}
-    col_rows = {}
-    for i, row in enumerate(A):
-        d = {j: x for j, x in enumerate(row) if x}
-        if d:
-            rows[i] = d
-            for j in d:
-                col_rows.setdefault(j, set()).add(i)
+    rows = {i: dict(row) for i, row in enumerate(rows) if row}
+    owners = {}   # column -> rows with a nonzero entry there
+    units = {}    # column -> rows with a +-1 entry there
+    for i, row in rows.items():
+        for j, x in row.items():
+            owners.setdefault(j, set()).add(i)
+            unit_rows = units.setdefault(j, set())
+            if x == 1 or x == -1:
+                unit_rows.add(i)
+    # (column size, column) for every column with a unit; an entry is
+    # stale once the column's size changes or its units are gone
+    heap = [(len(owners[j]), j) for j, u in units.items() if u]
+    heapq.heapify(heap)
     r = 0
-    while rows:
-        # unit pivot in the sparsest column that has one
-        best = None
-        for j, owners in col_rows.items():
-            units = [i for i in owners if abs(rows[i][j]) == 1]
-            if units and (best is None or len(owners) < best[2]):
-                best = (units[0], j, len(owners))
-        if best is None:
-            break
-        pi, pj, _ = best
+    while heap:
+        size, pj = heapq.heappop(heap)
+        if not units.get(pj) or len(owners[pj]) != size:
+            continue
+        pi = next(iter(units[pj]))
         prow = rows.pop(pi)
         for j in prow:
-            col_rows[j].discard(pi)
-            if not col_rows[j]:
-                del col_rows[j]
-        piv = prow[pj]
-        for i in list(col_rows.get(pj, ())):
+            owners[j].discard(pi)
+            units[j].discard(pi)
+        f0 = prow.pop(pj)  # +-1, so dividing by it is multiplying by it
+        for i in owners.pop(pj):
             row = rows[i]
-            f = row[pj] * piv  # piv is +-1, so f / piv = f * piv
+            f = row.pop(pj) * f0
             for j, x in prow.items():
-                y = row.get(j, 0) - f * x
+                old = row.get(j)
+                if old is None:
+                    y = row[j] = -f * x
+                    owners[j].add(i)
+                    if y == 1 or y == -1:
+                        units[j].add(i)
+                    continue
+                y = old - f * x
                 if y:
                     row[j] = y
-                    col_rows.setdefault(j, set()).add(i)
-                elif j in row:
+                    if y == 1 or y == -1:
+                        units[j].add(i)
+                    else:
+                        units[j].discard(i)
+                else:
                     del row[j]
-                    col_rows[j].discard(i)
-                    if not col_rows[j]:
-                        del col_rows[j]
+                    owners[j].discard(i)
+                    units[j].discard(i)
             if not row:
                 del rows[i]
+        del units[pj]
+        for j in prow:
+            if units[j]:
+                heapq.heappush(heap, (len(owners[j]), j))
         r += 1
     if not rows:
         return r
-    live_cols = sorted(col_rows)
+    live_cols = sorted(j for j, o in owners.items() if o)
     pos = {j: k for k, j in enumerate(live_cols)}
     dense = []
     for row in rows.values():

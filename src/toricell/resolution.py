@@ -11,10 +11,11 @@ computation.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .complexes import ComplexError, mckay_complex
-from .intlinalg import is_zero, rank, vadd, vsub
+from .intlinalg import is_zero, leq, rank, sparse_rank, vadd, vsub
 
 
 class ResolutionError(ValueError):
@@ -29,10 +30,11 @@ class CellularResolution:
         self.Q = complex_.Q
         self.n = complex_.n
         self.signs = signs
-        self.by_parent_dim = {k: [] for k in range(1, self.n + 1)}
-        for inc in complex_.incidences:
-            k = complex_.cells[inc.parent].dim
-            self.by_parent_dim[k].append(inc)
+        # cell id -> (facet, left class, sign) per facet incidence
+        self.facets = {
+            c.id: [(inc.facet, inc.left, signs[inc])
+                   for inc in complex_.facet_incidences(c.id)]
+            for c in complex_.cells}
 
     def generator_counts(self):
         return self.complex.counts()
@@ -79,13 +81,97 @@ class MinimalityReport:
 
 # ---------------------------------------------------------------------------
 # graded pieces
+#
+# A basis triple (eta, dL, dR) of P_k at (s, t, dvec) is a k-cell eta with
+# a path of class dL from h(eta) to s and one of class dR from t to t(eta),
+# where dL + div(eta) + dR = dvec.  Bases list cells by dimension in cell
+# order, then dL in lexicographic order.  Triples compose to a path from
+# t to s of class dvec, so only the classes of such paths carry a nonzero
+# piece.
 
 
-def _splits(rem):
-    """All (dL, dR) with dL + dR = rem, componentwise nonnegative."""
-    ranges = [range(r + 1) for r in rem]
-    for dL in itertools.product(*ranges):
-        yield dL, vsub(rem, dL)
+def _class_table(Q, bound):
+    """{(u, v): classes}: the divisor classes d <= bound, in lexicographic
+    order, that a path from u to v carries."""
+    table = {}
+    for d in itertools.product(*[range(b + 1) for b in bound]):
+        for u in range(Q.n_vertices):
+            for v in Q.reachable(u, d):
+                table.setdefault((u, v), []).append(d)
+    return table
+
+
+def _pair_bases(res, table, s, t, bound):
+    """Bases of every nonzero graded piece at (s, t) with divisor <= bound,
+    as {dvec: [basis of P_0, ..., basis of P_n]}, from one sweep over the
+    cells pairing each left class with the right classes that fit."""
+    pieces = {d: [[] for _ in range(res.n + 1)] for d in table.get((t, s), ())}
+    # (t(eta), dL + div(eta)) -> the right classes that complete a triple
+    # within the bound, with the divisor each one reaches
+    ends = {}
+    for k in range(res.n + 1):
+        for c in res.complex.by_dim[k]:
+            for dL in table.get((c.head, s), ()):
+                low = vadd(dL, c.divisor)
+                key = (c.tail, low)
+                fits = ends.get(key)
+                if fits is None:
+                    fits = ends[key] = []
+                    for dR in table.get((t, c.tail), ()):
+                        dvec = vadd(low, dR)
+                        if leq(dvec, bound):
+                            fits.append((dR, dvec))
+                for dR, dvec in fits:
+                    basis = pieces.get(dvec)
+                    if basis is not None:
+                        basis[k].append((c.id, dL, dR))
+    return pieces
+
+
+def _piece_bases(res, table, s, t, dvec):
+    """Bases of the graded piece at (s, t, dvec), from the same class table."""
+    bases = [[] for _ in range(res.n + 1)]
+    for k in range(res.n + 1):
+        for c in res.complex.by_dim[k]:
+            rem = vsub(dvec, c.divisor)
+            if any(x < 0 for x in rem):
+                continue
+            rights = set(table.get((t, c.tail), ()))
+            for dL in table.get((c.head, s), ()):
+                if leq(dL, rem):
+                    dR = vsub(rem, dL)
+                    if dR in rights:
+                        bases[k].append((c.id, dL, dR))
+    return bases
+
+
+def _differential(res, bases, k, targets):
+    """d_k as sparse columns {row: coeff}, one per basis triple of P_k;
+    d_0 is the augmentation onto the algebra piece (one row).
+
+    Within one piece the cell and dL of a triple determine its dR, so
+    rows are found by (facet, dL + left class).  targets memoizes those
+    keys per (cell, dL); they do not depend on the piece, so the pieces
+    of one vertex pair share it.
+    """
+    if k == 0:
+        return [{0: 1} for _ in bases[0]]
+    index = {(cid, dL): i for i, (cid, dL, _dR) in enumerate(bases[k - 1])}
+    cols = []
+    for cid, dL, _dR in bases[k]:
+        out = targets.get((cid, dL))
+        if out is None:
+            out = targets[cid, dL] = [((facet, vadd(dL, left)), sign)
+                                      for facet, left, sign in res.facets[cid]]
+        col = {}
+        for target, sign in out:
+            i = index.get(target)
+            if i is None:
+                raise ResolutionError(
+                    f"differential leaves the graded piece at {target}")
+            col[i] = col.get(i, 0) + sign
+        cols.append({i: x for i, x in col.items() if x})
+    return cols
 
 
 @dataclass
@@ -106,86 +192,72 @@ class GradedPiece:
 
 
 def graded_piece(res, s, t, dvec):
-    """Basis triples (eta, dL, dR) with dL + div(eta) + dR = dvec, a path
-    of class dL from h(eta) to s and one of class dR from t to t(eta)."""
-    Q = res.Q
+    """The graded piece at (s, t, dvec), with its differentials as dense
+    integer matrices."""
     dvec = tuple(dvec)
-    # a basis triple composes to a path from t to s of class dvec, so the
-    # piece is zero whenever no such path exists
-    if not Q.path_exists(t, s, dvec):
+    table = _class_table(res.Q, dvec)
+    dim_A = 1 if dvec in table.get((t, s), ()) else 0
+    if not dim_A:
         empty = [[] for _ in range(res.n + 1)]
         return GradedPiece(s=s, t=t, dvec=dvec, bases=empty,
                            matrices=[[[]] for _ in range(res.n + 1)], dim_A=0)
-    bases = []
-    index = []
-    for k in range(res.n + 1):
-        basis = []
-        for c in res.complex.by_dim[k]:
-            rem = vsub(dvec, c.divisor)
-            if any(x < 0 for x in rem):
-                continue
-            for dL, dR in _splits(rem):
-                if Q.path_exists(c.head, s, dL) and Q.path_exists(t, c.tail, dR):
-                    basis.append((c.id, dL, dR))
-        bases.append(basis)
-        index.append({b: i for i, b in enumerate(basis)})
-    dim_A = 1 if Q.path_exists(t, s, dvec) else 0
-    matrices = [[[1] * len(bases[0])] if dim_A else [[]]]
+    bases = _piece_bases(res, table, s, t, dvec)
+    matrices = [[[1] * len(bases[0])]]
     for k in range(1, res.n + 1):
         rows = [[0] * len(bases[k]) for _ in range(len(bases[k - 1]))]
-        for j, (cid, dL, dR) in enumerate(bases[k]):
-            for inc in res.complex.facet_incidences(cid):
-                target = (inc.facet, vadd(dL, inc.left), vadd(dR, inc.right))
-                i = index[k - 1].get(target)
-                if i is None:
-                    raise ResolutionError(
-                        f"differential leaves the graded piece at {target}")
-                rows[i][j] += res.signs[inc]
+        for j, col in enumerate(_differential(res, bases, k, {})):
+            for i, x in col.items():
+                rows[i][j] = x
         matrices.append(rows)
     return GradedPiece(s=s, t=t, dvec=dvec, bases=bases, matrices=matrices,
                        dim_A=dim_A)
 
 
-def _mat_mul_zero(A, B):
-    if not A or not A[0] or not B or not B[0]:
-        return True
-    for row in A:
-        for j in range(len(B[0])):
-            if sum(row[k] * B[k][j] for k in range(len(B))) != 0:
-                return False
+def _composes_to_zero(outer, inner):
+    """d_{k-1} . d_k == 0 for sparse columns outer = d_{k-1}, inner = d_k."""
+    for col in inner:
+        total = {}
+        for i, x in col.items():
+            for r, y in outer[i].items():
+                total[r] = total.get(r, 0) + x * y
+        if any(total.values()):
+            return False
     return True
 
 
-def piece_exactness(res, piece):
-    """Rank identities certifying exactness of one graded piece.
+def _piece_failures(res, bases, targets, check_products):
+    """Rank identities certifying exactness of one nonzero graded piece.
 
     With d_0 the augmentation and d_{n+1} = 0, the complex is exact iff
     rank d_k + rank d_{k+1} = dim P_k for 0 <= k <= n, reading
-    rank d_0 = dim of the algebra piece.
+    rank d_0 = dim of the algebra piece, which is 1.  With check_products
+    a nonzero d_{k-1}.d_k is reported first.
     """
-    dims = piece.dims()
-    ranks = [rank(m) if m and m[0] else 0 for m in piece.matrices]
+    diffs = [_differential(res, bases, k, targets) for k in range(res.n + 1)]
+    if check_products:
+        for k in range(1, res.n + 1):
+            if not _composes_to_zero(diffs[k - 1], diffs[k]):
+                return [(f"d{k - 1}.d{k}", None, None, None)]
+    dims = [len(b) for b in bases]
+    ranks = [sparse_rank(cols) for cols in diffs] + [0]
     failures = []
-    if ranks[0] != piece.dim_A:
-        failures.append(("augmentation", ranks[0], piece.dim_A, None))
+    if ranks[0] != 1:
+        failures.append(("augmentation", ranks[0], 1, None))
     for k in range(res.n + 1):
-        r_out = ranks[k]
-        r_in = ranks[k + 1] if k + 1 <= res.n else 0
-        if r_out + r_in != dims[k]:
-            failures.append((k, r_out, r_in, dims[k]))
+        if ranks[k] + ranks[k + 1] != dims[k]:
+            failures.append((k, ranks[k], ranks[k + 1], dims[k]))
     euler = sum((-1) ** k * d for k, d in enumerate(dims))
-    if not failures and euler != piece.dim_A:
-        failures.append(("euler", euler, piece.dim_A, None))
+    if not failures and euler != 1:
+        failures.append(("euler", euler, 1, None))
     return failures
 
 
 def verify_piece(res, s, t, dvec, check_products=False):
+    """Exactness failures of one graded piece, and the piece."""
     piece = graded_piece(res, s, t, dvec)
-    if check_products:
-        for k in range(1, res.n + 1):
-            if not _mat_mul_zero(piece.matrices[k - 1], piece.matrices[k]):
-                return [(f"d{k - 1}.d{k}", None, None, None)], piece
-    return piece_exactness(res, piece), piece
+    if not piece.dim_A:
+        return [], piece
+    return _piece_failures(res, piece.bases, {}, check_products), piece
 
 
 @dataclass
@@ -205,53 +277,41 @@ class ExactnessReport:
         return "\n".join(lines)
 
 
-def _check_task(args):
-    s, t, dvec = args
-    failures, _ = verify_piece(_WORKER_RES, s, t, dvec,
-                               check_products=_WORKER_PRODUCTS)
-    return (s, t, dvec, failures)
-
-
-_WORKER_RES = None
-_WORKER_PRODUCTS = False
-
-
-def _worker_init(res, check_products):
-    global _WORKER_RES, _WORKER_PRODUCTS
-    _WORKER_RES = res
-    _WORKER_PRODUCTS = check_products
-
-
-def verify_exactness(res, bound, jobs=1, check_products=False, pairs=None):
+def verify_exactness(res, bound, check_products=False, pairs=None):
     """Check the rank identities in every graded piece with divisor
-    componentwise <= bound (an integer or a vector)."""
+    componentwise <= bound (an integer or a vector) at every vertex pair
+    (s, t) in pairs (default: all).
+
+    A piece whose divisor no path from t to s carries is zero and exact,
+    so it counts as checked without work.  The pairs are swept one at a
+    time, so only one pair's bases are held at once.
+    """
     Q = res.Q
     if isinstance(bound, int):
         bound = (bound,) * Q.d
-    dvecs = list(itertools.product(*[range(b + 1) for b in bound]))
+    bound = tuple(bound)
+    if len(bound) != Q.d or any(b < 0 for b in bound):
+        raise ValueError(
+            f"exactness bound must be {Q.d} nonnegative integers, got {bound}")
     if pairs is None:
         pairs = [(s, t) for s in range(Q.n_vertices)
                  for t in range(Q.n_vertices)]
-    tasks = [(s, t, dvec) for s, t in pairs for dvec in dvecs]
+    pairs = list(pairs)
+    if not pairs:
+        raise ValueError("exactness needs at least one vertex pair")
+    table = _class_table(Q, bound)
     failures = []
-    if jobs > 1:
-        import multiprocessing
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(jobs, initializer=_worker_init,
-                      initargs=(res, check_products)) as pool:
-            for s, t, dvec, fail in pool.imap_unordered(
-                    _check_task, tasks, chunksize=64):
-                if fail:
-                    failures.append((s, t, dvec, fail))
-    else:
-        for s, t, dvec in tasks:
-            fail, _ = verify_piece(res, s, t, dvec,
-                                   check_products=check_products)
+    for s, t in pairs:
+        targets = {}
+        for dvec, bases in _pair_bases(res, table, s, t, bound).items():
+            fail = _piece_failures(res, bases, targets, check_products)
             if fail:
                 failures.append((s, t, dvec, fail))
     failures.sort()
     return ExactnessReport(exact=not failures, bound=bound,
-                           pieces_checked=len(tasks), failures=failures)
+                           pieces_checked=len(pairs) * math.prod(
+                               b + 1 for b in bound),
+                           failures=failures)
 
 
 # ---------------------------------------------------------------------------

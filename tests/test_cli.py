@@ -76,6 +76,20 @@ def test_resolution_with_exactness(capsys):
     assert doc["pieces_checked"] == 4 * 9
 
 
+def test_negative_bound_rejected(capsys):
+    code = main(["resolution", input_path("mckay_z2_11.json"),
+                 "--verify-exactness", "--bound", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "bound must be nonnegative" in captured.err
+    code = main(["consistency", input_path("mckay_z2_11.json"),
+                 "--bound", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+
+
 def test_reconstruct_valid(capsys, tmp_path):
     svg = tmp_path / "t.svg"
     code, doc = run(capsys, "reconstruct", input_path("threefold_four_sheaves.json"),

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from toricell.complexes import general_complex
 from toricell.intlinalg import (
     CokernelForm,
     _dense_rank,
@@ -19,8 +20,11 @@ from toricell.intlinalg import (
     rational_mat_inverse,
     smith_normal_form,
     solve_integer,
+    sparse_rank,
     vector_gcd,
 )
+from toricell.resolution import build_resolution, graded_piece
+from toricell.superpotential import superpotential
 
 small_int = st.integers(min_value=-6, max_value=6)
 
@@ -101,6 +105,33 @@ def test_rank_randomized_sparse_agreement():
         A = [[rng.choice((-1, 0, 0, 0, 1, rng.randint(-5, 5)))
               for _ in range(n)] for _ in range(m)]
         assert rank(A) == _dense_rank(A)
+    # no unit entries at all, or units that elimination turns into
+    # non-units: the leftover block goes to the dense routine
+    for entries in ((0, 0, 2, -2, 3, -3, 6, -6), (0, 0, 1, -1, 2, -3, 6)):
+        for _ in range(200):
+            m = rng.randint(1, 9)
+            n = rng.randint(1, 9)
+            A = [[rng.choice(entries) for _ in range(n)] for _ in range(m)]
+            assert rank(A) == _dense_rank(A)
+
+
+@pytest.mark.parametrize("which", ["dimer", "z6"])
+def test_rank_on_graded_piece_matrices(which, quiver_four_sheaves,
+                                       mckay_z6_complex):
+    """Real differentials: the largest graded piece at bound 3."""
+    if which == "z6":
+        C = mckay_z6_complex
+        res = build_resolution(C, signs=C.explicit_signs)
+    else:
+        Q = quiver_four_sheaves
+        res = build_resolution(general_complex(Q, superpotential(Q)))
+    piece = graded_piece(res, 0, 0, (3,) * res.Q.d)
+    assert max(piece.dims()) > 50
+    for m in piece.matrices[1:]:
+        assert rank(m) == _dense_rank(m) > 0
+        cols = [{i: row[j] for i, row in enumerate(m) if row[j]}
+                for j in range(len(m[0]))]
+        assert sparse_rank(cols) == rank(m)
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from toricell.complexes import (
@@ -7,7 +9,12 @@ from toricell.complexes import (
     general_complex,
     mckay_complex,
 )
+from toricell.intlinalg import vadd, vsub
 from toricell.resolution import (
+    CellularResolution,
+    ResolutionError,
+    _class_table,
+    _pair_bases,
     build_resolution,
     graded_piece,
     mckay_sign_crosscheck,
@@ -18,6 +25,8 @@ from toricell.resolution import (
 )
 from toricell.superpotential import superpotential
 from toricell.variety import AbelianGroupData
+
+from conftest import load
 
 
 @pytest.fixture(scope="module")
@@ -56,8 +65,6 @@ def test_minimality_negative_control(quiver_trivial_a3):
                   payload=("unit", 0))]
     complex_ = ToricCellComplex(Q, 1, cells, [
         FacetIncidence(parent=1, facet=0, left=zero, right=zero)])
-    from toricell.resolution import CellularResolution
-
     res = CellularResolution(complex_, {complex_.incidences[0]: 1})
     rep = verify_minimality(res)
     assert not rep.minimal
@@ -130,3 +137,103 @@ def test_sign_crosscheck_z2():
 
 def test_sign_crosscheck_trivial():
     mckay_sign_crosscheck(AbelianGroupData.cyclic(1, (0, 0, 0)))
+
+
+def test_exactness_rejects_vacuous_checks(z6_resolution):
+    with pytest.raises(ValueError):
+        verify_exactness(z6_resolution, -1)
+    with pytest.raises(ValueError):
+        verify_exactness(z6_resolution, (1, -1, 1))
+    with pytest.raises(ValueError):
+        verify_exactness(z6_resolution, (1, 1))
+    with pytest.raises(ValueError):
+        verify_exactness(z6_resolution, 1, pairs=[])
+    rep = verify_exactness(z6_resolution, 0)
+    assert rep.exact and rep.pieces_checked == 36
+
+
+def test_broken_sign_negative_control(mckay_z6_complex):
+    C = mckay_z6_complex
+    signs = dict(C.explicit_signs)
+    inc = next(i for i in C.incidences if C.cells[i.parent].dim == 2)
+    signs[inc] = -signs[inc]
+    res = CellularResolution(C, signs)
+    with pytest.raises(ResolutionError):
+        verify_square_zero(res)
+    rep = verify_exactness(res, 1)
+    assert not rep.exact
+    assert rep.pieces_checked == 36 * 8
+    detail = [(1, 7, 6, 12), (2, 6, 1, 6)]
+    assert rep.failures == [(0, 0, (1, 1, 1), detail),
+                            (1, 1, (1, 1, 1), detail)]
+    rep = verify_exactness(res, 1, check_products=True)
+    assert [f[:3] for f in rep.failures] == [
+        (0, 0, (1, 1, 1)), (1, 0, (1, 1, 0)), (1, 1, (1, 1, 1))]
+    assert all(f[3] == [("d1.d2", None, None, None)] for f in rep.failures)
+
+
+# ---------------------------------------------------------------------------
+# brute-force oracle for graded pieces: every split of the remaining divisor
+# between the two sides, each tested for a path
+
+
+def _splits(rem):
+    """All (dL, dR) with dL + dR = rem, componentwise nonnegative."""
+    for dL in itertools.product(*[range(r + 1) for r in rem]):
+        yield dL, vsub(rem, dL)
+
+
+def brute_force_piece(res, s, t, dvec):
+    """(bases, matrices, dim_A) of the graded piece at (s, t, dvec)."""
+    Q = res.Q
+    if not Q.path_exists(t, s, dvec):
+        return ([[] for _ in range(res.n + 1)],
+                [[[]] for _ in range(res.n + 1)], 0)
+    bases = []
+    for k in range(res.n + 1):
+        basis = []
+        for c in res.complex.by_dim[k]:
+            rem = vsub(dvec, c.divisor)
+            if any(x < 0 for x in rem):
+                continue
+            for dL, dR in _splits(rem):
+                if Q.path_exists(c.head, s, dL) and Q.path_exists(t, c.tail, dR):
+                    basis.append((c.id, dL, dR))
+        bases.append(basis)
+    matrices = [[[1] * len(bases[0])]]
+    for k in range(1, res.n + 1):
+        index = {b: i for i, b in enumerate(bases[k - 1])}
+        rows = [[0] * len(bases[k]) for _ in range(len(bases[k - 1]))]
+        for j, (cid, dL, dR) in enumerate(bases[k]):
+            for inc in res.complex.facet_incidences(cid):
+                target = (inc.facet, vadd(dL, inc.left), vadd(dR, inc.right))
+                rows[index[target]][j] += res.signs[inc]
+        matrices.append(rows)
+    return bases, matrices, 1
+
+
+@pytest.mark.parametrize("name, bound", [
+    ("threefold_four_sheaves.json", 2),
+    ("mckay_z6_123.json", 2),
+    ("mckay_z2_11.json", 3),
+])
+def test_graded_pieces_match_brute_force(name, bound):
+    doc = load(name)
+    if doc.group is not None:
+        C = mckay_complex(doc.group)
+        res = build_resolution(C, signs=C.explicit_signs)
+    else:
+        Q = doc.quiver()
+        res = build_resolution(general_complex(Q, superpotential(Q)))
+    Q = res.Q
+    box = (bound,) * Q.d
+    table = _class_table(Q, box)
+    for s, t in itertools.product(range(Q.n_vertices), repeat=2):
+        swept = _pair_bases(res, table, s, t, box)
+        for dvec in itertools.product(range(bound + 1), repeat=Q.d):
+            bases, matrices, dim_A = brute_force_piece(res, s, t, dvec)
+            piece = graded_piece(res, s, t, dvec)
+            assert piece.bases == bases
+            assert piece.matrices == matrices
+            assert piece.dim_A == dim_A
+            assert swept.get(dvec, [[]] * (res.n + 1)) == bases
