@@ -4,6 +4,10 @@ Arrows carry labels in N^d recording the divisor of the defining section.
 Paths are tuples of arrow ids, first-applied first; the printed form
 follows the algebraic convention (rightmost acts first), e.g. (1, 4, 7)
 prints as "a8a5a2".
+
+Every walk over paths (`paths_from`, `enumerate_paths`, `reachable`) runs
+from an explicit stack, so long paths cannot exhaust Python's recursion
+limit.
 """
 
 from __future__ import annotations
@@ -79,62 +83,80 @@ class QuiverOfSections:
             return "e"
         return "".join(f"a{idx + 1}" for idx in reversed(path))
 
-    def paths_from(self, i, budget):
-        """All (head, path) with tail i and divisor componentwise <= budget."""
-        out = []
-        path = []
+    def _walk(self, i, budget, target=None):
+        """Yield (head, path, remaining) for every path from i with divisor
+        componentwise <= budget, where remaining = budget - div(path).
 
-        def dfs(v, remaining):
-            out.append((v, tuple(path)))
-            for a in self.out[v]:
+        The walk is depth-first with an explicit stack, so path length is
+        not limited by Python's recursion depth: each path is yielded
+        before its extensions, and arrows are tried in id order.  With a
+        target, only paths that extend to a path ending at target with
+        divisor exactly budget are yielded (and extended).
+        """
+        path = []
+        remaining = tuple(budget)
+        yield i, (), remaining
+        stack = [(remaining, iter(self.out[i]))]
+        while stack:
+            remaining, arrows = stack[-1]
+            for a in arrows:
                 if leq(a.label, remaining):
+                    rest = vsub(remaining, a.label)
+                    if target is not None \
+                            and not self.path_exists(a.head, target, rest):
+                        continue
                     path.append(a.idx)
-                    dfs(a.head, vsub(remaining, a.label))
+                    yield a.head, tuple(path), rest
+                    stack.append((rest, iter(self.out[a.head])))
+                    break
+            else:
+                stack.pop()
+                if path:
                     path.pop()
 
-        dfs(i, tuple(budget))
-        return out
+    def paths_from(self, i, budget):
+        """All (head, path) with tail i and divisor componentwise <= budget,
+        in depth-first order."""
+        return [(h, p) for h, p, _ in self._walk(i, budget)]
 
     def enumerate_paths(self, i, j, div):
         """All paths from i to j with divisor exactly div."""
-        div = tuple(div)
-        out = []
-        path = []
-
-        def dfs(v, remaining):
-            if v == j and is_zero(remaining):
-                out.append(tuple(path))
-            for a in self.out[v]:
-                if leq(a.label, remaining):
-                    if self.path_exists(a.head, j, vsub(remaining, a.label)):
-                        path.append(a.idx)
-                        dfs(a.head, vsub(remaining, a.label))
-                        path.pop()
-
-        dfs(i, div)
-        return out
+        return [p for h, p, rest in self._walk(i, div, target=j)
+                if h == j and is_zero(rest)]
 
     def reachable(self, i, div):
-        """Vertices reachable from i along paths with divisor exactly div."""
+        """Vertices reachable from i along paths with divisor exactly div.
+
+        Results are memoized per (vertex, divisor).  Missing subproblems
+        are solved from an explicit stack, children before parents.
+        """
+        memo = self._reach_memo
         key = (i, tuple(div))
-        hit = self._reach_memo.get(key)
+        hit = memo.get(key)
         if hit is not None:
             return hit
-        if is_zero(div):
-            result = frozenset((i,))
-        else:
-            acc = set()
-            for a in self.out[i]:
-                if leq(a.label, div):
-                    acc |= self.reachable(a.head, vsub(div, a.label))
-            result = frozenset(acc)
-        self._reach_memo[key] = result
-        return result
+        stack = [key]
+        while stack:
+            v, d = top = stack[-1]
+            if top in memo:
+                stack.pop()
+                continue
+            if is_zero(d):
+                memo[top] = frozenset((v,))
+                stack.pop()
+                continue
+            subs = [(a.head, vsub(d, a.label)) for a in self.out[v]
+                    if leq(a.label, d)]
+            missing = [s for s in subs if s not in memo]
+            if missing:
+                stack.extend(missing)
+                continue
+            memo[top] = frozenset().union(*(memo[s] for s in subs))
+            stack.pop()
+        return memo[key]
 
     def path_exists(self, i, j, div):
         return j in self.reachable(i, div)
-
-    realizable = path_exists
 
     # -- structural checks --------------------------------------------------
 

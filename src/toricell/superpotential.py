@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .intlinalg import is_zero, leq, vadd, vscale, vsub
+from .intlinalg import leq, vscale, vsub
 
 
 def cyclic_canonical(cycle):
@@ -63,24 +63,6 @@ def derivative(Q, q, base_vertex=None):
             raise ValueError("trivial path needs a base vertex")
         start = end = base_vertex
     return Q.enumerate_paths(start, end, vsub(Q.ones, div_q))
-
-
-def derivative_via_terms(Q, W, q, base_vertex=None):
-    """The same derivative, read off from the terms of W (for cross-checks)."""
-    out = []
-    div_q = Q.path_div(q)
-    if not leq(div_q, Q.ones):
-        return []
-    if q:
-        start, end = Q.arrows[q[-1]].head, Q.arrows[q[0]].tail
-    else:
-        if base_vertex is None:
-            raise ValueError("trivial path needs a base vertex")
-        start = end = base_vertex
-    for p in Q.enumerate_paths(start, end, vsub(Q.ones, div_q)):
-        if cyclic_canonical(tuple(q) + p) in W.term_set:
-            out.append(p)
-    return out
 
 
 @dataclass(frozen=True)
@@ -140,22 +122,29 @@ def arrow_coverage(Q, W):
 # rewriting and consistency
 
 
-def _occurrences(path, sub):
-    k = len(sub)
-    if k == 0 or k > len(path):
-        return []
-    return [idx for idx in range(len(path) - k + 1) if path[idx:idx + k] == sub]
+def _rule_index(rules):
+    """{u: [v, ...]}: each rule (u, v) read as the rewrite step u -> v."""
+    index = {}
+    for u, v in rules:
+        index.setdefault(u, []).append(v)
+    return index
+
+
+def _rewrites(path, index, lengths):
+    """Every path obtained from path by one step u -> v of the index;
+    lengths holds the lengths of the index's keys."""
+    n = len(path)
+    for k in lengths:
+        for idx in range(n - k + 1):
+            for v in index.get(path[idx:idx + k], ()):
+                yield path[:idx] + v + path[idx + k:]
 
 
 def rewrite_neighbors(path, rules):
-    """All single-step rewrites of a path by the given relation pairs."""
-    out = []
-    for u, v in rules:
-        for idx in _occurrences(path, u):
-            out.append(path[:idx] + v + path[idx + len(u):])
-        for idx in _occurrences(path, v):
-            out.append(path[:idx] + u + path[idx + len(v):])
-    return out
+    """All single-step rewrites of a path by the given relation pairs,
+    applied in both directions."""
+    index = _rule_index(list(rules) + [(v, u) for u, v in rules])
+    return list(_rewrites(path, index, {len(u) for u in index}))
 
 
 class _UnionFind:
@@ -181,11 +170,17 @@ class _UnionFind:
         return list(groups.values())
 
 
-def _bucket_classes(paths, rules):
+def _bucket_classes(paths, index):
+    """Classes of the paths under the rewrite steps of the index.
+
+    Rewriting is symmetric (q = p[u -> v] exactly when p = q[v -> u]), so
+    the steps in one direction join the same pairs as both directions.
+    """
     uf = _UnionFind(paths)
     members = set(paths)
+    lengths = {len(u) for u in index}
     for p in paths:
-        for q in rewrite_neighbors(p, rules):
+        for q in _rewrites(p, index, lengths):
             if q in members:
                 uf.union(p, q)
     return uf.classes()
@@ -203,17 +198,18 @@ def minimal_relations(Q, bound=None):
         bound = Q.ones
     buckets = {}
     for i in range(Q.n_vertices):
-        for head, p in Q.paths_from(i, bound):
+        for head, p, remaining in Q._walk(i, bound):
             if p:
-                buckets.setdefault((i, head, Q.path_div(p)), []).append(p)
+                key = (i, head, vsub(bound, remaining))
+                buckets.setdefault(key, []).append(p)
     gens = []
+    index = {}
     order = sorted(buckets, key=lambda k: (sum(k[2]), k[2], k[0], k[1]))
     for key in order:
         paths = sorted(buckets[key])
         if len(paths) < 2:
             continue
-        rules = [g.pair for g in gens]
-        classes = _bucket_classes(paths, rules)
+        classes = _bucket_classes(paths, index)
         if len(classes) <= 1:
             continue
         reps = sorted(min(cls) for cls in classes)
@@ -221,6 +217,7 @@ def minimal_relations(Q, bound=None):
         for other in reps[1:]:
             a, b = sorted((base, other))
             gens.append(FRelation(p_plus=a, p_minus=b))
+            index.setdefault(a, []).append(b)
     return gens
 
 
@@ -256,25 +253,37 @@ class ConsistencyReport:
 
 def consistency(Q, W, bound=2):
     """Check whether the F-term relations identify all parallel equal-divisor
-    paths with divisor componentwise <= bound * (1..1)."""
+    paths with divisor componentwise <= bound * (1..1).
+
+    Paths stream from one depth-first walk per tail vertex into buckets
+    keyed by head and divisor.  The relations are indexed once by side:
+    a path's rewrites come from looking up each of its windows whose
+    length is that of some relation side.  Only the steps p_plus -> p_minus
+    are indexed, because a step and its reverse join the same two paths,
+    so the classes are those of rewriting in both directions.
+    """
+    if bound < 0:
+        raise ValueError(f"consistency bound must be nonnegative, got {bound}")
     quick = [a.idx for a in Q.arrows if not leq(a.label, Q.ones)]
     uncovered = [a.idx for a in arrow_coverage(Q, W)]
-    rules = [r.pair for r in relations(Q, W)]
+    rels = relations(Q, W)
+    index = _rule_index(r.pair for r in rels)
     witnesses = []
     budget = vscale(bound, Q.ones)
     for i in range(Q.n_vertices):
         buckets = {}
-        for head, p in Q.paths_from(i, budget):
+        for head, p, remaining in Q._walk(i, budget):
             if p:
-                buckets.setdefault((head, Q.path_div(p)), []).append(p)
+                key = (head, vsub(budget, remaining))
+                buckets.setdefault(key, []).append(p)
         for (head, div), paths in sorted(buckets.items()):
             if len(paths) < 2:
                 continue
-            classes = _bucket_classes(sorted(paths), rules)
+            classes = _bucket_classes(sorted(paths), index)
             if len(classes) > 1:
                 reps = sorted(min(cls) for cls in classes)
                 witnesses.append((i, head, div, reps[0], reps[1]))
     consistent = not quick and not uncovered and not witnesses
     return ConsistencyReport(consistent=consistent, bound=bound,
                              quick_reject_arrows=quick, witnesses=witnesses,
-                             n_relations=len(rules), uncovered_arrows=uncovered)
+                             n_relations=len(rels), uncovered_arrows=uncovered)

@@ -1,10 +1,11 @@
 import json
+import os
 
 import pytest
 
 from toricell.cli import main
 
-from conftest import input_path
+from conftest import INPUTS, input_path
 
 
 def run(capsys, *argv):
@@ -140,3 +141,22 @@ def test_deterministic_output(capsys):
     _, a = run(capsys, "superpotential", input_path("threefold_four_sheaves.json"))
     _, b = run(capsys, "superpotential", input_path("threefold_four_sheaves.json"))
     assert a == b
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+GOLDEN_FIXTURES = sorted(name[:-len(".json")] for name in os.listdir(INPUTS)
+                         if name.endswith(".json") and name != "fourfold.json")
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3])
+@pytest.mark.parametrize("fixture", GOLDEN_FIXTURES)
+def test_consistency_golden(capsys, fixture, bound):
+    """The consistency JSON is byte-identical to the committed golden."""
+    code = main(["consistency", input_path(fixture + ".json"),
+                 "--bound", str(bound)])
+    out = capsys.readouterr().out
+    path = os.path.join(GOLDEN, "consistency", f"{fixture}_bound{bound}.json")
+    with open(path, "rb") as fh:
+        want = fh.read()
+    assert out.encode() == want
+    assert code == (0 if json.loads(want)["consistent"] else 1)

@@ -91,3 +91,45 @@ def test_conifold_quiver(quiver_conifold):
     assert labels(Q) == [
         (0, 1, (1, 0, 0, 0)), (0, 1, (0, 1, 0, 0)),
         (1, 0, (0, 0, 1, 0)), (1, 0, (0, 0, 0, 1))]
+
+
+def recursive_paths_from(Q, i, budget):
+    """Reference: depth-first recursion, each path before its extensions."""
+    out = []
+
+    def dfs(v, path, remaining):
+        out.append((v, path))
+        for a in Q.out[v]:
+            if all(x <= r for x, r in zip(a.label, remaining)):
+                dfs(a.head, path + (a.idx,),
+                    tuple(r - x for x, r in zip(a.label, remaining)))
+
+    dfs(i, (), tuple(budget))
+    return out
+
+
+def test_walk_order_matches_recursion(quiver_four_sheaves, quiver_five_sheaves,
+                                      quiver_trivial_a3):
+    for Q in (quiver_four_sheaves, quiver_five_sheaves, quiver_trivial_a3):
+        budget = tuple(2 * x for x in Q.ones)
+        for i in range(Q.n_vertices):
+            want = recursive_paths_from(Q, i, budget)
+            assert Q.paths_from(i, budget) == want
+            for j in range(Q.n_vertices):
+                for div in [Q.ones, budget]:
+                    assert Q.enumerate_paths(i, j, div) == [
+                        p for h, p in want
+                        if h == j and Q.path_div(p) == div]
+
+
+def test_long_paths_do_not_recurse():
+    """A 1,200-arrow path is deeper than Python's default recursion limit."""
+    Q = quiver_from_data(2, [(0, 1, (1, 0)), (1, 0, (0, 1))])
+    found = Q.paths_from(0, (600, 600))
+    assert len(found) == 1201
+    assert found[-1] == (0, (0, 1) * 600)
+    assert Q.reachable(0, (600, 600)) == {0}
+    assert Q.reachable(1, (599, 600)) == {0}
+    assert Q.reachable(1, (600, 599)) == set()
+    assert not Q.path_exists(0, 1, (600, 600))
+    assert Q.enumerate_paths(0, 0, (600, 600)) == [(0, 1) * 600]

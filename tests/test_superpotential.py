@@ -1,19 +1,141 @@
+import importlib
+import importlib.util
+import os
 import random
 
+import pytest
+
+from toricell.inputs import parse_document
+from toricell.intlinalg import leq, vadd, vsub
 from toricell.superpotential import (
+    _bucket_classes,
+    _rule_index,
     consistency,
     cyclic_canonical,
     derivative,
-    derivative_via_terms,
     minimal_relations,
     relations,
     rewrite_neighbors,
     superpotential,
 )
 
+from conftest import load
+
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+# the package exports a function of the same name as this module
+sp = importlib.import_module("toricell.superpotential")
+
 
 def pair_set(rels):
     return {frozenset(r.pair) for r in rels}
+
+
+# ---------------------------------------------------------------------------
+# brute-force oracles
+
+
+def derivative_via_terms(Q, W, q, base_vertex=None):
+    """The cyclic derivative read off from the terms of W."""
+    out = []
+    div_q = Q.path_div(q)
+    if not leq(div_q, Q.ones):
+        return []
+    if q:
+        start, end = Q.arrows[q[-1]].head, Q.arrows[q[0]].tail
+    else:
+        if base_vertex is None:
+            raise ValueError("trivial path needs a base vertex")
+        start = end = base_vertex
+    for p in Q.enumerate_paths(start, end, vsub(Q.ones, div_q)):
+        if cyclic_canonical(tuple(q) + p) in W.term_set:
+            out.append(p)
+    return out
+
+
+def _occurrences(path, sub):
+    k = len(sub)
+    if k == 0 or k > len(path):
+        return []
+    return [idx for idx in range(len(path) - k + 1) if path[idx:idx + k] == sub]
+
+
+def oracle_rewrite_neighbors(path, rules):
+    """Every rule side scanned at every position, in both directions."""
+    out = []
+    for u, v in rules:
+        for idx in _occurrences(path, u):
+            out.append(path[:idx] + v + path[idx + len(u):])
+        for idx in _occurrences(path, v):
+            out.append(path[:idx] + u + path[idx + len(v):])
+    return out
+
+
+def oracle_classes(paths, rules):
+    """Classes of paths joined by two-way rewrite steps, by graph search."""
+    members = set(paths)
+    seen, classes = set(), []
+    for p in paths:
+        if p in seen:
+            continue
+        seen.add(p)
+        cls, todo = [p], [p]
+        while todo:
+            for q in oracle_rewrite_neighbors(todo.pop(), rules):
+                if q in members and q not in seen:
+                    seen.add(q)
+                    cls.append(q)
+                    todo.append(q)
+        classes.append(cls)
+    return classes
+
+
+def oracle_buckets(Q, bound):
+    """(tail, head, div, sorted paths) of every bucket of two or more
+    nonempty parallel paths with divisor <= bound * (1..1), in the order
+    consistency reports witnesses; paths are grown one arrow at a time."""
+    budget = tuple(bound * x for x in Q.ones)
+    for i in range(Q.n_vertices):
+        buckets = {}
+        layer = [((), i, (0,) * Q.d)]
+        while layer:
+            grown = []
+            for p, v, div in layer:
+                for a in Q.out[v]:
+                    d = vadd(div, a.label)
+                    if leq(d, budget):
+                        q = p + (a.idx,)
+                        buckets.setdefault((a.head, d), []).append(q)
+                        grown.append((q, a.head, d))
+            layer = grown
+        for (head, div), paths in sorted(buckets.items()):
+            if len(paths) >= 2:
+                yield i, head, div, sorted(paths)
+
+
+def partition(classes):
+    return {frozenset(c) for c in classes}
+
+
+def check_against_oracle(Q, rules, bound):
+    """Every bucket's classes match the oracle's; returns the oracle's
+    witnesses (tail, head, div, two least class representatives)."""
+    index = _rule_index(rules)
+    witnesses = []
+    for i, head, div, paths in oracle_buckets(Q, bound):
+        want = oracle_classes(paths, rules)
+        assert partition(_bucket_classes(paths, index)) == partition(want)
+        if len(want) > 1:
+            reps = sorted(min(c) for c in want)
+            witnesses.append((i, head, div, reps[0], reps[1]))
+    return witnesses
+
+
+def _generate_module():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_generate", os.path.join(ROOT, "perfbench", "generate.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_cyclic_canonical_rotations():
@@ -141,3 +263,57 @@ def check_rewrite_steps(Q, steps=10000, seed=20240820):
 
 def test_rewrites_preserve_path_class(quiver_four_sheaves):
     assert check_rewrite_steps(quiver_four_sheaves, steps=10000) >= 10000
+
+
+def test_rewrite_neighbors_match_scan(quiver_four_sheaves):
+    Q = quiver_four_sheaves
+    rules = [r.pair for r in relations(Q, superpotential(Q))]
+    for i in range(Q.n_vertices):
+        for _head, p in Q.paths_from(i, tuple(2 * x for x in Q.ones)):
+            assert sorted(rewrite_neighbors(p, rules)) == sorted(
+                oracle_rewrite_neighbors(p, rules))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_consistency_classes_match_oracle_threefolds(seed):
+    """Relabelled threefold fixtures at bound 3: every bucket's classes and
+    every witness agree with the scan-based oracle."""
+    entries, _ = _generate_module().documents(
+        "threefold_consistency", seed, root=ROOT)
+    for _label, raw, _settings in entries:
+        Q = parse_document(raw).quiver()
+        W = superpotential(Q)
+        rules = [r.pair for r in relations(Q, W)]
+        want = check_against_oracle(Q, rules, 3)
+        assert consistency(Q, W, bound=3).witnesses == want
+
+
+def test_consistency_classes_match_oracle_mckay():
+    Q = load("mckay_z6_123.json").quiver()
+    W = superpotential(Q)
+    rules = [r.pair for r in relations(Q, W)]
+    assert check_against_oracle(Q, rules, 2) == []
+    assert consistency(Q, W, bound=2).consistent
+
+
+def test_dropped_relation_gives_same_witnesses(quiver_four_sheaves,
+                                               monkeypatch):
+    """Negative control: without one relation, four sheaves is
+    inconsistent, and the witnesses agree with the oracle's."""
+    Q = quiver_four_sheaves
+    W = superpotential(Q)
+    rels = relations(Q, W)
+    for k in range(len(rels)):
+        kept = rels[:k] + rels[k + 1:]
+        monkeypatch.setattr(sp, "relations", lambda Q, W: kept)
+        rep = consistency(Q, W, bound=2)
+        want = check_against_oracle(Q, [r.pair for r in kept], 2)
+        assert want
+        assert rep.witnesses == want
+        assert not rep.consistent and rep.n_relations == len(kept)
+
+
+def test_consistency_rejects_negative_bound(quiver_four_sheaves):
+    Q = quiver_four_sheaves
+    with pytest.raises(ValueError):
+        consistency(Q, superpotential(Q), bound=-1)
