@@ -11,9 +11,9 @@ from the tail of the parent to the tail of the facet).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .intlinalg import is_zero, leq, vadd, vsub
+from .intlinalg import leq, vadd, vsub
 from .quiver import build_quiver
 from .superpotential import cyclic_canonical, derivative, relations
 from .variety import mckay_toric_data
@@ -77,6 +77,7 @@ class ToricCellComplex:
             self.incidences.append(inc)
             self._facets_of[inc.parent].append(inc)
         self._tau = None
+        self._composites = None
 
     def _validate(self, inc):
         p, f = self.cells[inc.parent], self.cells[inc.facet]
@@ -141,16 +142,19 @@ class ToricCellComplex:
         Each group collects the pairs of incidences eta -> eta' -> eta''
         whose composed left and right divisors agree; for a cell complex
         with an incidence function every group has exactly two routes whose
-        signs cancel.
+        signs cancel.  The incidences are fixed at construction, so the
+        groups are built once and shared by every caller.
         """
-        groups = {}
-        for inc1 in self.incidences:
-            for inc2 in self._facets_of[inc1.facet]:
-                L = vadd(inc2.left, inc1.left)
-                R = vadd(inc1.right, inc2.right)
-                key = (inc1.parent, inc2.facet, L, R)
-                groups.setdefault(key, []).append((inc1, inc2))
-        return groups
+        if self._composites is None:
+            groups = {}
+            for inc1 in self.incidences:
+                for inc2 in self._facets_of[inc1.facet]:
+                    L = vadd(inc2.left, inc1.left)
+                    R = vadd(inc1.right, inc2.right)
+                    key = (inc1.parent, inc2.facet, L, R)
+                    groups.setdefault(key, []).append((inc1, inc2))
+            self._composites = groups
+        return self._composites
 
     def face_poset_check(self):
         """Verify that every two-step route group has exactly two members."""
@@ -337,24 +341,33 @@ def _relation_facets(Q, cell, rel):
     return out
 
 
-def _dual_facet_groups(Q, W, rel, arrow):
-    """Complement-divisor groups embedding a relation in the dual 3-cell of
-    an arrow: pairs (div(s), div(t)) with both cyclic words s.p.t.a in W."""
-    found = set()
+def _embeddings(W, arrow_idx, rel):
+    """Each way a relation embeds in the cyclic words of W through an arrow.
+
+    Yields (term, t_path, s_path, other): term, rotated to start at the
+    arrow, reads arrow . t_path . p_plus . s_path, and other is the cyclic
+    word with p_minus in place of p_plus, which is also a term of W.
+    """
     p_plus, p_minus = rel.pair
+    k = len(p_plus)
     for term in W.terms:
-        for pos in [k for k, x in enumerate(term) if x == arrow.idx]:
-            word = term[pos:] + term[:pos]  # starts with the arrow
-            body = word[1:]
-            k = len(p_plus)
+        for pos in [j for j, x in enumerate(term) if x == arrow_idx]:
+            body = (term[pos:] + term[:pos])[1:]
             for cut in range(len(body) - k + 1):
                 if body[cut:cut + k] != p_plus:
                     continue
                 t_path, s_path = body[:cut], body[cut + k:]
-                other = cyclic_canonical((arrow.idx,) + t_path + p_minus + s_path)
+                other = cyclic_canonical(
+                    (arrow_idx,) + t_path + p_minus + s_path)
                 if other in W.term_set:
-                    found.add((Q.path_div(s_path), Q.path_div(t_path)))
-    return sorted(found)
+                    yield term, t_path, s_path, other
+
+
+def _dual_facet_groups(Q, W, rel, arrow):
+    """Complement-divisor groups embedding a relation in the dual 3-cell of
+    an arrow: pairs (div(s), div(t)) with both cyclic words s.p.t.a in W."""
+    return sorted({(Q.path_div(s_path), Q.path_div(t_path))
+                   for _, t_path, s_path, _ in _embeddings(W, arrow.idx, rel)})
 
 
 def general_complex(Q, W, rels=None, report=None):
@@ -422,8 +435,7 @@ def general_complex(Q, W, rels=None, report=None):
             dual_arrow_cells[a.idx] = cell
     else:
         for r in rels:
-            head = Q.arrows[r.p_plus[-1]].head
-            tail = Q.arrows[r.p_plus[0]].tail
+            tail, head = r.endpoints(Q)
             rel_cells[r] = add(2, head, tail, r.div(Q), ("relation", r))
         dual_arrow_cells = {
             a.idx: add(3, a.tail, a.head, vsub(Q.ones, a.label),
@@ -509,20 +521,10 @@ def sign_infeasibility(Q, W, rels, arrow_idx):
     index = {t: k for k, t in enumerate(terms)}
     edges = set()
     for rel in rels:
-        p_plus, p_minus = rel.pair
-        for t in terms:
-            for pos in [k for k, x in enumerate(t) if x == arrow_idx]:
-                body = (t[pos:] + t[:pos])[1:]
-                k = len(p_plus)
-                for cut in range(len(body) - k + 1):
-                    if body[cut:cut + k] != p_plus:
-                        continue
-                    other = cyclic_canonical(
-                        (arrow_idx,) + body[:cut] + p_minus + body[cut + k:])
-                    if other in W.term_set:
-                        u, v = index[t], index[other]
-                        if u != v:
-                            edges.add((min(u, v), max(u, v)))
+        for term, _, _, other in _embeddings(W, arrow_idx, rel):
+            u, v = index[term], index[other]
+            if u != v:
+                edges.add((min(u, v), max(u, v)))
     # depth-first 2-coloring with parent tracking for an odd-cycle witness
     color = {}
     parent = {}

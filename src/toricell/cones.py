@@ -7,7 +7,6 @@ exact; vectors are integer tuples.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
 from math import lcm
 
@@ -19,13 +18,11 @@ from .intlinalg import (
     is_zero,
     kernel_basis,
     lattice_basis,
-    left_pseudo_inverse,
     mat_vec,
     primitive,
     rank,
     rational_mat_inverse,
     solve_integer,
-    transpose,
     vadd,
     vector_gcd,
     vscale,
@@ -105,37 +102,6 @@ def dual_cone_rays(generators):
     return sorted(set(rays))
 
 
-def _rational_solve(A, b):
-    """One rational solution of A x = b, or None."""
-    m = len(A)
-    n = len(A[0]) if m else 0
-    M = [[Fraction(x) for x in row] + [Fraction(bv)] for row, bv in zip(A, b)]
-    pivots = []
-    row = 0
-    for col in range(n):
-        piv = next((i for i in range(row, m) if M[i][col] != 0), None)
-        if piv is None:
-            continue
-        M[row], M[piv] = M[piv], M[row]
-        p = M[row][col]
-        M[row] = [x / p for x in M[row]]
-        for i in range(m):
-            if i != row and M[i][col] != 0:
-                f = M[i][col]
-                M[i] = [x - f * y for x, y in zip(M[i], M[row])]
-        pivots.append(col)
-        row += 1
-        if row == m:
-            break
-    for i in range(row, m):
-        if M[i][n] != 0:
-            return None
-    x = [Fraction(0)] * n
-    for i, col in enumerate(pivots):
-        x[col] = M[i][n]
-    return x
-
-
 class RationalCone:
     """Cone generated by integer vectors, possibly not full-dimensional."""
 
@@ -162,7 +128,6 @@ class RationalCone:
         self._coord_gens = None
         self._facets_coords = None
         self._rays = None
-        self._facet_normals = None
 
     # -- span coordinates ---------------------------------------------------
 
@@ -202,21 +167,6 @@ class RationalCone:
             return True
         fc = self._facet_coords()
         return rank([list(f) for f in fc]) == self.dim if fc else self.dim == 0
-
-    @property
-    def facet_normals(self):
-        """Supporting inequalities, lifted to primitive ambient covectors."""
-        if self._facet_normals is None:
-            lifted = []
-            span_t = [list(s) for s in self._span_basis]  # rows: basis vectors
-            for n_c in self._facet_coords():
-                sol = _rational_solve(span_t, n_c)
-                if sol is None:
-                    raise ConeError("facet normal lift failed (bug)")
-                mult = lcm(*(f.denominator for f in sol)) if sol else 1
-                lifted.append(primitive(tuple(int(f * mult) for f in sol)))
-            self._facet_normals = sorted(lifted)
-        return self._facet_normals
 
     @property
     def rays(self):
@@ -417,7 +367,6 @@ class FiberContext:
         self.n = len(B[0]) if B else 0
         if rank(self.B) != self.n:
             raise LinAlgError("embedding matrix must have full column rank")
-        self.pinv = left_pseudo_inverse(self.B)  # n x d, Fractions
         # bound rows for the boxes {t : 0 <= c + B t <= bound}
         self.box_levels = _fm_levels(
             [tuple(row) for row in self.B] +
@@ -425,9 +374,8 @@ class FiberContext:
         # semigroup S0 = N^d ∩ im(B): cone {t : B t >= 0} pushed forward
         t_rays = dual_cone_rays([tuple(row) for row in self.B])
         gens = [primitive_in_image(self.B, t) for t in t_rays]
-        orthant_span = RationalCone(gens, self.d)
-        self.s0_cone = orthant_span
-        self.s0_hilbert = hilbert_basis(orthant_span, lattice=image_basis(self.B))
+        self.s0_hilbert = hilbert_basis(RationalCone(gens, self.d),
+                                        lattice=image_basis(self.B))
         if not self.s0_hilbert:
             raise ConeError("degree-zero semigroup is trivial; cone not full-dimensional")
         self.hmax = tuple(max(h[j] for h in self.s0_hilbert) for j in range(self.d))
@@ -437,9 +385,6 @@ class FiberContext:
         if any(a <= 0 for a in splus):
             raise ConeError("no strictly positive degree-zero section; cone not full-dimensional")
         self.splus = splus
-
-    def in_image(self, v):
-        return solve_integer(self.B, v) is not None
 
 
 def image_basis(B):

@@ -53,6 +53,19 @@ def _int_matrix(rows, what, width=None):
     return out
 
 
+def _group_generator(order, weights, what):
+    """(order, weights) of one cyclic factor of a quotient group: a positive
+    integer order and a list of integer weights (booleans are rejected)."""
+    def integer(x):
+        return isinstance(x, int) and not isinstance(x, bool)
+
+    if not (integer(order) and order >= 1 and isinstance(weights, list)
+            and all(integer(w) for w in weights)):
+        raise InputError(f"{what} needs a positive integer order and "
+                         "integer weights")
+    return order, tuple(weights)
+
+
 def _arrow_list(raw, what):
     out = []
     for item in raw:
@@ -76,14 +89,6 @@ class InputDocument:
     vertices: int = None
     arrows: list = None
     options: dict = field(default_factory=dict)
-
-    def variety(self):
-        if self.kind in ("cyclic_quotient", "abelian_quotient"):
-            X, _ = mckay_toric_data(self.group)
-            return X
-        if self.rays is None:
-            raise InputError("document carries no variety data")
-        return GorensteinToricVariety(self.rays)
 
     def quiver(self):
         if self.kind == "dimer_quiver":
@@ -132,22 +137,19 @@ def parse_document(doc):
         raise InputError("bound must be an integer")
 
     if kind == "cyclic_quotient":
-        order = _require(doc, "order", int)
-        weights = _require(doc, "weights", list)
-        if order < 1 or not all(isinstance(w, int) for w in weights):
-            raise InputError("cyclic_quotient needs a positive order and "
-                             "integer weights")
-        group = AbelianGroupData.cyclic(order, weights)
+        group = AbelianGroupData.cyclic(*_group_generator(
+            _require(doc, "order", int), _require(doc, "weights", list),
+            "cyclic_quotient"))
         return InputDocument(kind=kind, group=group, options=options)
     if kind == "abelian_quotient":
         raw = _require(doc, "generators", list)
         gens = []
         for g in raw:
-            if (not isinstance(g, dict) or not isinstance(g.get("order"), int)
-                    or not isinstance(g.get("weights"), list)):
+            if not isinstance(g, dict):
                 raise InputError(
                     "generators must be objects with order and weights")
-            gens.append((g["order"], tuple(g["weights"])))
+            gens.append(_group_generator(g.get("order"), g.get("weights"),
+                                         "each abelian_quotient generator"))
         if not gens:
             raise InputError("abelian_quotient needs at least one generator")
         n = len(gens[0][1])

@@ -62,10 +62,6 @@ def primitive(v):
     return tuple(a // g for a in v)
 
 
-def nonneg(v):
-    return all(a >= 0 for a in v)
-
-
 def leq(v, w):
     """Componentwise v <= w."""
     return all(map(le, v, w))
@@ -98,10 +94,6 @@ def transpose(A):
     return [list(col) for col in zip(*A)]
 
 
-def columns(A):
-    return [tuple(col) for col in zip(*A)]
-
-
 def from_columns(cols, nrows=None):
     if not cols:
         if nrows is None:
@@ -123,11 +115,6 @@ class SmithForm:
     V: list
     S: list
     rank: int
-
-    def diagonal(self):
-        m = len(self.S)
-        n = len(self.S[0]) if self.S else 0
-        return [self.S[i][i] for i in range(min(m, n))]
 
 
 def xgcd(a, b):
@@ -477,6 +464,11 @@ def _dense_rank(A):
 
 # ---------------------------------------------------------------------------
 # rational helpers
+#
+# rational_mat_inverse is the package's one rational elimination (it
+# serves the dual cones and the left inverse); left_pseudo_inverse is its
+# one left inverse (it serves the tiling projection).  Integer systems go
+# through the Smith form instead.
 
 
 def rational_mat_inverse(A):
@@ -542,38 +534,12 @@ class CokernelForm:
                 else:
                     d.append(0)
             self._diag = d
-        self.invariant_factors = [d for d in self._diag if d not in (0, 1)]
-        self.free_rank = sum(1 for d in self._diag if d == 0)
 
-    def _reduce(self, v):
+    def canonical(self, v):
         y = list(mat_vec(self._U, v))
         for i, d in enumerate(self._diag):
             if d == 1:
                 y[i] = 0
             elif d > 1:
                 y[i] %= d
-        return y
-
-    def canonical(self, v):
-        return mat_vec(self._Uinv, self._reduce(v))
-
-    def is_trivial_class(self, v):
-        return all(a == 0 for a in self._reduce(v))
-
-    def same_class(self, v, w):
-        return self._reduce(v) == self._reduce(w)
-
-    @property
-    def order(self):
-        """Order of the quotient group, or None if infinite."""
-        if self.free_rank:
-            return None
-        n = 1
-        for d in self.invariant_factors:
-            n *= d
-        return n
-
-    def describe(self):
-        parts = [f"Z/{d}" for d in self.invariant_factors]
-        parts += ["Z"] * self.free_rank
-        return " + ".join(parts) if parts else "0"
+        return mat_vec(self._Uinv, y)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cones import ConeError, dual_cone_rays
+from .cones import dual_cone_rays
 from .intlinalg import (
     dot,
     from_columns,
@@ -22,7 +22,6 @@ from .intlinalg import (
     primitive,
     rank,
     solve_integer,
-    vadd,
     vsub,
 )
 
@@ -141,41 +140,61 @@ def perfect_matchings(Q, pi=None):
 
 
 def simple_cycles(Q):
-    """Simple directed cycles of Q as arrow-id tuples, least vertex first."""
+    """Simple directed cycles of Q as arrow-id tuples, least vertex first.
+
+    Each root's cycles come from a depth-first walk with an explicit
+    stack over paths whose other vertices are larger than the root, so
+    long cycles cannot exhaust Python's recursion limit.
+    """
     out = []
     for root in range(Q.n_vertices):
         path = []
-
-        def dfs(v, visited):
-            for a in Q.out[v]:
+        on_path = {root}
+        stack = [iter(Q.out[root])]
+        while stack:
+            for a in stack[-1]:
                 if a.head == root:
-                    out.append(tuple(path + [a.idx]))
-                elif a.head > root and a.head not in visited:
+                    out.append(tuple(path) + (a.idx,))
+                elif a.head > root and a.head not in on_path:
                     path.append(a.idx)
-                    dfs(a.head, visited | {a.head})
-                    path.pop()
-
-        dfs(root, frozenset((root,)))
+                    on_path.add(a.head)
+                    stack.append(iter(Q.out[a.head]))
+                    break
+            else:
+                stack.pop()
+                if path:
+                    on_path.discard(Q.arrows[path.pop()].head)
     return out
 
 
 def _minimal_generators(divisors):
     """Elements of the set not expressible as a sum of two nonzero semigroup
-    elements, the semigroup being generated by the set itself."""
+    elements, the semigroup being generated by the set itself.
+
+    The divisors lie in N^d, so subtracting a nonzero generator always
+    descends; membership is decided from an explicit stack, children
+    before parents, as in QuiverOfSections.reachable.
+    """
     gens = sorted(set(divisors))
     memo = {}
 
     def in_semigroup(v):
-        if is_zero(v):
-            return True
-        hit = memo.get(v)
-        if hit is not None:
-            return hit
-        memo[v] = False
-        for g in gens:
-            if not is_zero(g) and leq(g, v) and in_semigroup(vsub(v, g)):
-                memo[v] = True
-                break
+        stack = [v]
+        while stack:
+            w = stack[-1]
+            if w in memo:
+                stack.pop()
+                continue
+            subs = [vsub(w, g) for g in gens if not is_zero(g) and leq(g, w)]
+            if is_zero(w) or any(memo.get(u) for u in subs):
+                memo[w] = True
+            else:
+                missing = [u for u in subs if u not in memo]
+                if missing:
+                    stack.extend(missing)
+                    continue
+                memo[w] = False
+            stack.pop()
         return memo[v]
 
     out = []

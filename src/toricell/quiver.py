@@ -16,7 +16,6 @@ from collections import deque
 from dataclasses import dataclass
 
 from .intlinalg import is_zero, leq, vadd, vsub
-from .variety import Collection, GorensteinToricVariety, VarietyError
 
 
 class QuiverError(ValueError):
@@ -67,16 +66,6 @@ class QuiverOfSections:
         for idx in path:
             div = vadd(div, self.arrows[idx].label)
         return div
-
-    def path_head(self, path, tail=None):
-        if not path:
-            return tail
-        return self.arrows[path[-1]].head
-
-    def path_tail(self, path, tail=None):
-        if not path:
-            return tail
-        return self.arrows[path[0]].tail
 
     def pretty_path(self, path):
         if not path:

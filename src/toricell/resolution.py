@@ -14,7 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .complexes import ComplexError, mckay_complex
+from .complexes import mckay_complex
 from .intlinalg import is_zero, leq, rank, sparse_rank, vadd, vsub
 
 

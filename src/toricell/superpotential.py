@@ -230,10 +230,6 @@ class ConsistencyReport:
     n_relations: int
     uncovered_arrows: list
 
-    @property
-    def witness(self):
-        return self.witnesses[0] if self.witnesses else None
-
     def pretty(self, Q):
         lines = [f"verdict: {'consistent' if self.consistent else 'inconsistent'}",
                  f"bound: {self.bound}",

@@ -11,19 +11,16 @@ the torus R^2 / Z^2 exactly when the algebra comes from a dimer.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 
 from .intlinalg import (
     identity,
+    left_pseudo_inverse,
     mat_mul,
-    mat_vec,
-    rational_mat_inverse,
     smith_normal_form,
     solve_integer,
-    transpose,
     vadd,
     vsub,
 )
@@ -43,11 +40,8 @@ def _complete_to_basis(z):
     # U (A V) = S with V = [v], so U . (v z) = e1 and z is the first
     # column of U^{-1} up to the sign v
     v = sf.V[0][0]
-    inv = rational_mat_inverse(sf.U)
-    cols = []
-    for j in range(n):
-        c = tuple(int(inv[i][j]) * (v if j == 0 else 1) for i in range(n))
-        cols.append(c)
+    cols = [tuple(sf.Uinv[i][j] * (v if j == 0 else 1) for i in range(n))
+            for j in range(n)]
     basis = cols[1:] + [cols[0]]
     if basis[-1] != tuple(z):
         raise TilingError("basis completion failed (bug)")
@@ -98,11 +92,8 @@ def projection_maps(X, m_basis=None):
                 f"last basis vector must be the Gorenstein covector {z}")
     B = [[sum(m[k] * ray[k] for k in range(3)) for m in basis]
          for ray in X.rays]
-    BtB = mat_mul(transpose(B), B)
-    inv = rational_mat_inverse([[Fraction(x) for x in row] for row in BtB])
-    f = mat_mul(inv, [[Fraction(x) for x in row] for row in transpose(B)])
-    check = mat_mul(f, [[Fraction(x) for x in row] for row in B])
-    if check != [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]:
+    f = left_pseudo_inverse(B)
+    if mat_mul(f, B) != identity(3):
         raise TilingError("projection is not a left inverse of B (bug)")
     fprime = [f[0], f[1]]
     cols = [tuple(fprime[i][rho] for i in range(2)) for rho in range(X.d)]

@@ -13,16 +13,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .cones import ConeError, FiberContext, RationalCone, fiber_generators, hilbert_basis
+from .cones import FiberContext, RationalCone, fiber_generators
 from .intlinalg import (
     CokernelForm,
     is_zero,
-    mat_vec,
     primitive,
-    rank,
     solve_integer,
-    transpose,
-    vadd,
     vsub,
 )
 
@@ -93,16 +89,6 @@ class GorensteinToricVariety:
     def section_semigroup_hilbert_basis(self):
         """Hilbert basis of the degree-zero semigroup N^d ∩ ker(deg)."""
         return list(self.fiber_context.s0_hilbert)
-
-    def dual_cone_hilbert_basis(self):
-        """Hilbert basis of sigma-dual ∩ M, as covectors u in M = Z^n."""
-        out = []
-        for v in self.fiber_context.s0_hilbert:
-            u = solve_integer(self.B, v)
-            if u is None:
-                raise VarietyError("degree-zero section without covector (bug)")
-            out.append(tuple(u))
-        return sorted(out)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,8 @@ Every numeric assertion is exact (integer or rational arithmetic); each
 criterion carries a wall-clock cap.
 """
 
+import json
+import os
 import time
 from fractions import Fraction
 
@@ -261,3 +263,25 @@ def test_criterion_9_property_suites(quiver_four_sheaves, quiver_five_sheaves,
         # polyhedral duality and Hilbert basis oracles
         check_double_dualization(50)
         check_hilbert_basis_brute_force(12)
+
+
+def test_fourfold_complex_golden(fourfold_pipeline):
+    """The fourfold's facet incidences and the sign parity of every arrow
+    equal the committed golden.  Only n = 4 complexes embed relations in
+    the cyclic words of W, so the CLI goldens of the smaller fixtures do
+    not cover that scan."""
+    Q, W, rels, _ = fourfold_pipeline
+    C = general_complex(Q, W, rels=rels)
+    incidences = sorted((i.parent, i.facet, i.left, i.right)
+                        for i in C.incidences)
+    parity = []
+    for arrow in range(len(Q.arrows)):
+        rep = sign_infeasibility(Q, W, rels, arrow)
+        parity.append((rep.n_terms, rep.edges, rep.odd_cycle))
+    golden = os.path.join(os.path.dirname(__file__), "golden",
+                          "fourfold_complex.json")
+    with open(golden) as fh:
+        want = json.load(fh)
+    got = json.loads(json.dumps({"incidences": incidences,
+                                 "sign_parity": parity}))
+    assert got == want

@@ -124,6 +124,18 @@ def test_invalid_input_exit_code(capsys, tmp_path):
     assert main(["quiver", str(missing)]) == 2
 
 
+@pytest.mark.parametrize("order, weight", [(0, 1), (6, "a"), (6, 1.5)])
+def test_malformed_quotient_exit_code(capsys, tmp_path, order, weight):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({
+        "kind": "abelian_quotient",
+        "generators": [{"order": order, "weights": [weight, 2, 3]}]}))
+    assert main(["quiver", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "positive integer order and integer weights" in captured.err
+
+
 def test_quiver_roundtrip(capsys, tmp_path):
     """The quiver output is itself a valid input reproducing the same
     superpotential and relations."""
@@ -160,3 +172,30 @@ def test_consistency_golden(capsys, fixture, bound):
         want = fh.read()
     assert out.encode() == want
     assert code == (0 if json.loads(want)["consistent"] else 1)
+
+
+GOLDEN_RUNS = {
+    "quiver": [],
+    "superpotential": [],
+    "matchings": [],
+    "complex": [],
+    "resolution": ["--verify-exactness"],
+    "reconstruct": [],
+    "signcheck": ["--arrow", "1"],
+}
+
+
+@pytest.mark.parametrize("fixture", GOLDEN_FIXTURES)
+@pytest.mark.parametrize("command", sorted(GOLDEN_RUNS))
+def test_subcommand_golden(capsys, command, fixture):
+    """Stdout and exit code of each subcommand equal the committed golden;
+    a run that fails has its (possibly empty) stdout compared too."""
+    code = main([command, input_path(fixture + ".json")]
+                + GOLDEN_RUNS[command])
+    out = capsys.readouterr().out
+    folder = os.path.join(GOLDEN, command)
+    with open(os.path.join(folder, fixture + ".stdout"), "rb") as fh:
+        want = fh.read()
+    with open(os.path.join(folder, "exit_codes.json")) as fh:
+        want_code = json.load(fh)[fixture]
+    assert (code, out.encode()) == (want_code, want)

@@ -7,7 +7,7 @@ from toricell.cones import (
     extremal_rays,
     hilbert_basis,
 )
-from toricell.intlinalg import dot, primitive, vsub
+from toricell.intlinalg import primitive, vsub
 
 
 def random_pointed_cones(count, seed=20240818, max_dim=5):
@@ -111,11 +111,3 @@ def test_hilbert_basis_singular_quadrant():
     # the cone of the A_1 singularity: (1,0), (1,2)
     cone = RationalCone([(1, 0), (1, 2)], 2)
     assert sorted(hilbert_basis(cone)) == [(1, 0), (1, 1), (1, 2)]
-
-
-def test_facet_normals_support_generators():
-    gens = [(2, 1), (1, 3)]
-    cone = RationalCone(gens, 2)
-    for n in cone.facet_normals:
-        assert all(dot(n, g) >= 0 for g in gens)
-        assert any(dot(n, g) == 0 for g in gens)

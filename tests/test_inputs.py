@@ -57,3 +57,32 @@ def test_malformed_arrow_rejected():
            "arrows": [[0, 1, "x"]]}
     with pytest.raises(InputError):
         parse_document(raw)
+
+
+MALFORMED_GENERATORS = [
+    {"order": 0, "weights": [1, 2, 3]},
+    {"order": -3, "weights": [1, 2]},
+    {"order": 6, "weights": ["a", 2, 3]},
+    {"order": 6, "weights": [1.5, 2, 3]},
+    {"order": True, "weights": [1, 1]},      # a boolean is not an order
+    {"order": 2, "weights": [True, True]},
+    {"order": 2.0, "weights": [1, 1]},
+    {"order": 2, "weights": "11"},
+]
+
+
+@pytest.mark.parametrize("gen", MALFORMED_GENERATORS)
+def test_malformed_quotient_group_rejected(gen):
+    with pytest.raises(InputError, match="positive integer order"):
+        parse_document({"kind": "abelian_quotient", "generators": [gen]})
+    with pytest.raises(InputError):
+        parse_document(dict(gen, kind="cyclic_quotient"))
+
+
+def test_quotient_group_accepts_integers():
+    doc = parse_document({"kind": "abelian_quotient",
+                          "generators": [{"order": 2, "weights": [1, 1]}]})
+    assert doc.group.generators == ((2, (1, 1)),)
+    doc = parse_document({"kind": "cyclic_quotient", "order": 6,
+                          "weights": [1, 2, 3]})
+    assert doc.group.generators == ((6, (1, 2, 3)),)

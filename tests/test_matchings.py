@@ -2,6 +2,7 @@ import pytest
 
 from toricell.matchings import (
     MatchingError,
+    _minimal_generators,
     build_pi,
     dimer_matching_audit,
     extremal_matching,
@@ -9,9 +10,12 @@ from toricell.matchings import (
     simple_cycles,
     weight_zero_check,
 )
+from toricell.intlinalg import is_zero, leq, vsub
 from toricell.superpotential import superpotential
 from toricell.variety import AbelianGroupData, mckay_toric_data
-from toricell.quiver import build_quiver
+from toricell.quiver import build_quiver, quiver_from_data
+
+from conftest import load
 
 
 def test_pi_rank(quiver_four_sheaves):
@@ -88,3 +92,62 @@ def test_matchings_conifold(quiver_conifold):
     rep = dimer_matching_audit(
         quiver_conifold, superpotential(quiver_conifold), ms)
     assert rep.passed
+
+
+def _simple_cycles_recursive(Q):
+    """Reference: the recursive depth-first search simple_cycles replaced."""
+    out = []
+    for root in range(Q.n_vertices):
+        path = []
+
+        def dfs(v, visited):
+            for a in Q.out[v]:
+                if a.head == root:
+                    out.append(tuple(path + [a.idx]))
+                elif a.head > root and a.head not in visited:
+                    path.append(a.idx)
+                    dfs(a.head, visited | {a.head})
+                    path.pop()
+
+        dfs(root, frozenset((root,)))
+    return out
+
+
+def _minimal_generators_recursive(divisors):
+    """Reference: the recursive semigroup membership it replaced."""
+    gens = sorted(set(divisors))
+    memo = {}
+
+    def in_semigroup(v):
+        if is_zero(v):
+            return True
+        if v not in memo:
+            memo[v] = False
+            memo[v] = any(not is_zero(g) and leq(g, v)
+                          and in_semigroup(vsub(v, g)) for g in gens)
+        return memo[v]
+
+    return [d for d in gens
+            if not any(not is_zero(g) and g != d and leq(g, d)
+                       and not is_zero(vsub(d, g)) and in_semigroup(vsub(d, g))
+                       for g in gens)]
+
+
+@pytest.mark.parametrize("name", [
+    "threefold_four_sheaves.json", "threefold_five_sheaves.json",
+    "threefold_three_sheaves.json", "conifold.json", "mckay_z6_123.json",
+    "mckay_z2_11.json", "trivial_a3.json"])
+def test_weight_zero_walks_match_recursion(name):
+    Q = load(name).quiver()
+    cycles = simple_cycles(Q)
+    assert cycles == _simple_cycles_recursive(Q)
+    divs = [Q.path_div(c) for c in cycles]
+    divs += [tuple(2 * x for x in d) for d in divs[:5]]  # reducible extras
+    assert _minimal_generators(divs) == _minimal_generators_recursive(divs)
+
+
+def test_long_cycles_do_not_recurse():
+    n = 1500
+    Q = quiver_from_data(n, [(i, (i + 1) % n, (1,)) for i in range(n)])
+    assert simple_cycles(Q) == [tuple(range(n))]
+    assert _minimal_generators([(1, 0), (n, 0)]) == [(1, 0)]
