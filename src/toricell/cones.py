@@ -1,14 +1,15 @@
 """Rational polyhedral cones over the integers.
 
-Dual ray enumeration (double description), Hilbert bases of pointed cone
-semigroups, and minimal generators of degree fibers.  All arithmetic is
-exact; vectors are integer tuples.
+Dual ray enumeration (double description), and Hilbert bases of pointed
+cone semigroups and minimal generators of degree fibers from one bounded
+lattice-point enumeration.  All arithmetic is exact; vectors are integer
+tuples.
 """
 
 from __future__ import annotations
 
-from itertools import product
-from math import lcm
+from itertools import combinations
+from math import floor, lcm
 
 from .intlinalg import (
     LinAlgError,
@@ -17,7 +18,8 @@ from .intlinalg import (
     identity,
     is_zero,
     kernel_basis,
-    lattice_basis,
+    leq,
+    mat_mul,
     mat_vec,
     primitive,
     rank,
@@ -34,6 +36,7 @@ class ConeError(ValueError):
     pass
 
 
+# the most lattice points one box enumeration may emit
 _BOX_LIMIT = 4_000_000
 
 
@@ -199,14 +202,14 @@ def extremal_rays(generators, ambient_dim=None):
     return RationalCone(generators, ambient_dim).rays
 
 
-def hilbert_basis(cone, lattice=None):
-    """Hilbert basis of cone ∩ L for a pointed rational cone.
+def hilbert_basis(cone):
+    """Hilbert basis of cone ∩ L for a pointed rational cone, L the
+    saturated lattice of the cone's span.
 
-    ``lattice`` is an optional list of basis vectors of a finite-index
-    sublattice L of the cone's span lattice; by default L is the full
-    saturated span lattice.  Candidates are drawn from the bounding box of
-    the zonotope of the ray generators (every irreducible element lies in
-    the half-open zonotope) and minimalized against each other.
+    In coordinates x of L the cone is {x : F x >= 0} for its facet matrix
+    F, which has full column rank because the cone is pointed.  So
+    x |-> F x maps cone ∩ L onto the degree-zero semigroup of
+    FiberContext(F), whose Hilbert basis that context computes.
     """
     if not isinstance(cone, RationalCone):
         cone = RationalCone(cone)
@@ -214,59 +217,9 @@ def hilbert_basis(cone, lattice=None):
         raise ConeError("Hilbert basis requires a pointed cone")
     if cone.dim == 0:
         return []
-
-    if lattice is not None:
-        lat_mat = from_columns(lattice, cone.ambient_dim)
-
-        def in_lattice(v):
-            return solve_integer(lat_mat, v) is not None
-    else:
-        def in_lattice(v):
-            return cone._coords(v) is not None
-
-    # ray generators scaled to the smallest multiple lying in L
-    gens = []
-    for ray in cone.rays:
-        g = ray
-        k = 1
-        while not in_lattice(g):
-            k += 1
-            g = vscale(k, ray)
-            if k > 10_000:
-                raise ConeError("ray does not meet the lattice")
-        gens.append(g)
-
-    n = cone.ambient_dim
-    lo = [sum(min(0, g[j]) for g in gens) for j in range(n)]
-    hi = [sum(max(0, g[j]) for g in gens) for j in range(n)]
-    size = 1
-    for a, b in zip(lo, hi):
-        size *= b - a + 1
-    if size > _BOX_LIMIT:
-        raise ConeError(f"zonotope candidate box too large ({size} points)")
-
-    candidates = set(gens)
-    for point in product(*(range(a, b + 1) for a, b in zip(lo, hi))):
-        if is_zero(point):
-            continue
-        if cone.contains(point) and in_lattice(point):
-            candidates.add(tuple(point))
-
-    basis = []
-    for v in candidates:
-        reducible = False
-        for w in candidates:
-            if w == v:
-                continue
-            d = vsub(v, w)
-            if is_zero(d):
-                continue
-            if cone.contains(d) and in_lattice(d):
-                reducible = True
-                break
-        if not reducible:
-            basis.append(v)
-    return sorted(basis)
+    span = from_columns(cone._span_basis, cone.ambient_dim)
+    return sorted(mat_vec(span, x)
+                  for x in FiberContext(cone._facet_coords()).s0_coords)
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +274,8 @@ def _polytope_lattice_points(levels, r):
     """All integer points of {u : A u >= r} for the precomputed levels.
 
     The region must be bounded (each prefix admits finite exact bounds);
-    unbounded directions raise.
+    unbounded directions raise, and so does a region with more than
+    _BOX_LIMIT points.
     """
     n = len(levels)
     # the right-hand sides do not depend on the enumeration prefix
@@ -331,9 +285,6 @@ def _polytope_lattice_points(levels, r):
     u = [0] * n
 
     def descend(k):
-        if k == n:
-            out.append(tuple(u))
-            return
         lo, hi = None, None
         for coeffs, rhs in resolved[k]:
             rest = rhs - sum(coeffs[j] * u[j] for j in range(k))
@@ -346,9 +297,16 @@ def _polytope_lattice_points(levels, r):
                 hi = b if hi is None else min(hi, b)
         if lo is None or hi is None:
             raise ConeError("unbounded enumeration region")
-        for val in range(lo, hi + 1):
-            u[k] = val
-            descend(k + 1)
+        if k < n - 1:
+            for val in range(lo, hi + 1):
+                u[k] = val
+                descend(k + 1)
+            return
+        if len(out) + hi - lo + 1 > _BOX_LIMIT:
+            raise ConeError(f"enumeration box has more than _BOX_LIMIT = "
+                            f"{_BOX_LIMIT} lattice points")
+        prefix = tuple(u[:k])
+        out.extend(prefix + (val,) for val in range(lo, hi + 1))
 
     descend(0)
     return out
@@ -359,7 +317,15 @@ def _polytope_lattice_points(levels, r):
 
 
 class FiberContext:
-    """Cached data for fiber computations of one embedding B: Z^n -> Z^d."""
+    """Cached data for fiber computations of one embedding B: Z^n -> Z^d.
+
+    The fiber of a class c is {v in N^d : v ≡ c mod im(B)}, the points
+    c + B t >= 0 for t in Z^n.  Its degree-zero semigroup S0 = N^d ∩ im(B)
+    is the image of the pointed cone C = {t : B t >= 0}; the S0 ray
+    generators are g = B t over the primitive rays t of C, and z is their
+    sum.  ``s0_hilbert`` is the Hilbert basis of S0 and ``s0_coords`` the
+    matching t.
+    """
 
     def __init__(self, B):
         self.B = [list(row) for row in B]
@@ -367,70 +333,82 @@ class FiberContext:
         self.n = len(B[0]) if B else 0
         if rank(self.B) != self.n:
             raise LinAlgError("embedding matrix must have full column rank")
+        rows = [tuple(row) for row in self.B]
         # bound rows for the boxes {t : 0 <= c + B t <= bound}
-        self.box_levels = _fm_levels(
-            [tuple(row) for row in self.B] +
-            [tuple(-x for x in row) for row in self.B])
-        # semigroup S0 = N^d ∩ im(B): cone {t : B t >= 0} pushed forward
-        t_rays = dual_cone_rays([tuple(row) for row in self.B])
-        gens = [primitive_in_image(self.B, t) for t in t_rays]
-        self.s0_hilbert = hilbert_basis(RationalCone(gens, self.d),
-                                        lattice=image_basis(self.B))
-        if not self.s0_hilbert:
+        self.box_levels = _fm_levels(rows + [tuple(-x for x in row) for row in rows])
+        self.s0_rays = [mat_vec(self.B, t) for t in dual_cone_rays(rows)]
+        if not self.s0_rays:
             raise ConeError("degree-zero semigroup is trivial; cone not full-dimensional")
-        self.hmax = tuple(max(h[j] for h in self.s0_hilbert) for j in range(self.d))
-        splus = (0,) * self.d
-        for h in self.s0_hilbert:
-            splus = vadd(splus, h)
-        if any(a <= 0 for a in splus):
+        self.z = tuple(map(sum, zip(*self.s0_rays)))
+        if min(self.z) <= 0:
             raise ConeError("no strictly positive degree-zero section; cone not full-dimensional")
-        self.splus = splus
+        # where the rows S of B t >= -c are tight, c + B t = c - K c_S
+        self.vertex_maps = []
+        for S in combinations(range(self.d), self.n):
+            try:
+                inv = rational_mat_inverse([self.B[i] for i in S])
+            except LinAlgError:
+                continue
+            self.vertex_maps.append((S, mat_mul(self.B, inv)))
+        # An irreducible s of S0 is a ray generator or lies in the half-open
+        # zonotope {sum l_i g_i : 0 <= l_i < 1}: if l_i >= 1, s - g_i is in
+        # S0.  Either way 0 <= s <= z.
+        basis = _minimal(p for p in _box_points(self, (0,) * self.d, self.z)
+                         if any(p[0]))
+        self.s0_hilbert = [v for v, _ in basis]
+        self.s0_coords = [t for _, t in basis]
 
 
-def image_basis(B):
-    """Basis of the column lattice of B, as column tuples."""
-    cols = [tuple(col) for col in zip(*B)]
-    return lattice_basis(cols, len(B))
+def _box_points(ctx, c, bound):
+    """(c + B t, t) for every t in Z^n with 0 <= c + B t <= bound."""
+    # B t >= -c and -B t >= c - bound
+    r = tuple(-x for x in c) + tuple(x - y for x, y in zip(c, bound))
+    return [(vadd(c, mat_vec(ctx.B, t)), t)
+            for t in _polytope_lattice_points(ctx.box_levels, r)]
 
 
-def primitive_in_image(B, t):
-    """B t for primitive t: the minimal lattice point of im(B) on that ray."""
-    return mat_vec(B, primitive(t))
+def _minimal(points):
+    """The (v, t) pairs whose v is componentwise minimal among the points
+    (all v distinct), sorted by v.
+
+    In (degree, v) order every w <= v with w != v comes before v, and a w
+    that was dropped lies above a kept point; so v need only be compared
+    with the points kept so far.
+    """
+    kept = []
+    for v, t in sorted(points, key=lambda p: (sum(p[0]), p[0])):
+        if not any(leq(w, v) for w, _ in kept):
+            kept.append((v, t))
+    return sorted(kept)
 
 
 def fiber_generators(ctx, c):
-    """Minimal generators of the fiber {v in N^d : v ≡ c mod im(B)}.
+    """Minimal generators of the fiber {v in N^d : v ≡ c mod im(B)}, sorted.
 
-    On a fixed fiber the divisibility order by the degree-zero semigroup
-    coincides with the componentwise order, so minimality is certified by
-    "v - h is not componentwise nonnegative for every Hilbert basis element
-    h of S0".  Candidates come from an expanding box.
+    Two points of a fiber differ by an element of im(B), so w divides v
+    (v - w in S0) exactly when w <= v componentwise: the generators are
+    the componentwise-minimal points of the fiber.
+
+    Bound (Bruns-Gubeladze, Polytopes, Rings and K-Theory, ch. 2).  The
+    polyhedron P = {t : c + B t >= 0} is conv(V) + C for its vertex set V
+    (P is pointed because B has full column rank).  Write a lattice point
+    of P as t = p + sum l_i t_i with p in conv(V), t_i the rays of C and
+    l_i >= 0.  Then t - sum floor(l_i) t_i is a lattice point of P whose
+    image lies below c + B t and differs from it unless every floor(l_i)
+    is 0, since each g_i = B t_i is nonzero and nonnegative.  So a
+    generator is c + B p + sum l_i g_i with l_i < 1, which is at most
+    max over V of (c + B t), plus z, in every coordinate.  Any fiber point
+    below a point of that box lies in the box too, so the minimal points
+    of the box are exactly the generators.  A vertex is where n
+    independent rows of c + B t >= 0 are tight.
     """
     if not isinstance(ctx, FiberContext):
         ctx = FiberContext(ctx)
     c = tuple(c)
-    v0 = c
-    while not all(a >= 0 for a in v0):
-        v0 = vadd(v0, ctx.splus)
-
-    def fiber_points_upto(bound):
-        # B t >= -c and -B t >= c - bound
-        r = tuple(-x for x in c) + tuple(x - y for x, y in zip(c, bound))
-        return [vadd(c, mat_vec(ctx.B, t))
-                for t in _polytope_lattice_points(ctx.box_levels, r)]
-
-    def minimal_in(points):
-        out = []
-        for v in points:
-            if all(any(x < y for x, y in zip(v, h)) for h in ctx.s0_hilbert):
-                out.append(v)
-        return sorted(set(out))
-
-    bound = vadd(v0, ctx.hmax)
-    found = minimal_in(fiber_points_upto(bound))
-    while True:
-        bound = vadd(bound, ctx.hmax)
-        bigger = minimal_in(fiber_points_upto(bound))
-        if bigger == found:
-            return found
-        found = bigger
+    top = None
+    for S, K in ctx.vertex_maps:
+        v = vsub(c, mat_vec(K, [c[i] for i in S]))
+        if min(v) >= 0:
+            top = v if top is None else tuple(map(max, top, v))
+    bound = tuple(floor(a) + b for a, b in zip(top, ctx.z))
+    return [v for v, _ in _minimal(_box_points(ctx, c, bound))]

@@ -193,6 +193,9 @@ def test_criterion_7_tiling_reconstruction(quiver_four_sheaves, quiver_five_shea
 
 def test_criterion_8_fourfold_chain(fourfold_pipeline):
     Q, W, rels, build_seconds = fourfold_pipeline
+    print(f"fourfold quiver, W and relations built in {build_seconds:.2f}s "
+          f"(cap 60s)")
+    assert build_seconds < 60
     with timer("criterion 8 (fourfold chain, excluding quiver build)", 600):
         t0 = time.perf_counter()
         assert len(Q.arrows) == 26

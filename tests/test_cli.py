@@ -1,5 +1,6 @@
 import json
 import os
+import time
 
 import pytest
 
@@ -134,6 +135,25 @@ def test_malformed_quotient_exit_code(capsys, tmp_path, order, weight):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "positive integer order and integer weights" in captured.err
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"kind": "cyclic_quotient", "order": 2, "weights": [1, 1],
+      "options": {"bound": True}}, "bound must be an integer"),
+    ({"kind": "cyclic_quotient", "order": 2, "weights": []},
+     "integer weights, at least one"),
+    ({"kind": "cyclic_quotient", "order": 20000003,
+      "weights": [1, 1, 20000001]}, "exceeds MAX_GROUP_ORDER = 64"),
+])
+def test_rejected_document_exit_code(capsys, tmp_path, doc, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    t0 = time.perf_counter()
+    assert main(["consistency", str(bad)]) == 2
+    assert time.perf_counter() - t0 < 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
 
 
 def test_quiver_roundtrip(capsys, tmp_path):

@@ -1,13 +1,40 @@
 import itertools
+import json
+import math
+import os
 import random
 
+import pytest
+
+from toricell import cones
 from toricell.cones import (
+    ConeError,
+    FiberContext,
     RationalCone,
     dual_cone_rays,
     extremal_rays,
+    fiber_generators,
     hilbert_basis,
 )
-from toricell.intlinalg import primitive, vsub
+from toricell.intlinalg import (
+    from_columns,
+    is_zero,
+    lattice_basis,
+    mat_vec,
+    primitive,
+    solve_integer,
+    vadd,
+    vscale,
+    vsub,
+)
+from toricell.variety import (
+    AbelianGroupData,
+    Collection,
+    GorensteinToricVariety,
+    mckay_toric_data,
+)
+
+from conftest import load
 
 
 def random_pointed_cones(count, seed=20240818, max_dim=5):
@@ -111,3 +138,145 @@ def test_hilbert_basis_singular_quadrant():
     # the cone of the A_1 singularity: (1,0), (1,2)
     cone = RationalCone([(1, 0), (1, 2)], 2)
     assert sorted(hilbert_basis(cone)) == [(1, 0), (1, 1), (1, 2)]
+
+
+# ---------------------------------------------------------------------------
+# box oracle: the zonotope-box Hilbert basis and the expanding-box fiber
+# generators that the single bounded enumeration replaced
+
+
+def _box_hilbert_basis(cone, lattice):
+    """Hilbert basis of cone ∩ L, L spanned by ``lattice``: every point of
+    the zonotope's bounding box, tested for membership and minimalized."""
+    lat_mat = from_columns(lattice, cone.ambient_dim)
+
+    def member(v):
+        return (not is_zero(v) and cone.contains(v)
+                and solve_integer(lat_mat, v) is not None)
+
+    gens = []
+    for ray in cone.rays:
+        k = 1
+        while not member(vscale(k, ray)):
+            k += 1
+        gens.append(vscale(k, ray))
+    box = [range(sum(min(0, g[j]) for g in gens),
+                 sum(max(0, g[j]) for g in gens) + 1)
+           for j in range(cone.ambient_dim)]
+    candidates = set(gens) | {p for p in itertools.product(*box) if member(p)}
+    return sorted(v for v in candidates
+                  if not any(member(vsub(v, w)) for w in candidates if w != v))
+
+
+def _box_s0_hilbert(B):
+    """Hilbert basis of N^d ∩ im(B) by the zonotope box over im(B)."""
+    d = len(B)
+    gens = [mat_vec(B, primitive(t))
+            for t in dual_cone_rays([tuple(row) for row in B])]
+    return _box_hilbert_basis(RationalCone(gens, d),
+                              lattice_basis([tuple(c) for c in zip(*B)], d))
+
+
+def _expanding_fiber_generators(ctx, s0, c):
+    """Fiber generators from boxes grown by the largest S0 entries until two
+    consecutive boxes give the same minimal points (a heuristic stop)."""
+    d = len(c)
+    hmax = tuple(max(h[j] for h in s0) for j in range(d))
+    splus = tuple(map(sum, zip(*s0)))
+    v0 = tuple(c)
+    while min(v0) < 0:
+        v0 = vadd(v0, splus)
+
+    def minimal_upto(bound):
+        r = tuple(-x for x in c) + tuple(x - y for x, y in zip(c, bound))
+        points = [vadd(c, mat_vec(ctx.B, t))
+                  for t in cones._polytope_lattice_points(ctx.box_levels, r)]
+        return sorted({v for v in points
+                       if all(any(x < y for x, y in zip(v, h)) for h in s0)})
+
+    bound = vadd(v0, hmax)
+    found = minimal_upto(bound)
+    while True:
+        bound = vadd(bound, hmax)
+        bigger = minimal_upto(bound)
+        if bigger == found:
+            return found
+        found = bigger
+
+
+def _variety_and_classes(doc):
+    """(X, the distinct classes E_j - E_i, i != j) of an input document."""
+    if doc.kind == "toric":
+        X = GorensteinToricVariety(doc.rays)
+        coll = Collection(X, doc.collection_reps)
+    else:
+        X, coll = mckay_toric_data(doc.group)
+    classes = {coll.difference(i, j)
+               for i, j in itertools.permutations(range(len(coll)), 2)}
+    return X, sorted(classes)
+
+
+SMALL_FIXTURES = ["conifold", "mckay_z2_11", "mckay_z6_123",
+                  "threefold_five_sheaves", "threefold_four_sheaves",
+                  "threefold_three_sheaves", "trivial_a3"]
+
+
+def small_cyclic_groups(max_order):
+    """Faithful cyclic subgroups of SL(3) without quasireflections, one per
+    sorted weight triple."""
+    out = []
+    for r in range(2, max_order + 1):
+        for w in itertools.combinations_with_replacement(range(r), 3):
+            G = AbelianGroupData.cyclic(r, w)
+            if sum(w) % r == 0 and math.gcd(r, *w) == 1 and G.is_small():
+                out.append(G)
+    return out
+
+
+def test_fibers_match_box_oracle():
+    """S0 and every fiber equal the box oracle on the small fixtures and on
+    the cyclic subgroups of SL(3) of order <= 8."""
+    varieties = [_variety_and_classes(load(name + ".json"))
+                 for name in SMALL_FIXTURES]
+    groups = small_cyclic_groups(8)
+    assert len(groups) == 39
+    for G in groups:
+        X, coll = mckay_toric_data(G)
+        varieties.append((X, sorted(
+            {coll.difference(0, j) for j in range(1, len(coll))})))
+    for X, classes in varieties:
+        ctx = X.fiber_context
+        s0 = _box_s0_hilbert(X.B)
+        assert ctx.s0_hilbert == s0
+        for c in classes:
+            assert fiber_generators(ctx, c) == \
+                _expanding_fiber_generators(ctx, s0, c)
+
+
+GOLDEN_FIBERS = os.path.join(os.path.dirname(__file__), "golden", "fibers.json")
+with open(GOLDEN_FIBERS) as fh:
+    FIBERS = json.load(fh)
+
+
+@pytest.mark.parametrize("fixture", sorted(FIBERS))
+def test_fibers_golden(fixture):
+    """S0 Hilbert basis and hom sections of every distinct class, as the
+    zonotope-box and expanding-box code computed them."""
+    want = FIBERS[fixture]
+    X, classes = _variety_and_classes(load(fixture + ".json"))
+    assert [list(v) for v in X.section_semigroup_hilbert_basis()] == \
+        want["s0_hilbert"]
+    assert [[list(c), [list(v) for v in X.hom_sections(c)]]
+            for c in classes] == want["fibers"]
+
+
+def test_point_cap_raises(monkeypatch):
+    """_BOX_LIMIT caps the points of the S0 box and of every fiber box."""
+    monkeypatch.setattr(cones, "_BOX_LIMIT", 50)
+    with pytest.raises(ConeError, match="_BOX_LIMIT = 50"):
+        FiberContext([[1, 0], [-1, 50]])
+    ctx = FiberContext([[1, 0], [0, 1], [1, 1]])
+    assert fiber_generators(ctx, (0, 0, -3)) == [
+        (0, 3, 0), (1, 2, 0), (2, 1, 0), (3, 0, 0)]
+    with pytest.raises(ConeError, match="_BOX_LIMIT = 50"):
+        fiber_generators(ctx, (0, 0, -40))

@@ -59,6 +59,30 @@ def test_malformed_arrow_rejected():
         parse_document(raw)
 
 
+TRIVIAL_A3 = {"kind": "toric", "rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+              "collection": [[0, 0, 0]]}
+
+# booleans where integers belong, and groups above MAX_GROUP_ORDER
+MALFORMED_DOCUMENTS = [
+    dict(TRIVIAL_A3, options={"bound": True}),
+    dict(TRIVIAL_A3, rays=[[True, 0, 0], [0, 1, 0], [0, 0, 1]]),
+    dict(TRIVIAL_A3, collection=[[False, 0, 0]]),
+    dict(TRIVIAL_A3, options={"lifts": [[True, 0, 0]]}),
+    dict(TRIVIAL_A3, options={"arrow_order": [[0, 0, [True, 0, 0]]]}),
+    {"kind": "dimer_quiver", "vertices": True, "arrows": []},
+    {"kind": "dimer_quiver", "vertices": 2, "arrows": [[True, 1, [1]]]},
+    {"kind": "cyclic_quotient", "order": 65, "weights": [1, 1, 63]},
+    {"kind": "abelian_quotient", "generators": [
+        {"order": 8, "weights": [1, 7, 0]}, {"order": 9, "weights": [0, 1, 8]}]},
+]
+
+
+@pytest.mark.parametrize("raw", MALFORMED_DOCUMENTS)
+def test_malformed_document_rejected(raw):
+    with pytest.raises(InputError):
+        parse_document(raw)
+
+
 MALFORMED_GENERATORS = [
     {"order": 0, "weights": [1, 2, 3]},
     {"order": -3, "weights": [1, 2]},
@@ -68,6 +92,7 @@ MALFORMED_GENERATORS = [
     {"order": 2, "weights": [True, True]},
     {"order": 2.0, "weights": [1, 1]},
     {"order": 2, "weights": "11"},
+    {"order": 2, "weights": []},
 ]
 
 
