@@ -18,13 +18,12 @@ from .complexes import (
 )
 from .matchings import (
     MatchingError,
-    build_pi,
     dimer_matching_audit,
     extremal_matching,
     perfect_matchings,
     weight_zero_check,
 )
-from .quiver import QuiverError, QuiverOfSections, build_quiver, quiver_from_data
+from .quiver import QuiverError, QuiverOfSections, build_quiver
 from .resolution import (
     ResolutionError,
     build_resolution,

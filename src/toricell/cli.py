@@ -20,7 +20,7 @@ from .complexes import (
     sign_infeasibility,
 )
 from .inputs import InputError, load_document, quiver_document
-from .matchings import build_pi, perfect_matchings, weight_zero_check
+from .matchings import PiMap, perfect_matchings, weight_zero_check
 from .quiver import QuiverError
 from .resolution import (
     ResolutionError,
@@ -107,7 +107,7 @@ def _consistency(doc, args):
 
 def _matchings(doc, args):
     Q = doc.quiver()
-    pi = build_pi(Q)
+    pi = PiMap(Q)
     ms = perfect_matchings(Q, pi=pi)
     payload = {
         "rank": pi.rank,

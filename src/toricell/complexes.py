@@ -191,7 +191,7 @@ class ToricCellComplex:
             for inc in self._facets_of[c.id]:
                 mask ^= 1 << var[inc]
             equations.append((mask, 1, ("boundary", c.id)))
-        assignment, certificate = _solve_gf2(equations, len(self.incidences))
+        assignment, certificate = solve_gf2(equations, len(self.incidences))
         if assignment is None:
             return IncidenceSolution(signs=None, feasible=False,
                                      certificate=certificate)
@@ -224,7 +224,7 @@ class IncidenceSolution:
     certificate: object  # conflicting flag descriptions when infeasible
 
 
-def _solve_gf2(equations, n_vars):
+def solve_gf2(equations, n_vars):
     """Gaussian elimination over GF(2) with a conflict certificate.
 
     equations: list of (bitmask, rhs, meta).  Returns (assignment, None) or

@@ -198,10 +198,6 @@ class RationalCone:
         return all(dot(f, x) >= 0 for f in self._facet_coords())
 
 
-def extremal_rays(generators, ambient_dim=None):
-    return RationalCone(generators, ambient_dim).rays
-
-
 def hilbert_basis(cone):
     """Hilbert basis of cone ∩ L for a pointed rational cone, L the
     saturated lattice of the cone's span.
@@ -353,8 +349,8 @@ class FiberContext:
         # An irreducible s of S0 is a ray generator or lies in the half-open
         # zonotope {sum l_i g_i : 0 <= l_i < 1}: if l_i >= 1, s - g_i is in
         # S0.  Either way 0 <= s <= z.
-        basis = _minimal(p for p in _box_points(self, (0,) * self.d, self.z)
-                         if any(p[0]))
+        basis = minimal_points(
+            p for p in _box_points(self, (0,) * self.d, self.z) if any(p[0]))
         self.s0_hilbert = [v for v, _ in basis]
         self.s0_coords = [t for _, t in basis]
 
@@ -367,9 +363,9 @@ def _box_points(ctx, c, bound):
             for t in _polytope_lattice_points(ctx.box_levels, r)]
 
 
-def _minimal(points):
+def minimal_points(points):
     """The (v, t) pairs whose v is componentwise minimal among the points
-    (all v distinct), sorted by v.
+    (all v distinct), sorted by v; t is any data carried along with v.
 
     In (degree, v) order every w <= v with w != v comes before v, and a w
     that was dropped lies above a kept point; so v need only be compared
@@ -411,4 +407,4 @@ def fiber_generators(ctx, c):
         if min(v) >= 0:
             top = v if top is None else tuple(map(max, top, v))
     bound = tuple(floor(a) + b for a, b in zip(top, ctx.z))
-    return [v for v, _ in _minimal(_box_points(ctx, c, bound))]
+    return [v for v, _ in minimal_points(_box_points(ctx, c, bound))]

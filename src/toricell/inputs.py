@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .quiver import build_quiver, quiver_from_data
+from .quiver import QuiverOfSections, build_quiver
 from .variety import (
     AbelianGroupData,
     Collection,
@@ -28,8 +28,10 @@ class InputError(ValueError):
 KINDS = ("toric", "cyclic_quotient", "abelian_quotient", "dimer_quiver")
 
 # Largest quotient group order accepted.  The McKay quiver has one vertex
-# per group element, and building it grows like the fourth power of the
-# order: Z/50(1,1,48) takes 5.5 s and Z/100(1,1,98) 132 s on a 2-vCPU guest.
+# per group element.  Its build is one hom fiber per character and grows
+# about like the cube of the order: Z/50(1,1,48) takes 0.9 s, Z/64(1,1,62)
+# 2.0 s and Z/100(1,1,98) 7.7 s on a 2-vCPU guest.  Exactness sweeps every
+# pair of vertices, so a higher cap needs those layers measured too.
 MAX_GROUP_ORDER = 64
 
 
@@ -126,7 +128,7 @@ class InputDocument:
                 X = GorensteinToricVariety(self.rays)
                 if self.collection_reps is not None:
                     coll = Collection(X, self.collection_reps)
-            return quiver_from_data(self.vertices, self.arrows, X=X,
+            return QuiverOfSections(self.vertices, self.arrows, X=X,
                                     collection=coll)
         if self.kind in ("cyclic_quotient", "abelian_quotient"):
             X, coll = mckay_toric_data(self.group)

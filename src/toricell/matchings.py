@@ -79,10 +79,6 @@ class PerfectMatching:
         return self.extremal_ray is not None
 
 
-def build_pi(Q):
-    return PiMap(Q)
-
-
 def _values(pi, w):
     return tuple(pi.pair(w, a.idx) for a in pi.Q.arrows)
 
@@ -95,7 +91,7 @@ def extremal_matching(Q, rho, pi=None):
     it annihilates span a hyperplane in Z(Q).
     """
     if pi is None:
-        pi = build_pi(Q)
+        pi = PiMap(Q)
     if not 0 <= rho < Q.d:
         raise MatchingError("ray index out of range")
     vals = tuple(a.label[rho] for a in Q.arrows)
@@ -116,7 +112,7 @@ def extremal_matching(Q, rho, pi=None):
 def perfect_matchings(Q, pi=None):
     """All perfect matchings of Q: the rays of C, with extremal ones tagged."""
     if pi is None:
-        pi = build_pi(Q)
+        pi = PiMap(Q)
     gens = [list(c) for c in pi.coords]
     rays = dual_cone_rays(gens)
     extremal = {}

@@ -15,6 +15,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
+from .cones import minimal_points
 from .intlinalg import is_zero, leq, vadd, vsub
 
 
@@ -34,6 +35,13 @@ class Arrow:
 
 
 class QuiverOfSections:
+    """A quiver from explicit (tail, head, label) arrow data, the arrows
+    numbered in the given order.
+
+    Labels are nonzero vectors of one length; loops are allowed.
+    `build_quiver` computes the arrow data of a collection.
+    """
+
     def __init__(self, n_vertices, arrows, X=None, collection=None):
         self.n_vertices = n_vertices
         self.arrows = [Arrow(idx=i, tail=a[0], head=a[1], label=tuple(a[2]))
@@ -50,8 +58,6 @@ class QuiverOfSections:
                 raise QuiverError("arrow labels must be nonzero")
             if not (0 <= a.tail < n_vertices and 0 <= a.head < n_vertices):
                 raise QuiverError("arrow endpoint out of range")
-            if a.tail == a.head and n_vertices > 1:
-                raise QuiverError("loops only occur for the one-sheaf collection")
         self.out = [[] for _ in range(n_vertices)]
         for a in self.arrows:
             self.out[a.tail].append(a)
@@ -221,40 +227,36 @@ class QuiverOfSections:
 def build_quiver(X, collection, arrow_order=None):
     """Quiver of sections of a collection on a Gorenstein toric variety.
 
-    Arrows i -> j are the fiber generators of class(E_j) - class(E_i) that
-    do not factor through a third member of the collection.  For the
-    one-sheaf collection the arrows are loops labeled by the Hilbert basis
-    of the section semigroup.
+    The arrows out of a vertex i are its minimal sections.  The
+    candidates are the pairs (s, j): s a minimal generator of the fiber of
+    class(E_j) - class(E_i) for j != i, or s in the Hilbert basis of the
+    degree-zero semigroup S0 for j == i.  The arrows i -> j labelled s are
+    the candidates whose s is componentwise minimal among all candidates
+    out of i (a section determines its class, so all s are distinct).
+    Loops occur for the one-sheaf collection, and in a McKay quiver
+    exactly at a coordinate of weight 0.
+
+    Proof that these are the irreducible sections, those that are not a
+    sum u + w of nonzero sections u from i to some k and w from k to j.
+    Only fiber generators can be irreducible: any other section is a
+    smaller section of its class plus a nonzero element of S0.  If
+    (u, k) and (s, j) are candidates with u < s, then s - u >= 0 is a
+    nonzero section of class c_j - c_k, so s is reducible; here k is
+    neither j (the generators of one fiber, and the Hilbert basis of S0,
+    are antichains) nor i (s - u would be a point of the fiber of s below
+    s).  Conversely, if s = u + w is reducible, then u lies above a
+    candidate u' <= u < s out of i, so s is not minimal.
     """
-    r = len(collection)
-    if r == 1:
-        labels = X.section_semigroup_hilbert_basis()
-        arrows = [(0, 0, lab) for lab in sorted(labels)]
-    else:
-        sections = {}
-        for i in range(r):
-            for j in range(r):
-                if i != j:
-                    sections[(i, j)] = X.hom_sections(collection.difference(i, j))
-        arrows = []
-        for i in range(r):
-            for j in range(r):
-                if i == j:
-                    continue
-                for s in sections[(i, j)]:
-                    reducible = False
-                    for k in range(r):
-                        if k in (i, j):
-                            continue
-                        for u in sections[(i, k)]:
-                            if leq(u, s) and vsub(s, u) in sections[(k, j)]:
-                                reducible = True
-                                break
-                        if reducible:
-                            break
-                    if not reducible:
-                        arrows.append((i, j, s))
-        arrows.sort(key=lambda a: (a[0], a[1], a[2]))
+    loops = X.section_semigroup_hilbert_basis()
+    arrows = []
+    for i in range(len(collection)):
+        candidates = [(s, i) for s in loops]
+        for j in range(len(collection)):
+            if j != i:
+                candidates += [(s, j) for s in
+                               X.hom_sections(collection.difference(i, j))]
+        arrows += [(i, j, s) for s, j in minimal_points(candidates)]
+    arrows.sort()
     if arrow_order is not None:
         want = [(t, h, tuple(lab)) for t, h, lab in arrow_order]
         have = [(t, h, tuple(lab)) for t, h, lab in arrows]
@@ -263,12 +265,8 @@ def build_quiver(X, collection, arrow_order=None):
                 "arrow_order is not a permutation of the computed arrows; "
                 f"computed {sorted(have)}")
         arrows = want
-    Q = QuiverOfSections(r, arrows, X=X, collection=collection)
+    Q = QuiverOfSections(len(collection), arrows, X=X, collection=collection)
     if not Q.is_strongly_connected():
         raise QuiverError("quiver of sections is not strongly connected")
     return Q
 
-
-def quiver_from_data(n_vertices, arrows, X=None, collection=None):
-    """Quiver from explicit arrow data (tail, head, label) triples."""
-    return QuiverOfSections(n_vertices, arrows, X=X, collection=collection)

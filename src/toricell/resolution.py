@@ -14,7 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .complexes import mckay_complex
+from .complexes import mckay_complex, solve_gf2
 from .intlinalg import is_zero, leq, rank, sparse_rank, vadd, vsub
 
 
@@ -339,8 +339,7 @@ def mckay_sign_crosscheck(group):
         rhs = 0 if sol.signs[inc] == explicit[inc] else 1
         mask = (1 << inc.parent) ^ (1 << inc.facet)
         equations.append((mask, rhs, (inc.parent, inc.facet)))
-    from .complexes import _solve_gf2
-    assignment, certificate = _solve_gf2(equations, n_cells)
+    assignment, certificate = solve_gf2(equations, n_cells)
     if assignment is None:
         raise ResolutionError(
             f"solver and closed-form signs differ by no global sign: "

@@ -14,7 +14,7 @@ from fractions import Fraction
 from toricell.complexes import general_complex, mckay_complex, sign_infeasibility
 from toricell.intlinalg import vadd
 from toricell.matchings import (
-    build_pi,
+    PiMap,
     dimer_matching_audit,
     extremal_matching,
     perfect_matchings,
@@ -115,7 +115,7 @@ def test_criterion_2_consistency_verdict_triple():
 def test_criterion_3_perfect_matchings(quiver_four_sheaves):
     with timer("criterion 3 (perfect matchings)", 2):
         Q = quiver_four_sheaves
-        pi = build_pi(Q)
+        pi = PiMap(Q)
         for rho in range(4):
             m = extremal_matching(Q, rho, pi=pi)
             assert all(v in (0, 1) for v in m.values)

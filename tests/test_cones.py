@@ -12,7 +12,6 @@ from toricell.cones import (
     FiberContext,
     RationalCone,
     dual_cone_rays,
-    extremal_rays,
     fiber_generators,
     hilbert_basis,
 )
@@ -69,7 +68,7 @@ def test_dual_cone_rays_orthant():
 
 def test_extremal_rays_drop_interior_generators():
     gens = [(1, 0), (0, 1), (1, 1), (2, 3)]
-    assert extremal_rays(gens) == [(0, 1), (1, 0)]
+    assert RationalCone(gens).rays == [(0, 1), (1, 0)]
 
 
 def _brute_hilbert(cone, box):

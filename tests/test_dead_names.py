@@ -1,10 +1,12 @@
-"""Every function and method defined in src/toricell is used somewhere.
+"""Every function and method defined in src/toricell is used somewhere,
+and no module of src/toricell imports another module's private name.
 
 A name counts as used when it occurs as an identifier (a bare name, an
 attribute, an import or a keyword argument) in src/, tests/ or
 perfbench/ outside its own definition.  The check is by name only, so two
 definitions sharing a name cover each other; it catches API that nothing
-calls, not every dead branch.
+calls, not every dead branch.  A name one module shares with another is
+part of its interface, so it carries no leading underscore.
 """
 
 import ast
@@ -85,3 +87,22 @@ def test_no_unused_functions_or_methods():
     dead = unused_definitions()
     assert not dead, "defined but never used: " + ", ".join(
         f"{f}:{line} {name}" for f, name, line in dead)
+
+
+def private_imports():
+    """(file, line, name) for each underscore name that a module of
+    src/toricell imports from another module, at any nesting level."""
+    found = []
+    for path in _python_files(PACKAGE):
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.ImportFrom):
+                found += [(os.path.basename(path), node.lineno, alias.name)
+                          for alias in node.names
+                          if alias.name.startswith("_")]
+    return sorted(found)
+
+
+def test_no_private_names_imported_across_modules():
+    shared = private_imports()
+    assert not shared, "private name imported from another module: " + \
+        ", ".join(f"{f}:{line} {name}" for f, line, name in shared)

@@ -2,8 +2,8 @@ import pytest
 
 from toricell.matchings import (
     MatchingError,
+    PiMap,
     _minimal_generators,
-    build_pi,
     dimer_matching_audit,
     extremal_matching,
     perfect_matchings,
@@ -13,13 +13,13 @@ from toricell.matchings import (
 from toricell.intlinalg import is_zero, leq, vsub
 from toricell.superpotential import superpotential
 from toricell.variety import AbelianGroupData, mckay_toric_data
-from toricell.quiver import build_quiver, quiver_from_data
+from toricell.quiver import QuiverOfSections, build_quiver
 
 from conftest import load
 
 
 def test_pi_rank(quiver_four_sheaves):
-    pi = build_pi(quiver_four_sheaves)
+    pi = PiMap(quiver_four_sheaves)
     # n + r = 3 + 3 for four vertices
     assert pi.rank == 6
     assert pi.ambient == 8
@@ -148,6 +148,6 @@ def test_weight_zero_walks_match_recursion(name):
 
 def test_long_cycles_do_not_recurse():
     n = 1500
-    Q = quiver_from_data(n, [(i, (i + 1) % n, (1,)) for i in range(n)])
+    Q = QuiverOfSections(n, [(i, (i + 1) % n, (1,)) for i in range(n)])
     assert simple_cycles(Q) == [tuple(range(n))]
     assert _minimal_generators([(1, 0), (n, 0)]) == [(1, 0)]

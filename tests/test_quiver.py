@@ -1,7 +1,21 @@
+import itertools
+import json
+import math
+import os
+
 import pytest
 
-from toricell.quiver import QuiverError, build_quiver, quiver_from_data
-from toricell.variety import Collection, GorensteinToricVariety
+from toricell.quiver import QuiverError, QuiverOfSections, build_quiver
+from toricell.variety import (
+    AbelianGroupData,
+    Collection,
+    GorensteinToricVariety,
+    mckay_toric_data,
+)
+
+from conftest import load
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
 def labels(Q):
@@ -73,11 +87,18 @@ def test_preferred_lifts_follow_tree_arrows(quiver_four_sheaves):
 
 def test_quiver_from_data_validation():
     with pytest.raises(QuiverError):
-        quiver_from_data(2, [(0, 1, (0, 0))])  # zero label
+        QuiverOfSections(2, [(0, 1, (0, 0))])  # zero label
     with pytest.raises(QuiverError):
-        quiver_from_data(2, [(0, 2, (1, 0))])  # endpoint out of range
-    with pytest.raises(QuiverError):
-        quiver_from_data(2, [(0, 0, (1, 0))])  # loop off the one-vertex case
+        QuiverOfSections(2, [(0, 2, (1, 0))])  # endpoint out of range
+
+
+def test_multi_vertex_quiver_with_loops_accepted():
+    Q = QuiverOfSections(2, [(0, 0, (0, 0, 1)), (0, 1, (1, 0, 0)),
+                             (1, 0, (0, 1, 0)), (1, 1, (0, 0, 1))])
+    assert Q.is_strongly_connected()
+    assert [a.idx for a in Q.out[1]] == [2, 3]
+    assert Q.enumerate_paths(0, 0, (1, 1, 1)) == [(0, 1, 2), (1, 2, 0),
+                                                 (1, 3, 2)]
 
 
 def test_to_dot_mentions_all_arrows(quiver_four_sheaves):
@@ -124,7 +145,7 @@ def test_walk_order_matches_recursion(quiver_four_sheaves, quiver_five_sheaves,
 
 def test_long_paths_do_not_recurse():
     """A 1,200-arrow path is deeper than Python's default recursion limit."""
-    Q = quiver_from_data(2, [(0, 1, (1, 0)), (1, 0, (0, 1))])
+    Q = QuiverOfSections(2, [(0, 1, (1, 0)), (1, 0, (0, 1))])
     found = Q.paths_from(0, (600, 600))
     assert len(found) == 1201
     assert found[-1] == (0, (0, 1) * 600)
@@ -133,3 +154,131 @@ def test_long_paths_do_not_recurse():
     assert Q.reachable(1, (600, 599)) == set()
     assert not Q.path_exists(0, 1, (600, 600))
     assert Q.enumerate_paths(0, 0, (600, 600)) == [(0, 1) * 600]
+
+
+def small_abelian_groups(n, max_order):
+    """Every finite subgroup of the diagonal torus of SL(n) of order
+    <= max_order without quasireflections, one per orbit under permuting
+    the coordinates, as AbelianGroupData.
+
+    An element diag(exp(2 pi i x_k / L)) is the tuple of the x_k mod L,
+    for L = max_order!.  Since the groups are abelian, the subgroup
+    generated by H and K is {h + k}, so every group is found by joining
+    cyclic groups one at a time.
+    """
+    L = math.factorial(max_order)
+
+    def add(a, b):
+        return tuple((x + y) % L for x, y in zip(a, b))
+
+    def cyclic(g):
+        out = {(0,) * n}
+        h = g
+        while h not in out:
+            out.add(h)
+            h = add(h, g)
+        return frozenset(out)
+
+    cyclics = set()
+    for m in range(2, max_order + 1):
+        for w in itertools.product(range(m), repeat=n - 1):
+            g = tuple(x * (L // m) for x in w + (-sum(w) % m,))
+            cyclics.add(cyclic(g))
+    cyclics = [C for C in cyclics if len(C) <= max_order]
+    groups = set(cyclics)
+    todo = list(cyclics)
+    while todo:
+        H = todo.pop()
+        for C in cyclics:
+            if len(H) * len(C) <= max_order * len(H & C):
+                G = frozenset(add(h, c) for h in H for c in C)
+                if G not in groups:
+                    groups.add(G)
+                    todo.append(G)
+    found = {}
+    for G in groups:
+        if len(G) > 1 and all(sum(x != 0 for x in e) != 1 for e in G):
+            key = min(tuple(sorted(tuple(e[k] for k in perm) for e in G))
+                      for perm in itertools.permutations(range(n)))
+            found.setdefault(key, G)
+    return [_as_group_data(found[key], L) for key in sorted(found)]
+
+
+def _as_group_data(G, L):
+    """Generators of G whose orders multiply to |G|, so that every element
+    is one combination of them."""
+    def order(e):
+        return L // math.gcd(L, *e)
+
+    for k in (1, 2, 3):
+        for gens in itertools.combinations(sorted(G), k):
+            orders = [order(g) for g in gens]
+            if math.prod(orders) != len(G):
+                continue
+            span = {tuple(sum(c * x for c, x in zip(cs, xs)) % L
+                          for xs in zip(*gens))
+                    for cs in itertools.product(*map(range, orders))}
+            if span == G:
+                return AbelianGroupData(
+                    generators=tuple((o, tuple(x * o // L for x in g))
+                                     for o, g in zip(orders, gens)),
+                    n=len(gens[0]))
+    raise AssertionError("no generating set found")
+
+
+def mckay_quiver(group, collection):
+    """The closed-form McKay quiver: one vertex per character chi of the
+    group and an arrow chi -> chi + w_k labelled e_k for each coordinate
+    k, where w_k is the weight of coordinate k."""
+    index = {group.character(c.representative): i
+             for i, c in enumerate(collection.classes)}
+    n = group.n
+    arrows = []
+    for chi, i in index.items():
+        for k in range(n):
+            e_k = tuple(int(x == k) for x in range(n))
+            head = tuple((x + y) % order for x, y, (order, _) in
+                         zip(chi, group.character(e_k), group.generators))
+            arrows.append((i, index[head], e_k))
+    return sorted(arrows)
+
+
+SMALL_GROUPS = {n: small_abelian_groups(n, 8) for n in (2, 3, 4)}
+
+
+def test_small_group_enumeration():
+    """Every cyclic order up to 8 occurs, the non-cyclic groups are
+    Z/2 x Z/2, Z/2 x Z/4 and (Z/2)^3, and 26 groups have a coordinate of
+    weight 0."""
+    cyclic = {(m,) for m in range(2, 9)}
+    shapes = {n: {tuple(sorted(o for o, _ in G.generators)) for G in groups}
+              for n, groups in SMALL_GROUPS.items()}
+    assert shapes == {2: cyclic, 3: cyclic | {(2, 2), (2, 4)},
+                      4: cyclic | {(2, 2), (2, 4), (2, 2, 2)}}
+    assert {n: len(groups) for n, groups in SMALL_GROUPS.items()} == {
+        2: 7, 3: 19, 4: 54}
+    assert {n: sum(any(all(w[k] == 0 for _, w in G.generators)
+                       for k in range(n)) for G in groups)
+            for n, groups in SMALL_GROUPS.items()} == {2: 0, 3: 7, 4: 19}
+
+
+@pytest.mark.parametrize("n", sorted(SMALL_GROUPS))
+def test_build_quiver_matches_closed_form_mckay_quiver(n):
+    for G in SMALL_GROUPS[n]:
+        X, coll = mckay_toric_data(G)
+        Q = build_quiver(X, coll)
+        assert labels(Q) == mckay_quiver(G, coll), G
+
+
+def test_weight_zero_fixture_matches_closed_form():
+    """The quiver of Z/2(1,1,0), and its CLI golden, carry a loop x3 at
+    each vertex, as the closed form says."""
+    doc = load("mckay_z2_110.json")
+    X, coll = mckay_toric_data(doc.group)
+    want = mckay_quiver(doc.group, coll)
+    assert labels(doc.quiver()) == want
+    with open(os.path.join(GOLDEN, "quiver", "mckay_z2_110.stdout")) as fh:
+        golden = json.load(fh)
+    assert [(t, h, tuple(lab)) for t, h, lab in golden["arrows"]] == want
+    assert [(t, h) for t, h, lab in want if lab == (0, 0, 1)] == [
+        (0, 0), (1, 1)]

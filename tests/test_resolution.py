@@ -23,8 +23,9 @@ from toricell.resolution import (
     verify_piece,
     verify_square_zero,
 )
-from toricell.superpotential import superpotential
-from toricell.variety import AbelianGroupData
+from toricell.quiver import build_quiver
+from toricell.superpotential import consistency, superpotential
+from toricell.variety import AbelianGroupData, mckay_toric_data
 
 from conftest import load
 
@@ -137,6 +138,21 @@ def test_sign_crosscheck_z2():
 
 def test_sign_crosscheck_trivial():
     mckay_sign_crosscheck(AbelianGroupData.cyclic(1, (0, 0, 0)))
+
+
+def test_weight_zero_quotient_z3_1110():
+    """Z/3(1,1,1,0) has a loop x4 at every vertex: consistent, and its
+    McKay resolution is exact, at bound 2."""
+    G = AbelianGroupData.cyclic(3, (1, 1, 1, 0))
+    X, coll = mckay_toric_data(G)
+    Q = build_quiver(X, coll)
+    assert sum(a.tail == a.head for a in Q.arrows) == 3
+    assert consistency(Q, superpotential(Q), 2).consistent
+    C = mckay_complex(G)
+    assert C.counts() == (3, 12, 18, 12, 3)
+    res = build_resolution(C, signs=C.explicit_signs)
+    assert verify_square_zero(res)
+    assert verify_exactness(res, 2).exact
 
 
 def test_exactness_rejects_vacuous_checks(z6_resolution):
