@@ -277,14 +277,85 @@ class ExactnessReport:
         return "\n".join(lines)
 
 
+# verify_exactness refuses more graded pieces (vertex pairs times divisors
+# in the box) than this; the fourfold at bound 3 has 262,144
+MAX_PIECES = 500_000
+
+
+def _automorphisms(res):
+    """The vertex permutations sigma, as tuples, that carry the resolution
+    onto itself; the identity comes first.
+
+    A candidate maps vertex 0 to some v and follows the arrows out of
+    each vertex reached, matched by label.  It is kept only when it is a
+    bijection of the vertices that maps the labelled arrows onto
+    themselves, every cell onto the cell with the same dimension and
+    divisor at the translated head and tail, and every facet incidence
+    onto one with the same derivative classes and sign.  Where an arrow
+    label repeats at a vertex, or a (dim, head, tail, divisor) key at two
+    cells, a permutation may not determine the cell map, so only the
+    identity is returned.
+    """
+    Q, C = res.Q, res.complex
+    n = Q.n_vertices
+    auts = [tuple(range(n))]
+    by_label = [{a.label: a.head for a in out} for out in Q.out]
+    cell_of = {(c.dim, c.head, c.tail, c.divisor): c.id for c in C.cells}
+    if (len(cell_of) < len(C.cells)
+            or any(len(m) < len(out) for m, out in zip(by_label, Q.out))):
+        return auts
+    arrows = sorted((a.tail, a.head, a.label) for a in Q.arrows)
+    signed = {(i.parent, i.facet, i.left, i.right): res.signs[i]
+              for i in C.incidences}
+    for v in range(1, n):
+        sigma = {0: v}
+        todo = [0]
+        while todo:
+            u = todo.pop()
+            image = by_label[sigma[u]]
+            for label, head in by_label[u].items():
+                if head not in sigma and label in image:
+                    sigma[head] = image[label]
+                    todo.append(head)
+        if len(sigma) < n or len(set(sigma.values())) < n:
+            continue
+        if sorted((sigma[t], sigma[h], lab) for t, h, lab in arrows) != arrows:
+            continue
+        cells = [cell_of.get((c.dim, sigma[c.head], sigma[c.tail], c.divisor))
+                 for c in C.cells]
+        if None in cells:
+            continue
+        if all(signed.get((cells[p], cells[f], left, right)) == sign
+               for (p, f, left, right), sign in signed.items()):
+            auts.append(tuple(sigma[u] for u in range(n)))
+    return auts
+
+
 def verify_exactness(res, bound, check_products=False, pairs=None):
     """Check the rank identities in every graded piece with divisor
     componentwise <= bound (an integer or a vector) at every vertex pair
-    (s, t) in pairs (default: all).
+    (s, t) in pairs, a list of distinct tuples of vertex indices
+    (default: all).
 
     A piece whose divisor no path from t to s carries is zero and exact,
     so it counts as checked without work.  The pairs are swept one at a
-    time, so only one pair's bases are held at once.
+    time, so only one pair's bases are held at once.  A request of more
+    than MAX_PIECES pieces is refused before any work.
+
+    Pieces are computed for one pair per orbit of the automorphisms of
+    the resolution (`_automorphisms`), and their failures are copied to
+    the other requested pairs of the orbit.  This is exact: sigma maps
+    the labelled arrows onto themselves, so a path of class d runs from
+    u to v iff one runs from sigma(u) to sigma(v), and the class table
+    is invariant.  Hence the triples (eta, dL, dR) at (s, t, d)
+    correspond one to one to the triples (sigma(eta), dL, dR) at
+    (sigma(s), sigma(t), d), and since sigma maps the facet incidences
+    of eta onto those of sigma(eta) with equal classes and signs, the
+    differential entries agree under this correspondence.  The two
+    pieces differ by a reordering of their bases, so they have the same
+    dimensions, ranks, products d_{k-1}.d_k and failure details.
+    `pieces_checked` counts every requested piece, including those
+    certified by this isomorphism.
     """
     Q = res.Q
     if isinstance(bound, int):
@@ -293,25 +364,42 @@ def verify_exactness(res, bound, check_products=False, pairs=None):
     if len(bound) != Q.d or any(b < 0 for b in bound):
         raise ValueError(
             f"exactness bound must be {Q.d} nonnegative integers, got {bound}")
+    n = Q.n_vertices
     if pairs is None:
-        pairs = [(s, t) for s in range(Q.n_vertices)
-                 for t in range(Q.n_vertices)]
+        pairs = [(s, t) for s in range(n) for t in range(n)]
     pairs = list(pairs)
     if not pairs:
         raise ValueError("exactness needs at least one vertex pair")
+    for pair in pairs:
+        if not (isinstance(pair, tuple) and len(pair) == 2
+                and all(isinstance(v, int) and 0 <= v < n for v in pair)):
+            raise ValueError(
+                f"vertex pair {pair!r} is not two vertex indices below {n}")
+    requested = set(pairs)
+    if len(requested) < len(pairs):
+        raise ValueError("exactness vertex pairs must be distinct")
+    pieces = len(pairs) * math.prod(b + 1 for b in bound)
+    if pieces > MAX_PIECES:
+        raise ValueError(
+            f"exactness at bound {bound} asks for {pieces} graded pieces, "
+            f"more than the limit of {MAX_PIECES}")
+    auts = _automorphisms(res)
     table = _class_table(Q, bound)
     failures = []
+    covered = set()
     for s, t in pairs:
+        if (s, t) in covered:
+            continue
+        orbit = {(g[s], g[t]) for g in auts} & requested
+        covered.update(orbit)
         targets = {}
         for dvec, bases in _pair_bases(res, table, s, t, bound).items():
             fail = _piece_failures(res, bases, targets, check_products)
             if fail:
-                failures.append((s, t, dvec, fail))
+                failures.extend((u, v, dvec, list(fail)) for u, v in orbit)
     failures.sort()
     return ExactnessReport(exact=not failures, bound=bound,
-                           pieces_checked=len(pairs) * math.prod(
-                               b + 1 for b in bound),
-                           failures=failures)
+                           pieces_checked=pieces, failures=failures)
 
 
 # ---------------------------------------------------------------------------

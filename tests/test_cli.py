@@ -92,6 +92,17 @@ def test_negative_bound_rejected(capsys):
     assert captured.out == ""
 
 
+def test_exactness_piece_limit_exit_code(capsys):
+    """A bound whose graded pieces pass resolution.MAX_PIECES is refused
+    at once with exit code 2."""
+    code = main(["resolution", input_path("mckay_z2_11.json"),
+                 "--verify-exactness", "--bound", "100000"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "graded pieces" in captured.err
+
+
 def test_reconstruct_valid(capsys, tmp_path):
     svg = tmp_path / "t.svg"
     code, doc = run(capsys, "reconstruct", input_path("threefold_four_sheaves.json"),

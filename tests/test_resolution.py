@@ -11,8 +11,11 @@ from toricell.complexes import (
 )
 from toricell.intlinalg import vadd, vsub
 from toricell.resolution import (
+    MAX_PIECES,
     CellularResolution,
+    ExactnessReport,
     ResolutionError,
+    _automorphisms,
     _class_table,
     _pair_bases,
     build_resolution,
@@ -28,6 +31,7 @@ from toricell.superpotential import consistency, superpotential
 from toricell.variety import AbelianGroupData, mckay_toric_data
 
 from conftest import load
+from test_quiver import SMALL_GROUPS
 
 
 @pytest.fixture(scope="module")
@@ -162,10 +166,25 @@ def test_exactness_rejects_vacuous_checks(z6_resolution):
         verify_exactness(z6_resolution, (1, -1, 1))
     with pytest.raises(ValueError):
         verify_exactness(z6_resolution, (1, 1))
-    with pytest.raises(ValueError):
-        verify_exactness(z6_resolution, 1, pairs=[])
+    for pairs in ([], [(0, 99)], [(-1, 0)], [(0, 6)], [(0,)], [(0, 1, 2)],
+                  [[0, 1]], [(0, 0), (0, 0)], [(1, 2), (0, 0), (1, 2)]):
+        with pytest.raises(ValueError):
+            verify_exactness(z6_resolution, 1, pairs=pairs)
     rep = verify_exactness(z6_resolution, 0)
     assert rep.exact and rep.pieces_checked == 36
+
+
+def test_exactness_piece_limit(z6_resolution):
+    """A request above MAX_PIECES is refused before any work; the
+    fourfold at bound 3 (64 pairs, 4^6 divisors) stays below it."""
+    assert 64 * 4 ** 6 <= MAX_PIECES
+    with pytest.raises(ValueError, match="graded pieces"):
+        verify_exactness(z6_resolution, 100000)
+    b = 0
+    while 36 * (b + 1) ** 3 <= MAX_PIECES:
+        b += 1
+    with pytest.raises(ValueError, match="graded pieces"):
+        verify_exactness(z6_resolution, b)
 
 
 def test_broken_sign_negative_control(mckay_z6_complex):
@@ -228,19 +247,27 @@ def brute_force_piece(res, s, t, dvec):
     return bases, matrices, 1
 
 
+def fixture_resolution(name, request):
+    """The resolution of a fixture: closed-form signs for a quotient, the
+    solver's signs for a superpotential algebra."""
+    if name == "fourfold.json":
+        Q, W, rels, _ = request.getfixturevalue("fourfold_pipeline")
+        return build_resolution(general_complex(Q, W, rels=rels))
+    doc = load(name)
+    if doc.group is not None:
+        C = mckay_complex(doc.group)
+        return build_resolution(C, signs=C.explicit_signs)
+    Q = doc.quiver()
+    return build_resolution(general_complex(Q, superpotential(Q)))
+
+
 @pytest.mark.parametrize("name, bound", [
     ("threefold_four_sheaves.json", 2),
     ("mckay_z6_123.json", 2),
     ("mckay_z2_11.json", 3),
 ])
-def test_graded_pieces_match_brute_force(name, bound):
-    doc = load(name)
-    if doc.group is not None:
-        C = mckay_complex(doc.group)
-        res = build_resolution(C, signs=C.explicit_signs)
-    else:
-        Q = doc.quiver()
-        res = build_resolution(general_complex(Q, superpotential(Q)))
+def test_graded_pieces_match_brute_force(name, bound, request):
+    res = fixture_resolution(name, request)
     Q = res.Q
     box = (bound,) * Q.d
     table = _class_table(Q, box)
@@ -253,3 +280,107 @@ def test_graded_pieces_match_brute_force(name, bound):
             assert piece.matrices == matrices
             assert piece.dim_A == dim_A
             assert swept.get(dvec, [[]] * (res.n + 1)) == bases
+
+
+# ---------------------------------------------------------------------------
+# exactness up to symmetry against the per-pair oracle: a call with one
+# pair has a one-pair orbit, so it computes every piece of that pair
+
+
+def oracle_exactness(res, bound, check_products):
+    n = res.Q.n_vertices
+    reps = [verify_exactness(res, bound, check_products, pairs=[(s, t)])
+            for s in range(n) for t in range(n)]
+    return ExactnessReport(
+        exact=all(r.exact for r in reps), bound=reps[0].bound,
+        pieces_checked=sum(r.pieces_checked for r in reps),
+        failures=sorted(f for r in reps for f in r.failures))
+
+
+FIXTURE_SYMMETRY = {
+    "mckay_z6_123.json": 6,
+    "mckay_z2_11.json": 2,
+    "mckay_z2_110.json": 2,
+    "conifold.json": 1,
+    "threefold_four_sheaves.json": 1,
+    "trivial_a3.json": 1,
+    "fourfold.json": 1,
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_SYMMETRY))
+def test_automorphisms_of_fixtures(name, request):
+    """|G| translations on a quotient by G, only the identity on the
+    superpotential fixtures."""
+    res = fixture_resolution(name, request)
+    auts = _automorphisms(res)
+    n = res.Q.n_vertices
+    assert len(auts) == FIXTURE_SYMMETRY[name]
+    assert auts[0] == tuple(range(n))
+    assert len(set(auts)) == len(auts)
+    assert all(sorted(g) == list(range(n)) for g in auts)
+
+
+@pytest.mark.parametrize("check_products", [False, True])
+@pytest.mark.parametrize("name", sorted(FIXTURE_SYMMETRY))
+def test_exactness_matches_per_pair_oracle(name, check_products, request):
+    res = fixture_resolution(name, request)
+    bound = 1 if name == "fourfold.json" else 2
+    rep = verify_exactness(res, bound, check_products)
+    assert rep.exact
+    assert rep == oracle_exactness(res, bound, check_products)
+
+
+def test_single_flip_breaks_symmetry(mckay_z6_complex):
+    """One flipped sign leaves only the identity, and the report is the
+    oracle's."""
+    C = mckay_z6_complex
+    signs = dict(C.explicit_signs)
+    inc = next(i for i in C.incidences if C.cells[i.parent].dim == 2)
+    signs[inc] = -signs[inc]
+    res = CellularResolution(C, signs)
+    assert _automorphisms(res) == [tuple(range(6))]
+    for check_products in (False, True):
+        rep = verify_exactness(res, 2, check_products)
+        assert not rep.exact
+        assert rep == oracle_exactness(res, 2, check_products)
+
+
+def test_invariant_flip_copies_failures_to_orbit(mckay_z6_complex):
+    """Flipping, at every vertex, the tail-side incidence that drops x1
+    from the square face {x1, x2} commutes with the translations: the
+    failures found at one pair of each orbit are those the oracle finds
+    at every pair of it."""
+    C = mckay_z6_complex
+
+    def flipped(inc):
+        return (C.cells[inc.parent].payload[2] == (0, 1)
+                and inc.left == (1, 0, 0))
+
+    signs = {inc: -sign if flipped(inc) else sign
+             for inc, sign in C.explicit_signs.items()}
+    res = CellularResolution(C, signs)
+    auts = _automorphisms(res)
+    assert len(auts) == 6
+    for check_products in (False, True):
+        rep = verify_exactness(res, 2, check_products)
+        assert rep == oracle_exactness(res, 2, check_products)
+        failed = {(s, t, d): detail for s, t, d, detail in rep.failures}
+        assert failed and len(failed) % 6 == 0
+        for (s, t, d), detail in failed.items():
+            assert all(failed[g[s], g[t], d] == detail for g in auts)
+
+
+@pytest.mark.parametrize("n", sorted(SMALL_GROUPS))
+def test_small_abelian_quotients(n):
+    """For each small abelian subgroup of SL(n): tau is an involution, the
+    McKay resolution is exact at bound 2, and for n <= 3 the solver's
+    signs are the closed-form ones up to a global sign."""
+    for G in SMALL_GROUPS[n]:
+        C = mckay_complex(G)
+        t = C.tau()
+        assert all(t[t[c.id]] == c.id for c in C.cells), G
+        res = build_resolution(C, signs=C.explicit_signs)
+        assert verify_exactness(res, 2).exact, G
+        if n <= 3:
+            mckay_sign_crosscheck(G)
