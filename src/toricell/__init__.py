@@ -38,7 +38,6 @@ from .superpotential import (
     Superpotential,
     consistency,
     derivative,
-    minimal_relations,
     relations,
     superpotential,
 )

@@ -186,17 +186,6 @@ class RationalCone:
                 self._rays = sorted(primitive(mat_vec(mat, rc)) for rc in ray_coords)
         return self._rays
 
-    def contains(self, v):
-        """Real cone membership (lattice membership is separate)."""
-        if any(dot(e, v) != 0 for e in self.span_equations):
-            return False
-        x = self._coords(v)
-        if x is None:
-            # in the real span but outside the saturated lattice cannot
-            # happen for integer v; _coords solves over the saturated lattice
-            return False
-        return all(dot(f, x) >= 0 for f in self._facet_coords())
-
 
 def hilbert_basis(cone):
     """Hilbert basis of cone ∩ L for a pointed rational cone, L the

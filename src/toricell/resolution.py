@@ -252,14 +252,6 @@ def _piece_failures(res, bases, targets, check_products):
     return failures
 
 
-def verify_piece(res, s, t, dvec, check_products=False):
-    """Exactness failures of one graded piece, and the piece."""
-    piece = graded_piece(res, s, t, dvec)
-    if not piece.dim_A:
-        return [], piece
-    return _piece_failures(res, piece.bases, {}, check_products), piece
-
-
 @dataclass
 class ExactnessReport:
     exact: bool
@@ -278,8 +270,13 @@ class ExactnessReport:
 
 
 # verify_exactness refuses more graded pieces (vertex pairs times divisors
-# in the box) than this; the fourfold at bound 3 has 262,144
+# in the box) or basis triples than these.  Triples are counted as the
+# (eta, dL, dR) with dL + dR <= bound - div(eta): all basis triples of an
+# abelian quotient, and at least them whenever a path's tail and divisor
+# fix its head.  The fourfold at bound 3 has 262,144 pieces and 32,972,288
+# triples; mckay_z2_11 at bound 40 has 5,651,522 and took 36 s on 2 CPUs
 MAX_PIECES = 500_000
+MAX_TRIPLES = 40_000_000
 
 
 def _automorphisms(res):
@@ -340,7 +337,8 @@ def verify_exactness(res, bound, check_products=False, pairs=None):
     A piece whose divisor no path from t to s carries is zero and exact,
     so it counts as checked without work.  The pairs are swept one at a
     time, so only one pair's bases are held at once.  A request of more
-    than MAX_PIECES pieces is refused before any work.
+    than MAX_PIECES pieces or MAX_TRIPLES basis triples is refused before
+    any work.
 
     Pieces are computed for one pair per orbit of the automorphisms of
     the resolution (`_automorphisms`), and their failures are copied to
@@ -383,6 +381,13 @@ def verify_exactness(res, bound, check_products=False, pairs=None):
         raise ValueError(
             f"exactness at bound {bound} asks for {pieces} graded pieces, "
             f"more than the limit of {MAX_PIECES}")
+    triples = sum(
+        math.prod(math.comb(b - x + 2, 2) for b, x in zip(bound, c.divisor))
+        for c in res.complex.cells if leq(c.divisor, bound))
+    if triples > MAX_TRIPLES:
+        raise ValueError(
+            f"exactness at bound {bound} asks for up to {triples} basis "
+            f"triples, more than the limit of {MAX_TRIPLES}")
     auts = _automorphisms(res)
     table = _class_table(Q, bound)
     failures = []

@@ -9,9 +9,10 @@ binomial relation p_plus - p_minus.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
-from .intlinalg import leq, vscale, vsub
+from .intlinalg import leq, vadd, vscale, vsub
 
 
 def cyclic_canonical(cycle):
@@ -93,20 +94,13 @@ def relations(Q, W):
     q qualifies when derivative(q) has exactly two summands that share
     neither their first nor their last arrow.
     """
-    found = {}
+    found = set()
     for i in range(Q.n_vertices):
-        for head, q in Q.paths_from(i, Q.ones):
+        for _head, q in Q.paths_from(i, Q.ones):
             D = derivative(Q, q, base_vertex=i)
-            if len(D) != 2:
-                continue
-            p1, p2 = D
-            if not p1 or not p2:
-                continue
-            if p1[0] == p2[0] or p1[-1] == p2[-1]:
-                continue
-            a, b = sorted((p1, p2))
-            rel = FRelation(p_plus=a, p_minus=b)
-            found.setdefault(rel, []).append((i, q))
+            if len(D) == 2 and all(D) and D[0][0] != D[1][0] \
+                    and D[0][-1] != D[1][-1]:
+                found.add(FRelation(*sorted(D)))
     return sorted(found, key=lambda r: (len(r.p_plus), r.pair))
 
 
@@ -119,106 +113,86 @@ def arrow_coverage(Q, W):
 
 
 # ---------------------------------------------------------------------------
-# rewriting and consistency
+# consistency
+
+# consistency refuses a bound at which a consistent quiver could have more
+# path classes than this: vertex pairs times divisors in the box (the
+# fourfold at bound 3 has 262,144)
+MAX_CLASSES = 500_000
 
 
-def _rule_index(rules):
-    """{u: [v, ...]}: each rule (u, v) read as the rewrite step u -> v."""
-    index = {}
+def _path_classes(Q, rules, i, budget):
+    """F-term classes of the paths from i with divisor <= budget, as
+    (buckets, step, heads): buckets maps (head, div) to its class ids,
+    class 0 being the trivial path; step maps (class, arrow id) to the
+    class of the class's paths followed by the arrow; heads[c] is the head
+    of class c.  See `consistency`."""
+    sides = {}
     for u, v in rules:
-        index.setdefault(u, []).append(v)
-    return index
+        sides.setdefault(Q.arrows[u[-1]].head, []).append(
+            (Q.arrows[u[0]].tail, Q.path_div(u), u, v))
+    zero = (0,) * Q.d
+    buckets, heads, step = {(i, zero): [0]}, [i], {}
+    pending, queue = {}, []  # (|div|, div, head) -> elements (class, arrow)
+
+    def extend(c, head, div):
+        for a in Q.out[head]:
+            d = vadd(div, a.label)
+            if leq(d, budget):
+                key = (sum(d), d, a.head)
+                if key not in pending:
+                    pending[key] = []
+                    heapq.heappush(queue, key)
+                pending[key].append((c, a.idx))
+
+    def element(x, path):
+        for a in path[:-1]:
+            x = step[x, a]
+        return x, path[-1]
+
+    extend(0, i, zero)
+    while queue:
+        key = heapq.heappop(queue)
+        _, div, head = key
+        rep = {e: e for e in pending.pop(key)}  # element -> representative
+        for tail, e, u, v in sides.get(head, ()):
+            if leq(e, div):
+                for x in buckets.get((tail, vsub(div, e)), ()):
+                    a, b = rep[element(x, u)], rep[element(x, v)]
+                    for f in [f for f, r in rep.items() if r == b]:
+                        rep[f] = a
+        ids = {r: len(heads) + k
+               for k, r in enumerate(dict.fromkeys(rep.values()))}
+        heads += [head] * len(ids)
+        step.update((e, ids[r]) for e, r in rep.items())
+        buckets[head, div] = list(ids.values())
+        for c in ids.values():
+            extend(c, head, div)
+    return buckets, step, heads
 
 
-def _rewrites(path, index, lengths):
-    """Every path obtained from path by one step u -> v of the index;
-    lengths holds the lengths of the index's keys."""
-    n = len(path)
-    for k in lengths:
-        for idx in range(n - k + 1):
-            for v in index.get(path[idx:idx + k], ()):
-                yield path[:idx] + v + path[idx + k:]
-
-
-def rewrite_neighbors(path, rules):
-    """All single-step rewrites of a path by the given relation pairs,
-    applied in both directions."""
-    index = _rule_index(list(rules) + [(v, u) for u, v in rules])
-    return list(_rewrites(path, index, {len(u) for u in index}))
-
-
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-    def classes(self):
-        groups = {}
-        for x in self.parent:
-            groups.setdefault(self.find(x), []).append(x)
-        return list(groups.values())
-
-
-def _bucket_classes(paths, index):
-    """Classes of the paths under the rewrite steps of the index.
-
-    Rewriting is symmetric (q = p[u -> v] exactly when p = q[v -> u]), so
-    the steps in one direction join the same pairs as both directions.
-    """
-    uf = _UnionFind(paths)
-    members = set(paths)
-    lengths = {len(u) for u in index}
-    for p in paths:
-        for q in _rewrites(p, index, lengths):
-            if q in members:
-                uf.union(p, q)
-    return uf.classes()
-
-
-def minimal_relations(Q, bound=None):
-    """A minimal generating set for the parallel-path relations up to bound.
-
-    Buckets of parallel equal-divisor paths are processed in increasing
-    divisor order; within each bucket, paths already identified by the
-    generators emitted so far are merged, and one new generator per
-    leftover class is emitted.
-    """
-    if bound is None:
-        bound = Q.ones
-    buckets = {}
-    for i in range(Q.n_vertices):
-        for head, p, remaining in Q._walk(i, bound):
-            if p:
-                key = (i, head, vsub(bound, remaining))
-                buckets.setdefault(key, []).append(p)
-    gens = []
-    index = {}
-    order = sorted(buckets, key=lambda k: (sum(k[2]), k[2], k[0], k[1]))
-    for key in order:
-        paths = sorted(buckets[key])
-        if len(paths) < 2:
-            continue
-        classes = _bucket_classes(paths, index)
-        if len(classes) <= 1:
-            continue
-        reps = sorted(min(cls) for cls in classes)
-        base = reps[0]
-        for other in reps[1:]:
-            a, b = sorted((base, other))
-            gens.append(FRelation(p_plus=a, p_minus=b))
-            index.setdefault(a, []).append(b)
-    return gens
+def _least_paths(Q, step, heads, wanted):
+    """{c: the least path of class c} for the class ids c in wanted, from a
+    depth-first walk over the step table that tries arrows in id order and
+    enters each class once (see `consistency`)."""
+    least, path, seen = {}, [], {0}
+    stack = [(0, iter(Q.out[heads[0]]))]
+    while stack and len(least) < len(wanted):
+        top, arrows = stack[-1]
+        for a in arrows:
+            c = step.get((top, a.idx))
+            if c is not None and c not in seen:
+                seen.add(c)
+                path.append(a.idx)
+                if c in wanted:
+                    least[c] = tuple(path)
+                stack.append((c, iter(Q.out[heads[c]])))
+                break
+        else:
+            stack.pop()
+            if path:
+                path.pop()
+    return least
 
 
 @dataclass
@@ -251,34 +225,62 @@ def consistency(Q, W, bound=2):
     """Check whether the F-term relations identify all parallel equal-divisor
     paths with divisor componentwise <= bound * (1..1).
 
-    Paths stream from one depth-first walk per tail vertex into buckets
-    keyed by head and divisor.  The relations are indexed once by side:
-    a path's rewrites come from looking up each of its windows whose
-    length is that of some relation side.  Only the steps p_plus -> p_minus
-    are indexed, because a step and its reverse join the same two paths,
-    so the classes are those of rewriting in both directions.
+    F-term equivalence is generated by the steps x.u.y ~ x.v.y for the
+    relations (u, v).  Per tail vertex it is decided by a congruence
+    closure over classes, closing the buckets (head, div) in increasing
+    |div|; three facts make this exact:
+
+    - A class decides its extensions, since appending an arrow to a chain
+      of steps gives a chain of steps.  So each path of a bucket is an
+      element (c, a): a class c of (tail a, div - label a) followed by
+      the arrow a; paths with equal elements are equivalent.
+    - Merges happen at the last arrow only.  A step with y nonempty joins
+      two paths with the same element (same last arrow, prefixes one step
+      apart).  With y empty it joins the elements of x.u and x.v, found by
+      stepping the class of x through the finished tables.  So the
+      classes of a bucket are the components of its elements under x.u ~
+      x.v for each relation (u, v) ending at its head and each class x of
+      (tail u, div - div u), the trivial path included.
+    - The least path extends.  Labels are nonzero, so no path of a bucket
+      is a prefix of another.  A depth-first walk from the trivial path,
+      trying arrows in id order and never entering a class twice, visits
+      paths in lexicographic order and enters each class first along its
+      least path m: had it cut off a prefix m' of m, the path p' by which
+      it entered the class of m' precedes m' and is not its prefix, and p'
+      followed by the rest of m would be a smaller path in m's class.  So
+      the witnesses, the two least representatives of each bucket with
+      two classes or more in (tail, head, div) order, are those of
+      comparing every path.
+
+    Each class and element is made once, and a relation (u, v) costs
+    |u| + |v| table steps per class x, plus a pass over the bucket's
+    elements when it joins two classes.  So the work grows with the number
+    of classes (per tail at most vertices times divisors in the box when
+    the quiver is consistent), not with the number of paths.  A bound at
+    which vertex pairs times divisors in the box pass MAX_CLASSES is
+    refused before any work.
     """
     if bound < 0:
         raise ValueError(f"consistency bound must be nonnegative, got {bound}")
+    classes = Q.n_vertices ** 2 * (bound + 1) ** Q.d
+    if classes > MAX_CLASSES:
+        raise ValueError(
+            f"consistency at bound {bound} could create {classes} path "
+            f"classes, more than the limit of {MAX_CLASSES}")
     quick = [a.idx for a in Q.arrows if not leq(a.label, Q.ones)]
     uncovered = [a.idx for a in arrow_coverage(Q, W)]
     rels = relations(Q, W)
-    index = _rule_index(r.pair for r in rels)
-    witnesses = []
+    rules = [r.pair for r in rels]
     budget = vscale(bound, Q.ones)
+    witnesses = []
     for i in range(Q.n_vertices):
-        buckets = {}
-        for head, p, remaining in Q._walk(i, budget):
-            if p:
-                key = (head, vsub(budget, remaining))
-                buckets.setdefault(key, []).append(p)
-        for (head, div), paths in sorted(buckets.items()):
-            if len(paths) < 2:
-                continue
-            classes = _bucket_classes(sorted(paths), index)
-            if len(classes) > 1:
-                reps = sorted(min(cls) for cls in classes)
-                witnesses.append((i, head, div, reps[0], reps[1]))
+        buckets, step, heads = _path_classes(Q, rules, i, budget)
+        split = sorted(item for item in buckets.items() if len(item[1]) > 1)
+        least = _least_paths(Q, step, heads,
+                             {c for _, ids in split for c in ids})
+        for (head, div), ids in split:
+            witnesses.append(
+                (i, head, div, *sorted(least[c] for c in ids)[:2]))
     consistent = not quick and not uncovered and not witnesses
     return ConsistencyReport(consistent=consistent, bound=bound,
                              quick_reject_arrows=quick, witnesses=witnesses,

@@ -27,12 +27,13 @@ from toricell.resolution import (
     verify_minimality,
     verify_square_zero,
 )
-from toricell.superpotential import consistency, minimal_relations, relations, superpotential
+from toricell.superpotential import consistency, relations, superpotential
 from toricell.tiling import dimer_reconstruct, projection_maps, verify_tiling
 from toricell.variety import AbelianGroupData, mckay_toric_data
 from toricell.quiver import build_quiver
 
 from conftest import load
+from path_oracle import minimal_relations
 from test_complexes import check_divisor_additivity
 from test_cones import check_double_dualization, check_hilbert_basis_brute_force
 from test_superpotential import check_rewrite_steps

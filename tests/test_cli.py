@@ -103,6 +103,33 @@ def test_exactness_piece_limit_exit_code(capsys):
     assert "graded pieces" in captured.err
 
 
+def test_exactness_triple_limit_exit_code(capsys):
+    """A bound whose pieces pass resolution.MAX_PIECES but whose basis
+    triples pass resolution.MAX_TRIPLES is refused at once with exit
+    code 2."""
+    t0 = time.perf_counter()
+    code = main(["resolution", input_path("mckay_z2_11.json"),
+                 "--verify-exactness", "--bound", "352"])
+    assert time.perf_counter() - t0 < 5
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "basis triples" in captured.err
+
+
+def test_consistency_class_limit_exit_code(capsys):
+    """A bound whose path classes could pass superpotential.MAX_CLASSES is
+    refused at once with exit code 2."""
+    t0 = time.perf_counter()
+    code = main(["consistency", input_path("mckay_z2_11.json"),
+                 "--bound", "700"])
+    assert time.perf_counter() - t0 < 5
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "path classes" in captured.err
+
+
 def test_reconstruct_valid(capsys, tmp_path):
     svg = tmp_path / "t.svg"
     code, doc = run(capsys, "reconstruct", input_path("threefold_four_sheaves.json"),
@@ -192,7 +219,7 @@ GOLDEN_FIXTURES = sorted(name[:-len(".json")] for name in os.listdir(INPUTS)
 
 
 @pytest.mark.parametrize("bound", [1, 2, 3])
-@pytest.mark.parametrize("fixture", GOLDEN_FIXTURES)
+@pytest.mark.parametrize("fixture", GOLDEN_FIXTURES + ["fourfold"])
 def test_consistency_golden(capsys, fixture, bound):
     """The consistency JSON is byte-identical to the committed golden."""
     code = main(["consistency", input_path(fixture + ".json"),

@@ -16,6 +16,7 @@ from toricell.cones import (
     hilbert_basis,
 )
 from toricell.intlinalg import (
+    dot,
     from_columns,
     is_zero,
     lattice_basis,
@@ -71,16 +72,26 @@ def test_extremal_rays_drop_interior_generators():
     assert RationalCone(gens).rays == [(0, 1), (1, 0)]
 
 
+def cone_contains(cone, v):
+    """Real membership of the integer vector v in the cone, through its
+    span coordinates and facets."""
+    if any(dot(e, v) != 0 for e in cone.span_equations):
+        return False
+    x = cone._coords(v)
+    return x is not None and all(dot(f, x) >= 0 for f in cone._facet_coords())
+
+
 def _brute_hilbert(cone, box):
     pts = [p for p in itertools.product(*(range(b + 1) for b in box))
-           if any(p) and cone.contains(p)]
+           if any(p) and cone_contains(cone, p)]
     basis = []
     for p in pts:
         reducible = False
         for q in pts:
             if q != p and all(x <= y for x, y in zip(q, p)):
                 r = vsub(p, q)
-                if not any(r) or cone.contains(r) and _in_semigroup(r, pts):
+                if not any(r) or (cone_contains(cone, r)
+                                  and _in_semigroup(r, pts)):
                     reducible = True
                     break
         if reducible:
@@ -109,7 +120,7 @@ def check_hilbert_basis_brute_force(count=12):
             continue
         box = tuple(5 for _ in range(dim))
         pts = [p for p in itertools.product(*(range(b + 1) for b in box))
-               if any(p) and cone.contains(p)]
+               if any(p) and cone_contains(cone, p)]
         if not pts or len(pts) > 200:
             continue
         # only sound when the Hilbert basis fits well inside the box
@@ -150,7 +161,7 @@ def _box_hilbert_basis(cone, lattice):
     lat_mat = from_columns(lattice, cone.ambient_dim)
 
     def member(v):
-        return (not is_zero(v) and cone.contains(v)
+        return (not is_zero(v) and cone_contains(cone, v)
                 and solve_integer(lat_mat, v) is not None)
 
     gens = []

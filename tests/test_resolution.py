@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 
@@ -12,10 +13,12 @@ from toricell.complexes import (
 from toricell.intlinalg import vadd, vsub
 from toricell.resolution import (
     MAX_PIECES,
+    MAX_TRIPLES,
     CellularResolution,
     ExactnessReport,
     ResolutionError,
     _automorphisms,
+    _piece_failures,
     _class_table,
     _pair_bases,
     build_resolution,
@@ -23,7 +26,6 @@ from toricell.resolution import (
     mckay_sign_crosscheck,
     verify_exactness,
     verify_minimality,
-    verify_piece,
     verify_square_zero,
 )
 from toricell.quiver import build_quiver
@@ -86,6 +88,14 @@ def test_graded_piece_degree_zero(dimer_resolution):
             assert piece.dim_A == (1 if s == t else 0)
 
 
+def verify_piece(res, s, t, dvec, check_products=False):
+    """Exactness failures of one graded piece, and the piece."""
+    piece = graded_piece(res, s, t, dvec)
+    if not piece.dim_A:
+        return [], piece
+    return _piece_failures(res, piece.bases, {}, check_products), piece
+
+
 def test_graded_piece_anticanonical(dimer_resolution):
     # at the anticanonical divisor with s = t = 0 the top cell of vertex 0
     # enters with both derivative classes trivial
@@ -145,13 +155,14 @@ def test_sign_crosscheck_trivial():
 
 
 def test_weight_zero_quotient_z3_1110():
-    """Z/3(1,1,1,0) has a loop x4 at every vertex: consistent, and its
-    McKay resolution is exact, at bound 2."""
+    """Z/3(1,1,1,0) has a loop x4 at every vertex: consistent at bound 3
+    with 18 relations, and its McKay resolution is exact at bound 2."""
     G = AbelianGroupData.cyclic(3, (1, 1, 1, 0))
     X, coll = mckay_toric_data(G)
     Q = build_quiver(X, coll)
     assert sum(a.tail == a.head for a in Q.arrows) == 3
-    assert consistency(Q, superpotential(Q), 2).consistent
+    rep = consistency(Q, superpotential(Q), 3)
+    assert rep.consistent and rep.n_relations == 18
     C = mckay_complex(G)
     assert C.counts() == (3, 12, 18, 12, 3)
     res = build_resolution(C, signs=C.explicit_signs)
@@ -185,6 +196,31 @@ def test_exactness_piece_limit(z6_resolution):
         b += 1
     with pytest.raises(ValueError, match="graded pieces"):
         verify_exactness(z6_resolution, b)
+
+
+def guard_triples(res, b):
+    """The pairs (dL, dR) with dL + dR <= b - div(eta), over the cells."""
+    return sum(math.prod(math.comb(b - x + 2, 2) for x in c.divisor)
+               for c in res.complex.cells if max(c.divisor) <= b)
+
+
+def test_exactness_triple_limit(z6_resolution, request):
+    """The guard's triple count is the number of basis triples of all
+    pieces of an abelian quotient.  A request above MAX_TRIPLES is refused
+    before any work; the fourfold at bound 3 stays below it."""
+    table = _class_table(z6_resolution.Q, (2, 2, 2))
+    assert guard_triples(z6_resolution, 2) == sum(
+        len(basis) for s in range(6) for t in range(6)
+        for bases in _pair_bases(z6_resolution, table, s, t,
+                                 (2, 2, 2)).values()
+        for basis in bases)
+    fourfold = fixture_resolution("fourfold.json", request)
+    assert guard_triples(fourfold, 3) <= MAX_TRIPLES
+    b = 0
+    while 36 * (b + 1) ** 3 <= MAX_PIECES:
+        b += 1
+    with pytest.raises(ValueError, match="basis triples"):
+        verify_exactness(z6_resolution, b - 1)
 
 
 def test_broken_sign_negative_control(mckay_z6_complex):
@@ -373,11 +409,13 @@ def test_invariant_flip_copies_failures_to_orbit(mckay_z6_complex):
 
 @pytest.mark.parametrize("n", sorted(SMALL_GROUPS))
 def test_small_abelian_quotients(n):
-    """For each small abelian subgroup of SL(n): tau is an involution, the
-    McKay resolution is exact at bound 2, and for n <= 3 the solver's
-    signs are the closed-form ones up to a global sign."""
+    """For each small abelian subgroup of SL(n): the quiver is consistent
+    at bound 2, tau is an involution, the McKay resolution is exact at
+    bound 2, and for n <= 3 the solver's signs are the closed-form ones up
+    to a global sign."""
     for G in SMALL_GROUPS[n]:
         C = mckay_complex(G)
+        assert consistency(C.Q, superpotential(C.Q), 2).consistent, G
         t = C.tau()
         assert all(t[t[c.id]] == c.id for c in C.cells), G
         res = build_resolution(C, signs=C.explicit_signs)

@@ -6,20 +6,23 @@ import random
 import pytest
 
 from toricell.inputs import parse_document
-from toricell.intlinalg import leq, vadd, vsub
+from toricell.intlinalg import leq, vsub
 from toricell.superpotential import (
-    _bucket_classes,
-    _rule_index,
+    MAX_CLASSES,
     consistency,
     cyclic_canonical,
     derivative,
-    minimal_relations,
     relations,
-    rewrite_neighbors,
     superpotential,
 )
 
 from conftest import load
+from path_oracle import (
+    class_leasts,
+    minimal_relations,
+    oracle_consistency,
+    rewrite_neighbors,
+)
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 # the package exports a function of the same name as this module
@@ -70,64 +73,31 @@ def oracle_rewrite_neighbors(path, rules):
     return out
 
 
-def oracle_classes(paths, rules):
-    """Classes of paths joined by two-way rewrite steps, by graph search."""
-    members = set(paths)
-    seen, classes = set(), []
-    for p in paths:
-        if p in seen:
-            continue
-        seen.add(p)
-        cls, todo = [p], [p]
-        while todo:
-            for q in oracle_rewrite_neighbors(todo.pop(), rules):
-                if q in members and q not in seen:
-                    seen.add(q)
-                    cls.append(q)
-                    todo.append(q)
-        classes.append(cls)
-    return classes
-
-
-def oracle_buckets(Q, bound):
-    """(tail, head, div, sorted paths) of every bucket of two or more
-    nonempty parallel paths with divisor <= bound * (1..1), in the order
-    consistency reports witnesses; paths are grown one arrow at a time."""
+def closure_class_leasts(Q, rules, bound):
+    """{(tail, head, div): the sorted least paths of the bucket's classes}
+    for every bucket of nonempty paths, from the congruence closure."""
     budget = tuple(bound * x for x in Q.ones)
+    out = {}
     for i in range(Q.n_vertices):
-        buckets = {}
-        layer = [((), i, (0,) * Q.d)]
-        while layer:
-            grown = []
-            for p, v, div in layer:
-                for a in Q.out[v]:
-                    d = vadd(div, a.label)
-                    if leq(d, budget):
-                        q = p + (a.idx,)
-                        buckets.setdefault((a.head, d), []).append(q)
-                        grown.append((q, a.head, d))
-            layer = grown
-        for (head, div), paths in sorted(buckets.items()):
-            if len(paths) >= 2:
-                yield i, head, div, sorted(paths)
+        buckets, step, heads = sp._path_classes(Q, rules, i, budget)
+        least = sp._least_paths(Q, step, heads, set(range(1, len(heads))))
+        for (head, div), ids in buckets.items():
+            if any(div):
+                out[i, head, div] = sorted(least[c] for c in ids)
+    return out
 
 
-def partition(classes):
-    return {frozenset(c) for c in classes}
-
-
-def check_against_oracle(Q, rules, bound):
-    """Every bucket's classes match the oracle's; returns the oracle's
-    witnesses (tail, head, div, two least class representatives)."""
-    index = _rule_index(rules)
-    witnesses = []
-    for i, head, div, paths in oracle_buckets(Q, bound):
-        want = oracle_classes(paths, rules)
-        assert partition(_bucket_classes(paths, index)) == partition(want)
-        if len(want) > 1:
-            reps = sorted(min(c) for c in want)
-            witnesses.append((i, head, div, reps[0], reps[1]))
-    return witnesses
+def check_against_oracle(Q, W, bound, rels):
+    """The least path of every class of every bucket, and the report,
+    equal the path-level oracle's; returns the oracle's report.  The
+    report is computed with the module's relations, which a test may
+    replace."""
+    rules = [r.pair for r in rels]
+    leasts = class_leasts(Q, rules, bound)
+    assert closure_class_leasts(Q, rules, bound) == leasts
+    want = oracle_consistency(Q, W, bound, rels, leasts)
+    assert consistency(Q, W, bound=bound) == want
+    return want
 
 
 def _generate_module():
@@ -276,44 +246,67 @@ def test_rewrite_neighbors_match_scan(quiver_four_sheaves):
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4])
 def test_consistency_classes_match_oracle_threefolds(seed):
-    """Relabelled threefold fixtures at bound 3: every bucket's classes and
-    every witness agree with the scan-based oracle."""
+    """Relabelled threefold fixtures at bound 3: the least path of every
+    class and the report agree with the path-level oracle."""
     entries, _ = _generate_module().documents(
         "threefold_consistency", seed, root=ROOT)
     for _label, raw, _settings in entries:
         Q = parse_document(raw).quiver()
         W = superpotential(Q)
-        rules = [r.pair for r in relations(Q, W)]
-        want = check_against_oracle(Q, rules, 3)
-        assert consistency(Q, W, bound=3).witnesses == want
+        check_against_oracle(Q, W, 3, relations(Q, W))
 
 
 def test_consistency_classes_match_oracle_mckay():
     Q = load("mckay_z6_123.json").quiver()
     W = superpotential(Q)
-    rules = [r.pair for r in relations(Q, W)]
-    assert check_against_oracle(Q, rules, 2) == []
-    assert consistency(Q, W, bound=2).consistent
+    assert check_against_oracle(Q, W, 2, relations(Q, W)).consistent
+
+
+FIXTURES = sorted(name for name in os.listdir(os.path.join(ROOT, "inputs"))
+                  if name.endswith(".json") and name != "fourfold.json")
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3])
+@pytest.mark.parametrize("name", FIXTURES)
+def test_consistency_matches_oracle_on_fixtures(name, bound):
+    Q = load(name).quiver()
+    W = superpotential(Q)
+    check_against_oracle(Q, W, bound, relations(Q, W))
+
+
+def test_fourfold_consistency_matches_oracle(fourfold_pipeline):
+    Q, W, rels, _ = fourfold_pipeline
+    assert check_against_oracle(Q, W, 2, rels).consistent
 
 
 def test_dropped_relation_gives_same_witnesses(quiver_four_sheaves,
                                                monkeypatch):
     """Negative control: without one relation, four sheaves is
-    inconsistent, and the witnesses agree with the oracle's."""
+    inconsistent, and every class and witness agree with the oracle's."""
     Q = quiver_four_sheaves
     W = superpotential(Q)
     rels = relations(Q, W)
     for k in range(len(rels)):
         kept = rels[:k] + rels[k + 1:]
         monkeypatch.setattr(sp, "relations", lambda Q, W: kept)
-        rep = consistency(Q, W, bound=2)
-        want = check_against_oracle(Q, [r.pair for r in kept], 2)
-        assert want
-        assert rep.witnesses == want
-        assert not rep.consistent and rep.n_relations == len(kept)
+        want = check_against_oracle(Q, W, 2, kept)
+        assert want.witnesses
+        assert not want.consistent and want.n_relations == len(kept)
 
 
 def test_consistency_rejects_negative_bound(quiver_four_sheaves):
     Q = quiver_four_sheaves
     with pytest.raises(ValueError):
         consistency(Q, superpotential(Q), bound=-1)
+
+
+def test_consistency_class_limit(quiver_four_sheaves):
+    """A bound whose vertex pairs times divisors pass MAX_CLASSES is
+    refused before any work; the fourfold at bound 3 stays below it."""
+    assert 8 ** 2 * 4 ** 6 <= MAX_CLASSES
+    Q = quiver_four_sheaves
+    b = 0
+    while 16 * (b + 1) ** 4 <= MAX_CLASSES:
+        b += 1
+    with pytest.raises(ValueError, match="path classes"):
+        consistency(Q, superpotential(Q), bound=b)
