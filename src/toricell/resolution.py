@@ -52,14 +52,23 @@ def build_resolution(complex_, signs=None):
     return CellularResolution(complex_, signs)
 
 
-def verify_square_zero(res):
-    """d.d = 0 at the symbolic level: two-step routes grouped by
-    (parent, grandchild, total left class, total right class) must have
-    cancelling signs."""
+def _square_zero_failure(res):
+    """Why d.d != 0 at the symbolic level, or None: signs must cancel on
+    two-step routes grouped by (parent, grandchild, total left and right
+    classes), and on the two ends of each 1-cell (the augmentation)."""
     for key, routes in res.complex.composite_groups().items():
-        total = sum(res.signs[i1] * res.signs[i2] for i1, i2 in routes)
-        if total != 0:
-            raise ResolutionError(f"d.d != 0 on flag {key}")
+        if sum(res.signs[i1] * res.signs[i2] for i1, i2 in routes):
+            return f"d.d != 0 on flag {key}"
+    for c in res.complex.by_dim.get(1, []):
+        if sum(sign for _facet, _left, sign in res.facets[c.id]):
+            return f"augmentation . d1 != 0 on cell {c.id}"
+    return None
+
+
+def verify_square_zero(res):
+    """d.d = 0 at the symbolic level (`_square_zero_failure`)."""
+    if failure := _square_zero_failure(res):
+        raise ResolutionError(failure)
     return True
 
 
@@ -145,9 +154,10 @@ def _piece_bases(res, table, s, t, dvec):
     return bases
 
 
-def _differential(res, bases, k, targets):
+def _differential(res, bases, k, targets, mod2=False):
     """d_k as sparse columns {row: coeff}, one per basis triple of P_k;
-    d_0 is the augmentation onto the algebra piece (one row).
+    d_0 is the augmentation onto the algebra piece (one row).  With mod2
+    a column is the int bitset of its odd rows, XOR-ed from 1 << row.
 
     Within one piece the cell and dL of a triple determine its dR, so
     rows are found by (facet, dL + left class).  targets memoizes those
@@ -155,7 +165,7 @@ def _differential(res, bases, k, targets):
     of one vertex pair share it.
     """
     if k == 0:
-        return [{0: 1} for _ in bases[0]]
+        return [1 if mod2 else {0: 1} for _ in bases[0]]
     index = {(cid, dL): i for i, (cid, dL, _dR) in enumerate(bases[k - 1])}
     cols = []
     for cid, dL, _dR in bases[k]:
@@ -163,15 +173,29 @@ def _differential(res, bases, k, targets):
         if out is None:
             out = targets[cid, dL] = [((facet, vadd(dL, left)), sign)
                                       for facet, left, sign in res.facets[cid]]
-        col = {}
+        col = 0 if mod2 else {}
         for target, sign in out:
             i = index.get(target)
             if i is None:
                 raise ResolutionError(
                     f"differential leaves the graded piece at {target}")
-            col[i] = col.get(i, 0) + sign
-        cols.append({i: x for i, x in col.items() if x})
+            if mod2:
+                col ^= 1 << i
+            else:
+                col[i] = col.get(i, 0) + sign
+        cols.append(col if mod2 else {i: x for i, x in col.items() if x})
     return cols
+
+
+def _gf2_rank(cols):
+    """GF(2) rank of int bitset columns, pivots keyed by lowest set bit."""
+    pivots = {}
+    for col in cols:
+        while col and (low := col & -col) in pivots:
+            col ^= pivots[low]
+        if col:
+            pivots[low] = col
+    return len(pivots)
 
 
 @dataclass
@@ -225,30 +249,44 @@ def _composes_to_zero(outer, inner):
     return True
 
 
-def _piece_failures(res, bases, targets, check_products):
+def _piece_failures(res, bases, targets, check_products, square_zero):
     """Rank identities certifying exactness of one nonzero graded piece.
 
     With d_0 the augmentation and d_{n+1} = 0, the complex is exact iff
     rank d_k + rank d_{k+1} = dim P_k for 0 <= k <= n, reading
-    rank d_0 = dim of the algebra piece, which is 1.  With check_products
+    rank d_0 = dim of the algebra piece, which is 1; the Euler
+    characteristic then telescopes to rank d_0 = 1.  With check_products
     a nonzero d_{k-1}.d_k is reported first.
+
+    If d.d = 0 on the piece, by square_zero or a passed product check,
+    ranks over GF(2) are tried first.  An odd minor is nonzero, so the
+    GF(2) rank r2 is at most the rational rank r; d.d = 0 gives
+    r(k) + r(k+1) <= dim P_k, and d_0 has one row: the identities for r2
+    force those for r.  Other pieces get the exact `sparse_rank`.
     """
-    diffs = [_differential(res, bases, k, targets) for k in range(res.n + 1)]
+    n = res.n
+    dims = [len(b) for b in bases]
+    diffs = None
     if check_products:
-        for k in range(1, res.n + 1):
+        diffs = [_differential(res, bases, k, targets) for k in range(n + 1)]
+        for k in range(1, n + 1):
             if not _composes_to_zero(diffs[k - 1], diffs[k]):
                 return [(f"d{k - 1}.d{k}", None, None, None)]
-    dims = [len(b) for b in bases]
+    if check_products or square_zero:
+        r2 = [_gf2_rank(_differential(res, bases, k, targets, mod2=True))
+              for k in range(n + 1)] + [0]
+        if r2[0] == 1 and all(r2[k] + r2[k + 1] == dims[k]
+                              for k in range(n + 1)):
+            return []
+    diffs = diffs or [_differential(res, bases, k, targets)
+                      for k in range(n + 1)]
     ranks = [sparse_rank(cols) for cols in diffs] + [0]
     failures = []
     if ranks[0] != 1:
         failures.append(("augmentation", ranks[0], 1, None))
-    for k in range(res.n + 1):
+    for k in range(n + 1):
         if ranks[k] + ranks[k + 1] != dims[k]:
             failures.append((k, ranks[k], ranks[k + 1], dims[k]))
-    euler = sum((-1) ** k * d for k, d in enumerate(dims))
-    if not failures and euler != 1:
-        failures.append(("euler", euler, 1, None))
     return failures
 
 
@@ -259,22 +297,14 @@ class ExactnessReport:
     pieces_checked: int
     failures: list  # (s, t, dvec, detail)
 
-    def pretty(self):
-        if self.exact:
-            return (f"exact in all {self.pieces_checked} graded pieces "
-                    f"with divisor <= {self.bound}")
-        lines = [f"exactness FAILED in {len(self.failures)} pieces:"]
-        for s, t, dvec, detail in self.failures[:20]:
-            lines.append(f"  ({s}, {t}, {dvec}): {detail}")
-        return "\n".join(lines)
-
 
 # verify_exactness refuses more graded pieces (vertex pairs times divisors
 # in the box) or basis triples than these.  Triples are counted as the
 # (eta, dL, dR) with dL + dR <= bound - div(eta): all basis triples of an
 # abelian quotient, and at least them whenever a path's tail and divisor
 # fix its head.  The fourfold at bound 3 has 262,144 pieces and 32,972,288
-# triples; mckay_z2_11 at bound 40 has 5,651,522 and took 36 s on 2 CPUs
+# triples; mckay_z2_11 at bound 40 has 5,651,522 and takes 26 s on 2 CPUs,
+# and 6 minutes at bound 63 (the guard admits bounds up to 65)
 MAX_PIECES = 500_000
 MAX_TRIPLES = 40_000_000
 
@@ -389,6 +419,7 @@ def verify_exactness(res, bound, check_products=False, pairs=None):
             f"exactness at bound {bound} asks for up to {triples} basis "
             f"triples, more than the limit of {MAX_TRIPLES}")
     auts = _automorphisms(res)
+    square_zero = _square_zero_failure(res) is None
     table = _class_table(Q, bound)
     failures = []
     covered = set()
@@ -399,7 +430,8 @@ def verify_exactness(res, bound, check_products=False, pairs=None):
         covered.update(orbit)
         targets = {}
         for dvec, bases in _pair_bases(res, table, s, t, bound).items():
-            fail = _piece_failures(res, bases, targets, check_products)
+            fail = _piece_failures(res, bases, targets, check_products,
+                                   square_zero)
             if fail:
                 failures.extend((u, v, dvec, list(fail)) for u, v in orbit)
     failures.sort()
@@ -418,6 +450,8 @@ def mckay_sign_crosscheck(group):
     Both satisfy the cancellation parity, so they differ by a global sign
     function delta on cells: solver(inc) = delta(parent) * delta(facet) *
     closed_form(inc).  The delta system is solved over GF(2) and verified.
+    The graded ranks compared stay exact: mod 2 every sign is 1, so the
+    GF(2) ranks of the two resolutions agree whatever the signs.
     """
     complex_ = mckay_complex(group)
     explicit = complex_.explicit_signs

@@ -34,9 +34,6 @@ class Superpotential:
     def __len__(self):
         return len(self.terms)
 
-    def pretty(self):
-        return " + ".join(self.quiver.pretty_path(t) for t in self.terms)
-
 
 def superpotential(Q):
     """W = sum of the anticanonical cycles of Q, up to cyclic rotation."""
@@ -203,22 +200,6 @@ class ConsistencyReport:
     witnesses: list  # (tail, head, div, path_a, path_b) per failing bucket
     n_relations: int
     uncovered_arrows: list
-
-    def pretty(self, Q):
-        lines = [f"verdict: {'consistent' if self.consistent else 'inconsistent'}",
-                 f"bound: {self.bound}",
-                 f"relations: {self.n_relations}"]
-        if self.quick_reject_arrows:
-            names = ", ".join(Q.arrows[i].pretty() for i in self.quick_reject_arrows)
-            lines.append(f"quick reject: labels of {names} do not divide x1..x{Q.d}")
-        if self.uncovered_arrows:
-            names = ", ".join(Q.arrows[i].pretty() for i in self.uncovered_arrows)
-            lines.append(f"arrows missing from W: {names}")
-        for i, j, div, pa, pb in self.witnesses:
-            lines.append(
-                f"witness: {Q.pretty_path(pa)} and {Q.pretty_path(pb)} "
-                f"({i} -> {j}, divisor {div}) are not F-term equivalent")
-        return "\n".join(lines)
 
 
 def consistency(Q, W, bound=2):

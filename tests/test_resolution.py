@@ -2,7 +2,9 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
 
+from toricell import resolution
 from toricell.complexes import (
     Cell,
     FacetIncidence,
@@ -10,7 +12,7 @@ from toricell.complexes import (
     general_complex,
     mckay_complex,
 )
-from toricell.intlinalg import vadd, vsub
+from toricell.intlinalg import rank, sparse_rank, vadd, vsub
 from toricell.resolution import (
     MAX_PIECES,
     MAX_TRIPLES,
@@ -18,9 +20,11 @@ from toricell.resolution import (
     ExactnessReport,
     ResolutionError,
     _automorphisms,
-    _piece_failures,
     _class_table,
+    _differential,
+    _gf2_rank,
     _pair_bases,
+    _piece_failures,
     build_resolution,
     graded_piece,
     mckay_sign_crosscheck,
@@ -33,6 +37,7 @@ from toricell.superpotential import consistency, superpotential
 from toricell.variety import AbelianGroupData, mckay_toric_data
 
 from conftest import load
+from test_intlinalg import matrices
 from test_quiver import SMALL_GROUPS
 
 
@@ -93,7 +98,7 @@ def verify_piece(res, s, t, dvec, check_products=False):
     piece = graded_piece(res, s, t, dvec)
     if not piece.dim_A:
         return [], piece
-    return _piece_failures(res, piece.bases, {}, check_products), piece
+    return _piece_failures(res, piece.bases, {}, check_products, False), piece
 
 
 def test_graded_piece_anticanonical(dimer_resolution):
@@ -316,6 +321,9 @@ def test_graded_pieces_match_brute_force(name, bound, request):
             assert piece.matrices == matrices
             assert piece.dim_A == dim_A
             assert swept.get(dvec, [[]] * (res.n + 1)) == bases
+            for k in range(res.n + 1):
+                assert (_differential(res, bases, k, {}, mod2=True)
+                        == mod2_columns(matrices[k]))
 
 
 # ---------------------------------------------------------------------------
@@ -367,44 +375,240 @@ def test_exactness_matches_per_pair_oracle(name, check_products, request):
     assert rep == oracle_exactness(res, bound, check_products)
 
 
-def test_single_flip_breaks_symmetry(mckay_z6_complex):
-    """One flipped sign leaves only the identity, and the report is the
-    oracle's."""
-    C = mckay_z6_complex
+def single_flip(C):
+    """The closed-form resolution with the sign of one incidence of a
+    2-cell flipped."""
     signs = dict(C.explicit_signs)
     inc = next(i for i in C.incidences if C.cells[i.parent].dim == 2)
     signs[inc] = -signs[inc]
-    res = CellularResolution(C, signs)
-    assert _automorphisms(res) == [tuple(range(6))]
-    for check_products in (False, True):
-        rep = verify_exactness(res, 2, check_products)
-        assert not rep.exact
-        assert rep == oracle_exactness(res, 2, check_products)
+    return CellularResolution(C, signs)
 
 
-def test_invariant_flip_copies_failures_to_orbit(mckay_z6_complex):
-    """Flipping, at every vertex, the tail-side incidence that drops x1
-    from the square face {x1, x2} commutes with the translations: the
-    failures found at one pair of each orbit are those the oracle finds
-    at every pair of it."""
-    C = mckay_z6_complex
-
+def invariant_flip(C):
+    """The closed-form resolution with, at every vertex, the sign flipped
+    on the tail-side incidence that drops x1 from the square face
+    {x1, x2}."""
     def flipped(inc):
         return (C.cells[inc.parent].payload[2] == (0, 1)
                 and inc.left == (1, 0, 0))
 
-    signs = {inc: -sign if flipped(inc) else sign
-             for inc, sign in C.explicit_signs.items()}
-    res = CellularResolution(C, signs)
+    return CellularResolution(C, {inc: -sign if flipped(inc) else sign
+                                  for inc, sign in C.explicit_signs.items()})
+
+
+def test_single_flip_breaks_symmetry(mckay_z6_complex):
+    """One flipped sign leaves only the identity, and the report is that
+    of both oracles."""
+    res = single_flip(mckay_z6_complex)
+    assert _automorphisms(res) == [tuple(range(6))]
+    exact_ranks = exact_rank_oracle(res, 2)
+    for check_products in (False, True):
+        rep = verify_exactness(res, 2, check_products)
+        assert not rep.exact
+        assert rep == oracle_exactness(res, 2, check_products)
+        assert rep == exact_ranks[check_products]
+
+
+def test_invariant_flip_copies_failures_to_orbit(mckay_z6_complex):
+    """The invariant flip commutes with the translations: the failures
+    found at one pair of each orbit are those the oracles find at every
+    pair of it."""
+    res = invariant_flip(mckay_z6_complex)
     auts = _automorphisms(res)
     assert len(auts) == 6
+    exact_ranks = exact_rank_oracle(res, 2)
     for check_products in (False, True):
         rep = verify_exactness(res, 2, check_products)
         assert rep == oracle_exactness(res, 2, check_products)
+        assert rep == exact_ranks[check_products]
         failed = {(s, t, d): detail for s, t, d, detail in rep.failures}
         assert failed and len(failed) % 6 == 0
         for (s, t, d), detail in failed.items():
             assert all(failed[g[s], g[t], d] == detail for g in auts)
+
+
+# ---------------------------------------------------------------------------
+# the GF(2) certificate: its rank routine against brute force, and every
+# report against an exact-rank oracle that shares none of its shortcuts
+
+
+def mod2_columns(m):
+    """The columns of a dense integer matrix as int bitsets of their odd
+    rows."""
+    width = len(m[0]) if m else 0
+    return [sum(1 << i for i, row in enumerate(m) if row[j] % 2)
+            for j in range(width)]
+
+
+def dense_gf2_rank(A):
+    """Rank of A reduced mod 2, by Gaussian elimination on 0/1 rows."""
+    rows = [[x % 2 for x in row] for row in A]
+    r = 0
+    for j in range(len(rows[0]) if rows else 0):
+        p = next((i for i in range(r, len(rows)) if rows[i][j]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        for i in range(len(rows)):
+            if i != r and rows[i][j]:
+                rows[i] = [a ^ b for a, b in zip(rows[i], rows[r])]
+        r += 1
+    return r
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices(7))
+def test_gf2_rank_against_dense_elimination(A):
+    r2 = _gf2_rank(mod2_columns(A))
+    assert r2 == dense_gf2_rank(A)
+    cols = [{i: row[j] for i, row in enumerate(A) if row[j]}
+            for j in range(len(A[0]))]
+    assert r2 <= sparse_rank(cols)
+
+
+def oracle_piece_failures(dims, mats, check_products):
+    """The failure detail of one nonzero piece from its dense matrices:
+    the first nonzero product d_{k-1}.d_k with check_products, else the
+    rank identities with ranks from intlinalg.rank."""
+    n = len(dims) - 1
+    if check_products:
+        for k in range(1, n + 1):
+            outer, inner = mats[k - 1], mats[k]
+            if any(sum(row[i] * inner[i][j] for i in range(dims[k - 1]))
+                   for row in outer for j in range(dims[k])):
+                return [(f"d{k - 1}.d{k}", None, None, None)]
+    ranks = [rank(m) for m in mats] + [0]
+    failures = []
+    if ranks[0] != 1:
+        failures.append(("augmentation", ranks[0], 1, None))
+    for k in range(n + 1):
+        if ranks[k] + ranks[k + 1] != dims[k]:
+            failures.append((k, ranks[k], ranks[k + 1], dims[k]))
+    euler = sum((-1) ** k * d for k, d in enumerate(dims))
+    if not failures and euler != 1:
+        failures.append(("euler", euler, 1, None))
+    return failures
+
+
+def exact_rank_oracle(res, bound):
+    """{check_products: report} for both values: every piece at every
+    vertex pair built by brute_force_piece and ranked by intlinalg.rank,
+    with no symmetry and no GF(2) certificate."""
+    Q = res.Q
+    failures = {False: [], True: []}
+    for s, t in itertools.product(range(Q.n_vertices), repeat=2):
+        for dvec in itertools.product(range(bound + 1), repeat=Q.d):
+            bases, mats, dim_A = brute_force_piece(res, s, t, dvec)
+            if not dim_A:
+                continue
+            dims = [len(b) for b in bases]
+            for check_products, found in failures.items():
+                fail = oracle_piece_failures(dims, mats, check_products)
+                if fail:
+                    found.append((s, t, dvec, fail))
+    pieces = Q.n_vertices ** 2 * (bound + 1) ** Q.d
+    return {check_products: ExactnessReport(
+                exact=not found, bound=(bound,) * Q.d,
+                pieces_checked=pieces, failures=found)
+            for check_products, found in failures.items()}
+
+
+def missing_top_cell(C):
+    """The closed-form resolution without its last 3-cell: d.d = 0 still
+    holds, so the certificate applies, but the complex is not exact."""
+    top = C.cells[-1]
+    assert top.dim == C.n
+    incs = [i for i in C.incidences if i.parent != top.id]
+    D = ToricCellComplex(C.Q, C.n, C.cells[:-1], incs)
+    return CellularResolution(D, {i: C.explicit_signs[i] for i in incs})
+
+
+@pytest.mark.parametrize("name, bound", [
+    ("mckay_z6_123.json", 2),
+    ("fourfold.json", 1),
+])
+def test_exactness_matches_exact_rank_oracle(name, bound, request):
+    res = fixture_resolution(name, request)
+    oracle = exact_rank_oracle(res, bound)
+    for check_products in (False, True):
+        rep = verify_exactness(res, bound, check_products)
+        assert rep.exact
+        assert rep == oracle[check_products]
+
+
+def test_uncertified_pieces_get_exact_ranks(mckay_z6_complex):
+    """A square-zero resolution that is not exact: the pieces the GF(2)
+    certificate cannot settle are ranked exactly, as the oracle does."""
+    res = missing_top_cell(mckay_z6_complex)
+    assert verify_square_zero(res)
+    oracle = exact_rank_oracle(res, 2)
+    for check_products in (False, True):
+        rep = verify_exactness(res, 2, check_products)
+        assert not rep.exact
+        assert rep == oracle[check_products]
+
+
+def test_augmentation_sign_control(mckay_z6_complex):
+    """Flipping every incidence onto vertex 0 keeps the two-step routes
+    cancelling, but not the two ends of the arrows at vertex 0, so the
+    augmentation composed with d1 is not 0 and GF(2) ranks prove nothing:
+    verify_square_zero rejects it, and every report is the oracle's.  The
+    flip only rescales basis elements, so the rank identities still hold;
+    the product check is what sees it."""
+    C = mckay_z6_complex
+    v0 = next(c.id for c in C.by_dim[0] if c.head == 0)
+    res = CellularResolution(C, {inc: -sign if inc.facet == v0 else sign
+                                 for inc, sign in C.explicit_signs.items()})
+    with pytest.raises(ResolutionError, match="augmentation"):
+        verify_square_zero(res)
+    oracle = exact_rank_oracle(res, 1)
+    for check_products in (False, True):
+        rep = verify_exactness(res, 1, check_products)
+        assert rep.exact is not check_products
+        assert rep == oracle[check_products]
+
+
+def test_forced_fallback_leaves_reports_unchanged(monkeypatch, request,
+                                                  mckay_z6_complex):
+    """With a GF(2) rank that undercounts by one no piece is certified, so
+    every piece takes the exact path, and no report changes."""
+    C = mckay_z6_complex
+    cases = [(fixture_resolution("mckay_z6_123.json", request), 2),
+             (fixture_resolution("fourfold.json", request), 1),
+             (single_flip(C), 2), (invariant_flip(C), 2),
+             (missing_top_cell(C), 2)]
+
+    def reports():
+        return [verify_exactness(res, bound, check_products)
+                for res, bound in cases for check_products in (False, True)]
+
+    before = reports()
+    gf2_rank = _gf2_rank
+    calls = []
+
+    def undercount(cols):
+        calls.append(cols)
+        return gf2_rank(cols) - 1
+
+    monkeypatch.setattr(resolution, "_gf2_rank", undercount)
+    assert reports() == before
+    assert calls
+
+
+def test_sign_crosscheck_needs_exact_ranks(mckay_z6_complex):
+    """Mod 2 every sign is 1, so the single-flip resolution and the
+    closed-form one have the same GF(2) ranks at Q.ones, but not the same
+    exact ranks: mckay_sign_crosscheck must compare exact ranks."""
+    C = mckay_z6_complex
+    good, bad = CellularResolution(C, C.explicit_signs), single_flip(C)
+    differ = False
+    for s, t in itertools.product(range(C.Q.n_vertices), repeat=2):
+        mats_good = graded_piece(good, s, t, C.Q.ones).matrices
+        mats_bad = graded_piece(bad, s, t, C.Q.ones).matrices
+        assert ([_gf2_rank(mod2_columns(m)) for m in mats_good]
+                == [_gf2_rank(mod2_columns(m)) for m in mats_bad])
+        differ |= [rank(m) for m in mats_good] != [rank(m) for m in mats_bad]
+    assert differ
 
 
 @pytest.mark.parametrize("n", sorted(SMALL_GROUPS))
