@@ -21,7 +21,7 @@ from .complexes import (
 )
 from .inputs import InputError, load_document, quiver_document
 from .matchings import PiMap, perfect_matchings, weight_zero_check
-from .quiver import QuiverError
+from .quiver import QuiverError, monomial
 from .resolution import (
     ResolutionError,
     build_resolution,
@@ -42,20 +42,10 @@ def _emit(payload):
     sys.stdout.write("\n")
 
 
-def _monomial(label):
-    parts = []
-    for k, e in enumerate(label):
-        if e == 1:
-            parts.append(f"x{k + 1}")
-        elif e > 1:
-            parts.append(f"x{k + 1}^{e}")
-    return "".join(parts) or "1"
-
-
 def _quiver(doc, args):
     Q = doc.quiver()
     payload = quiver_document(Q)
-    payload["labels"] = [_monomial(a.label) for a in Q.arrows]
+    payload["labels"] = [monomial(a.label) for a in Q.arrows]
     if args.dot:
         with open(args.dot, "w") as fh:
             fh.write(Q.to_dot())

@@ -32,7 +32,7 @@ class Cell:
     divisor: tuple
     payload: tuple
 
-    def describe(self, Q=None):
+    def describe(self, Q):
         kind = self.payload[0]
         if kind == "vertex":
             return f"vertex {self.payload[1]}"
@@ -43,10 +43,7 @@ class Cell:
         if kind == "dual_vertex":
             return f"dual of vertex {self.payload[1]}"
         if kind == "relation":
-            r = self.payload[1]
-            if Q is not None:
-                return f"relation {r.pretty(Q)}"
-            return "relation"
+            return f"relation {self.payload[1].pretty(Q)}"
         if kind == "cube":
             return f"cube face ({self.payload[1]}, {set(self.payload[2]) or '{}'})"
         return kind
@@ -199,16 +196,22 @@ class ToricCellComplex:
         self.verify_signs(signs)
         return IncidenceSolution(signs=signs, feasible=True, certificate=None)
 
+    def sign_failure(self, signs):
+        """Why the signs break the cancellation identity, or None: they must
+        cancel on each two-step route group, and on the two ends of each
+        1-cell (the augmentation)."""
+        for key, routes in self.composite_groups().items():
+            if sum(signs[i1] * signs[i2] for i1, i2 in routes):
+                return f"d.d != 0 on flag {key}"
+        for c in self.by_dim.get(1, []):
+            if sum(signs[i] for i in self._facets_of[c.id]):
+                return f"augmentation . d1 != 0 on cell {c.id}"
+        return None
+
     def verify_signs(self, signs):
         """Re-check the cancellation identity for a given sign assignment."""
-        for key, routes in self.composite_groups().items():
-            total = sum(signs[i1] * signs[i2] for i1, i2 in routes)
-            if total != 0:
-                raise ComplexError(f"sign condition fails on flag {key}")
-        for c in self.by_dim.get(1, []):
-            if sum(signs[i] for i in self._facets_of[c.id]) != 0:
-                raise ComplexError(
-                    f"boundary signs of {c.describe(self.Q)} do not cancel")
+        if failure := self.sign_failure(signs):
+            raise ComplexError(failure)
 
 
 @dataclass
@@ -370,7 +373,7 @@ def _dual_facet_groups(Q, W, rel, arrow):
                    for _, t_path, s_path, _ in _embeddings(W, arrow.idx, rel)})
 
 
-def general_complex(Q, W, rels=None, report=None):
+def general_complex(Q, W, rels=None):
     """Cell complex of a consistent algebra in dimension n = 3 or 4.
 
     Layers: vertices, arrows, deduplicated relations, duals of arrows,
@@ -387,8 +390,6 @@ def general_complex(Q, W, rels=None, report=None):
         if not leq(a.label, Q.ones):
             raise ComplexError(
                 f"label of {a.pretty()} does not divide the anticanonical monomial")
-    if report is not None and not report.consistent:
-        raise ComplexError("input algebra is not consistent")
     if rels is None:
         rels = relations(Q, W)
 
@@ -498,14 +499,6 @@ class SignParityReport:
     edges: list        # pairs of term indices linked by a relation facet
     two_colorable: bool
     odd_cycle: object  # list of term indices when not two-colorable
-
-    def pretty(self, Q):
-        verdict = "admits signs" if self.two_colorable else "admits no signs"
-        out = [f"terms through {Q.arrows[self.arrow].pretty()}: {self.n_terms}; "
-               f"{verdict}"]
-        if self.odd_cycle is not None:
-            out.append(f"odd cycle of length {len(self.odd_cycle)}")
-        return "\n".join(out)
 
 
 def sign_infeasibility(Q, W, rels, arrow_idx):

@@ -14,17 +14,12 @@ from math import floor, lcm
 from .intlinalg import (
     LinAlgError,
     dot,
-    from_columns,
-    identity,
-    is_zero,
-    kernel_basis,
     leq,
     mat_mul,
     mat_vec,
     primitive,
     rank,
     rational_mat_inverse,
-    solve_integer,
     vadd,
     vector_gcd,
     vscale,
@@ -106,105 +101,39 @@ def dual_cone_rays(generators):
 
 
 class RationalCone:
-    """Cone generated by integer vectors, possibly not full-dimensional."""
+    """Cone generated by integer vectors that span the ambient space,
+    given by its facet normals (the rays of the dual cone)."""
 
-    def __init__(self, generators, ambient_dim=None):
+    def __init__(self, generators):
         self.generators = [tuple(g) for g in generators]
-        if ambient_dim is None:
-            if not self.generators:
-                raise ConeError("ambient_dim required for the zero cone")
-            ambient_dim = len(self.generators[0])
-        self.ambient_dim = ambient_dim
-        if any(len(g) != ambient_dim for g in self.generators):
-            raise ConeError("ambient-rank mismatch among generators")
-        # equations cutting out the linear span, and a saturated span basis
-        gens_nonzero = [g for g in self.generators if not is_zero(g)]
-        if gens_nonzero:
-            self.span_equations = kernel_basis([list(g) for g in gens_nonzero])
-        else:
-            self.span_equations = [tuple(row) for row in identity(ambient_dim)]
-        if self.span_equations:
-            self._span_basis = kernel_basis([list(e) for e in self.span_equations])
-        else:
-            self._span_basis = [tuple(row) for row in identity(ambient_dim)]
-        self.dim = len(self._span_basis)
-        self._coord_gens = None
-        self._facets_coords = None
+        self.facets = dual_cone_rays(self.generators)
         self._rays = None
-
-    # -- span coordinates ---------------------------------------------------
-
-    def _coords(self, v):
-        """Coordinates of v in the saturated span basis (None if outside)."""
-        if self.dim == 0:
-            return () if is_zero(v) else None
-        mat = from_columns(self._span_basis, self.ambient_dim)
-        return solve_integer(mat, v)
-
-    def _coord_generators(self):
-        if self._coord_gens is None:
-            cg = []
-            for g in self.generators:
-                if is_zero(g):
-                    continue
-                x = self._coords(g)
-                if x is None:
-                    raise ConeError("generator outside its own span (bug)")
-                cg.append(tuple(x))
-            self._coord_gens = cg
-        return self._coord_gens
-
-    def _facet_coords(self):
-        if self._facets_coords is None:
-            if self.dim == 0:
-                self._facets_coords = []
-            else:
-                self._facets_coords = dual_cone_rays(self._coord_generators())
-        return self._facets_coords
-
-    # -- public geometry ----------------------------------------------------
 
     @property
     def is_pointed(self):
-        if self.dim == 0:
-            return True
-        fc = self._facet_coords()
-        return rank([list(f) for f in fc]) == self.dim if fc else self.dim == 0
+        return rank([list(f) for f in self.facets]) == len(self.generators[0])
 
     @property
     def rays(self):
         """Primitive extremal ray generators (double-dualization)."""
         if self._rays is None:
-            if self.dim == 0:
-                self._rays = []
-            else:
-                fc = self._facet_coords()
-                if not self.is_pointed:
-                    raise ConeError("ray enumeration requires a pointed cone")
-                ray_coords = dual_cone_rays(fc)
-                mat = from_columns(self._span_basis, self.ambient_dim)
-                self._rays = sorted(primitive(mat_vec(mat, rc)) for rc in ray_coords)
+            if not self.is_pointed:
+                raise ConeError("ray enumeration requires a pointed cone")
+            self._rays = dual_cone_rays(self.facets)
         return self._rays
 
 
 def hilbert_basis(cone):
-    """Hilbert basis of cone ∩ L for a pointed rational cone, L the
-    saturated lattice of the cone's span.
+    """Hilbert basis of cone ∩ Z^n for a pointed full-dimensional cone.
 
-    In coordinates x of L the cone is {x : F x >= 0} for its facet matrix
-    F, which has full column rank because the cone is pointed.  So
-    x |-> F x maps cone ∩ L onto the degree-zero semigroup of
-    FiberContext(F), whose Hilbert basis that context computes.
+    The cone is {x : F x >= 0} for its facet matrix F, which has full
+    column rank because the cone is pointed.  So x |-> F x maps
+    cone ∩ Z^n onto the degree-zero semigroup of FiberContext(F), whose
+    Hilbert basis that context computes.
     """
-    if not isinstance(cone, RationalCone):
-        cone = RationalCone(cone)
     if not cone.is_pointed:
         raise ConeError("Hilbert basis requires a pointed cone")
-    if cone.dim == 0:
-        return []
-    span = from_columns(cone._span_basis, cone.ambient_dim)
-    return sorted(mat_vec(span, x)
-                  for x in FiberContext(cone._facet_coords()).s0_coords)
+    return sorted(FiberContext(cone.facets).s0_coords)
 
 
 # ---------------------------------------------------------------------------

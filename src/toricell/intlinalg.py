@@ -514,12 +514,10 @@ class CokernelForm:
     combination of A.
     """
 
-    def __init__(self, A, m=None):
-        if m is None:
-            m = len(A)
-        self.m = m
+    def __init__(self, A):
+        m = len(A)
         ncols = len(A[0]) if A else 0
-        if not A or ncols == 0:
+        if ncols == 0:
             self._U = identity(m)
             self._Uinv = identity(m)
             self._diag = [0] * m
@@ -527,13 +525,7 @@ class CokernelForm:
             sf = smith_normal_form(A)
             self._U = sf.U
             self._Uinv = sf.Uinv
-            d = []
-            for i in range(m):
-                if i < min(m, ncols):
-                    d.append(sf.S[i][i])
-                else:
-                    d.append(0)
-            self._diag = d
+            self._diag = [sf.S[i][i] if i < ncols else 0 for i in range(m)]
 
     def canonical(self, v):
         y = list(mat_vec(self._U, v))

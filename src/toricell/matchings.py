@@ -213,29 +213,19 @@ class WeightZeroReport:
     cycle_generators: list   # minimal generators of div(N(Q) ∩ ker pi_1)
     semigroup_basis: list    # Hilbert basis of N^d ∩ ker(deg)
 
-    def pretty(self):
-        if self.matches:
-            return ("weight-zero slice check: the cycle semigroup generators "
-                    "match the Hilbert basis of the degree-zero semigroup")
-        return ("weight-zero slice check FAILED\n"
-                f"  cycle generators: {self.cycle_generators}\n"
-                f"  degree-zero Hilbert basis: {self.semigroup_basis}")
 
-
-def weight_zero_check(Q, X=None):
+def weight_zero_check(Q):
     """Compare the weight-zero slice of N(Q) with the section semigroup.
 
     The slice N(Q) ∩ ker(pi_1) is generated by the images of simple directed
     cycles, and its second projection should be the semigroup N^d ∩ ker(deg)
     with matching minimal generators.
     """
-    if X is None:
-        X = Q.X
-    if X is None:
+    if Q.X is None:
         raise MatchingError("no variety attached to the quiver")
     cycle_divs = [Q.path_div(c) for c in simple_cycles(Q)]
     gens = _minimal_generators(cycle_divs)
-    hb = sorted(tuple(v) for v in X.section_semigroup_hilbert_basis())
+    hb = sorted(tuple(v) for v in Q.X.section_semigroup_hilbert_basis())
     return WeightZeroReport(matches=gens == hb, cycle_generators=gens,
                             semigroup_basis=hb)
 
@@ -249,18 +239,6 @@ class DimerAuditReport:
     passed: bool
     nonbinary: list   # (matching index, arrow id, value) with value outside {0,1}
     bad_terms: list   # (matching index, term, support arrows in term)
-
-    def pretty(self, Q):
-        if self.passed:
-            return "dimer audit: all matchings are 0/1 and meet every term once"
-        lines = ["dimer audit FAILED"]
-        for k, a, v in self.nonbinary:
-            lines.append(f"  matching {k}: value {v} on {Q.arrows[a].pretty()}")
-        for k, term, hits in self.bad_terms:
-            lines.append(
-                f"  matching {k}: term {Q.pretty_path(term)} meets the support "
-                f"in {len(hits)} arrows")
-        return "\n".join(lines)
 
 
 def dimer_matching_audit(Q, W, matchings):

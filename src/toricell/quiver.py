@@ -23,6 +23,18 @@ class QuiverError(ValueError):
     pass
 
 
+def monomial(label):
+    """The monomial of an exponent vector, e.g. (1, 2, 0) prints as
+    "x1x2^2" and the zero vector as "1"."""
+    parts = []
+    for k, e in enumerate(label):
+        if e == 1:
+            parts.append(f"x{k + 1}")
+        elif e > 1:
+            parts.append(f"x{k + 1}^{e}")
+    return "".join(parts) or "1"
+
+
 @dataclass(frozen=True)
 class Arrow:
     idx: int
@@ -201,25 +213,12 @@ class QuiverOfSections:
 
     # -- export -------------------------------------------------------------
 
-    def to_dot(self, label_names=None):
-        def lab(vec):
-            if label_names is None:
-                names = [f"x{k + 1}" for k in range(self.d)]
-            else:
-                names = label_names
-            parts = []
-            for name, e in zip(names, vec):
-                if e == 1:
-                    parts.append(name)
-                elif e > 1:
-                    parts.append(f"{name}^{e}")
-            return "".join(parts) or "1"
-
+    def to_dot(self):
         lines = ["digraph quiver {"]
         for v in range(self.n_vertices):
             lines.append(f'  v{v} [label="{v}"];')
         for a in self.arrows:
-            lines.append(f'  v{a.tail} -> v{a.head} [label="{a.pretty()}: {lab(a.label)}"];')
+            lines.append(f'  v{a.tail} -> v{a.head} [label="{a.pretty()}: {monomial(a.label)}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
 

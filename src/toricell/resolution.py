@@ -52,22 +52,9 @@ def build_resolution(complex_, signs=None):
     return CellularResolution(complex_, signs)
 
 
-def _square_zero_failure(res):
-    """Why d.d != 0 at the symbolic level, or None: signs must cancel on
-    two-step routes grouped by (parent, grandchild, total left and right
-    classes), and on the two ends of each 1-cell (the augmentation)."""
-    for key, routes in res.complex.composite_groups().items():
-        if sum(res.signs[i1] * res.signs[i2] for i1, i2 in routes):
-            return f"d.d != 0 on flag {key}"
-    for c in res.complex.by_dim.get(1, []):
-        if sum(sign for _facet, _left, sign in res.facets[c.id]):
-            return f"augmentation . d1 != 0 on cell {c.id}"
-    return None
-
-
 def verify_square_zero(res):
-    """d.d = 0 at the symbolic level (`_square_zero_failure`)."""
-    if failure := _square_zero_failure(res):
+    """d.d = 0 at the symbolic level (`ToricCellComplex.sign_failure`)."""
+    if failure := res.complex.sign_failure(res.signs):
         raise ResolutionError(failure)
     return True
 
@@ -249,7 +236,7 @@ def _composes_to_zero(outer, inner):
     return True
 
 
-def _piece_failures(res, bases, targets, check_products, square_zero):
+def _piece_failures(res, bases, targets, check_products):
     """Rank identities certifying exactness of one nonzero graded piece.
 
     With d_0 the augmentation and d_{n+1} = 0, the complex is exact iff
@@ -258,11 +245,13 @@ def _piece_failures(res, bases, targets, check_products, square_zero):
     characteristic then telescopes to rank d_0 = 1.  With check_products
     a nonzero d_{k-1}.d_k is reported first.
 
-    If d.d = 0 on the piece, by square_zero or a passed product check,
-    ranks over GF(2) are tried first.  An odd minor is nonzero, so the
-    GF(2) rank r2 is at most the rational rank r; d.d = 0 gives
+    The caller passes check_products whenever d.d = 0 is not known
+    symbolically, so d.d = 0 holds on every piece ranked here, and ranks
+    over GF(2) are tried first.  An odd minor is nonzero, so the GF(2)
+    rank r2 is at most the rational rank r; d.d = 0 gives
     r(k) + r(k+1) <= dim P_k, and d_0 has one row: the identities for r2
-    force those for r.  Other pieces get the exact `sparse_rank`.
+    force those for r.  Pieces they do not settle get the exact
+    `sparse_rank`.
     """
     n = res.n
     dims = [len(b) for b in bases]
@@ -272,12 +261,10 @@ def _piece_failures(res, bases, targets, check_products, square_zero):
         for k in range(1, n + 1):
             if not _composes_to_zero(diffs[k - 1], diffs[k]):
                 return [(f"d{k - 1}.d{k}", None, None, None)]
-    if check_products or square_zero:
-        r2 = [_gf2_rank(_differential(res, bases, k, targets, mod2=True))
-              for k in range(n + 1)] + [0]
-        if r2[0] == 1 and all(r2[k] + r2[k + 1] == dims[k]
-                              for k in range(n + 1)):
-            return []
+    r2 = [_gf2_rank(_differential(res, bases, k, targets, mod2=True))
+          for k in range(n + 1)] + [0]
+    if r2[0] == 1 and all(r2[k] + r2[k + 1] == dims[k] for k in range(n + 1)):
+        return []
     diffs = diffs or [_differential(res, bases, k, targets)
                       for k in range(n + 1)]
     ranks = [sparse_rank(cols) for cols in diffs] + [0]
@@ -358,21 +345,22 @@ def _automorphisms(res):
     return auts
 
 
-def verify_exactness(res, bound, check_products=False, pairs=None):
+def verify_exactness(res, bound, check_products=False):
     """Check the rank identities in every graded piece with divisor
     componentwise <= bound (an integer or a vector) at every vertex pair
-    (s, t) in pairs, a list of distinct tuples of vertex indices
-    (default: all).
+    (s, t).
 
     A piece whose divisor no path from t to s carries is zero and exact,
     so it counts as checked without work.  The pairs are swept one at a
     time, so only one pair's bases are held at once.  A request of more
     than MAX_PIECES pieces or MAX_TRIPLES basis triples is refused before
-    any work.
+    any work.  A resolution whose signs fail `verify_square_zero` has
+    every piece checked for d_{k-1}.d_k = 0, as with check_products, so
+    the rank identities are only read where d.d = 0.
 
     Pieces are computed for one pair per orbit of the automorphisms of
     the resolution (`_automorphisms`), and their failures are copied to
-    the other requested pairs of the orbit.  This is exact: sigma maps
+    the other pairs of the orbit.  This is exact: sigma maps
     the labelled arrows onto themselves, so a path of class d runs from
     u to v iff one runs from sigma(u) to sigma(v), and the class table
     is invariant.  Hence the triples (eta, dL, dR) at (s, t, d)
@@ -382,7 +370,7 @@ def verify_exactness(res, bound, check_products=False, pairs=None):
     differential entries agree under this correspondence.  The two
     pieces differ by a reordering of their bases, so they have the same
     dimensions, ranks, products d_{k-1}.d_k and failure details.
-    `pieces_checked` counts every requested piece, including those
+    `pieces_checked` counts every piece, including those
     certified by this isomorphism.
     """
     Q = res.Q
@@ -393,20 +381,7 @@ def verify_exactness(res, bound, check_products=False, pairs=None):
         raise ValueError(
             f"exactness bound must be {Q.d} nonnegative integers, got {bound}")
     n = Q.n_vertices
-    if pairs is None:
-        pairs = [(s, t) for s in range(n) for t in range(n)]
-    pairs = list(pairs)
-    if not pairs:
-        raise ValueError("exactness needs at least one vertex pair")
-    for pair in pairs:
-        if not (isinstance(pair, tuple) and len(pair) == 2
-                and all(isinstance(v, int) and 0 <= v < n for v in pair)):
-            raise ValueError(
-                f"vertex pair {pair!r} is not two vertex indices below {n}")
-    requested = set(pairs)
-    if len(requested) < len(pairs):
-        raise ValueError("exactness vertex pairs must be distinct")
-    pieces = len(pairs) * math.prod(b + 1 for b in bound)
+    pieces = n * n * math.prod(b + 1 for b in bound)
     if pieces > MAX_PIECES:
         raise ValueError(
             f"exactness at bound {bound} asks for {pieces} graded pieces, "
@@ -419,19 +394,19 @@ def verify_exactness(res, bound, check_products=False, pairs=None):
             f"exactness at bound {bound} asks for up to {triples} basis "
             f"triples, more than the limit of {MAX_TRIPLES}")
     auts = _automorphisms(res)
-    square_zero = _square_zero_failure(res) is None
+    check_products = (check_products
+                      or res.complex.sign_failure(res.signs) is not None)
     table = _class_table(Q, bound)
     failures = []
     covered = set()
-    for s, t in pairs:
+    for s, t in itertools.product(range(n), repeat=2):
         if (s, t) in covered:
             continue
-        orbit = {(g[s], g[t]) for g in auts} & requested
+        orbit = {(g[s], g[t]) for g in auts}
         covered.update(orbit)
         targets = {}
         for dvec, bases in _pair_bases(res, table, s, t, bound).items():
-            fail = _piece_failures(res, bases, targets, check_products,
-                                   square_zero)
+            fail = _piece_failures(res, bases, targets, check_products)
             if fail:
                 failures.extend((u, v, dvec, list(fail)) for u, v in orbit)
     failures.sort()

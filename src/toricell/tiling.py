@@ -232,29 +232,6 @@ class TilingReport:
     duplicate_vertices: list
     unbalanced_arrows: list   # arrows not in one face of each orientation
 
-    def pretty(self, Q):
-        if self.valid:
-            return (f"tiling valid: Euler characteristic {self.euler}, "
-                    f"total area {self.total_area}")
-        lines = ["tiling INVALID"]
-        for t in self.nonconvex_faces:
-            lines.append(f"  non-convex face {Q.pretty_path(t)}")
-        for i, j, t in self.crossings:
-            lines.append(
-                f"  edges of {Q.arrows[i].pretty()} and {Q.arrows[j].pretty()} "
-                f"cross at a non-vertex (translate {t})")
-        if self.euler != 0:
-            lines.append(f"  Euler characteristic {self.euler} != 0")
-        if self.total_area != 1:
-            lines.append(f"  faces cover area {self.total_area} != 1")
-        for v, w in self.duplicate_vertices:
-            lines.append(f"  vertices {v} and {w} coincide on the torus")
-        for i in self.unbalanced_arrows:
-            lines.append(
-                f"  {Q.arrows[i].pretty()} does not separate one face of "
-                "each orientation")
-        return "\n".join(lines)
-
 
 def verify_tiling(tiling):
     """Exact checks that the embedded data is a polygonal tiling:

@@ -18,6 +18,7 @@ from .intlinalg import (
     CokernelForm,
     is_zero,
     primitive,
+    rank,
     solve_integer,
     vsub,
 )
@@ -42,9 +43,9 @@ class GorensteinToricVariety:
         for r in rays:
             if is_zero(r) or primitive(r) != r:
                 raise VarietyError(f"ray {r} is not primitive")
-        cone = RationalCone(rays, n)
-        if cone.dim != n:
+        if rank([list(r) for r in rays]) != n:
             raise VarietyError("cone is not full-dimensional")
+        cone = RationalCone(rays)
         if not cone.is_pointed:
             raise VarietyError("cone is not pointed (contains a line)")
         if sorted(cone.rays) != sorted(rays):
@@ -55,7 +56,7 @@ class GorensteinToricVariety:
         self.cone = cone
         # deg: Z^d -> Cl(X) = coker(B), B rows = rays
         self.B = [list(r) for r in rays]
-        self.cl = CokernelForm(self.B, m=self.d)
+        self.cl = CokernelForm(self.B)
         u = solve_integer(self.B, (1,) * self.d)
         if u is None:
             raise VarietyError("not Gorenstein: no covector with <u, v_rho> = 1 for all rays")

@@ -7,9 +7,14 @@ perfbench/ outside its own definition.  The check is by name only, so two
 definitions sharing a name cover each other; it catches API that nothing
 calls, not every dead branch.  A name one module shares with another is
 part of its interface, so it carries no leading underscore.
+
+Every parameter with a default is passed at some call in src/ or
+perfbench/, matched by the called name as above: an option that only
+tests set is API kept for the tests alone.
 """
 
 import ast
+import math
 import os
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
@@ -106,3 +111,89 @@ def test_no_private_names_imported_across_modules():
     shared = private_imports()
     assert not shared, "private name imported from another module: " + \
         ", ".join(f"{f}:{line} {name}" for f, line, name in shared)
+
+
+# functions whose defaulted parameters exist for tests to set
+OPTION_EXEMPT = {("cli.py", "main")}
+CALLERS = [os.path.join(ROOT, d) for d in ("src", "perfbench")]
+
+
+def defaulted_parameters():
+    """(file, line, called name, parameter, positional index or None) for
+    each parameter with a default of a function or method defined in
+    src/toricell.  A method's index skips self, and __init__ is called by
+    its class name."""
+    found = []
+    for path in _python_files(PACKAGE):
+        fname = os.path.basename(path)
+        tree = _parse(path)
+        owner = {f: c.name for c in ast.walk(tree)
+                 if isinstance(c, ast.ClassDef) for f in c.body}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if (fname, node.name) in OPTION_EXEMPT:
+                continue
+            cls = owner.get(node)
+            name = cls if cls and node.name == "__init__" else node.name
+            args = node.args
+            positional = args.posonlyargs + args.args
+            skip = 1 if cls and not any(
+                isinstance(d, ast.Name) and d.id == "staticmethod"
+                for d in node.decorator_list) else 0
+            first = len(positional) - len(args.defaults)
+            for i in range(first, len(positional)):
+                found.append((fname, node.lineno, name, positional[i].arg,
+                              i - skip))
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    found.append((fname, node.lineno, name, arg.arg, None))
+    return found
+
+
+def passed_options():
+    """({called name: keywords passed}, {called name: most positional
+    arguments passed}) over every call in src/ and perfbench/.  A **
+    argument shows as the keyword None, and a starred argument passes
+    every position."""
+    keywords, widths = {}, {}
+    for top in CALLERS:
+        for path in _python_files(top):
+            for node in ast.walk(_parse(path)):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else \
+                    func.attr if isinstance(func, ast.Attribute) else None
+                if name is None:
+                    continue
+                keywords.setdefault(name, set()).update(
+                    k.arg for k in node.keywords)
+                width = math.inf if any(
+                    isinstance(a, ast.Starred) for a in node.args) \
+                    else len(node.args)
+                widths[name] = max(widths.get(name, 0), width)
+    return keywords, widths
+
+
+def options_only_tests_set():
+    keywords, widths = passed_options()
+    unset = []
+    for fname, line, name, param, index in defaulted_parameters():
+        passed = keywords.get(name, set())
+        if param in passed or None in passed:
+            continue
+        if index is not None and widths.get(name, 0) > index:
+            continue
+        unset.append((fname, line, name, param))
+    return sorted(unset)
+
+
+def test_no_option_only_tests_set():
+    """Every defaulted parameter of a src/toricell function is passed, by
+    keyword or by position, at some call in src/ or perfbench/; an option
+    that only tests set is API kept for them alone."""
+    unset = options_only_tests_set()
+    assert not unset, "options no caller in src/ or perfbench/ sets: " + \
+        ", ".join(f"{f}:{line} {name}({param}=)"
+                  for f, line, name, param in unset)

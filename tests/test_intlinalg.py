@@ -174,7 +174,7 @@ def test_rational_mat_inverse():
 def test_cokernel_form_canonical_classes():
     # coker of the conifold embedding is Z
     B = [[1, 0, 1], [0, 1, 1], [0, 0, 1], [1, 1, 1]]
-    ck = CokernelForm(B, m=4)
+    ck = CokernelForm(B)
     e = lambda i: tuple(int(j == i) for j in range(4))
     assert ck.canonical(e(0)) == ck.canonical(e(1))
     assert ck.canonical(e(2)) == ck.canonical(e(3))

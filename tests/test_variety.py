@@ -34,6 +34,12 @@ def test_rejects_unpointed():
         GorensteinToricVariety([(1, 0), (-1, 0), (0, 1)])
 
 
+def test_rejects_not_full_dimensional():
+    # rank 2 in N = Z^3: the variety checks this before building the cone
+    with pytest.raises(VarietyError, match="not full-dimensional"):
+        GorensteinToricVariety([(1, 0, 0), (0, 1, 0)])
+
+
 def test_rejects_non_extremal_input_ray():
     with pytest.raises(VarietyError):
         GorensteinToricVariety([(1, 0, 1), (0, 1, 1), (1, 1, 2)])
