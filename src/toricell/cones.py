@@ -1,9 +1,10 @@
 """Rational polyhedral cones over the integers.
 
-Dual ray enumeration (double description), and Hilbert bases of pointed
-cone semigroups and minimal generators of degree fibers from one bounded
-lattice-point enumeration.  All arithmetic is exact; vectors are integer
-tuples.
+Dual ray enumeration (double description), and the degree fibers of an
+embedding B: Z^n -> Z^d: the Hilbert basis of the degree-zero semigroup
+and the minimal generators of every fiber, from one breadth-first walk
+over the points that no nonzero degree-zero element lies below.  All
+arithmetic is exact; vectors are integer tuples.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ from .intlinalg import (
     primitive,
     rank,
     rational_mat_inverse,
-    vadd,
-    vector_gcd,
     vscale,
     vsub,
 )
@@ -31,7 +30,7 @@ class ConeError(ValueError):
     pass
 
 
-# the most lattice points one box enumeration may emit
+# the most points one staircase walk may visit
 _BOX_LIMIT = 4_000_000
 
 
@@ -123,137 +122,56 @@ class RationalCone:
         return self._rays
 
 
-def hilbert_basis(cone):
-    """Hilbert basis of cone ∩ Z^n for a pointed full-dimensional cone.
-
-    The cone is {x : F x >= 0} for its facet matrix F, which has full
-    column rank because the cone is pointed.  So x |-> F x maps
-    cone ∩ Z^n onto the degree-zero semigroup of FiberContext(F), whose
-    Hilbert basis that context computes.
-    """
-    if not cone.is_pointed:
-        raise ConeError("Hilbert basis requires a pointed cone")
-    return sorted(FiberContext(cone.facets).s0_coords)
-
-
-# ---------------------------------------------------------------------------
-# lattice points of parametrized polyhedra {u : A u >= r}, A fixed
-
-
-def _fm_eliminate(rows, var):
-    """One Fourier-Motzkin step removing the given variable index.
-
-    rows are (coeffs, multiplier) pairs describing coeffs . u >= mult . r
-    for a runtime right-hand side r; eliminated rows keep their provenance
-    through the multipliers.
-    """
-    pos, neg, zero = [], [], []
-    for row in rows:
-        c = row[0][var]
-        (pos if c > 0 else neg if c < 0 else zero).append(row)
-    out = dict((row, None) for row in zero)
-    for cp, mp in pos:
-        for cn, mn in neg:
-            a, b = -cn[var], cp[var]
-            coeffs = tuple(a * x + b * y for x, y in zip(cp, cn))
-            mult = tuple(a * x + b * y for x, y in zip(mp, mn))
-            g = vector_gcd(coeffs + mult)
-            if g > 1:
-                coeffs = tuple(x // g for x in coeffs)
-                mult = tuple(x // g for x in mult)
-            out[(coeffs, mult)] = None
-    return list(out)
-
-
-def _fm_levels(A):
-    """Per-variable bound rows for the system A u >= r.
-
-    levels[k] holds rows whose variables are among u_0..u_k with a nonzero
-    coefficient on u_k; an infeasible right-hand side surfaces as an empty
-    bound interval during enumeration, so no variable-free rows are kept.
-    """
-    n = len(A[0])
-    m = len(A)
-    rows = [(tuple(r), tuple(1 if i == j else 0 for j in range(m)))
-            for i, r in enumerate(A)]
-    levels = [None] * n
-    for k in range(n - 1, -1, -1):
-        levels[k] = [row for row in rows if row[0][k] != 0]
-        if k:
-            rows = _fm_eliminate(rows, k)
-    return levels
-
-
-def _polytope_lattice_points(levels, r):
-    """All integer points of {u : A u >= r} for the precomputed levels.
-
-    The region must be bounded (each prefix admits finite exact bounds);
-    unbounded directions raise, and so does a region with more than
-    _BOX_LIMIT points.
-    """
-    n = len(levels)
-    # the right-hand sides do not depend on the enumeration prefix
-    resolved = [[(coeffs, dot(mult, r)) for coeffs, mult in level]
-                for level in levels]
-    out = []
-    u = [0] * n
-
-    def descend(k):
-        lo, hi = None, None
-        for coeffs, rhs in resolved[k]:
-            rest = rhs - sum(coeffs[j] * u[j] for j in range(k))
-            c = coeffs[k]
-            if c > 0:
-                b = -((-rest) // c)  # ceil
-                lo = b if lo is None else max(lo, b)
-            else:
-                b = rest // c  # floor for negative divisor
-                hi = b if hi is None else min(hi, b)
-        if lo is None or hi is None:
-            raise ConeError("unbounded enumeration region")
-        if k < n - 1:
-            for val in range(lo, hi + 1):
-                u[k] = val
-                descend(k + 1)
-            return
-        if len(out) + hi - lo + 1 > _BOX_LIMIT:
-            raise ConeError(f"enumeration box has more than _BOX_LIMIT = "
-                            f"{_BOX_LIMIT} lattice points")
-        prefix = tuple(u[:k])
-        out.extend(prefix + (val,) for val in range(lo, hi + 1))
-
-    descend(0)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # degree fibers
 
 
 class FiberContext:
-    """Cached data for fiber computations of one embedding B: Z^n -> Z^d.
+    """The degree fibers of one embedding B: Z^n -> Z^d, and their cache.
 
-    The fiber of a class c is {v in N^d : v ≡ c mod im(B)}, the points
-    c + B t >= 0 for t in Z^n.  Its degree-zero semigroup S0 = N^d ∩ im(B)
-    is the image of the pointed cone C = {t : B t >= 0}; the S0 ray
-    generators are g = B t over the primitive rays t of C, and z is their
-    sum.  ``s0_hilbert`` is the Hilbert basis of S0 and ``s0_coords`` the
-    matching t.
+    The fiber of a class c of Cl = Z^d / im(B) is {v in N^d : v ≡ c}, the
+    points c + B t >= 0 for t in Z^n.  Its degree-zero semigroup
+    S0 = N^d ∩ im(B) is the image of the pointed cone C = {t : B t >= 0};
+    the S0 ray generators are g = B t over the primitive rays t of C, and
+    z is their sum.  ``cl`` is the CokernelForm of B, whose reduced Smith
+    coordinates key the classes.
+
+    Staircase walk (Miller-Sturmfels, Combinatorial Commutative Algebra,
+    ch. 2 and 8).  Two points of one fiber satisfy w <= v exactly when
+    v - w is in S0, so v generates its fiber iff no nonzero element of S0
+    lies below v.  These v form the set D of standard monomials of the
+    ideal that S0 - {0} generates, and D is downward closed; so is
+    D ∩ box for any box [0, cap], since the box is.  A point v != 0 is in
+    D iff class(v) != 0 and v - e_k is in D for every k with v_k > 0: a
+    nonzero s in S0 below v is either v itself, of class 0, or lies below
+    some v - e_k.  The same argument shows that the points of class 0
+    whose predecessors all lie in D are the irreducible elements of S0,
+    its Hilbert basis ``s0_hilbert``.  So one breadth-first walk by total
+    degree, from 0 through D (∩ box), visits each point of D once, keys
+    each by its class with one column of the Smith transform per step,
+    and keeps every point as a generator of its fiber.
+
+    Every element s of the Hilbert basis is a ray generator or lies in the
+    half-open zonotope {sum l_i g_i : 0 <= l_i < 1} (if l_i >= 1, s - g_i
+    is in S0), so 0 <= s <= z and the walk for S0 is capped at z.  When
+    Cl is finite (d = n), C is simplicial and its rays map to o_k e_k, for
+    o_k the order of the class of e_k; so z = (o_1, ..., o_d), every v in
+    D has v < z, and that one walk yields S0 and every fiber, its cap
+    excluding no point of D.  When Cl has a free part, ``fibers`` walks
+    again, capped at the proven boxes of the classes asked for.
     """
 
-    def __init__(self, B):
+    def __init__(self, B, cl):
         self.B = [list(row) for row in B]
         self.d = len(B)
         self.n = len(B[0]) if B else 0
         if rank(self.B) != self.n:
             raise LinAlgError("embedding matrix must have full column rank")
         rows = [tuple(row) for row in self.B]
-        # bound rows for the boxes {t : 0 <= c + B t <= bound}
-        self.box_levels = _fm_levels(rows + [tuple(-x for x in row) for row in rows])
-        self.s0_rays = [mat_vec(self.B, t) for t in dual_cone_rays(rows)]
-        if not self.s0_rays:
+        s0_rays = [mat_vec(self.B, t) for t in dual_cone_rays(rows)]
+        if not s0_rays:
             raise ConeError("degree-zero semigroup is trivial; cone not full-dimensional")
-        self.z = tuple(map(sum, zip(*self.s0_rays)))
+        self.z = tuple(map(sum, zip(*s0_rays)))
         if min(self.z) <= 0:
             raise ConeError("no strictly positive degree-zero section; cone not full-dimensional")
         # where the rows S of B t >= -c are tight, c + B t = c - K c_S
@@ -264,21 +182,88 @@ class FiberContext:
             except LinAlgError:
                 continue
             self.vertex_maps.append((S, mat_mul(self.B, inv)))
-        # An irreducible s of S0 is a ray generator or lies in the half-open
-        # zonotope {sum l_i g_i : 0 <= l_i < 1}: if l_i >= 1, s - g_i is in
-        # S0.  Either way 0 <= s <= z.
-        basis = minimal_points(
-            p for p in _box_points(self, (0,) * self.d, self.z) if any(p[0]))
-        self.s0_hilbert = [v for v, _ in basis]
-        self.s0_coords = [t for _, t in basis]
+        self._key = cl.coordinates
+        self._moduli = cl.moduli
+        self._steps = [cl.coordinates(tuple(int(i == k) for i in range(self.d)))
+                       for k in range(self.d)]
+        self._fibers = {}  # class key -> sorted generators of its fiber
+        self.s0_hilbert = self._walk(self.z, () if 0 in self._moduli else None)
 
+    def fibers(self, classes):
+        """The sorted minimal generators of the fiber of each class (any
+        representative), by one walk for all the classes not yet cached.
 
-def _box_points(ctx, c, bound):
-    """(c + B t, t) for every t in Z^n with 0 <= c + B t <= bound."""
-    # B t >= -c and -B t >= c - bound
-    r = tuple(-x for x in c) + tuple(x - y for x, y in zip(c, bound))
-    return [(vadd(c, mat_vec(ctx.B, t)), t)
-            for t in _polytope_lattice_points(ctx.box_levels, r)]
+        Bound (Bruns-Gubeladze, Polytopes, Rings and K-Theory, ch. 2).  The
+        polyhedron P = {t : c + B t >= 0} is conv(V) + C for its vertex set
+        V (P is pointed because B has full column rank).  Write a lattice
+        point of P as t = p + sum l_i t_i with p in conv(V), t_i the rays
+        of C and l_i >= 0.  Then t - sum floor(l_i) t_i is a lattice point
+        of P whose image lies below c + B t and differs from it unless
+        every floor(l_i) is 0, since each g_i = B t_i is nonzero and
+        nonnegative.  So a generator is c + B p + sum l_i g_i with
+        l_i < 1, which is at most max over V of (c + B t), plus z, in
+        every coordinate.  A vertex is where n independent rows of
+        c + B t >= 0 are tight.  The walk is capped at the componentwise
+        max of these boxes over the classes, so for each of them it keeps
+        every generator, and every point it keeps is one.
+        """
+        keys = [self._key(c) for c in classes]
+        todo = {k: tuple(c) for k, c in zip(keys, classes) if k not in self._fibers}
+        if todo:
+            cap = self.z
+            for c in todo.values():
+                for S, K in self.vertex_maps:
+                    v = vsub(c, mat_vec(K, [c[i] for i in S]))
+                    if min(v) >= 0:
+                        cap = tuple(max(a, floor(x) + b)
+                                    for a, x, b in zip(cap, v, self.z))
+            self._walk(cap, set(todo))
+        return [self._fibers[k] for k in keys]
+
+    def _walk(self, cap, wanted):
+        """Walk D ∩ [0, cap] by total degree; cache the fibers of the wanted
+        class keys (all for None) and return the Hilbert basis of S0.
+
+        A point w is reached once, from w - e_k for its last nonzero
+        coordinate k, and each point is also coded by the integer
+        sum w_k P_k in the mixed radix P of the box, so that its
+        predecessors are found by subtraction."""
+        d, moduli, steps = self.d, self._moduli, self._steps
+        place = [1]
+        for b in cap[:-1]:
+            place.append(place[-1] * (b + 1))
+        zero = (0,) * d
+        level = {0: (zero, self._key(zero))}
+        found, hilbert, walked = {}, [], 0
+        while level:
+            up = {}
+            for code, (v, key) in level.items():
+                if wanted is None or key in wanted:
+                    found.setdefault(key, []).append(v)
+                support = [j for j in range(d) if v[j]]
+                for k in range(support[-1] if support else 0, d):
+                    if v[k] == cap[k]:
+                        continue
+                    w_code = code + place[k]
+                    for j in support:
+                        if j != k and w_code - place[j] not in level:
+                            break
+                    else:  # every predecessor is in D
+                        key_w = tuple([(a + b) % m if m else a + b
+                                       for a, b, m in zip(key, steps[k], moduli)])
+                        w = v[:k] + (v[k] + 1,) + v[k + 1:]
+                        if not any(key_w):
+                            hilbert.append(w)
+                            continue
+                        walked += 1
+                        if walked > _BOX_LIMIT:
+                            raise ConeError(f"staircase walk visits more than "
+                                            f"_BOX_LIMIT = {_BOX_LIMIT} points")
+                        up[w_code] = (w, key_w)
+            level = up
+        for key, points in found.items():
+            self._fibers[key] = sorted(points)
+        return sorted(hilbert)
 
 
 def minimal_points(points):
@@ -294,35 +279,3 @@ def minimal_points(points):
         if not any(leq(w, v) for w, _ in kept):
             kept.append((v, t))
     return sorted(kept)
-
-
-def fiber_generators(ctx, c):
-    """Minimal generators of the fiber {v in N^d : v ≡ c mod im(B)}, sorted.
-
-    Two points of a fiber differ by an element of im(B), so w divides v
-    (v - w in S0) exactly when w <= v componentwise: the generators are
-    the componentwise-minimal points of the fiber.
-
-    Bound (Bruns-Gubeladze, Polytopes, Rings and K-Theory, ch. 2).  The
-    polyhedron P = {t : c + B t >= 0} is conv(V) + C for its vertex set V
-    (P is pointed because B has full column rank).  Write a lattice point
-    of P as t = p + sum l_i t_i with p in conv(V), t_i the rays of C and
-    l_i >= 0.  Then t - sum floor(l_i) t_i is a lattice point of P whose
-    image lies below c + B t and differs from it unless every floor(l_i)
-    is 0, since each g_i = B t_i is nonzero and nonnegative.  So a
-    generator is c + B p + sum l_i g_i with l_i < 1, which is at most
-    max over V of (c + B t), plus z, in every coordinate.  Any fiber point
-    below a point of that box lies in the box too, so the minimal points
-    of the box are exactly the generators.  A vertex is where n
-    independent rows of c + B t >= 0 are tight.
-    """
-    if not isinstance(ctx, FiberContext):
-        ctx = FiberContext(ctx)
-    c = tuple(c)
-    top = None
-    for S, K in ctx.vertex_maps:
-        v = vsub(c, mat_vec(K, [c[i] for i in S]))
-        if min(v) >= 0:
-            top = v if top is None else tuple(map(max, top, v))
-    bound = tuple(floor(a) + b for a, b in zip(top, ctx.z))
-    return [v for v, _ in minimal_points(_box_points(ctx, c, bound))]

@@ -526,12 +526,17 @@ class CokernelForm:
             self._U = sf.U
             self._Uinv = sf.Uinv
             self._diag = [sf.S[i][i] if i < ncols else 0 for i in range(m)]
+        # the Smith coordinates that carry a class: torsion, or 0 when free
+        self.moduli = tuple(d for d in self._diag if d != 1)
+
+    def coordinates(self, v):
+        """The reduced Smith coordinates of v's coset: equal for two vectors
+        iff they differ by a column combination of A, and additive modulo
+        ``moduli`` (a free coordinate, modulus 0, is not reduced)."""
+        y = mat_vec(self._U, v)
+        return tuple(y[i] % d if d else y[i]
+                     for i, d in enumerate(self._diag) if d != 1)
 
     def canonical(self, v):
-        y = list(mat_vec(self._U, v))
-        for i, d in enumerate(self._diag):
-            if d == 1:
-                y[i] = 0
-            elif d > 1:
-                y[i] %= d
-        return mat_vec(self._Uinv, y)
+        y = iter(self.coordinates(v))
+        return mat_vec(self._Uinv, [0 if d == 1 else next(y) for d in self._diag])

@@ -75,9 +75,6 @@ class PerfectMatching:
     def support(self):
         return frozenset(i for i, v in enumerate(self.values) if v > 0)
 
-    def is_extremal(self):
-        return self.extremal_ray is not None
-
 
 def _values(pi, w):
     return tuple(pi.pair(w, a.idx) for a in pi.Q.arrows)

@@ -247,13 +247,17 @@ def build_quiver(X, collection, arrow_order=None):
     candidate u' <= u < s out of i, so s is not minimal.
     """
     loops = X.section_semigroup_hilbert_basis()
+    n = len(collection)
+    pairs = [(i, j) for i in range(n) for j in range(n) if j != i]
+    # all classes in one call, so that one walk finds every fiber
+    fibers = dict(zip(pairs, X.fiber_context.fibers(
+        [collection.difference(i, j) for i, j in pairs])))
     arrows = []
-    for i in range(len(collection)):
+    for i in range(n):
         candidates = [(s, i) for s in loops]
-        for j in range(len(collection)):
+        for j in range(n):
             if j != i:
-                candidates += [(s, j) for s in
-                               X.hom_sections(collection.difference(i, j))]
+                candidates += [(s, j) for s in fibers[i, j]]
         arrows += [(i, j, s) for s, j in minimal_points(candidates)]
     arrows.sort()
     if arrow_order is not None:

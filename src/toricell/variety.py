@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .cones import FiberContext, RationalCone, fiber_generators
+from .cones import FiberContext, RationalCone
 from .intlinalg import (
     CokernelForm,
     is_zero,
@@ -53,7 +53,6 @@ class GorensteinToricVariety:
         self.rays = rays
         self.n = n
         self.d = len(rays)
-        self.cone = cone
         # deg: Z^d -> Cl(X) = coker(B), B rows = rays
         self.B = [list(r) for r in rays]
         self.cl = CokernelForm(self.B)
@@ -62,7 +61,6 @@ class GorensteinToricVariety:
             raise VarietyError("not Gorenstein: no covector with <u, v_rho> = 1 for all rays")
         self.gorenstein_covector = u
         self._fiber_ctx = None
-        self._fiber_cache = {}
 
     # -- degrees ------------------------------------------------------------
 
@@ -77,15 +75,12 @@ class GorensteinToricVariety:
     @property
     def fiber_context(self):
         if self._fiber_ctx is None:
-            self._fiber_ctx = FiberContext(self.B)
+            self._fiber_ctx = FiberContext(self.B, self.cl)
         return self._fiber_ctx
 
     def hom_sections(self, c):
         """Minimal generators of the fiber of the class (rep) c, sorted."""
-        key = tuple(self.cl.canonical(c))
-        if key not in self._fiber_cache:
-            self._fiber_cache[key] = fiber_generators(self.fiber_context, key)
-        return self._fiber_cache[key]
+        return self.fiber_context.fibers([c])[0]
 
     def section_semigroup_hilbert_basis(self):
         """Hilbert basis of the degree-zero semigroup N^d ∩ ker(deg)."""

@@ -122,7 +122,7 @@ def test_criterion_3_perfect_matchings(quiver_four_sheaves):
             assert all(v in (0, 1) for v in m.values)
         assert extremal_matching(Q, 0, pi=pi).support == {0, 5, 8}
         ms = perfect_matchings(Q, pi=pi)
-        extremal = {m.extremal_ray: m for m in ms if m.is_extremal()}
+        extremal = {m.extremal_ray: m for m in ms if m.extremal_ray is not None}
         for a in Q.arrows:
             assert a.label == tuple(
                 extremal[r].values[a.idx] for r in range(Q.d))

@@ -12,15 +12,16 @@ from toricell.cones import (
     FiberContext,
     RationalCone,
     dual_cone_rays,
-    fiber_generators,
-    hilbert_basis,
 )
+from toricell.inputs import MAX_GROUP_ORDER
 from toricell.intlinalg import (
+    CokernelForm,
     dot,
+    left_pseudo_inverse,
     mat_vec,
     primitive,
     rank,
-    vadd,
+    smith_normal_form,
     vsub,
 )
 from toricell.variety import (
@@ -31,6 +32,7 @@ from toricell.variety import (
 )
 
 from conftest import load
+from test_quiver import SMALL_GROUPS
 
 
 def random_pointed_cones(count, seed=20240818, max_dim=5):
@@ -68,6 +70,25 @@ def test_dual_cone_rays_orthant():
 def test_extremal_rays_drop_interior_generators():
     gens = [(1, 0), (0, 1), (1, 1), (2, 3)]
     assert RationalCone(gens).rays == [(0, 1), (1, 0)]
+
+
+def fiber_context(B):
+    return FiberContext(B, CokernelForm(B))
+
+
+def hilbert_basis(cone):
+    """Hilbert basis of cone ∩ Z^n for a pointed full-dimensional cone.
+
+    The cone is {x : F x >= 0} for its facet matrix F, which has full
+    column rank because the cone is pointed.  So x |-> F x maps
+    cone ∩ Z^n onto the degree-zero semigroup of the fiber context of F,
+    and x is recovered from v = F x by a left inverse of F.
+    """
+    assert cone.is_pointed
+    F = [list(f) for f in cone.facets]
+    left = left_pseudo_inverse(F)
+    return sorted(tuple(int(x) for x in mat_vec(left, v))
+                  for v in fiber_context(F).s0_hilbert)
 
 
 def cone_contains(cone, v):
@@ -148,8 +169,8 @@ def test_hilbert_basis_singular_quadrant():
 
 
 # ---------------------------------------------------------------------------
-# box oracle: a zonotope-box Hilbert basis of S0 and the expanding-box
-# fiber generators that the single bounded enumeration replaced
+# oracles: a zonotope-box Hilbert basis of S0, and S0 with every fiber
+# by brute force over a box
 
 
 def _box_s0_hilbert(B):
@@ -173,28 +194,50 @@ def _box_s0_hilbert(B):
                   if not any(member(vsub(t, w)) for w in candidates if w != t))
 
 
-def _expanding_fiber_generators(ctx, s0, c):
-    """Fiber generators from boxes grown by the largest S0 entries until two
-    consecutive boxes give the same minimal points (a heuristic stop)."""
-    d = len(c)
-    hmax = tuple(max(h[j] for h in s0) for j in range(d))
-    splus = tuple(map(sum, zip(*s0)))
-    v0 = tuple(c)
-    while min(v0) < 0:
-        v0 = vadd(v0, splus)
+def _brute_fibers(X, classes, group=None):
+    """(S0 Hilbert basis, [fiber generators of each class]) by brute force
+    over a box [0, m]^d in lexicographic order, which lists every point
+    after those below it.  Each point carries the set (a bitmask) of the
+    classes of the nonzero points at or below it; a point is minimal in
+    its fiber iff no point strictly below it has its class, and the
+    minimal nonzero points of class 0 are the Hilbert basis of S0.  The
+    class of a point is its character when X is the quotient by group.
 
-    def minimal_upto(bound):
-        r = tuple(-x for x in c) + tuple(x - y for x, y in zip(c, bound))
-        points = [vadd(c, mat_vec(ctx.B, t))
-                  for t in cones._polytope_lattice_points(ctx.box_levels, r)]
-        return sorted({v for v in points
-                       if all(any(x < y for x, y in zip(v, h)) for h in s0)})
+    When Cl is finite every generator has v_i < |Cl|, because |Cl| e_i
+    lies in S0, and every element of the Hilbert basis has v_i <= |Cl|;
+    so m = |Cl| holds them all.  Otherwise m doubles until two boxes agree
+    (a heuristic stop)."""
+    d = X.d
+    cls = group.character if group else lambda v: tuple(X.cl.canonical(v))
+    bits = {}
 
-    bound = vadd(v0, hmax)
-    found = minimal_upto(bound)
+    def minimal_upto(m):
+        place = [(m + 1) ** (d - 1 - j) for j in range(d)]
+        below = [0] * (m + 1) ** d
+        minimal = {}
+        points = itertools.product(range(m + 1), repeat=d)
+        next(points)  # the origin, whose class 0 must not count
+        for code, v in enumerate(points, 1):
+            under = 0
+            for j in range(d):
+                if v[j]:
+                    under |= below[code - place[j]]
+            c = cls(v)
+            bit = bits.setdefault(c, 1 << len(bits))
+            if not under & bit:
+                minimal.setdefault(c, []).append(v)
+            below[code] = under | bit
+        return (minimal.get(cls((0,) * d), []),
+                [minimal.get(cls(c), []) for c in classes])
+
+    if d == X.n:
+        order = math.prod(abs(smith_normal_form(X.B).S[i][i]) for i in range(d))
+        return minimal_upto(order)
+    m = 2
+    found = minimal_upto(m)
     while True:
-        bound = vadd(bound, hmax)
-        bigger = minimal_upto(bound)
+        m *= 2
+        bigger = minimal_upto(m)
         if bigger == found:
             return found
         found = bigger
@@ -230,23 +273,26 @@ def small_cyclic_groups(max_order):
 
 
 def test_fibers_match_box_oracle():
-    """S0 and every fiber equal the box oracle on the small fixtures and on
-    the cyclic subgroups of SL(3) of order <= 8."""
+    """S0 and every fiber equal the brute-force oracle on the small
+    fixtures, the cyclic subgroups of SL(3) of order <= 8, the subgroups
+    of SL(4) of order <= 8 and Z/16(1,1,1,13); where the zonotope box is
+    small, S0 also equals the box oracle."""
     varieties = [_variety_and_classes(load(name + ".json"))
                  for name in SMALL_FIXTURES]
     groups = small_cyclic_groups(8)
     assert len(groups) == 39
+    for X, _ in varieties:
+        assert X.fiber_context.s0_hilbert == _box_s0_hilbert(X.B)
+    varieties = [(X, classes, None) for X, classes in varieties]
+    groups += SMALL_GROUPS[4] + [AbelianGroupData.cyclic(16, (1, 1, 1, 13))]
     for G in groups:
         X, coll = mckay_toric_data(G)
         varieties.append((X, sorted(
-            {coll.difference(0, j) for j in range(1, len(coll))})))
-    for X, classes in varieties:
-        ctx = X.fiber_context
-        s0 = _box_s0_hilbert(X.B)
-        assert ctx.s0_hilbert == s0
-        for c in classes:
-            assert fiber_generators(ctx, c) == \
-                _expanding_fiber_generators(ctx, s0, c)
+            {coll.difference(0, j) for j in range(1, len(coll))}), G))
+    for X, classes, group in varieties:
+        s0, fibers = _brute_fibers(X, classes, group)
+        assert X.fiber_context.s0_hilbert == s0
+        assert X.fiber_context.fibers(classes) == fibers
 
 
 GOLDEN_FIBERS = os.path.join(os.path.dirname(__file__), "golden", "fibers.json")
@@ -257,22 +303,46 @@ with open(GOLDEN_FIBERS) as fh:
 @pytest.mark.parametrize("fixture", sorted(FIBERS))
 def test_fibers_golden(fixture):
     """S0 Hilbert basis and hom sections of every distinct class, as the
-    zonotope-box and expanding-box code computed them."""
+    zonotope-box and expanding-box code computed them: all classes from
+    one walk, as build_quiver asks for them, and then X.hom_sections from
+    the same cache."""
     want = FIBERS[fixture]
     X, classes = _variety_and_classes(load(fixture + ".json"))
     assert [list(v) for v in X.section_semigroup_hilbert_basis()] == \
         want["s0_hilbert"]
-    assert [[list(c), [list(v) for v in X.hom_sections(c)]]
-            for c in classes] == want["fibers"]
+    fibers = X.fiber_context.fibers(classes)
+    assert [[list(c), [list(v) for v in gens]]
+            for c, gens in zip(classes, fibers)] == want["fibers"]
+    assert [X.hom_sections(c) for c in classes] == fibers
 
 
 def test_point_cap_raises(monkeypatch):
-    """_BOX_LIMIT caps the points of the S0 box and of every fiber box."""
+    """_BOX_LIMIT caps the points of the S0 walk and of every fiber walk."""
     monkeypatch.setattr(cones, "_BOX_LIMIT", 50)
     with pytest.raises(ConeError, match="_BOX_LIMIT = 50"):
-        FiberContext([[1, 0], [-1, 50]])
-    ctx = FiberContext([[1, 0], [0, 1], [1, 1]])
-    assert fiber_generators(ctx, (0, 0, -3)) == [
-        (0, 3, 0), (1, 2, 0), (2, 1, 0), (3, 0, 0)]
+        fiber_context([[1, 0], [-1, 50]])
+    ctx = fiber_context([[1, 0], [0, 1], [1, 1]])
+    assert ctx.fibers([(0, 0, -3)]) == [[
+        (0, 3, 0), (1, 2, 0), (2, 1, 0), (3, 0, 0)]]
     with pytest.raises(ConeError, match="_BOX_LIMIT = 50"):
-        fiber_generators(ctx, (0, 0, -40))
+        ctx.fibers([(0, 0, -40)])
+
+
+def test_largest_admitted_quotient_fibers(monkeypatch):
+    """Z/64(1,1,1,61), of the largest order an input may have: the one walk
+    that finds S0 gives all 64 hom fibers, none empty, and each generator
+    has its class and coordinates < 64."""
+    walks = []
+    walk = FiberContext._walk
+    monkeypatch.setattr(FiberContext, "_walk",
+                        lambda ctx, *args: walks.append(args) or walk(ctx, *args))
+    G = AbelianGroupData.cyclic(64, (1, 1, 1, 61))
+    assert G.order() == MAX_GROUP_ORDER
+    X, coll = mckay_toric_data(G)
+    classes = [coll.difference(0, j) for j in range(len(coll))]
+    assert len(set(classes)) == 64
+    for c, gens in zip(classes, X.fiber_context.fibers(classes)):
+        assert gens
+        for v in gens:
+            assert max(v) < 64 and X.divisor_class(v) == c
+    assert len(walks) == 1

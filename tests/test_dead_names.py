@@ -2,10 +2,11 @@
 and no module of src/toricell imports another module's private name.
 
 A name counts as used when it occurs as an identifier (a bare name, an
-attribute, an import or a keyword argument) in src/, tests/ or
-perfbench/ outside its own definition.  The check is by name only, so two
-definitions sharing a name cover each other; it catches API that nothing
-calls, not every dead branch.  A name one module shares with another is
+attribute, an import or a keyword argument) in src/ or perfbench/
+outside its own definition; a use in tests/ does not count, since API
+that only tests call is kept for them alone.  The check is by name only,
+so two definitions sharing a name cover each other; it catches API that
+nothing calls, not every dead branch.  A name one module shares with another is
 part of its interface, so it carries no leading underscore.
 
 Every parameter with a default is passed at some call in src/ or
@@ -19,7 +20,7 @@ import os
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 PACKAGE = os.path.join(ROOT, "src", "toricell")
-SEARCHED = [os.path.join(ROOT, d) for d in ("src", "tests", "perfbench")]
+CALLERS = [os.path.join(ROOT, d) for d in ("src", "perfbench")]
 
 
 def _python_files(top):
@@ -74,7 +75,7 @@ class _Names(ast.NodeVisitor):
 def unused_definitions():
     used = set()
     defined = []
-    for top in SEARCHED:
+    for top in CALLERS:
         for path in _python_files(top):
             names = _Names()
             names.visit(_parse(path))
@@ -115,7 +116,6 @@ def test_no_private_names_imported_across_modules():
 
 # functions whose defaulted parameters exist for tests to set
 OPTION_EXEMPT = {("cli.py", "main")}
-CALLERS = [os.path.join(ROOT, d) for d in ("src", "perfbench")]
 
 
 def defaulted_parameters():

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -21,7 +22,9 @@ from toricell.intlinalg import (
     smith_normal_form,
     solve_integer,
     sparse_rank,
+    vadd,
     vector_gcd,
+    vsub,
 )
 from toricell.resolution import build_resolution, graded_piece
 from toricell.superpotential import superpotential
@@ -184,6 +187,24 @@ def test_cokernel_form_canonical_classes():
     assert ck.canonical((1, 0, 1, 0)) == zero
     assert ck.canonical((0, 1, 0, 1)) == zero
     assert ck.canonical((1, 1, 1, 1)) == zero
+
+
+def test_cokernel_coordinates_key_the_classes():
+    """Smith coordinates are equal iff the vectors differ by an integer
+    combination of the columns, and add modulo the moduli, on
+    Cl = Z/2 + Z and on Cl = Z/6."""
+    rng = random.Random(20261018)
+    for B, moduli in (([[2, 0], [0, 1], [0, 1]], (2, 0)),
+                      ([[1, 0, 0], [0, 1, 0], [1, 2, 6]], (6,))):
+        ck = CokernelForm(B)
+        assert ck.moduli == moduli
+        vs = [tuple(rng.randint(-4, 4) for _ in B) for _ in range(30)]
+        for v, w in itertools.product(vs, repeat=2):
+            assert (ck.coordinates(v) == ck.coordinates(w)) == \
+                (solve_integer(B, vsub(v, w)) is not None)
+            assert ck.coordinates(vadd(v, w)) == tuple(
+                (a + b) % m if m else a + b for a, b, m in
+                zip(ck.coordinates(v), ck.coordinates(w), moduli))
 
 
 def test_identity_and_dot():

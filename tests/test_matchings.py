@@ -30,7 +30,7 @@ def test_extremal_matching_values_are_label_multiplicities(quiver_four_sheaves):
     for rho in range(Q.d):
         m = extremal_matching(Q, rho)
         assert m.values == tuple(a.label[rho] for a in Q.arrows)
-        assert m.is_extremal()
+        assert m.extremal_ray is not None
     with pytest.raises(MatchingError):
         extremal_matching(Q, Q.d)
 
@@ -39,7 +39,7 @@ def test_perfect_matchings_count_and_extremals(quiver_four_sheaves):
     Q = quiver_four_sheaves
     ms = perfect_matchings(Q)
     assert len(ms) == 8
-    extremal = {m.extremal_ray: m for m in ms if m.is_extremal()}
+    extremal = {m.extremal_ray: m for m in ms if m.extremal_ray is not None}
     assert sorted(extremal) == [0, 1, 2, 3]
     # the matching of the first ray is supported on a1, a6, a9
     assert extremal[0].support == {0, 5, 8}
@@ -48,7 +48,7 @@ def test_perfect_matchings_count_and_extremals(quiver_four_sheaves):
 def test_labels_recovered_from_matchings(quiver_four_sheaves):
     Q = quiver_four_sheaves
     ms = perfect_matchings(Q)
-    extremal = {m.extremal_ray: m for m in ms if m.is_extremal()}
+    extremal = {m.extremal_ray: m for m in ms if m.extremal_ray is not None}
     for a in Q.arrows:
         assert a.label == tuple(extremal[r].values[a.idx] for r in range(Q.d))
 
@@ -88,7 +88,7 @@ def test_weight_zero_mckay(mckay_z6_group):
 def test_matchings_conifold(quiver_conifold):
     ms = perfect_matchings(quiver_conifold)
     assert len(ms) == 4
-    assert all(m.is_extremal() for m in ms)
+    assert all(m.extremal_ray is not None for m in ms)
     rep = dimer_matching_audit(
         quiver_conifold, superpotential(quiver_conifold), ms)
     assert rep.passed
