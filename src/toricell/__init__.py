@@ -18,7 +18,6 @@ from .complexes import (
 )
 from .matchings import (
     MatchingError,
-    dimer_matching_audit,
     extremal_matching,
     perfect_matchings,
     weight_zero_check,
@@ -37,7 +36,6 @@ from .superpotential import (
     FRelation,
     Superpotential,
     consistency,
-    derivative,
     relations,
     superpotential,
 )

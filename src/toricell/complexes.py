@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .intlinalg import leq, vadd, vsub
 from .quiver import build_quiver
-from .superpotential import cyclic_canonical, derivative, relations
+from .superpotential import cyclic_canonical, relations
 from .variety import mckay_toric_data
 
 
@@ -316,8 +316,6 @@ def mckay_complex(group):
                 explicit[head_facet] = (-1) ** (nu + 1)
     complex_ = ToricCellComplex(Q, n, cells, incidences)
     complex_.explicit_signs = explicit
-    complex_.X = X
-    complex_.collection = collection
     # the 1-skeleton must be the quiver itself
     one_cells = {(c.tail, c.head, c.divisor) for c in complex_.by_dim[1]}
     arrows = {(a.tail, a.head, a.label) for a in Q.arrows}
@@ -349,21 +347,24 @@ def _embeddings(W, arrow_idx, rel):
 
     Yields (term, t_path, s_path, other): term, rotated to start at the
     arrow, reads arrow . t_path . p_plus . s_path, and other is the cyclic
-    word with p_minus in place of p_plus, which is also a term of W.
+    word with p_minus in place of p_plus, which is also a term of W.  The
+    rotations of the terms that start at the arrow are the arrow followed
+    by its complements in the derivative index, so both words are looked
+    up there.
     """
     p_plus, p_minus = rel.pair
     k = len(p_plus)
-    for term in W.terms:
-        for pos in [j for j, x in enumerate(term) if x == arrow_idx]:
-            body = (term[pos:] + term[:pos])[1:]
-            for cut in range(len(body) - k + 1):
-                if body[cut:cut + k] != p_plus:
-                    continue
-                t_path, s_path = body[:cut], body[cut + k:]
-                other = cyclic_canonical(
-                    (arrow_idx,) + t_path + p_minus + s_path)
-                if other in W.term_set:
-                    yield term, t_path, s_path, other
+    arrow = (arrow_idx,)
+    bodies = W.derivatives.get((W.quiver.arrows[arrow_idx].tail, arrow), ())
+    for body in bodies:
+        for cut in range(len(body) - k + 1):
+            if body[cut:cut + k] != p_plus:
+                continue
+            t_path, s_path = body[:cut], body[cut + k:]
+            other = t_path + p_minus + s_path
+            if other in bodies:
+                yield (cyclic_canonical(arrow + body), t_path, s_path,
+                       cyclic_canonical(arrow + other))
 
 
 def _dual_facet_groups(Q, W, rel, arrow):
@@ -407,26 +408,22 @@ def general_complex(Q, W, rels=None):
     arrow_cells = [add(1, a.head, a.tail, a.label, ("arrow", a.idx))
                    for a in Q.arrows]
 
-    # the relation attached to each arrow: the two summands of its derivative
-    pair_of_arrow = {}
-    for a in Q.arrows:
-        D = derivative(Q, (a.idx,))
-        if len(D) == 2:
-            pair_of_arrow[a.idx] = tuple(sorted(D))
-
     rel_cells = {}
     if n == 3:
         if len(rels) != len(Q.arrows):
             raise ComplexError(
                 f"{len(rels)} relations for {len(Q.arrows)} arrows; the "
                 "dimension-three construction needs one per arrow")
+        rel_of_pair = {tuple(sorted(r.pair)): r for r in rels}
         dual_arrow_cells = {}
         for a in Q.arrows:
-            pair = pair_of_arrow.get(a.idx)
-            if pair is None:
+            # the relation attached to the arrow: the two summands of its
+            # derivative
+            D = W.derivatives.get((a.tail, (a.idx,)), ())
+            if len(D) != 2:
                 raise ComplexError(
                     f"derivative of {a.pretty()} does not have two summands")
-            rel = next((r for r in rels if tuple(sorted(r.pair)) == pair), None)
+            rel = rel_of_pair.get(tuple(sorted(D)))
             if rel is None:
                 raise ComplexError(
                     f"derivative pair of {a.pretty()} is not a relation")

@@ -99,29 +99,6 @@ def dual_cone_rays(generators):
     return sorted(set(rays))
 
 
-class RationalCone:
-    """Cone generated by integer vectors that span the ambient space,
-    given by its facet normals (the rays of the dual cone)."""
-
-    def __init__(self, generators):
-        self.generators = [tuple(g) for g in generators]
-        self.facets = dual_cone_rays(self.generators)
-        self._rays = None
-
-    @property
-    def is_pointed(self):
-        return rank([list(f) for f in self.facets]) == len(self.generators[0])
-
-    @property
-    def rays(self):
-        """Primitive extremal ray generators (double-dualization)."""
-        if self._rays is None:
-            if not self.is_pointed:
-                raise ConeError("ray enumeration requires a pointed cone")
-            self._rays = dual_cone_rays(self.facets)
-        return self._rays
-
-
 # ---------------------------------------------------------------------------
 # degree fibers
 
@@ -134,7 +111,8 @@ class FiberContext:
     S0 = N^d ∩ im(B) is the image of the pointed cone C = {t : B t >= 0};
     the S0 ray generators are g = B t over the primitive rays t of C, and
     z is their sum.  ``cl`` is the CokernelForm of B, whose reduced Smith
-    coordinates key the classes.
+    coordinates key the classes, and ``facets`` are the rays of C, the
+    facet normals of the cone that the rows of B generate.
 
     Staircase walk (Miller-Sturmfels, Combinatorial Commutative Algebra,
     ch. 2 and 8).  Two points of one fiber satisfy w <= v exactly when
@@ -161,14 +139,13 @@ class FiberContext:
     again, capped at the proven boxes of the classes asked for.
     """
 
-    def __init__(self, B, cl):
+    def __init__(self, B, cl, facets):
         self.B = [list(row) for row in B]
         self.d = len(B)
         self.n = len(B[0]) if B else 0
         if rank(self.B) != self.n:
             raise LinAlgError("embedding matrix must have full column rank")
-        rows = [tuple(row) for row in self.B]
-        s0_rays = [mat_vec(self.B, t) for t in dual_cone_rays(rows)]
+        s0_rays = [mat_vec(self.B, t) for t in facets]
         if not s0_rays:
             raise ConeError("degree-zero semigroup is trivial; cone not full-dimensional")
         self.z = tuple(map(sum, zip(*s0_rays)))

@@ -111,7 +111,6 @@ class SmithForm:
     """U * A * V == S with U, V unimodular and S diagonal, d_i | d_{i+1}."""
 
     U: list
-    Uinv: list
     V: list
     S: list
     rank: int
@@ -135,7 +134,7 @@ def xgcd(a, b):
 def smith_normal_form(A):
     """Compute the Smith normal form of an integer matrix.
 
-    Returns a SmithForm with U (m x m), Uinv, V (n x n) and S = U*A*V.
+    Returns a SmithForm with U (m x m), V (n x n) and S = U*A*V.
     The diagonal of S is nonnegative with each entry dividing the next.
     Entries are cleared with 2x2 unimodular transforms from the extended
     gcd, which keeps intermediate growth under control.
@@ -144,20 +143,15 @@ def smith_normal_form(A):
     n = len(A[0]) if m else 0
     S = mat_copy(A)
     U = identity(m)
-    Uinv = identity(m)
     V = identity(n)
 
     def row_swap(i, j):
         S[i], S[j] = S[j], S[i]
         U[i], U[j] = U[j], U[i]
-        for r in Uinv:
-            r[i], r[j] = r[j], r[i]
 
     def row_negate(i):
         S[i] = [-x for x in S[i]]
         U[i] = [-x for x in U[i]]
-        for r in Uinv:
-            r[i] = -r[i]
 
     def col_swap(i, j):
         for r in S:
@@ -183,8 +177,6 @@ def smith_normal_form(A):
                 S[i][k] += q * S[t][k]
             for k in range(m):
                 U[i][k] += q * U[t][k]
-            for r in Uinv:
-                r[t] -= q * r[i]
             return
         g, x, y = xgcd(a, b)
         ag, bg = a // g, b // g
@@ -192,9 +184,6 @@ def smith_normal_form(A):
             rt, ri = mat[t], mat[i]
             for k in range(width):
                 rt[k], ri[k] = x * rt[k] + y * ri[k], -bg * rt[k] + ag * ri[k]
-        for r in Uinv:
-            # inverse transform on columns t, i: [[ag, -y], [bg, x]]
-            r[t], r[i] = ag * r[t] + bg * r[i], -y * r[t] + x * r[i]
 
     def col_clear(t, j):
         """Zero S[t][j] using columns t, j; S[t][t] becomes the gcd."""
@@ -261,7 +250,7 @@ def smith_normal_form(A):
                     row_negate(i + 1)
                 changed = True
     rank = sum(1 for i in range(t) if S[i][i] != 0)
-    return SmithForm(U=U, Uinv=Uinv, V=V, S=S, rank=rank)
+    return SmithForm(U=U, V=V, S=S, rank=rank)
 
 
 def kernel_basis(A):
@@ -466,9 +455,9 @@ def _dense_rank(A):
 # rational helpers
 #
 # rational_mat_inverse is the package's one rational elimination (it
-# serves the dual cones and the left inverse); left_pseudo_inverse is its
-# one left inverse (it serves the tiling projection).  Integer systems go
-# through the Smith form instead.
+# serves the dual cones, the left inverse and the inverse of a Smith
+# transform U); left_pseudo_inverse is its one left inverse (it serves the
+# tiling projection).  Integer systems go through the Smith form instead.
 
 
 def rational_mat_inverse(A):
@@ -524,7 +513,9 @@ class CokernelForm:
         else:
             sf = smith_normal_form(A)
             self._U = sf.U
-            self._Uinv = sf.Uinv
+            # U is unimodular, so its inverse is integral
+            self._Uinv = [[int(x) for x in row]
+                          for row in rational_mat_inverse(sf.U)]
             self._diag = [sf.S[i][i] if i < ncols else 0 for i in range(m)]
         # the Smith coordinates that carry a class: torsion, or 0 when free
         self.moduli = tuple(d for d in self._diag if d != 1)

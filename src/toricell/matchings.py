@@ -225,32 +225,3 @@ def weight_zero_check(Q):
     hb = sorted(tuple(v) for v in Q.X.section_semigroup_hilbert_basis())
     return WeightZeroReport(matches=gens == hb, cycle_generators=gens,
                             semigroup_basis=hb)
-
-
-# ---------------------------------------------------------------------------
-# dimer audit
-
-
-@dataclass
-class DimerAuditReport:
-    passed: bool
-    nonbinary: list   # (matching index, arrow id, value) with value outside {0,1}
-    bad_terms: list   # (matching index, term, support arrows in term)
-
-
-def dimer_matching_audit(Q, W, matchings):
-    """Check the dimer-style properties of a list of perfect matchings:
-    (a) all values lie in {0,1}; (b) every matching meets every term of W
-    in exactly one arrow."""
-    nonbinary = []
-    bad_terms = []
-    for k, m in enumerate(matchings):
-        for a, v in enumerate(m.values):
-            if v not in (0, 1):
-                nonbinary.append((k, a, v))
-        for term in W.terms:
-            hits = [a for a in term if m.values[a] > 0]
-            if len(hits) != 1:
-                bad_terms.append((k, term, hits))
-    return DimerAuditReport(passed=not nonbinary and not bad_terms,
-                            nonbinary=nonbinary, bad_terms=bad_terms)

@@ -4,7 +4,8 @@ The superpotential W is the formal sum of all anticanonical cycles (cycles
 whose divisor is (1,...,1)), each taken once up to cyclic rotation.  A path
 q belongs to the index set P when its cyclic derivative has exactly two
 summands sharing neither first nor last arrow; each such q contributes the
-binomial relation p_plus - p_minus.
+binomial relation p_plus - p_minus.  Every cyclic derivative is read off
+one index of the terms of W, built with it (`Superpotential`).
 """
 
 from __future__ import annotations
@@ -24,12 +25,32 @@ def cyclic_canonical(cycle):
 
 @dataclass
 class Superpotential:
+    """The terms of W and its derivative index.
+
+    ``derivatives`` maps (tail vertex, q) to the set of complements of the
+    path q in W: the paths p such that q.p is a rotation of a term.  The
+    trivial q is keyed by its vertex.  The index is every split of every
+    rotation of every term.  Since W holds every anticanonical cycle once
+    up to rotation, p completes q to an anticanonical cycle exactly when
+    q.p is a rotation of a term; so the complements of q are the cyclic
+    derivative of W by q, the paths from head(q) to tail(q) with divisor
+    (1..1) - div(q), and every path q with divisor <= (1..1) whose
+    derivative is nonempty is a key.
+    """
+
     quiver: object
     terms: list  # cyclic-canonical arrow-id tuples
-    term_set: set = field(default_factory=set)
+    derivatives: dict = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.term_set = set(self.terms)
+        self.derivatives = {}
+        for term in self.terms:
+            for k in range(len(term)):
+                rot = term[k:] + term[:k]
+                tail = self.quiver.arrows[rot[0]].tail
+                for j in range(len(rot) + 1):
+                    self.derivatives.setdefault(
+                        (tail, rot[:j]), set()).add(rot[j:])
 
     def __len__(self):
         return len(self.terms)
@@ -42,25 +63,6 @@ def superpotential(Q):
         for cyc in Q.enumerate_paths(i, i, Q.ones):
             seen.add(cyclic_canonical(cyc))
     return Superpotential(quiver=Q, terms=sorted(seen))
-
-
-def derivative(Q, q, base_vertex=None):
-    """Cyclic derivative of W by the path q: the complementary paths.
-
-    Returns all paths p with tail(p) = head(q), head(p) = tail(q) and
-    div(p) = (1..1) - div(q); appending q before p closes an anticanonical
-    cycle, so this agrees with collecting the terms of W that contain q.
-    """
-    div_q = Q.path_div(q)
-    if not leq(div_q, Q.ones):
-        return []
-    if q:
-        start, end = Q.arrows[q[-1]].head, Q.arrows[q[0]].tail
-    else:
-        if base_vertex is None:
-            raise ValueError("trivial path needs a base vertex")
-        start = end = base_vertex
-    return Q.enumerate_paths(start, end, vsub(Q.ones, div_q))
 
 
 @dataclass(frozen=True)
@@ -87,17 +89,18 @@ class FRelation:
 def relations(Q, W):
     """Deduplicated F-term relations of W (generators of J_W).
 
-    q runs over all paths with divisor <= (1..1), including trivial paths;
-    q qualifies when derivative(q) has exactly two summands that share
-    neither their first nor their last arrow.
+    q runs over the keys of the derivative index, trivial paths included;
+    q qualifies when its derivative has exactly two summands that share
+    neither their first nor their last arrow.  A path q with divisor <=
+    (1..1) that is not a key has an empty derivative, so it never
+    qualifies.
     """
     found = set()
-    for i in range(Q.n_vertices):
-        for _head, q in Q.paths_from(i, Q.ones):
-            D = derivative(Q, q, base_vertex=i)
-            if len(D) == 2 and all(D) and D[0][0] != D[1][0] \
-                    and D[0][-1] != D[1][-1]:
-                found.add(FRelation(*sorted(D)))
+    for D in W.derivatives.values():
+        if len(D) == 2:
+            u, v = sorted(D)
+            if u and v and u[0] != v[0] and u[-1] != v[-1]:
+                found.add(FRelation(u, v))
     return sorted(found, key=lambda r: (len(r.p_plus), r.pair))
 
 

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 
 from .intlinalg import (
     identity,
     left_pseudo_inverse,
     mat_mul,
+    rational_mat_inverse,
     smith_normal_form,
     solve_integer,
     vadd,
@@ -38,9 +38,11 @@ def _complete_to_basis(z):
     if sf.S[0][0] not in (1, -1):
         raise TilingError("covector is not primitive")
     # U (A V) = S with V = [v], so U . (v z) = e1 and z is the first
-    # column of U^{-1} up to the sign v
+    # column of U^{-1} up to the sign v; U is unimodular, so its inverse
+    # is integral
     v = sf.V[0][0]
-    cols = [tuple(sf.Uinv[i][j] * (v if j == 0 else 1) for i in range(n))
+    Uinv = rational_mat_inverse(sf.U)
+    cols = [tuple(int(Uinv[i][j]) * (v if j == 0 else 1) for i in range(n))
             for j in range(n)]
     basis = cols[1:] + [cols[0]]
     if basis[-1] != tuple(z):
@@ -54,22 +56,10 @@ class ProjectionData:
     B: list         # d x n matrix of M -> Z^d in that basis
     f: list         # n x d rational left inverse of B
     fprime: list    # first two rows of f
-    ray_order: list  # ray indices sorted cyclically by angle of f'(chi_rho)
 
     def project(self, v):
         return tuple(sum(row[k] * v[k] for k in range(len(v)))
                      for row in self.fprime)
-
-
-def _angle_cmp(a, b):
-    def half(p):
-        x, y = p
-        return 0 if y > 0 or (y == 0 and x > 0) else 1
-    ha, hb = half(a), half(b)
-    if ha != hb:
-        return ha - hb
-    cross = a[0] * b[1] - a[1] * b[0]
-    return -1 if cross > 0 else (1 if cross < 0 else 0)
 
 
 def projection_maps(X, m_basis=None):
@@ -96,14 +86,10 @@ def projection_maps(X, m_basis=None):
     if mat_mul(f, B) != identity(3):
         raise TilingError("projection is not a left inverse of B (bug)")
     fprime = [f[0], f[1]]
-    cols = [tuple(fprime[i][rho] for i in range(2)) for rho in range(X.d)]
-    for c in cols:
-        if c == (0, 0):
+    for rho in range(X.d):
+        if fprime[0][rho] == fprime[1][rho] == 0:
             raise TilingError("a ray label projects to the origin")
-    order = sorted(range(X.d), key=cmp_to_key(
-        lambda i, j: _angle_cmp(cols[i], cols[j])))
-    return ProjectionData(m_basis=basis, B=B, f=f, fprime=fprime,
-                          ray_order=order)
+    return ProjectionData(m_basis=basis, B=B, f=f, fprime=fprime)
 
 
 @dataclass

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .cones import FiberContext, RationalCone
+from .cones import FiberContext, dual_cone_rays
 from .intlinalg import (
     CokernelForm,
     is_zero,
@@ -45,10 +45,11 @@ class GorensteinToricVariety:
                 raise VarietyError(f"ray {r} is not primitive")
         if rank([list(r) for r in rays]) != n:
             raise VarietyError("cone is not full-dimensional")
-        cone = RationalCone(rays)
-        if not cone.is_pointed:
+        # facet normals of the cone, the rays of its dual
+        self.facets = dual_cone_rays(rays)
+        if rank(self.facets) != n:
             raise VarietyError("cone is not pointed (contains a line)")
-        if sorted(cone.rays) != sorted(rays):
+        if dual_cone_rays(self.facets) != sorted(rays):
             raise VarietyError("input rays are not the extremal rays of their cone")
         self.rays = rays
         self.n = n
@@ -75,7 +76,7 @@ class GorensteinToricVariety:
     @property
     def fiber_context(self):
         if self._fiber_ctx is None:
-            self._fiber_ctx = FiberContext(self.B, self.cl)
+            self._fiber_ctx = FiberContext(self.B, self.cl, self.facets)
         return self._fiber_ctx
 
     def hom_sections(self, c):

@@ -15,7 +15,6 @@ from toricell.complexes import general_complex, mckay_complex, sign_infeasibilit
 from toricell.intlinalg import vadd
 from toricell.matchings import (
     PiMap,
-    dimer_matching_audit,
     extremal_matching,
     perfect_matchings,
     weight_zero_check,
@@ -36,6 +35,7 @@ from conftest import load
 from path_oracle import minimal_relations
 from test_complexes import check_divisor_additivity
 from test_cones import check_double_dualization, check_hilbert_basis_brute_force
+from test_matchings import dimer_matching_audit
 from test_superpotential import check_rewrite_steps
 
 F = Fraction
@@ -126,7 +126,7 @@ def test_criterion_3_perfect_matchings(quiver_four_sheaves):
         for a in Q.arrows:
             assert a.label == tuple(
                 extremal[r].values[a.idx] for r in range(Q.d))
-        assert dimer_matching_audit(Q, superpotential(Q), ms).passed
+        assert not dimer_matching_audit(superpotential(Q), ms)
 
 
 def test_criterion_4_weight_zero_slice(quiver_four_sheaves, quiver_conifold,

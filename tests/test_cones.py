@@ -10,7 +10,6 @@ from toricell import cones
 from toricell.cones import (
     ConeError,
     FiberContext,
-    RationalCone,
     dual_cone_rays,
 )
 from toricell.inputs import MAX_GROUP_ORDER
@@ -36,7 +35,8 @@ from test_quiver import SMALL_GROUPS
 
 
 def random_pointed_cones(count, seed=20240818, max_dim=5):
-    """Full-dimensional pointed cones with small integer generators."""
+    """Full-dimensional pointed cones with small integer generators, as
+    (generators, facet normals)."""
     rng = random.Random(seed)
     out = []
     while len(out) < count:
@@ -45,16 +45,19 @@ def random_pointed_cones(count, seed=20240818, max_dim=5):
                 for _ in range(rng.randint(dim, dim + 3))]
         if rank(gens) != dim:
             continue
-        cone = RationalCone(gens)
-        if cone.is_pointed:
-            out.append((gens, cone))
+        facets = dual_cone_rays(gens)
+        if rank(facets) == dim:
+            out.append((gens, facets))
     return out
 
 
 def check_double_dualization(count=50):
-    for gens, cone in random_pointed_cones(count):
-        back = dual_cone_rays(dual_cone_rays(gens))
-        assert sorted(primitive(r) for r in back) == cone.rays
+    """The rays of the double dual are the extremal generators: each is a
+    primitive generator, and every generator satisfies every facet."""
+    for gens, facets in random_pointed_cones(count):
+        back = dual_cone_rays(facets)
+        assert set(back) <= {primitive(g) for g in gens if any(g)}
+        assert all(cone_contains(facets, g) for g in gens)
     return count
 
 
@@ -69,44 +72,45 @@ def test_dual_cone_rays_orthant():
 
 def test_extremal_rays_drop_interior_generators():
     gens = [(1, 0), (0, 1), (1, 1), (2, 3)]
-    assert RationalCone(gens).rays == [(0, 1), (1, 0)]
+    assert dual_cone_rays(dual_cone_rays(gens)) == [(0, 1), (1, 0)]
 
 
 def fiber_context(B):
-    return FiberContext(B, CokernelForm(B))
+    return FiberContext(B, CokernelForm(B), dual_cone_rays(B))
 
 
-def hilbert_basis(cone):
-    """Hilbert basis of cone ∩ Z^n for a pointed full-dimensional cone.
+def hilbert_basis(facets):
+    """Hilbert basis of cone ∩ Z^n for the pointed full-dimensional cone
+    with the given facet normals.
 
     The cone is {x : F x >= 0} for its facet matrix F, which has full
     column rank because the cone is pointed.  So x |-> F x maps
     cone ∩ Z^n onto the degree-zero semigroup of the fiber context of F,
     and x is recovered from v = F x by a left inverse of F.
     """
-    assert cone.is_pointed
-    F = [list(f) for f in cone.facets]
+    F = [list(f) for f in facets]
+    assert rank(F) == len(F[0])
     left = left_pseudo_inverse(F)
     return sorted(tuple(int(x) for x in mat_vec(left, v))
                   for v in fiber_context(F).s0_hilbert)
 
 
-def cone_contains(cone, v):
+def cone_contains(facets, v):
     """Real membership of the integer vector v in the cone, through its
     facets."""
-    return all(dot(f, v) >= 0 for f in cone.facets)
+    return all(dot(f, v) >= 0 for f in facets)
 
 
-def _brute_hilbert(cone, box):
+def _brute_hilbert(facets, box):
     pts = [p for p in itertools.product(*(range(b + 1) for b in box))
-           if any(p) and cone_contains(cone, p)]
+           if any(p) and cone_contains(facets, p)]
     basis = []
     for p in pts:
         reducible = False
         for q in pts:
             if q != p and all(x <= y for x, y in zip(q, p)):
                 r = vsub(p, q)
-                if not any(r) or (cone_contains(cone, r)
+                if not any(r) or (cone_contains(facets, r)
                                   and _in_semigroup(r, pts)):
                     reducible = True
                     break
@@ -133,19 +137,20 @@ def check_hilbert_basis_brute_force(count=12):
                 for _ in range(rng.randint(dim, dim + 2))]
         if rank(gens) != dim:
             continue
-        cone = RationalCone(gens)
-        if not cone.is_pointed:
+        facets = dual_cone_rays(gens)
+        if rank(facets) != dim:
             continue
         box = tuple(5 for _ in range(dim))
         pts = [p for p in itertools.product(*(range(b + 1) for b in box))
-               if any(p) and cone_contains(cone, p)]
+               if any(p) and cone_contains(facets, p)]
         if not pts or len(pts) > 200:
             continue
         # only sound when the Hilbert basis fits well inside the box
-        if any(any(2 * r[k] > box[k] for k in range(dim)) for r in cone.rays):
+        if any(any(2 * r[k] > box[k] for k in range(dim))
+               for r in dual_cone_rays(facets)):
             continue
-        hb = sorted(hilbert_basis(cone))
-        assert hb == _brute_hilbert(cone, box)
+        hb = sorted(hilbert_basis(facets))
+        assert hb == _brute_hilbert(facets, box)
         done += 1
     return done
 
@@ -157,15 +162,14 @@ def test_hilbert_basis_brute_force():
 def test_hilbert_basis_quadric_cone():
     # cone over a square: four rays, five Hilbert basis elements
     gens = [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)]
-    cone = RationalCone(gens)
-    hb = sorted(hilbert_basis(cone))
+    hb = sorted(hilbert_basis(dual_cone_rays(gens)))
     assert hb == sorted(gens)
 
 
 def test_hilbert_basis_singular_quadrant():
     # the cone of the A_1 singularity: (1,0), (1,2)
-    cone = RationalCone([(1, 0), (1, 2)])
-    assert sorted(hilbert_basis(cone)) == [(1, 0), (1, 1), (1, 2)]
+    facets = dual_cone_rays([(1, 0), (1, 2)])
+    assert sorted(hilbert_basis(facets)) == [(1, 0), (1, 1), (1, 2)]
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ and no module of src/toricell imports another module's private name.
 A name counts as used when it occurs as an identifier (a bare name, an
 attribute, an import or a keyword argument) in src/ or perfbench/
 outside its own definition; a use in tests/ does not count, since API
-that only tests call is kept for them alone.  The check is by name only,
+that only tests call is kept for them alone, and neither does a
+re-export in the package's __init__.py, which no caller needs to reach
+the module's own name.  The check is by name only,
 so two definitions sharing a name cover each other; it catches API that
 nothing calls, not every dead branch.  A name one module shares with another is
 part of its interface, so it carries no leading underscore.
@@ -20,6 +22,7 @@ import os
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 PACKAGE = os.path.join(ROOT, "src", "toricell")
+REEXPORTS = os.path.abspath(os.path.join(PACKAGE, "__init__.py"))
 CALLERS = [os.path.join(ROOT, d) for d in ("src", "perfbench")]
 
 
@@ -79,7 +82,8 @@ def unused_definitions():
         for path in _python_files(top):
             names = _Names()
             names.visit(_parse(path))
-            used |= names.used
+            if os.path.abspath(path) != REEXPORTS:
+                used |= names.used
             if os.path.dirname(os.path.abspath(path)) == \
                     os.path.abspath(PACKAGE):
                 defined += [(os.path.basename(path), name, line)

@@ -33,12 +33,13 @@ from toricell.resolution import (
     verify_square_zero,
 )
 from toricell.quiver import build_quiver
-from toricell.superpotential import consistency, superpotential
+from toricell.superpotential import consistency, relations, superpotential
 from toricell.variety import AbelianGroupData, mckay_toric_data
 
 from conftest import load
 from test_intlinalg import matrices
 from test_quiver import SMALL_GROUPS
+from test_superpotential import relations_by_path_walk
 
 
 @pytest.fixture(scope="module")
@@ -605,13 +606,15 @@ def test_sign_crosscheck_needs_exact_ranks(mckay_z6_complex):
 
 @pytest.mark.parametrize("n", sorted(SMALL_GROUPS))
 def test_small_abelian_quotients(n):
-    """For each small abelian subgroup of SL(n): the quiver is consistent
-    at bound 2, tau is an involution, the McKay resolution is exact at
-    bound 2, and for n <= 3 the solver's signs are the closed-form ones up
-    to a global sign."""
+    """For each small abelian subgroup of SL(n): the relations equal the
+    path-walk oracle's, the quiver is consistent at bound 2, tau is an
+    involution, the McKay resolution is exact at bound 2, and for n <= 3
+    the solver's signs are the closed-form ones up to a global sign."""
     for G in SMALL_GROUPS[n]:
         C = mckay_complex(G)
-        assert consistency(C.Q, superpotential(C.Q), 2).consistent, G
+        W = superpotential(C.Q)
+        assert relations(C.Q, W) == relations_by_path_walk(C.Q), G
+        assert consistency(C.Q, W, 2).consistent, G
         t = C.tau()
         assert all(t[t[c.id]] == c.id for c in C.cells), G
         res = build_resolution(C, signs=C.explicit_signs)

@@ -9,9 +9,9 @@ from toricell.inputs import parse_document
 from toricell.intlinalg import leq, vsub
 from toricell.superpotential import (
     MAX_CLASSES,
+    FRelation,
     consistency,
     cyclic_canonical,
-    derivative,
     relations,
     superpotential,
 )
@@ -37,22 +37,41 @@ def pair_set(rels):
 # brute-force oracles
 
 
-def derivative_via_terms(Q, W, q, base_vertex=None):
-    """The cyclic derivative read off from the terms of W."""
-    out = []
+def derivative_by_path_walk(Q, i, q):
+    """The cyclic derivative of W by the path q from vertex i, by walking
+    the quiver: every path from head(q) back to i with divisor
+    (1..1) - div(q)."""
     div_q = Q.path_div(q)
     if not leq(div_q, Q.ones):
         return []
-    if q:
-        start, end = Q.arrows[q[-1]].head, Q.arrows[q[0]].tail
-    else:
-        if base_vertex is None:
-            raise ValueError("trivial path needs a base vertex")
-        start = end = base_vertex
-    for p in Q.enumerate_paths(start, end, vsub(Q.ones, div_q)):
-        if cyclic_canonical(tuple(q) + p) in W.term_set:
-            out.append(p)
+    start = Q.arrows[q[-1]].head if q else i
+    return Q.enumerate_paths(start, i, vsub(Q.ones, div_q))
+
+
+def walked_derivatives(Q):
+    """{(i, q): the nonempty derivative of W by q} for every path q from
+    every vertex i with divisor <= (1..1), the trivial path included."""
+    out = {}
+    for i in range(Q.n_vertices):
+        for _head, q in Q.paths_from(i, Q.ones):
+            D = derivative_by_path_walk(Q, i, q)
+            assert len(set(D)) == len(D)
+            if D:
+                out[i, q] = set(D)
     return out
+
+
+def relations_by_path_walk(Q):
+    """The F-term relations from the walked derivatives: q qualifies when
+    its derivative has exactly two summands that share neither their first
+    nor their last arrow."""
+    found = set()
+    for D in walked_derivatives(Q).values():
+        D = sorted(D)
+        if len(D) == 2 and all(D) and D[0][0] != D[1][0] \
+                and D[0][-1] != D[1][-1]:
+            found.add(FRelation(*D))
+    return sorted(found, key=lambda r: (len(r.p_plus), r.pair))
 
 
 def _occurrences(path, sub):
@@ -127,18 +146,24 @@ def test_superpotential_terms(quiver_four_sheaves):
     assert set(W.terms) == want
 
 
-def test_derivative_agrees_with_term_scan(quiver_four_sheaves):
-    Q = quiver_four_sheaves
-    W = superpotential(Q)
-    for a in Q.arrows:
-        D1 = sorted(derivative(Q, (a.idx,)))
-        D2 = sorted(derivative_via_terms(Q, W, (a.idx,)))
-        assert D1 == D2
-    # a two-arrow path and the trivial path
-    assert sorted(derivative(Q, (0, 3))) == sorted(
-        derivative_via_terms(Q, W, (0, 3)))
-    assert sorted(derivative(Q, (), base_vertex=0)) == sorted(
-        derivative_via_terms(Q, W, (), base_vertex=0))
+ALL_FIXTURES = sorted(name for name in os.listdir(os.path.join(ROOT, "inputs"))
+                      if name.endswith(".json"))
+
+
+@pytest.mark.parametrize("name", ALL_FIXTURES)
+def test_derivative_index_equals_path_walk(name, request):
+    """The derivative index of W holds, for every path q with divisor <=
+    (1..1) from every vertex, trivial q included, exactly the paths the
+    quiver walk finds, and no other key; the relations read off it equal
+    those of the walk."""
+    if name == "fourfold.json":
+        Q, W, rels, _ = request.getfixturevalue("fourfold_pipeline")
+    else:
+        Q = load(name).quiver()
+        W = superpotential(Q)
+        rels = relations(Q, W)
+    assert W.derivatives == walked_derivatives(Q)
+    assert rels == relations_by_path_walk(Q)
 
 
 def test_relations_match_displayed_ideal(quiver_four_sheaves):
@@ -262,8 +287,7 @@ def test_consistency_classes_match_oracle_mckay():
     assert check_against_oracle(Q, W, 2, relations(Q, W)).consistent
 
 
-FIXTURES = sorted(name for name in os.listdir(os.path.join(ROOT, "inputs"))
-                  if name.endswith(".json") and name != "fourfold.json")
+FIXTURES = [name for name in ALL_FIXTURES if name != "fourfold.json"]
 
 
 @pytest.mark.parametrize("bound", [1, 2, 3])
