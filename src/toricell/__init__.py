@@ -16,6 +16,7 @@ from .complexes import (
     mckay_complex,
     sign_infeasibility,
 )
+from .errors import InternalError
 from .matchings import (
     MatchingError,
     extremal_matching,

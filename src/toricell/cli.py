@@ -3,7 +3,8 @@
 Subcommands build the quiver of sections of an input document and run
 the requested verification.  Exit code 0 means every requested property
 holds, 1 means a property fails (the report says which), 2 means the
-input document is invalid.
+input document is invalid, and 3 means an internal error: toricell broke
+one of its own invariants.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .complexes import (
     mckay_complex,
     sign_infeasibility,
 )
+from .errors import InternalError
 from .inputs import InputError, load_document, quiver_document
 from .matchings import PiMap, perfect_matchings, weight_zero_check
 from .quiver import QuiverError, monomial
@@ -296,6 +298,9 @@ def main(argv=None):
         return 2
     try:
         return args.func(doc, args)
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     except (ComplexError, ResolutionError, TilingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

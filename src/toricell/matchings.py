@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cones import dual_cone_rays
+from .errors import InternalError
 from .intlinalg import (
     dot,
     from_columns,
@@ -51,7 +52,7 @@ class PiMap:
         for c in cols:
             t = solve_integer(mat, c)
             if t is None:
-                raise MatchingError("arrow image outside the lattice basis (bug)")
+                raise InternalError("arrow image outside the lattice basis")
             coords.append(tuple(t))
         self.coords = coords
         if Q.X is not None and self.rank != Q.X.n + nv - 1:
@@ -95,7 +96,7 @@ def extremal_matching(Q, rho, pi=None):
     A = [list(c) for c in pi.coords]
     w = solve_integer(A, vals)
     if w is None:
-        raise MatchingError("extremal functional is not integral on Z(Q) (bug)")
+        raise InternalError("extremal functional is not integral on Z(Q)")
     w = tuple(w)
     if primitive(w) != w:
         raise MatchingError(f"extremal matching for ray {rho} is not primitive")

@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .complexes import mckay_complex, solve_gf2
+from .errors import InternalError
 from .intlinalg import is_zero, leq, rank, sparse_rank, vadd, vsub
 
 
@@ -433,7 +434,7 @@ def mckay_sign_crosscheck(group):
     complex_.verify_signs(explicit)
     sol = complex_.solve_incidence()
     if not sol.feasible:
-        raise ResolutionError("solver found no incidence function (bug)")
+        raise InternalError("solver found no incidence function")
     # delta per cell: x_p + x_f = 0 or 1 according to sign agreement
     n_cells = len(complex_.cells)
     equations = []
@@ -449,7 +450,7 @@ def mckay_sign_crosscheck(group):
     delta = [(-1) ** x for x in assignment]
     for inc in complex_.incidences:
         if sol.signs[inc] != delta[inc.parent] * delta[inc.facet] * explicit[inc]:
-            raise ResolutionError("global sign verification failed (bug)")
+            raise InternalError("global sign verification failed")
     # the closed-form resolution and the solver resolution must have the
     # same graded ranks
     res_a = build_resolution(complex_, signs=explicit)

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
+from .errors import InternalError
 from .intlinalg import (
     identity,
     left_pseudo_inverse,
@@ -46,7 +48,7 @@ def _complete_to_basis(z):
             for j in range(n)]
     basis = cols[1:] + [cols[0]]
     if basis[-1] != tuple(z):
-        raise TilingError("basis completion failed (bug)")
+        raise InternalError("basis completion failed")
     return basis
 
 
@@ -84,7 +86,7 @@ def projection_maps(X, m_basis=None):
          for ray in X.rays]
     f = left_pseudo_inverse(B)
     if mat_mul(f, B) != identity(3):
-        raise TilingError("projection is not a left inverse of B (bug)")
+        raise InternalError("projection is not a left inverse of B")
     fprime = [f[0], f[1]]
     for rho in range(X.d):
         if fprime[0][rho] == fprime[1][rho] == 0:
@@ -208,6 +210,49 @@ def _reduce(point):
     return tuple(x - (x.numerator // x.denominator) for x in map(Fraction, point))
 
 
+def _scaled(points):
+    """The points times L, the lcm of their coordinates' denominators, as
+    integer tuples; and L.  Scaling by L > 0 keeps every sign of _cross
+    and every comparison of _on_segment."""
+    L = lcm(*(x.denominator for p in points for x in p))
+    return [tuple(x.numerator * (L // x.denominator) for x in p)
+            for p in points], L
+
+
+def _crossings(edges):
+    """Sorted (arrow id, arrow id, translate) for every pair of edges that
+    meet other than at a shared endpoint, each edge first moved by Z^2 to
+    start in the unit square and the second then moved by a translate in
+    the 3 x 3 block.  The scan runs on integer coordinates scaled by their
+    common denominator, and skips a pair whose closed bounding boxes are
+    apart: boxes that only touch may still hide a T-junction."""
+    ends = []
+    for _idx, start, vec in edges:
+        s = _reduce(start)
+        ends += [s, vadd(s, vec)]
+    pts, L = _scaled(ends)
+    segs = [(idx, a, b, min(a[0], b[0]), max(a[0], b[0]),
+             min(a[1], b[1]), max(a[1], b[1]))
+            for (idx, _start, _vec), a, b in zip(edges, pts[::2], pts[1::2])]
+    shifts = (-L, 0, L)
+    found = set()
+    for k1, (i1, a1, b1, xlo1, xhi1, ylo1, yhi1) in enumerate(segs):
+        for k2 in range(k1, len(segs)):
+            i2, a2, b2, xlo2, xhi2, ylo2, yhi2 = segs[k2]
+            for tx in shifts:
+                if xlo2 + tx > xhi1 or xhi2 + tx < xlo1:
+                    continue
+                for ty in shifts:
+                    if ylo2 + ty > yhi1 or yhi2 + ty < ylo1:
+                        continue
+                    if k1 == k2 and tx == ty == 0:
+                        continue
+                    if _segments_conflict(a1, b1, (a2[0] + tx, a2[1] + ty),
+                                          (b2[0] + tx, b2[1] + ty)):
+                        found.add((i1, i2, (tx // L, ty // L)))
+    return sorted(found)
+
+
 @dataclass
 class TilingReport:
     valid: bool
@@ -224,11 +269,13 @@ def verify_tiling(tiling):
     strictly convex faces with a coherent turning sign, no edge meeting
     another except at a shared vertex (tested over the 3 x 3 block of
     translates), zero Euler characteristic, and faces covering the
-    fundamental domain once."""
+    fundamental domain once.  The turn and crossing tests run on
+    coordinates multiplied by their common denominator, so they stay
+    exact in integers."""
     Q = tiling.Q
     nonconvex = []
     for face in tiling.faces:
-        pts = face.points
+        pts, _ = _scaled(face.points)
         m = len(pts)
         sign = 1 if face.area > 0 else -1
         ok = face.area != 0
@@ -239,23 +286,7 @@ def verify_tiling(tiling):
         if not ok:
             nonconvex.append(face.term)
 
-    reduced = []
-    for idx, start, vec in tiling.edges:
-        s = _reduce(start)
-        reduced.append((idx, s, vadd(s, vec)))
-    crossings = []
-    translates = [(Fraction(tx), Fraction(ty))
-                  for tx in (-1, 0, 1) for ty in (-1, 0, 1)]
-    for k1 in range(len(reduced)):
-        i1, a1, b1 = reduced[k1]
-        for k2 in range(k1, len(reduced)):
-            i2, a2, b2 = reduced[k2]
-            for t in translates:
-                if k1 == k2 and t == (0, 0):
-                    continue
-                if _segments_conflict(a1, b1, vadd(a2, t), vadd(b2, t)):
-                    crossings.append((i1, i2, (int(t[0]), int(t[1]))))
-    crossings = sorted(set(crossings))
+    crossings = _crossings(tiling.edges)
 
     euler = Q.n_vertices - len(Q.arrows) + len(tiling.faces)
     total_area = sum(abs(f.area) for f in tiling.faces)

@@ -14,6 +14,7 @@ from fractions import Fraction
 from itertools import product
 
 from .cones import FiberContext, dual_cone_rays
+from .errors import InternalError
 from .intlinalg import (
     CokernelForm,
     is_zero,
@@ -206,13 +207,13 @@ def mckay_toric_data(group):
     kb = [v[:n] for v in kernel_basis(big)]
     basis = lattice_basis(kb, n)
     if len(basis) != n:
-        raise VarietyError("invariant lattice has unexpected rank (bug)")
+        raise InternalError("invariant lattice has unexpected rank")
     # columns of B_M are the basis vectors; rays are the rows of B_M
     B_M = [[basis[j][i] for j in range(n)] for i in range(n)]
     rays = [tuple(row) for row in B_M]
     for r in rays:
         if primitive(r) != r:
-            raise VarietyError("non-primitive ray; group not small (bug)")
+            raise InternalError("non-primitive ray; group not small")
     X = GorensteinToricVariety(rays)
     # one representative divisor per character, smallest total degree first
     reps = {}
@@ -225,7 +226,7 @@ def mckay_toric_data(group):
                 reps[ch] = v
         total += 1
         if total > 16 * target:
-            raise VarietyError("could not reach all characters (bug)")
+            raise InternalError("could not reach all characters")
     # identity character first, then by representative degree, then lex
     ordered = sorted(reps.values(), key=lambda v: (sum(v), v))
     collection = Collection(X, ordered)

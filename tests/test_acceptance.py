@@ -12,7 +12,6 @@ import time
 from fractions import Fraction
 
 from toricell.complexes import general_complex, mckay_complex, sign_infeasibility
-from toricell.intlinalg import vadd
 from toricell.matchings import (
     PiMap,
     extremal_matching,

@@ -4,7 +4,9 @@ import time
 
 import pytest
 
+from toricell import tiling
 from toricell.cli import main
+from toricell.errors import InternalError
 
 from conftest import INPUTS, input_path
 
@@ -161,6 +163,20 @@ def test_invalid_input_exit_code(capsys, tmp_path):
     assert main(["quiver", str(bad)]) == 2
     missing = tmp_path / "missing.json"
     assert main(["quiver", str(missing)]) == 2
+
+
+def test_internal_error_exit_code(capsys, monkeypatch):
+    """A broken invariant of the library exits 3, apart from invalid
+    input (2) and a failing property (1)."""
+    assert not issubclass(InternalError, ValueError)
+    monkeypatch.setattr(tiling, "left_pseudo_inverse",
+                        lambda B: [[0] * len(B) for _ in range(3)])
+    assert main(["reconstruct",
+                 input_path("threefold_four_sheaves.json")]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "internal error: projection is not a left inverse of B\n")
 
 
 @pytest.mark.parametrize("order, weight", [(0, 1), (6, "a"), (6, 1.5)])

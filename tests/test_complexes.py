@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from toricell.complexes import (
@@ -6,7 +8,7 @@ from toricell.complexes import (
     mckay_complex,
     sign_infeasibility,
 )
-from toricell.intlinalg import vadd
+from toricell.intlinalg import mat_mul, smith_normal_form, vadd
 from toricell.superpotential import relations, superpotential
 from toricell.variety import AbelianGroupData
 
@@ -20,6 +22,54 @@ def check_divisor_additivity(complex_):
         assert vadd(vadd(inc.left, f.divisor), inc.right) == p.divisor
         n += 1
     return n
+
+
+def cellular_homology(complex_, signs):
+    """Betti numbers and torsion of the cellular chain complex of Delta
+    over Z: the divisor labels forgotten, the incidence signs kept.  Each
+    boundary entry sums the signs of the incidences between its two cells.
+    None when d o d != 0."""
+    n = complex_.n
+    cells = complex_.by_dim
+    row = {c.id: r for k in cells for r, c in enumerate(cells[k])}
+    d = {k: [[0] * len(cells[k]) for _ in cells[k - 1]]
+         for k in range(1, n + 1)}
+    for inc in complex_.incidences:
+        p = complex_.cells[inc.parent]
+        d[p.dim][row[inc.facet]][row[p.id]] += signs[inc]
+    for k in range(2, n + 1):
+        if any(any(r) for r in mat_mul(d[k - 1], d[k])):
+            return None
+    rank = {0: 0, n + 1: 0}
+    torsion = [[] for _ in range(n + 1)]
+    for k in range(1, n + 1):
+        S = smith_normal_form(d[k]).S
+        diagonal = [S[i][i] for i in range(min(len(S), len(S[0])))]
+        rank[k] = sum(1 for x in diagonal if x)
+        torsion[k - 1] = [x for x in diagonal if x > 1]
+    betti = [len(cells[k]) - rank[k] - rank[k + 1] for k in range(n + 1)]
+    return betti, torsion
+
+
+def check_torus_homology(complex_, signs):
+    """Delta lies in the real n-torus and has its homology: H_k is free of
+    rank C(n, k)."""
+    n = complex_.n
+    assert cellular_homology(complex_, signs) == (
+        [math.comb(n, k) for k in range(n + 1)], [[] for _ in range(n + 1)])
+
+
+def test_torus_homology_negative_controls(mckay_z6_complex, fourfold_pipeline):
+    """A flipped sign breaks d o d = 0 on Z/6(1,2,3), and all signs +1
+    do on the fourfold."""
+    C = mckay_z6_complex
+    signs = dict(C.explicit_signs)
+    inc = next(i for i in C.incidences if C.cells[i.parent].dim == 2)
+    signs[inc] = -signs[inc]
+    assert cellular_homology(C, signs) is None
+    Q, W, rels, _ = fourfold_pipeline
+    C = general_complex(Q, W, rels=rels)
+    assert cellular_homology(C, {i: 1 for i in C.incidences}) is None
 
 
 def test_mckay_z6_counts_and_duality(mckay_z6_complex):

@@ -11,7 +11,7 @@ from toricell.matchings import (
 )
 from toricell.intlinalg import is_zero, leq, vsub
 from toricell.superpotential import superpotential
-from toricell.variety import AbelianGroupData, mckay_toric_data
+from toricell.variety import mckay_toric_data
 from toricell.quiver import QuiverOfSections, build_quiver
 
 from conftest import load

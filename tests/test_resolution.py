@@ -38,6 +38,7 @@ from toricell.variety import AbelianGroupData, mckay_toric_data
 
 from conftest import load
 from test_intlinalg import matrices
+from test_complexes import check_torus_homology
 from test_quiver import SMALL_GROUPS
 from test_superpotential import relations_by_path_walk
 
@@ -289,6 +290,16 @@ def fixture_resolution(name, request):
         return build_resolution(C, signs=C.explicit_signs)
     Q = doc.quiver()
     return build_resolution(general_complex(Q, superpotential(Q)))
+
+
+@pytest.mark.parametrize("name", [
+    "conifold.json", "fourfold.json", "mckay_z2_11.json",
+    "mckay_z2_110.json", "mckay_z6_123.json", "threefold_four_sheaves.json",
+    "trivial_a3.json"])
+def test_fixture_complexes_have_torus_homology(name, request):
+    """Every fixture with a complex, under the signs its resolution uses."""
+    res = fixture_resolution(name, request)
+    check_torus_homology(res.complex, res.signs)
 
 
 @pytest.mark.parametrize("name, bound", [
@@ -608,7 +619,8 @@ def test_sign_crosscheck_needs_exact_ranks(mckay_z6_complex):
 def test_small_abelian_quotients(n):
     """For each small abelian subgroup of SL(n): the relations equal the
     path-walk oracle's, the quiver is consistent at bound 2, tau is an
-    involution, the McKay resolution is exact at bound 2, and for n <= 3
+    involution, Delta has the homology of the n-torus, the McKay
+    resolution is exact at bound 2, and for n <= 3
     the solver's signs are the closed-form ones up to a global sign."""
     for G in SMALL_GROUPS[n]:
         C = mckay_complex(G)
@@ -617,6 +629,7 @@ def test_small_abelian_quotients(n):
         assert consistency(C.Q, W, 2).consistent, G
         t = C.tau()
         assert all(t[t[c.id]] == c.id for c in C.cells), G
+        check_torus_homology(C, C.explicit_signs)
         res = build_resolution(C, signs=C.explicit_signs)
         assert verify_exactness(res, 2).exact, G
         if n <= 3:

@@ -1,10 +1,15 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
+from toricell.intlinalg import vadd
 from toricell.superpotential import superpotential
 from toricell.tiling import (
     TilingError,
+    _crossings,
+    _segments_conflict,
     dimer_reconstruct,
     projection_maps,
     verify_tiling,
@@ -99,3 +104,103 @@ def test_bad_lifts_rejected(quiver_four_sheaves):
     with pytest.raises(TilingError):
         dimer_reconstruct(Q, superpotential(Q), lifts=[
             (0, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0), (0, 0, 0, -1)])
+
+
+def fraction_crossings(edges):
+    """The crossing scan in Fractions: every pair of edges, each moved by
+    Z^2 to start in the unit square, over all nine translates of the
+    second, with no box prefilter.  The oracle for _crossings."""
+    reduced = []
+    for idx, start, vec in edges:
+        s = tuple(x - math.floor(x) for x in map(Fraction, start))
+        reduced.append((idx, s, vadd(s, vec)))
+    translates = [(Fraction(tx), Fraction(ty))
+                  for tx in (-1, 0, 1) for ty in (-1, 0, 1)]
+    found = set()
+    for k1, (i1, a1, b1) in enumerate(reduced):
+        for i2, a2, b2 in reduced[k1:]:
+            for t in translates:
+                if i1 == i2 and t == (0, 0):
+                    continue
+                if _segments_conflict(a1, b1, vadd(a2, t), vadd(b2, t)):
+                    found.add((i1, i2, (int(t[0]), int(t[1]))))
+    return sorted(found)
+
+
+def fixture_tiling(name):
+    """The tiling that `toricell reconstruct` builds for a fixture."""
+    doc = load(name)
+    Q = doc.quiver()
+    proj = projection_maps(Q.X, m_basis=doc.options.get("m_basis"))
+    return dimer_reconstruct(Q, superpotential(Q), proj=proj,
+                             lifts=doc.options.get("lifts"))
+
+
+@pytest.mark.parametrize("name, n_crossings", [
+    ("threefold_four_sheaves.json", 0), ("threefold_five_sheaves.json", 7),
+    ("conifold.json", 0), ("trivial_a3.json", 0)])
+def test_crossings_match_fraction_scan_on_fixtures(name, n_crossings):
+    edges = fixture_tiling(name).edges
+    assert _crossings(edges) == fraction_crossings(edges)
+    assert len(_crossings(edges)) == n_crossings
+
+
+def random_rational(rng, lo, hi):
+    q = rng.randint(1, 12)
+    return Fraction(rng.randint(lo * q, hi * q), q)
+
+
+def random_edges(rng):
+    """Edges with rational endpoints of denominator up to 12 and vectors
+    long enough to wrap the torus, plus edges forced onto earlier ones:
+    collinear overlaps, T-junctions (axis-parallel ones among them, whose
+    bounding boxes only touch) and shared endpoints, each moved by a
+    random element of Z^2."""
+    segs = []
+    n_free = rng.randint(2, 4)
+    while len(segs) < n_free:
+        start = (random_rational(rng, -2, 2), random_rational(rng, -2, 2))
+        if rng.random() < 0.3:
+            # axis-parallel, so a later T-junction boxes only touch it
+            vec = rng.choice([(random_rational(rng, -1, 1), Fraction(0)),
+                              (Fraction(0), random_rational(rng, -1, 1))])
+        else:
+            vec = (random_rational(rng, -1, 1), random_rational(rng, -1, 1))
+        if vec != (0, 0):
+            segs.append((start, vec))
+    for _ in range(rng.randint(2, 5)):
+        start, vec = rng.choice(segs)
+        s = Fraction(rng.randint(1, 11), 12)
+        inner = (start[0] + s * vec[0], start[1] + s * vec[1])
+        kind = rng.choice(["overlap", "tee", "tee_axis", "shared"])
+        if kind == "overlap":
+            r = Fraction(rng.choice([-1, 1]) * rng.randint(1, 12), 6)
+            new = (inner, (r * vec[0], r * vec[1]))
+        elif kind == "tee":
+            new = (inner, (random_rational(rng, -1, 1),
+                           random_rational(rng, -1, 1)))
+        elif kind == "tee_axis":
+            # perpendicular to an axis-parallel edge, else vertical
+            d = Fraction(rng.choice([-1, 1]) * rng.randint(1, 12), 12)
+            new = (inner, (d, Fraction(0)) if vec[0] == 0
+                   else (Fraction(0), d))
+        else:
+            end = (start[0] + vec[0], start[1] + vec[1])
+            new = (end, (random_rational(rng, -1, 1),
+                         random_rational(rng, -1, 1)))
+        shift = (rng.randint(-1, 1), rng.randint(-1, 1))
+        if new[1] != (0, 0):
+            segs.append((vadd(new[0], shift), new[1]))
+    return [(k, start, vec) for k, (start, vec) in enumerate(segs)]
+
+
+def test_crossings_match_fraction_scan_on_random_edges():
+    rng = random.Random(20261018)
+    translates = set()
+    for _ in range(40):
+        edges = random_edges(rng)
+        got = _crossings(edges)
+        assert got == fraction_crossings(edges), edges
+        translates |= {t for _, _, t in got}
+    # the cases reach conflicts under every translate of the block
+    assert len(translates) == 9
