@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .complexes import mckay_complex, solve_gf2
 from .errors import InternalError
-from .intlinalg import is_zero, leq, rank, sparse_rank, vadd, vsub
+from .intlinalg import is_zero, leq, sparse_rank
 
 
 class ResolutionError(ValueError):
@@ -84,94 +84,150 @@ class MinimalityReport:
 # where dL + div(eta) + dR = dvec.  Bases list cells by dimension in cell
 # order, then dL in lexicographic order.  Triples compose to a path from
 # t to s of class dvec, so only the classes of such paths carry a nonzero
-# piece.
+# piece.  Within one piece the cell and dL of a triple determine its dR,
+# so inside this module a basis triple is the int eta << shift | dL.
 
 
-def _class_table(Q, bound):
-    """{(u, v): classes}: the divisor classes d <= bound, in lexicographic
-    order, that a path from u to v carries."""
+class _Packing:
+    """The divisor vectors of one sweep over the pieces with divisor
+    <= bound, each as a single int.
+
+    Coordinate i takes a field of w bits, coordinate 0 the highest, so
+    int order is lexicographic order.  No field of the sweep exceeds
+    2 * bound_i + slack, reached by dL + div(eta) + dR with dL, dR <=
+    bound and slack the largest cell-divisor entry, and w is one bit more
+    than that value needs.  So the top bit of every field, its guard bit,
+    stays clear: vectors add as ints with no carry between fields, and x
+    <= y componentwise iff ((y | H) - x) & H == H for H the guard bits,
+    as a field of x above y's borrows its guard bit and no other does.
+    A cell id sits above the shift = d * w bits of a vector.
+    """
+
+    def __init__(self, bound, slack):
+        self.w = w = (2 * max(bound) + slack).bit_length() + 1
+        self.shift = len(bound) * w
+        # the lowest bit of each field, coordinate 0 first
+        self.fields = range(self.shift - w, -1, -w)
+        self.bound = tuple(bound)
+        self.H = self.pack([1 << (w - 1)] * len(bound))
+        self.B = self.pack(bound)
+
+    def pack(self, v):
+        x = 0
+        for a in v:
+            x = x << self.w | a
+        return x
+
+    def unpack(self, x):
+        mask = (1 << self.w) - 1
+        return tuple([x >> f & mask for f in self.fields])
+
+    def leq(self, x, y):
+        """Componentwise x <= y."""
+        return ((y | self.H) - x) & self.H == self.H
+
+    def split(self, x):
+        """(eta, dL) of the basis triple x = eta << shift | dL."""
+        return x >> self.shift, x & ((1 << self.shift) - 1)
+
+
+def _packing(complex_, bound):
+    return _Packing(bound, max(x for c in complex_.cells for x in c.divisor))
+
+
+def _packed_facets(res, pk):
+    """Per cell id, (delta, sign) for each facet incidence, where delta =
+    (facet - cell) << shift + left class: the triple eta << shift | dL
+    plus delta is the facet's triple facet << shift | (dL + left)."""
+    return [[(((facet - c.id) << pk.shift) + pk.pack(left), sign)
+             for facet, left, sign in res.facets[c.id]]
+            for c in res.complex.cells]
+
+
+def _class_table(Q, pk):
+    """{(u, v): classes}: the packed divisor classes d <= pk.bound, in
+    increasing order, that a path from u to v carries."""
     table = {}
-    for d in itertools.product(*[range(b + 1) for b in bound]):
+    for d in itertools.product(*[range(b + 1) for b in pk.bound]):
+        x = pk.pack(d)
         for u in range(Q.n_vertices):
             for v in Q.reachable(u, d):
-                table.setdefault((u, v), []).append(d)
+                table.setdefault((u, v), []).append(x)
     return table
 
 
-def _pair_bases(res, table, s, t, bound):
+def _pair_bases(complex_, pk, table, s, t):
     """Bases of every nonzero graded piece at (s, t) with divisor <= bound,
-    as {dvec: [basis of P_0, ..., basis of P_n]}, from one sweep over the
-    cells pairing each left class with the right classes that fit."""
-    pieces = {d: [[] for _ in range(res.n + 1)] for d in table.get((t, s), ())}
-    # (t(eta), dL + div(eta)) -> the right classes that complete a triple
-    # within the bound, with the divisor each one reaches
+    as {packed dvec: [basis of P_0, ..., basis of P_n]}, from one sweep
+    over the cells pairing each left class with the right classes that
+    complete a triple of a piece."""
+    pieces = {d: [[] for _ in range(complex_.n + 1)]
+              for d in table.get((t, s), ())}
+    # t(eta) << shift | (dL + div(eta)) -> the bases of the pieces that a
+    # right class completes; pieces only holds divisors <= bound, and no
+    # sum carries between fields, so a hit is a triple within the bound
     ends = {}
-    for k in range(res.n + 1):
-        for c in res.complex.by_dim[k]:
+    for k in range(complex_.n + 1):
+        for c in complex_.by_dim[k]:
+            div = pk.pack(c.divisor)
+            top = c.id << pk.shift
+            end = c.tail << pk.shift
+            rights = table.get((t, c.tail), ())
             for dL in table.get((c.head, s), ()):
-                low = vadd(dL, c.divisor)
-                key = (c.tail, low)
-                fits = ends.get(key)
+                low = dL + div
+                fits = ends.get(end | low)
                 if fits is None:
-                    fits = ends[key] = []
-                    for dR in table.get((t, c.tail), ()):
-                        dvec = vadd(low, dR)
-                        if leq(dvec, bound):
-                            fits.append((dR, dvec))
-                for dR, dvec in fits:
-                    basis = pieces.get(dvec)
-                    if basis is not None:
-                        basis[k].append((c.id, dL, dR))
+                    fits = ends[end | low] = [
+                        basis for dR in rights
+                        if (basis := pieces.get(low + dR)) is not None]
+                for basis in fits:
+                    basis[k].append(top | dL)
     return pieces
 
 
-def _piece_bases(res, table, s, t, dvec):
-    """Bases of the graded piece at (s, t, dvec), from the same class table."""
-    bases = [[] for _ in range(res.n + 1)]
-    for k in range(res.n + 1):
-        for c in res.complex.by_dim[k]:
-            rem = vsub(dvec, c.divisor)
-            if any(x < 0 for x in rem):
+def _piece_bases(complex_, pk, table, s, t):
+    """Bases of the graded piece at (s, t, pk.bound), from the same class
+    table."""
+    bases = [[] for _ in range(complex_.n + 1)]
+    for k in range(complex_.n + 1):
+        for c in complex_.by_dim[k]:
+            div = pk.pack(c.divisor)
+            if not pk.leq(div, pk.B):
                 continue
+            rem = pk.B - div
             rights = set(table.get((t, c.tail), ()))
             for dL in table.get((c.head, s), ()):
-                if leq(dL, rem):
-                    dR = vsub(rem, dL)
-                    if dR in rights:
-                        bases[k].append((c.id, dL, dR))
+                if pk.leq(dL, rem) and rem - dL in rights:
+                    bases[k].append(c.id << pk.shift | dL)
     return bases
 
 
-def _differential(res, bases, k, targets, mod2=False):
+def _differential(pk, facets, bases, k, mod2=False):
     """d_k as sparse columns {row: coeff}, one per basis triple of P_k;
     d_0 is the augmentation onto the algebra piece (one row).  With mod2
     a column is the int bitset of its odd rows, XOR-ed from 1 << row.
-
-    Within one piece the cell and dL of a triple determine its dR, so
-    rows are found by (facet, dL + left class).  targets memoizes those
-    keys per (cell, dL); they do not depend on the piece, so the pieces
-    of one vertex pair share it.
-    """
+    facets is `_packed_facets` of the resolution."""
     if k == 0:
         return [1 if mod2 else {0: 1} for _ in bases[0]]
-    index = {(cid, dL): i for i, (cid, dL, _dR) in enumerate(bases[k - 1])}
+    index = {x: i for i, x in enumerate(bases[k - 1])}
     cols = []
-    for cid, dL, _dR in bases[k]:
-        out = targets.get((cid, dL))
-        if out is None:
-            out = targets[cid, dL] = [((facet, vadd(dL, left)), sign)
-                                      for facet, left, sign in res.facets[cid]]
+    for x in bases[k]:
         col = 0 if mod2 else {}
-        for target, sign in out:
-            i = index.get(target)
+        for delta, sign in facets[x >> pk.shift]:
+            i = index.get(x + delta)
             if i is None:
-                raise ResolutionError(
-                    f"differential leaves the graded piece at {target}")
+                # ToricCellComplex._validate proves the left and right
+                # class of every incidence realizable, so the facet triple
+                # (facet, dL + left, right + dR) has the piece's divisor
+                # and paths on both sides: only a bug can miss the piece
+                facet, dL = pk.split(x + delta)
+                raise InternalError("differential leaves the graded piece "
+                                    f"at {(facet, pk.unpack(dL))}")
             if mod2:
                 col ^= 1 << i
             else:
                 col[i] = col.get(i, 0) + sign
-        cols.append(col if mod2 else {i: x for i, x in col.items() if x})
+        cols.append(col if mod2 else {i: c for i, c in col.items() if c})
     return cols
 
 
@@ -207,22 +263,31 @@ def graded_piece(res, s, t, dvec):
     """The graded piece at (s, t, dvec), with its differentials as dense
     integer matrices."""
     dvec = tuple(dvec)
-    table = _class_table(res.Q, dvec)
-    dim_A = 1 if dvec in table.get((t, s), ()) else 0
+    pk = _packing(res.complex, dvec)
+    table = _class_table(res.Q, pk)
+    dim_A = 1 if pk.B in table.get((t, s), ()) else 0
     if not dim_A:
         empty = [[] for _ in range(res.n + 1)]
         return GradedPiece(s=s, t=t, dvec=dvec, bases=empty,
                            matrices=[[[]] for _ in range(res.n + 1)], dim_A=0)
-    bases = _piece_bases(res, table, s, t, dvec)
+    bases = _piece_bases(res.complex, pk, table, s, t)
+    facets = _packed_facets(res, pk)
     matrices = [[[1] * len(bases[0])]]
     for k in range(1, res.n + 1):
         rows = [[0] * len(bases[k]) for _ in range(len(bases[k - 1]))]
-        for j, col in enumerate(_differential(res, bases, k, {})):
+        for j, col in enumerate(_differential(pk, facets, bases, k)):
             for i, x in col.items():
                 rows[i][j] = x
         matrices.append(rows)
-    return GradedPiece(s=s, t=t, dvec=dvec, bases=bases, matrices=matrices,
-                       dim_A=dim_A)
+
+    def triple(x):
+        cid, dL = pk.split(x)
+        dR = pk.B - pk.pack(res.complex.cells[cid].divisor) - dL
+        return cid, pk.unpack(dL), pk.unpack(dR)
+
+    return GradedPiece(s=s, t=t, dvec=dvec,
+                       bases=[[triple(x) for x in basis] for basis in bases],
+                       matrices=matrices, dim_A=dim_A)
 
 
 def _composes_to_zero(outer, inner):
@@ -237,7 +302,7 @@ def _composes_to_zero(outer, inner):
     return True
 
 
-def _piece_failures(res, bases, targets, check_products):
+def _piece_failures(pk, facets, bases, check_products):
     """Rank identities certifying exactness of one nonzero graded piece.
 
     With d_0 the augmentation and d_{n+1} = 0, the complex is exact iff
@@ -254,19 +319,19 @@ def _piece_failures(res, bases, targets, check_products):
     force those for r.  Pieces they do not settle get the exact
     `sparse_rank`.
     """
-    n = res.n
+    n = len(bases) - 1
     dims = [len(b) for b in bases]
     diffs = None
     if check_products:
-        diffs = [_differential(res, bases, k, targets) for k in range(n + 1)]
+        diffs = [_differential(pk, facets, bases, k) for k in range(n + 1)]
         for k in range(1, n + 1):
             if not _composes_to_zero(diffs[k - 1], diffs[k]):
                 return [(f"d{k - 1}.d{k}", None, None, None)]
-    r2 = [_gf2_rank(_differential(res, bases, k, targets, mod2=True))
+    r2 = [_gf2_rank(_differential(pk, facets, bases, k, mod2=True))
           for k in range(n + 1)] + [0]
     if r2[0] == 1 and all(r2[k] + r2[k + 1] == dims[k] for k in range(n + 1)):
         return []
-    diffs = diffs or [_differential(res, bases, k, targets)
+    diffs = diffs or [_differential(pk, facets, bases, k)
                       for k in range(n + 1)]
     ranks = [sparse_rank(cols) for cols in diffs] + [0]
     failures = []
@@ -291,8 +356,8 @@ class ExactnessReport:
 # (eta, dL, dR) with dL + dR <= bound - div(eta): all basis triples of an
 # abelian quotient, and at least them whenever a path's tail and divisor
 # fix its head.  The fourfold at bound 3 has 262,144 pieces and 32,972,288
-# triples; mckay_z2_11 at bound 40 has 5,651,522 and takes 26 s on 2 CPUs,
-# and 6 minutes at bound 63 (the guard admits bounds up to 65)
+# triples; mckay_z2_11 at bound 40 has 5,651,522 and takes 16 s on a
+# 2-CPU machine, and 289 s at bound 63 (the guard admits bounds up to 65)
 MAX_PIECES = 500_000
 MAX_TRIPLES = 40_000_000
 
@@ -397,7 +462,9 @@ def verify_exactness(res, bound, check_products=False):
     auts = _automorphisms(res)
     check_products = (check_products
                       or res.complex.sign_failure(res.signs) is not None)
-    table = _class_table(Q, bound)
+    pk = _packing(res.complex, bound)
+    table = _class_table(Q, pk)
+    facets = _packed_facets(res, pk)
     failures = []
     covered = set()
     for s, t in itertools.product(range(n), repeat=2):
@@ -405,10 +472,10 @@ def verify_exactness(res, bound, check_products=False):
             continue
         orbit = {(g[s], g[t]) for g in auts}
         covered.update(orbit)
-        targets = {}
-        for dvec, bases in _pair_bases(res, table, s, t, bound).items():
-            fail = _piece_failures(res, bases, targets, check_products)
+        for dvec, bases in _pair_bases(res.complex, pk, table, s, t).items():
+            fail = _piece_failures(pk, facets, bases, check_products)
             if fail:
+                dvec = pk.unpack(dvec)
                 failures.extend((u, v, dvec, list(fail)) for u, v in orbit)
     failures.sort()
     return ExactnessReport(exact=not failures, bound=bound,
@@ -452,18 +519,22 @@ def mckay_sign_crosscheck(group):
         if sol.signs[inc] != delta[inc.parent] * delta[inc.facet] * explicit[inc]:
             raise InternalError("global sign verification failed")
     # the closed-form resolution and the solver resolution must have the
-    # same graded ranks
+    # same graded ranks at Q.ones; both share the bases of each piece
     res_a = build_resolution(complex_, signs=explicit)
     res_b = CellularResolution(complex_, sol.signs)
     verify_square_zero(res_a)
     verify_square_zero(res_b)
-    for s in range(complex_.Q.n_vertices):
-        for t in range(complex_.Q.n_vertices):
-            pa = graded_piece(res_a, s, t, complex_.Q.ones)
-            pb = graded_piece(res_b, s, t, complex_.Q.ones)
-            ra = [rank(m) if m and m[0] else 0 for m in pa.matrices]
-            rb = [rank(m) if m and m[0] else 0 for m in pb.matrices]
-            if ra != rb:
-                raise ResolutionError(
-                    f"graded ranks differ at ({s}, {t}): {ra} vs {rb}")
+    Q = complex_.Q
+    pk = _packing(complex_, Q.ones)
+    table = _class_table(Q, pk)
+    facets = [_packed_facets(res, pk) for res in (res_a, res_b)]
+    for s, t in itertools.product(range(Q.n_vertices), repeat=2):
+        if pk.B not in table.get((t, s), ()):
+            continue
+        bases = _piece_bases(complex_, pk, table, s, t)
+        ra, rb = ([sparse_rank(_differential(pk, f, bases, k))
+                   for k in range(complex_.n + 1)] for f in facets)
+        if ra != rb:
+            raise ResolutionError(
+                f"graded ranks differ at ({s}, {t}): {ra} vs {rb}")
     return delta

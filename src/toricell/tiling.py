@@ -136,9 +136,9 @@ def dimer_reconstruct(Q, W, proj=None, lifts=None):
                 raise TilingError(
                     f"lifts are not compatible with {a.pretty()}")
     pos = [proj.project(u) for u in lifts]
+    vecs = [proj.project(a.label) for a in Q.arrows]
     edges = []
-    for a in Q.arrows:
-        vec = proj.project(a.label)
+    for a, vec in zip(Q.arrows, vecs):
         edges.append((a.idx, pos[a.tail], vec))
         # the head position must agree modulo the period lattice Z^2
         end = vadd(pos[a.tail], vec)
@@ -150,8 +150,8 @@ def dimer_reconstruct(Q, W, proj=None, lifts=None):
         start = Q.arrows[term[0]].tail
         pts = [pos[start]]
         for idx in term[:-1]:
-            pts.append(vadd(pts[-1], proj.project(Q.arrows[idx].label)))
-        closing = vadd(pts[-1], proj.project(Q.arrows[term[-1]].label))
+            pts.append(vadd(pts[-1], vecs[idx]))
+        closing = vadd(pts[-1], vecs[term[-1]])
         if closing != pts[0]:
             raise TilingError("superpotential term does not close a polygon")
         area = Fraction(0)

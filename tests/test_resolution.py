@@ -3,6 +3,7 @@ import math
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toricell import resolution
 from toricell.complexes import (
@@ -12,7 +13,8 @@ from toricell.complexes import (
     general_complex,
     mckay_complex,
 )
-from toricell.intlinalg import rank, sparse_rank, vadd, vsub
+from toricell.errors import InternalError
+from toricell.intlinalg import leq, rank, sparse_rank, vadd, vsub
 from toricell.resolution import (
     MAX_PIECES,
     MAX_TRIPLES,
@@ -23,6 +25,9 @@ from toricell.resolution import (
     _class_table,
     _differential,
     _gf2_rank,
+    _packed_facets,
+    _packing,
+    _Packing,
     _pair_bases,
     _piece_failures,
     build_resolution,
@@ -101,7 +106,16 @@ def verify_piece(res, s, t, dvec):
     piece = graded_piece(res, s, t, dvec)
     if not piece.dim_A:
         return [], piece
-    return _piece_failures(res, piece.bases, {}, True), piece
+    pk = _packing(res.complex, dvec)
+    return _piece_failures(pk, _packed_facets(res, pk),
+                           packed_bases(pk, piece.bases), True), piece
+
+
+def packed_bases(pk, bases):
+    """Basis triples (cell id, dL, dR) as the sweep's ints id << shift | dL;
+    within one piece the cell and dL fix dR."""
+    return [[cid << pk.shift | pk.pack(dL) for cid, dL, _dR in basis]
+            for basis in bases]
 
 
 def test_graded_piece_anticanonical(dimer_resolution):
@@ -205,11 +219,12 @@ def test_exactness_triple_limit(z6_resolution, request):
     """The guard's triple count is the number of basis triples of all
     pieces of an abelian quotient.  A request above MAX_TRIPLES is refused
     before any work; the fourfold at bound 3 stays below it."""
-    table = _class_table(z6_resolution.Q, (2, 2, 2))
+    pk = _packing(z6_resolution.complex, (2, 2, 2))
+    table = _class_table(z6_resolution.Q, pk)
     assert guard_triples(z6_resolution, 2) == sum(
         len(basis) for s in range(6) for t in range(6)
-        for bases in _pair_bases(z6_resolution, table, s, t,
-                                 (2, 2, 2)).values()
+        for bases in _pair_bases(z6_resolution.complex, pk, table,
+                                 s, t).values()
         for basis in bases)
     fourfold = fixture_resolution("fourfold.json", request)
     assert guard_triples(fourfold, 3) <= MAX_TRIPLES
@@ -218,6 +233,60 @@ def test_exactness_triple_limit(z6_resolution, request):
         b += 1
     with pytest.raises(ValueError, match="basis triples"):
         verify_exactness(z6_resolution, b - 1)
+
+
+def test_differential_off_piece_is_internal_error(mckay_z6_complex):
+    """The complex validates the classes of every incidence, so only a bug
+    can send a differential out of its graded piece: with one entry of
+    res.facets corrupted to a facet of the cell's own dimension, the
+    sweep raises InternalError (exit 3), not a ValueError (exit 2)."""
+    C = mckay_z6_complex
+    res = build_resolution(C, signs=C.explicit_signs)
+    cell = C.by_dim[1][0]
+    _facet, left, sign = res.facets[cell.id][0]
+    res.facets[cell.id][0] = (cell.id, left, sign)
+    with pytest.raises(InternalError, match="leaves the graded piece"):
+        verify_exactness(res, 1)
+    with pytest.raises(InternalError, match="leaves the graded piece"):
+        graded_piece(res, cell.head, cell.tail, cell.divisor)
+
+
+@st.composite
+def packing_cases(draw):
+    """A bound of up to 6 entries, each up to 65 (the largest bound
+    MAX_PIECES admits), a slack for the cell divisors, and vectors drawn
+    up to their field maxima: a left part dL + div(eta) <= bound + slack,
+    a right part dR <= bound, a vector up to the largest field value
+    2 * bound + slack, and one <= bound.  Entries drawn above a maximum
+    are clamped to it, so the maxima come up often."""
+    d = draw(st.integers(1, 6))
+    entries = st.lists(st.integers(0, 132), min_size=d, max_size=d)
+    bound = tuple(min(x, 65) for x in draw(entries))
+    slack = draw(st.integers(0, 2))
+
+    def upto(tops):
+        return tuple(map(min, draw(entries), tops))
+
+    return (bound, slack, upto([b + slack for b in bound]), upto(bound),
+            upto([2 * b + slack for b in bound]), upto(bound))
+
+
+@settings(max_examples=200, deadline=None)
+@given(packing_cases())
+def test_packing_round_trip_order_sum_and_mask(case):
+    """unpack inverts pack, int order is lexicographic order, + is vadd,
+    and the guard-bit test is leq, also on sums above the bound."""
+    bound, slack, low, right, top, below = case
+    pk = _Packing(bound, slack)
+    total = vadd(low, right)
+    vectors = [bound, low, right, top, below, total]
+    for v in vectors:
+        assert pk.unpack(pk.pack(v)) == v
+    assert pk.pack(low) + pk.pack(right) == pk.pack(total)
+    for u, v in itertools.permutations(vectors, 2):
+        assert (pk.pack(u) < pk.pack(v)) == (u < v)
+        assert pk.leq(pk.pack(u), pk.pack(v)) == leq(u, v)
+    assert pk.leq(pk.pack(low) + pk.pack(right), pk.B) == leq(total, bound)
 
 
 def test_broken_sign_negative_control(mckay_z6_complex):
@@ -311,18 +380,21 @@ def test_graded_pieces_match_brute_force(name, bound, request):
     res = fixture_resolution(name, request)
     Q = res.Q
     box = (bound,) * Q.d
-    table = _class_table(Q, box)
+    pk = _packing(res.complex, box)
+    table = _class_table(Q, pk)
+    facets = _packed_facets(res, pk)
     for s, t in itertools.product(range(Q.n_vertices), repeat=2):
-        swept = _pair_bases(res, table, s, t, box)
+        swept = _pair_bases(res.complex, pk, table, s, t)
         for dvec in itertools.product(range(bound + 1), repeat=Q.d):
             bases, matrices, dim_A = brute_force_piece(res, s, t, dvec)
             piece = graded_piece(res, s, t, dvec)
             assert piece.bases == bases
             assert piece.matrices == matrices
             assert piece.dim_A == dim_A
-            assert swept.get(dvec, [[]] * (res.n + 1)) == bases
+            packed = packed_bases(pk, bases)
+            assert swept.get(pk.pack(dvec), [[]] * (res.n + 1)) == packed
             for k in range(res.n + 1):
-                assert (_differential(res, bases, k, {}, mod2=True)
+                assert (_differential(pk, facets, packed, k, mod2=True)
                         == mod2_columns(matrices[k]))
 
 
@@ -621,7 +693,12 @@ def test_small_abelian_quotients(n):
     path-walk oracle's, the quiver is consistent at bound 2, tau is an
     involution, Delta has the homology of the n-torus, the McKay
     resolution is exact at bound 2, and for n <= 3
-    the solver's signs are the closed-form ones up to a global sign."""
+    the solver's signs are the closed-form ones up to a global sign.
+
+    The sign cross-check is left out for n = 4: on the 54 SL(4) groups it
+    takes 5.1 s on a 2-CPU machine, more than the 4.4 s the rest of this
+    test takes for them.  About 40% of it is the GF(2) solves of the
+    incidence function and of the global sign."""
     for G in SMALL_GROUPS[n]:
         C = mckay_complex(G)
         W = superpotential(C.Q)
