@@ -232,32 +232,33 @@ def solve_gf2(equations, n_vars):
 
     equations: list of (bitmask, rhs, meta).  Returns (assignment, None) or
     (None, metas of an inconsistent subset).
+
+    Rows are keyed by their pivot, the lowest set bit, and have no bit at
+    an earlier row's pivot: they are unitriangular on the pivot columns.
+    So clearing the lowest pivot hit first ends with the mask, rhs and
+    origin, hence the solution and certificate, of clearing in row order.
     """
-    rows = []  # (mask, rhs, origin bitmask)
+    rows = {}  # pivot bit -> (mask, rhs, origin bitmask)
+    lows = 0
     for k, (mask, rhs, _meta) in enumerate(equations):
         origin = 1 << k
-        for pmask, prhs, porigin in rows:
-            low = pmask & -pmask
-            if mask & low:
-                mask ^= pmask
-                rhs ^= prhs
-                origin ^= porigin
+        while hit := mask & lows:
+            pmask, prhs, porigin = rows[hit & -hit]
+            mask ^= pmask
+            rhs ^= prhs
+            origin ^= porigin
         if mask == 0:
             if rhs == 1:
-                metas = [equations[i][2] for i in range(len(equations))
-                         if origin >> i & 1]
-                return None, metas
+                return None, [equations[i][2] for i in range(len(equations))
+                              if origin >> i & 1]
             continue
-        rows.append((mask, rhs, origin))
-    assignment = [0] * n_vars
-    for mask, rhs, _ in reversed(rows):
-        low = (mask & -mask).bit_length() - 1
-        val = rhs
-        for j in range(n_vars):
-            if j != low and mask >> j & 1:
-                val ^= assignment[j]
-        assignment[low] = val
-    return assignment, None
+        rows[mask & -mask] = (mask, rhs, origin)
+        lows |= mask & -mask
+    x = 0  # bit j is variable j
+    for low, (mask, rhs, _) in reversed(rows.items()):
+        if (rhs + (mask & x).bit_count()) % 2:
+            x |= low
+    return [x >> j & 1 for j in range(n_vars)], None
 
 
 # ---------------------------------------------------------------------------

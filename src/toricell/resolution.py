@@ -202,17 +202,16 @@ def _piece_bases(complex_, pk, table, s, t):
     return bases
 
 
-def _differential(pk, facets, bases, k, mod2=False):
+def _differential(pk, facets, bases, k):
     """d_k as sparse columns {row: coeff}, one per basis triple of P_k;
-    d_0 is the augmentation onto the algebra piece (one row).  With mod2
-    a column is the int bitset of its odd rows, XOR-ed from 1 << row.
-    facets is `_packed_facets` of the resolution."""
+    d_0 is the augmentation onto the algebra piece (one row).  facets is
+    `_packed_facets` of the resolution."""
     if k == 0:
-        return [1 if mod2 else {0: 1} for _ in bases[0]]
-    index = {x: i for i, x in enumerate(bases[k - 1])}
+        return [{0: 1} for _ in bases[0]]
+    index = dict(zip(bases[k - 1], itertools.count()))
     cols = []
     for x in bases[k]:
-        col = 0 if mod2 else {}
+        col = {}
         for delta, sign in facets[x >> pk.shift]:
             i = index.get(x + delta)
             if i is None:
@@ -223,23 +222,43 @@ def _differential(pk, facets, bases, k, mod2=False):
                 facet, dL = pk.split(x + delta)
                 raise InternalError("differential leaves the graded piece "
                                     f"at {(facet, pk.unpack(dL))}")
-            if mod2:
-                col ^= 1 << i
-            else:
-                col[i] = col.get(i, 0) + sign
-        cols.append(col if mod2 else {i: c for i, c in col.items() if c})
+            col[i] = col.get(i, 0) + sign
+        cols.append({i: c for i, c in col.items() if c})
     return cols
 
 
-def _gf2_rank(cols):
-    """GF(2) rank of int bitset columns, pivots keyed by lowest set bit."""
-    pivots = {}
-    for col in cols:
-        while col and (low := col & -col) in pivots:
-            col ^= pivots[low]
-        if col:
-            pivots[low] = col
-    return len(pivots)
+def _gf2_certified(pk, facets, bases):
+    """Whether the GF(2) ranks r(k) of the d_k of a piece where d.d = 0
+    satisfy r(0) = 1 and r(k) + r(k+1) = dim P_k for every k.
+
+    d_n, ..., d_1 are reduced in turn, columns as int bitsets keyed by
+    their highest row.  A reduced column of d_{k+1} with pivot i is e_i
+    plus lower rows, in im d_{k+1}, inside ker d_k mod 2; with the e_j of
+    the other rows these form a triangular basis of P_k.  So clearing
+    (Chen-Kerber's twist) skips the columns of d_k at pivot rows, and the
+    identity at k holds iff none of the rest reduces to zero; at k = 0,
+    iff one is left.  The guard of `_differential` runs on every column.
+    """
+    cleared = set()
+    for k in range(len(bases) - 1, 0, -1):
+        index = dict(zip(bases[k - 1], itertools.count()))
+        pivots = {}
+        for j, x in enumerate(bases[k]):
+            rows = [index.get(x + delta) for delta, _ in facets[x >> pk.shift]]
+            if None in rows:  # a bug: _differential raises naming it
+                _differential(pk, facets, bases, k)
+            if j in cleared:
+                continue
+            col = 0
+            for i in rows:
+                col ^= 1 << i
+            while col and (top := col.bit_length()) in pivots:
+                col ^= pivots[top]
+            if not col:
+                return False
+            pivots[top] = col
+        cleared = {top - 1 for top in pivots}
+    return len(bases[0]) - len(cleared) == 1
 
 
 @dataclass
@@ -312,12 +331,12 @@ def _piece_failures(pk, facets, bases, check_products):
     a nonzero d_{k-1}.d_k is reported first.
 
     The caller passes check_products whenever d.d = 0 is not known
-    symbolically, so d.d = 0 holds on every piece ranked here, and ranks
-    over GF(2) are tried first.  An odd minor is nonzero, so the GF(2)
-    rank r2 is at most the rational rank r; d.d = 0 gives
-    r(k) + r(k+1) <= dim P_k, and d_0 has one row: the identities for r2
-    force those for r.  Pieces they do not settle get the exact
-    `sparse_rank`.
+    symbolically, so d.d = 0 holds on every piece ranked here, and GF(2)
+    ranks are tried first: `_gf2_certified` skips the columns of d_k that
+    clearing proves dependent.  An odd minor is nonzero, so the GF(2)
+    rank r2 is at most the rational rank r; d.d = 0 gives r(k) + r(k+1)
+    <= dim P_k, and d_0 has one row: the identities for r2 force those
+    for r.  Pieces they do not settle get the exact `sparse_rank`.
     """
     n = len(bases) - 1
     dims = [len(b) for b in bases]
@@ -327,9 +346,7 @@ def _piece_failures(pk, facets, bases, check_products):
         for k in range(1, n + 1):
             if not _composes_to_zero(diffs[k - 1], diffs[k]):
                 return [(f"d{k - 1}.d{k}", None, None, None)]
-    r2 = [_gf2_rank(_differential(pk, facets, bases, k, mod2=True))
-          for k in range(n + 1)] + [0]
-    if r2[0] == 1 and all(r2[k] + r2[k + 1] == dims[k] for k in range(n + 1)):
+    if _gf2_certified(pk, facets, bases):
         return []
     diffs = diffs or [_differential(pk, facets, bases, k)
                       for k in range(n + 1)]
@@ -356,8 +373,8 @@ class ExactnessReport:
 # (eta, dL, dR) with dL + dR <= bound - div(eta): all basis triples of an
 # abelian quotient, and at least them whenever a path's tail and divisor
 # fix its head.  The fourfold at bound 3 has 262,144 pieces and 32,972,288
-# triples; mckay_z2_11 at bound 40 has 5,651,522 and takes 16 s on a
-# 2-CPU machine, and 289 s at bound 63 (the guard admits bounds up to 65)
+# triples; mckay_z2_11 at bound 40 has 5,651,522 and takes 4-5 s on a
+# 2-CPU machine, and 34 s at bound 63 (the guard admits bounds up to 65)
 MAX_PIECES = 500_000
 MAX_TRIPLES = 40_000_000
 
@@ -518,16 +535,13 @@ def mckay_sign_crosscheck(group):
     for inc in complex_.incidences:
         if sol.signs[inc] != delta[inc.parent] * delta[inc.facet] * explicit[inc]:
             raise InternalError("global sign verification failed")
-    # the closed-form resolution and the solver resolution must have the
-    # same graded ranks at Q.ones; both share the bases of each piece
-    res_a = build_resolution(complex_, signs=explicit)
-    res_b = CellularResolution(complex_, sol.signs)
-    verify_square_zero(res_a)
-    verify_square_zero(res_b)
+    # the closed-form and the solver resolution, both square-zero by
+    # verify_signs, must have the same graded ranks at Q.ones
     Q = complex_.Q
     pk = _packing(complex_, Q.ones)
     table = _class_table(Q, pk)
-    facets = [_packed_facets(res, pk) for res in (res_a, res_b)]
+    facets = [_packed_facets(CellularResolution(complex_, signs), pk)
+              for signs in (explicit, sol.signs)]
     for s, t in itertools.product(range(Q.n_vertices), repeat=2):
         if pk.B not in table.get((t, s), ()):
             continue

@@ -1,12 +1,16 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from toricell import complexes, resolution
 from toricell.complexes import (
     ComplexError,
     general_complex,
     mckay_complex,
     sign_infeasibility,
+    solve_gf2,
 )
 from toricell.intlinalg import mat_mul, smith_normal_form, vadd
 from toricell.superpotential import relations, superpotential
@@ -144,3 +148,93 @@ def test_fourfold_odd_cycle(fourfold_pipeline):
     rep = sign_infeasibility(Q, W, rels, 22)
     assert not rep.two_colorable
     assert len(rep.odd_cycle) == 7
+
+
+# ---------------------------------------------------------------------------
+# solve_gf2 against the elimination it replaced, which reduces every new
+# equation by every earlier row in turn
+
+
+def solve_gf2_oracle(equations, n_vars):
+    rows = []  # (mask, rhs, origin bitmask)
+    for k, (mask, rhs, _meta) in enumerate(equations):
+        origin = 1 << k
+        for pmask, prhs, porigin in rows:
+            low = pmask & -pmask
+            if mask & low:
+                mask ^= pmask
+                rhs ^= prhs
+                origin ^= porigin
+        if mask == 0:
+            if rhs == 1:
+                metas = [equations[i][2] for i in range(len(equations))
+                         if origin >> i & 1]
+                return None, metas
+            continue
+        rows.append((mask, rhs, origin))
+    assignment = [0] * n_vars
+    for mask, rhs, _ in reversed(rows):
+        low = (mask & -mask).bit_length() - 1
+        val = rhs
+        for j in range(n_vars):
+            if j != low and mask >> j & 1:
+                val ^= assignment[j]
+        assignment[low] = val
+    return assignment, None
+
+
+def check_solve_gf2_against_oracle(monkeypatch):
+    """Patch solve_gf2 where complexes and resolution call it, so that
+    every call must return exactly what the oracle returns; the returned
+    list collects the number of equations of each call."""
+    calls = []
+
+    def checked(equations, n_vars):
+        got = solve_gf2(equations, n_vars)
+        assert got == solve_gf2_oracle(equations, n_vars)
+        calls.append(len(equations))
+        return got
+
+    monkeypatch.setattr(complexes, "solve_gf2", checked)
+    monkeypatch.setattr(resolution, "solve_gf2", checked)
+    return calls
+
+
+@st.composite
+def gf2_systems(draw):
+    """(equations, n_vars, planted): up to 40 equations in up to 12
+    variables, metas their indices; with planted the right-hand sides are
+    those of a drawn assignment, so the system is consistent, else they
+    are drawn, and most systems are inconsistent."""
+    n_vars = draw(st.integers(1, 12))
+    masks = draw(st.lists(st.integers(0, (1 << n_vars) - 1), max_size=40))
+    planted = draw(st.booleans())
+    if planted:
+        x = draw(st.integers(0, (1 << n_vars) - 1))
+        rhs = [(m & x).bit_count() % 2 for m in masks]
+    else:
+        rhs = draw(st.lists(st.integers(0, 1), min_size=len(masks),
+                            max_size=len(masks)))
+    equations = [(m, r, i) for i, (m, r) in enumerate(zip(masks, rhs))]
+    return equations, n_vars, planted
+
+
+@settings(max_examples=300, deadline=None)
+@given(gf2_systems())
+def test_solve_gf2_matches_oracle(case):
+    """The same solution or certificate as the oracle; a solution solves
+    every equation, and a certificate is a set of equations whose masks
+    cancel while their right-hand sides sum to 1."""
+    equations, n_vars, planted = case
+    assignment, certificate = got = solve_gf2(equations, n_vars)
+    assert got == solve_gf2_oracle(equations, n_vars)
+    if assignment is None:
+        assert not planted
+        mask = rhs = 0
+        for i in certificate:
+            mask ^= equations[i][0]
+            rhs ^= equations[i][1]
+        assert mask == 0 and rhs == 1
+    else:
+        x = sum(a << j for j, a in enumerate(assignment))
+        assert all((m & x).bit_count() % 2 == r for m, r, _ in equations)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,7 @@ from toricell.complexes import (
     mckay_complex,
 )
 from toricell.errors import InternalError
-from toricell.intlinalg import leq, rank, sparse_rank, vadd, vsub
+from toricell.intlinalg import leq, rank, vadd, vsub
 from toricell.resolution import (
     MAX_PIECES,
     MAX_TRIPLES,
@@ -24,7 +25,7 @@ from toricell.resolution import (
     _automorphisms,
     _class_table,
     _differential,
-    _gf2_rank,
+    _gf2_certified,
     _packed_facets,
     _packing,
     _Packing,
@@ -42,8 +43,10 @@ from toricell.superpotential import consistency, relations, superpotential
 from toricell.variety import AbelianGroupData, mckay_toric_data
 
 from conftest import load
-from test_intlinalg import matrices
-from test_complexes import check_torus_homology
+from test_complexes import (
+    check_solve_gf2_against_oracle,
+    check_torus_homology,
+)
 from test_quiver import SMALL_GROUPS
 from test_superpotential import relations_by_path_walk
 
@@ -394,8 +397,9 @@ def test_graded_pieces_match_brute_force(name, bound, request):
             packed = packed_bases(pk, bases)
             assert swept.get(pk.pack(dvec), [[]] * (res.n + 1)) == packed
             for k in range(res.n + 1):
-                assert (_differential(pk, facets, packed, k, mod2=True)
-                        == mod2_columns(matrices[k]))
+                cols = _differential(pk, facets, packed, k)
+                assert ([sum(1 << i for i, x in col.items() if x % 2)
+                         for col in cols] == mod2_columns(matrices[k]))
 
 
 # ---------------------------------------------------------------------------
@@ -498,8 +502,9 @@ def test_invariant_flip_copies_failures_to_orbit(mckay_z6_complex):
 
 
 # ---------------------------------------------------------------------------
-# the GF(2) certificate: its rank routine against brute force, and every
-# report against an exact-rank oracle that shares none of its shortcuts
+# the GF(2) certificate: its clearing reduction against dense elimination,
+# and every report against an exact-rank oracle that shares none of its
+# shortcuts
 
 
 def mod2_columns(m):
@@ -526,14 +531,121 @@ def dense_gf2_rank(A):
     return r
 
 
+def gf2_identities_hold(dims, mats):
+    """The rank identities of a piece for the dense GF(2) ranks of its
+    matrices, d_0 the augmentation row."""
+    r2 = [dense_gf2_rank(m) for m in mats] + [0]
+    return r2[0] == 1 and all(r2[k] + r2[k + 1] == dims[k]
+                              for k in range(len(dims)))
+
+
+@st.composite
+def simplicial_complexes(draw):
+    """(faces, cone): the faces of a random simplicial complex of
+    dimension <= 3 as vertex tuples, by dimension, each dimension in a
+    drawn order.  With cone it is the cone over the drawn faces, which is
+    acyclic."""
+    tops = draw(st.lists(st.frozensets(st.integers(0, 5), min_size=1,
+                                       max_size=3), min_size=1, max_size=5))
+    cone = draw(st.booleans())
+    if cone:
+        tops = [top | {6} for top in tops]
+    faces = {f for top in tops for r in range(1, len(top) + 1)
+             for f in itertools.combinations(sorted(top), r)}
+    return [draw(st.permutations(sorted(f for f in faces if len(f) == k + 1)))
+            for k in range(4)], cone
+
+
 @settings(max_examples=300, deadline=None)
-@given(matrices(7))
-def test_gf2_rank_against_dense_elimination(A):
-    r2 = _gf2_rank(mod2_columns(A))
-    assert r2 == dense_gf2_rank(A)
-    cols = [{i: row[j] for i, row in enumerate(A) if row[j]}
-            for j in range(len(A[0]))]
-    assert r2 <= sparse_rank(cols)
+@given(simplicial_complexes(), st.booleans())
+def test_gf2_rank_against_dense_elimination(case, tripled):
+    """On the augmented chain complex of a simplicial complex, where
+    d.d = 0, _gf2_certified is True exactly when the dense GF(2) ranks of
+    the boundary matrices satisfy the rank identities.  Each face is a
+    cell with the one basis triple cell << shift; with tripled each
+    incidence is listed three times, signs s, s, -s, so columns XOR
+    repeated rows."""
+    faces, cone = case
+
+    def boundary(f):
+        """(facet, sign) for the faces of a face of dimension >= 1."""
+        return [(f[:i] + f[i + 1:], (-1) ** i)
+                for i in range(len(f) if len(f) > 1 else 0)]
+
+    pk = _Packing((0,), 0)
+    cells = [f for by_dim in faces for f in by_dim]
+    cid = {f: i for i, f in enumerate(cells)}
+    repeats = (1, 1, -1) if tripled else (1,)
+    facets = [[((cid[g] - cid[f]) << pk.shift, sign * r)
+               for g, sign in boundary(f) for r in repeats]
+              for f in cells]
+    bases = [[cid[f] << pk.shift for f in by_dim] for by_dim in faces]
+    mats = [[[1] * len(faces[0])]]
+    for k in range(1, 4):
+        row = {f: i for i, f in enumerate(faces[k - 1])}
+        m = [[0] * len(faces[k]) for _ in faces[k - 1]]
+        for j, f in enumerate(faces[k]):
+            for g, sign in boundary(f):
+                m[row[g]][j] += sign
+        mats.append(m)
+    expected = gf2_identities_hold([len(b) for b in faces], mats)
+    assert _gf2_certified(pk, facets, bases) == expected
+    assert expected or not cone
+
+
+@pytest.mark.parametrize("name, bound", [
+    ("mckay_z6_123.json", 2),
+    ("fourfold.json", 1),
+    ("threefold_four_sheaves.json", 2),
+    ("missing_top_cell", 2),
+])
+def test_gf2_certified_matches_dense_ranks(name, bound, request,
+                                          mckay_z6_complex):
+    """On every nonzero piece, _gf2_certified is True exactly when the
+    dense GF(2) ranks of the graded_piece matrices satisfy the rank
+    identities.  The square-zero but inexact missing_top_cell has pieces
+    where it is False."""
+    if name == "missing_top_cell":
+        res = missing_top_cell(mckay_z6_complex)
+    else:
+        res = fixture_resolution(name, request)
+    Q = res.Q
+    verdicts = set()
+    for dvec in itertools.product(range(bound + 1), repeat=Q.d):
+        pk = _packing(res.complex, dvec)
+        facets = _packed_facets(res, pk)
+        for s, t in itertools.product(range(Q.n_vertices), repeat=2):
+            piece = graded_piece(res, s, t, dvec)
+            if not piece.dim_A:
+                continue
+            got = _gf2_certified(pk, facets, packed_bases(pk, piece.bases))
+            assert got == gf2_identities_hold(piece.dims(), piece.matrices)
+            verdicts.add(got)
+    assert verdicts == ({False, True} if name == "missing_top_cell"
+                        else {True})
+
+
+def test_cleared_column_off_piece_is_internal_error(mckay_z6_complex):
+    """The guard also runs on the columns that clearing skips.  At the
+    divisor (1, 1, 1) of the 3-cube at a vertex, P_3 is that cube alone,
+    and the pivot of its column, its last odd row, is a 2-cell triple
+    whose column d_2 skips.  With a facet of that 2-cell corrupted to a
+    cell of its own dimension, _gf2_certified raises at that triple."""
+    C = mckay_z6_complex
+    res = build_resolution(C, signs=C.explicit_signs)
+    cube = C.by_dim[3][0]
+    piece = graded_piece(res, cube.head, cube.tail, cube.divisor)
+    assert len(piece.bases[3]) == 1
+    pivot = max(i for i, row in enumerate(piece.matrices[3]) if row[0] % 2)
+    cid, dL, _dR = piece.bases[2][pivot]
+    pk = _packing(C, cube.divisor)
+    packed = packed_bases(pk, piece.bases)
+    assert _gf2_certified(pk, _packed_facets(res, pk), packed)
+    _facet, left, sign = res.facets[cid][0]
+    res.facets[cid][0] = (cid, left, sign)
+    with pytest.raises(InternalError,
+                       match=re.escape(f"at {(cid, vadd(dL, left))}")):
+        _gf2_certified(pk, _packed_facets(res, pk), packed)
 
 
 def oracle_piece_failures(dims, mats, check_products):
@@ -646,8 +758,8 @@ def test_augmentation_sign_control(mckay_z6_complex):
 
 def test_forced_fallback_leaves_reports_unchanged(monkeypatch, request,
                                                   mckay_z6_complex):
-    """With a GF(2) rank that undercounts by one no piece is certified, so
-    every piece takes the exact path, and no report changes."""
+    """With a GF(2) certificate that settles nothing, every piece takes
+    the exact path, and no report changes."""
     C = mckay_z6_complex
     cases = [(fixture_resolution("mckay_z6_123.json", request), 2),
              (fixture_resolution("fourfold.json", request), 1),
@@ -659,14 +771,13 @@ def test_forced_fallback_leaves_reports_unchanged(monkeypatch, request,
                 for res, bound in cases for check_products in (False, True)]
 
     before = reports()
-    gf2_rank = _gf2_rank
     calls = []
 
-    def undercount(cols):
-        calls.append(cols)
-        return gf2_rank(cols) - 1
+    def settles_nothing(pk, facets, bases):
+        calls.append(bases)
+        return False
 
-    monkeypatch.setattr(resolution, "_gf2_rank", undercount)
+    monkeypatch.setattr(resolution, "_gf2_certified", settles_nothing)
     assert reports() == before
     assert calls
 
@@ -681,24 +792,44 @@ def test_sign_crosscheck_needs_exact_ranks(mckay_z6_complex):
     for s, t in itertools.product(range(C.Q.n_vertices), repeat=2):
         mats_good = graded_piece(good, s, t, C.Q.ones).matrices
         mats_bad = graded_piece(bad, s, t, C.Q.ones).matrices
-        assert ([_gf2_rank(mod2_columns(m)) for m in mats_good]
-                == [_gf2_rank(mod2_columns(m)) for m in mats_bad])
+        assert ([dense_gf2_rank(m) for m in mats_good]
+                == [dense_gf2_rank(m) for m in mats_bad])
         differ |= [rank(m) for m in mats_good] != [rank(m) for m in mats_bad]
     assert differ
 
 
+@pytest.mark.parametrize("name", sorted(FIXTURE_SYMMETRY))
+def test_solve_gf2_matches_oracle_on_fixtures(name, request, monkeypatch):
+    """Every GF(2) system the fixtures give solve_gf2: the incidence
+    system of a superpotential fixture, and for a quotient both systems
+    of mckay_sign_crosscheck.  Each call must return the oracle's
+    solution or certificate."""
+    calls = check_solve_gf2_against_oracle(monkeypatch)
+    group = load(name).group
+    if group is not None:
+        mckay_sign_crosscheck(group)
+        assert len(calls) == 2
+    else:
+        fixture_resolution(name, request)
+        assert len(calls) == 1
+
+
 @pytest.mark.parametrize("n", sorted(SMALL_GROUPS))
-def test_small_abelian_quotients(n):
+def test_small_abelian_quotients(n, monkeypatch):
     """For each small abelian subgroup of SL(n): the relations equal the
     path-walk oracle's, the quiver is consistent at bound 2, tau is an
     involution, Delta has the homology of the n-torus, the McKay
     resolution is exact at bound 2, and for n <= 3
-    the solver's signs are the closed-form ones up to a global sign.
+    the solver's signs are the closed-form ones up to a global sign, with
+    both GF(2) systems of that cross-check solved as the oracle solves
+    them.
 
     The sign cross-check is left out for n = 4: on the 54 SL(4) groups it
-    takes 5.1 s on a 2-CPU machine, more than the 4.4 s the rest of this
-    test takes for them.  About 40% of it is the GF(2) solves of the
-    incidence function and of the global sign."""
+    added 2.0-2.8 s to this test on a 2-CPU machine (three runs), against
+    3.6-4.7 s for the rest of it.  Its 108 GF(2) solves take about 0.3 s
+    of that; rebuilding each complex, the two sign checks, the solver's
+    face-poset pass and the exact ranks at Q.ones take the rest."""
+    calls = check_solve_gf2_against_oracle(monkeypatch)
     for G in SMALL_GROUPS[n]:
         C = mckay_complex(G)
         W = superpotential(C.Q)
@@ -711,3 +842,4 @@ def test_small_abelian_quotients(n):
         assert verify_exactness(res, 2).exact, G
         if n <= 3:
             mckay_sign_crosscheck(G)
+    assert len(calls) == (2 * len(SMALL_GROUPS[n]) if n <= 3 else 0)
