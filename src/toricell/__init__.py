@@ -10,22 +10,15 @@ project to a tiling of the two-torus.
 """
 
 from .complexes import (
-    ComplexError,
     ToricCellComplex,
     general_complex,
     mckay_complex,
     sign_infeasibility,
 )
-from .errors import InternalError
-from .matchings import (
-    MatchingError,
-    extremal_matching,
-    perfect_matchings,
-    weight_zero_check,
-)
-from .quiver import QuiverError, QuiverOfSections, build_quiver
+from .errors import ConstructionError, InputError, InternalError
+from .matchings import extremal_matching, perfect_matchings, weight_zero_check
+from .quiver import QuiverOfSections, build_quiver
 from .resolution import (
-    ResolutionError,
     build_resolution,
     graded_piece,
     mckay_sign_crosscheck,
@@ -40,17 +33,11 @@ from .superpotential import (
     relations,
     superpotential,
 )
-from .tiling import (
-    TilingError,
-    dimer_reconstruct,
-    projection_maps,
-    verify_tiling,
-)
+from .tiling import dimer_reconstruct, projection_maps, verify_tiling
 from .variety import (
     AbelianGroupData,
     Collection,
     GorensteinToricVariety,
-    VarietyError,
     WeilClass,
     mckay_toric_data,
 )

@@ -2,9 +2,13 @@
 
 Subcommands build the quiver of sections of an input document and run
 the requested verification.  Exit code 0 means every requested property
-holds, 1 means a property fails (the report says which), 2 means the
-input document is invalid, and 3 means an internal error: toricell broke
-one of its own invariants.
+holds; 1 means a property fails (the report says which) or the requested
+construction does not exist (`errors.ConstructionError`); 2 means the
+input document, an option or a requested bound is invalid or too large
+(`errors.InputError`); and 3 means an internal error: toricell broke one
+of its own invariants (`errors.InternalError`), or any other exception
+escaped, a bug either way.  Errors print one line to stderr, never a
+traceback.
 """
 
 from __future__ import annotations
@@ -14,18 +18,12 @@ import json
 import sys
 from fractions import Fraction
 
-from .complexes import (
-    ComplexError,
-    general_complex,
-    mckay_complex,
-    sign_infeasibility,
-)
-from .errors import InternalError
-from .inputs import InputError, load_document, quiver_document
+from .complexes import general_complex, mckay_complex, sign_infeasibility
+from .errors import ConstructionError, InputError, InternalError
+from .inputs import load_document, quiver_document
 from .matchings import PiMap, perfect_matchings, weight_zero_check
-from .quiver import QuiverError, monomial
+from .quiver import monomial
 from .resolution import (
-    ResolutionError,
     build_resolution,
     verify_exactness,
     verify_minimality,
@@ -33,10 +31,7 @@ from .resolution import (
 )
 from .superpotential import consistency, relations
 from .superpotential import superpotential as build_superpotential
-from .tiling import TilingError, dimer_reconstruct, projection_maps, verify_tiling
-from .variety import VarietyError
-
-USAGE_ERRORS = (InputError, VarietyError, QuiverError, ValueError)
+from .tiling import dimer_reconstruct, projection_maps, verify_tiling
 
 
 def _emit(payload):
@@ -132,19 +127,19 @@ def _build_complex(doc, args):
 
 def _complex(doc, args):
     C = _build_complex(doc, args)
-    tau = C.tau()
-    poset = C.face_poset_check()
+    # tau raises unless it is an involution, and solve_incidence unless the
+    # face poset check passes, so a printed report has both true
+    C.tau()
     sol = C.solve_incidence()
+    violations = len(C.tau_antisymmetry_violations())
     _emit({
         "counts": list(C.counts()),
         "tau_involution": True,
-        "tau_antisymmetry_violations": len(C.tau_antisymmetry_violations()),
-        "face_poset_ok": poset.ok,
+        "tau_antisymmetry_violations": violations,
+        "face_poset_ok": True,
         "incidence_feasible": sol.feasible,
     })
-    ok = (poset.ok and sol.feasible
-          and not C.tau_antisymmetry_violations())
-    return 0 if ok else 1
+    return 0 if sol.feasible and not violations else 1
 
 
 def _resolution(doc, args):
@@ -210,7 +205,7 @@ def _svg(tiling, path):
 def _reconstruct(doc, args):
     Q = doc.quiver()
     if Q.X is None:
-        raise InputError("reconstruction needs variety data")
+        raise InputError("quiver has no attached variety")
     W = build_superpotential(Q)
     proj = projection_maps(Q.X, m_basis=doc.options.get("m_basis"))
     tiling = dimer_reconstruct(Q, W, proj=proj,
@@ -292,21 +287,19 @@ def main(argv=None):
 
     args = parser.parse_args(argv)
     try:
-        doc = load_document(args.input)
+        return args.func(load_document(args.input), args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    try:
-        return args.func(doc, args)
+    except ConstructionError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
-    except (ComplexError, ResolutionError, TilingError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except Exception as exc:  # any other exception is a bug as well
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -12,15 +12,13 @@ from the tail of the parent to the tail of the facet).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
+from .errors import ConstructionError, InputError
 from .intlinalg import leq, vadd, vsub
 from .quiver import build_quiver
 from .superpotential import cyclic_canonical, relations
 from .variety import mckay_toric_data
-
-
-class ComplexError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -49,8 +47,7 @@ class Cell:
         return kind
 
 
-@dataclass(frozen=True)
-class FacetIncidence:
+class FacetIncidence(NamedTuple):
     parent: int
     facet: int
     left: tuple   # divisor of the left derivative class
@@ -79,17 +76,17 @@ class ToricCellComplex:
     def _validate(self, inc):
         p, f = self.cells[inc.parent], self.cells[inc.facet]
         if f.dim != p.dim - 1:
-            raise ComplexError("facet is not of codimension one")
+            raise ConstructionError("facet is not of codimension one")
         if vadd(vadd(inc.left, f.divisor), inc.right) != p.divisor:
-            raise ComplexError(
+            raise ConstructionError(
                 f"divisor mismatch on incidence {p.describe(self.Q)} / "
                 f"{f.describe(self.Q)}")
         if not self.Q.path_exists(f.head, p.head, inc.left):
-            raise ComplexError(
+            raise ConstructionError(
                 f"left class of {p.describe(self.Q)} / {f.describe(self.Q)} "
                 "is not realizable")
         if not self.Q.path_exists(p.tail, f.tail, inc.right):
-            raise ComplexError(
+            raise ConstructionError(
                 f"right class of {p.describe(self.Q)} / {f.describe(self.Q)} "
                 "is not realizable")
 
@@ -112,12 +109,12 @@ class ToricCellComplex:
                        if c2.tail == c.head and c2.head == c.tail
                        and c2.divisor == vsub(ones, c.divisor)]
             if len(matches) != 1:
-                raise ComplexError(
+                raise ConstructionError(
                     f"{c.describe(self.Q)} has {len(matches)} dual candidates")
             pairing[c.id] = matches[0].id
         for cid, did in pairing.items():
             if pairing[did] != cid:
-                raise ComplexError("duality pairing is not an involution")
+                raise ConstructionError("duality pairing is not an involution")
         self._tau = pairing
         return pairing
 
@@ -173,7 +170,7 @@ class ToricCellComplex:
         """
         poset = self.face_poset_check()
         if not poset.ok:
-            raise ComplexError(
+            raise ConstructionError(
                 f"face poset check failed on {len(poset.violations)} flags")
         var = {inc: i for i, inc in enumerate(self.incidences)}
         equations = []
@@ -211,7 +208,7 @@ class ToricCellComplex:
     def verify_signs(self, signs):
         """Re-check the cancellation identity for a given sign assignment."""
         if failure := self.sign_failure(signs):
-            raise ComplexError(failure)
+            raise ConstructionError(failure)
 
 
 @dataclass
@@ -321,7 +318,7 @@ def mckay_complex(group):
     one_cells = {(c.tail, c.head, c.divisor) for c in complex_.by_dim[1]}
     arrows = {(a.tail, a.head, a.label) for a in Q.arrows}
     if one_cells != arrows:
-        raise ComplexError("1-cells do not match the quiver arrows")
+        raise ConstructionError("1-cells do not match the quiver arrows")
     return complex_
 
 
@@ -384,13 +381,13 @@ def general_complex(Q, W, rels=None):
     derivative).
     """
     if Q.X is None:
-        raise ComplexError("quiver has no attached variety")
+        raise InputError("quiver has no attached variety")
     n = Q.X.n
     if n not in (3, 4):
-        raise ComplexError(f"no cell complex construction for dimension {n}")
+        raise ConstructionError(f"no cell complex construction for dimension {n}")
     for a in Q.arrows:
         if not leq(a.label, Q.ones):
-            raise ComplexError(
+            raise ConstructionError(
                 f"label of {a.pretty()} does not divide the anticanonical monomial")
     if rels is None:
         rels = relations(Q, W)
@@ -412,7 +409,7 @@ def general_complex(Q, W, rels=None):
     rel_cells = {}
     if n == 3:
         if len(rels) != len(Q.arrows):
-            raise ComplexError(
+            raise ConstructionError(
                 f"{len(rels)} relations for {len(Q.arrows)} arrows; the "
                 "dimension-three construction needs one per arrow")
         rel_of_pair = {tuple(sorted(r.pair)): r for r in rels}
@@ -422,11 +419,11 @@ def general_complex(Q, W, rels=None):
             # derivative
             D = W.derivatives.get((a.tail, (a.idx,)), ())
             if len(D) != 2:
-                raise ComplexError(
+                raise ConstructionError(
                     f"derivative of {a.pretty()} does not have two summands")
             rel = rel_of_pair.get(tuple(sorted(D)))
             if rel is None:
-                raise ComplexError(
+                raise ConstructionError(
                     f"derivative pair of {a.pretty()} is not a relation")
             cell = add(2, a.tail, a.head, vsub(Q.ones, a.label),
                        ("dual_arrow", a.idx, rel))
@@ -470,7 +467,7 @@ def general_complex(Q, W, rels=None):
                         parent=parent.id, facet=facet.id,
                         left=s_div, right=t_div))
             if not hit:
-                raise ComplexError(
+                raise ConstructionError(
                     f"dual cell of {a.pretty()} has no relation facets")
     for i in range(Q.n_vertices):
         parent = dual_vertex_cells[i]

@@ -12,8 +12,8 @@ from __future__ import annotations
 from itertools import combinations
 from math import floor, lcm
 
+from .errors import InputError, InternalError
 from .intlinalg import (
-    LinAlgError,
     dot,
     leq,
     mat_mul,
@@ -26,10 +26,6 @@ from .intlinalg import (
 )
 
 
-class ConeError(ValueError):
-    pass
-
-
 # the most points one staircase walk may visit
 _BOX_LIMIT = 4_000_000
 
@@ -37,17 +33,15 @@ _BOX_LIMIT = 4_000_000
 def dual_cone_rays(generators):
     """Primitive extremal rays of {y : g.y >= 0 for all g}.
 
-    The generators must span the ambient space (so that the dual cone is
-    pointed); otherwise a ConeError is raised.  Double description method:
+    The generators must span the ambient space, so that the dual cone is
+    pointed; both callers prove that they do.  Double description method:
     start from a simplicial subcone and add the remaining inequalities one
     at a time.
     """
     generators = [tuple(g) for g in generators]
-    if not generators:
-        raise ConeError("no generators")
-    r = len(generators[0])
-    if rank([list(g) for g in generators]) != r:
-        raise ConeError("generators do not span the ambient space")
+    r = len(generators[0]) if generators else 0
+    if not generators or rank([list(g) for g in generators]) != r:
+        raise InternalError("generators do not span the ambient space")
 
     # pick r linearly independent generators for the initial simplicial cone
     chosen = []
@@ -144,21 +138,15 @@ class FiberContext:
         self.d = len(B)
         self.n = len(B[0]) if B else 0
         if rank(self.B) != self.n:
-            raise LinAlgError("embedding matrix must have full column rank")
-        s0_rays = [mat_vec(self.B, t) for t in facets]
-        if not s0_rays:
-            raise ConeError("degree-zero semigroup is trivial; cone not full-dimensional")
-        self.z = tuple(map(sum, zip(*s0_rays)))
-        if min(self.z) <= 0:
-            raise ConeError("no strictly positive degree-zero section; cone not full-dimensional")
+            raise InternalError("embedding matrix must have full column rank")
+        self.z = tuple(map(sum, zip(*[mat_vec(self.B, t) for t in facets])))
+        if not self.z or min(self.z) <= 0:
+            raise InternalError("no strictly positive degree-zero section")
         # where the rows S of B t >= -c are tight, c + B t = c - K c_S
-        self.vertex_maps = []
-        for S in combinations(range(self.d), self.n):
-            try:
-                inv = rational_mat_inverse([self.B[i] for i in S])
-            except LinAlgError:
-                continue
-            self.vertex_maps.append((S, mat_mul(self.B, inv)))
+        self.vertex_maps = [
+            (S, mat_mul(self.B, rational_mat_inverse([self.B[i] for i in S])))
+            for S in combinations(range(self.d), self.n)
+            if rank([self.B[i] for i in S]) == self.n]
         self._key = cl.coordinates
         self._moduli = cl.moduli
         self._steps = [cl.coordinates(tuple(int(i == k) for i in range(self.d)))
@@ -234,7 +222,7 @@ class FiberContext:
                             continue
                         walked += 1
                         if walked > _BOX_LIMIT:
-                            raise ConeError(f"staircase walk visits more than "
+                            raise InputError(f"staircase walk visits more than "
                                             f"_BOX_LIMIT = {_BOX_LIMIT} points")
                         up[w_code] = (w, key_w)
             level = up

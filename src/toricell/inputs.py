@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from .errors import InputError
 from .quiver import QuiverOfSections, build_quiver
 from .variety import (
     AbelianGroupData,
@@ -19,10 +20,6 @@ from .variety import (
     GorensteinToricVariety,
     mckay_toric_data,
 )
-
-
-class InputError(ValueError):
-    pass
 
 
 KINDS = ("toric", "cyclic_quotient", "abelian_quotient", "dimer_quiver")
@@ -155,16 +152,6 @@ def parse_document(doc):
     for key in options:
         if key not in known:
             raise InputError(f"unknown option '{key}'")
-    if "arrow_order" in options:
-        options = dict(options)
-        options["arrow_order"] = _arrow_list(options["arrow_order"],
-                                             "arrow_order")
-    if "lifts" in options:
-        options = dict(options)
-        options["lifts"] = _int_matrix(options["lifts"], "lifts")
-    if "m_basis" in options:
-        options = dict(options)
-        options["m_basis"] = _int_matrix(options["m_basis"], "m_basis")
     if "bound" in options and not _integer(options["bound"]):
         raise InputError("bound must be an integer")
 
@@ -173,24 +160,52 @@ def parse_document(doc):
         if group.order() > MAX_GROUP_ORDER:
             raise InputError(f"group order {group.order()} exceeds "
                              f"MAX_GROUP_ORDER = {MAX_GROUP_ORDER}")
-        return InputDocument(kind=kind, group=group, options=options)
-    if kind == "toric":
+        parsed = InputDocument(kind=kind, group=group)
+        n = d = group.n
+        vertices = group.order()
+    elif kind == "toric":
         rays = _int_matrix(_require(doc, "rays", list), "rays")
         reps = _int_matrix(_require(doc, "collection", list), "collection",
                            width=len(rays))
-        return InputDocument(kind=kind, rays=rays, collection_reps=reps,
-                             options=options)
-    # dimer_quiver
-    vertices = _require(doc, "vertices", int)
-    arrows = _arrow_list(_require(doc, "arrows", list), "arrows")
-    rays = None
-    reps = None
-    if "rays" in doc:
-        rays = _int_matrix(doc["rays"], "rays")
-        if "collection" in doc:
-            reps = _int_matrix(doc["collection"], "collection", width=len(rays))
-    return InputDocument(kind=kind, vertices=vertices, arrows=arrows,
-                         rays=rays, collection_reps=reps, options=options)
+        parsed = InputDocument(kind=kind, rays=rays, collection_reps=reps)
+        n, d, vertices = len(rays[0]), len(rays), len(reps)
+    else:  # dimer_quiver
+        vertices = _require(doc, "vertices", int)
+        arrows = _arrow_list(_require(doc, "arrows", list), "arrows")
+        rays = None
+        reps = None
+        n = d = None
+        if "rays" in doc:
+            rays = _int_matrix(doc["rays"], "rays")
+            n, d = len(rays[0]), len(rays)
+            if any(len(label) != d for _, _, label in arrows):
+                raise InputError(f"arrow labels must have length {d}, "
+                                 "one entry per ray")
+            if "collection" in doc:
+                reps = _int_matrix(doc["collection"], "collection", width=d)
+        parsed = InputDocument(kind=kind, vertices=vertices, arrows=arrows,
+                               rays=rays, collection_reps=reps)
+    parsed.options = _options(options, n, d, vertices)
+    return parsed
+
+
+def _options(options, n, d, vertices):
+    """The options with their lists parsed.  For a document with rays in
+    dimension n, d of them, the m_basis must be n x n and the lifts one
+    row of length d per vertex."""
+    options = dict(options)
+    if "arrow_order" in options:
+        options["arrow_order"] = _arrow_list(options["arrow_order"],
+                                             "arrow_order")
+    if "lifts" in options:
+        options["lifts"] = lifts = _int_matrix(options["lifts"], "lifts", d)
+        if d is not None and len(lifts) != vertices:
+            raise InputError(f"lifts must have {vertices} rows, one per vertex")
+    if "m_basis" in options:
+        options["m_basis"] = basis = _int_matrix(options["m_basis"], "m_basis", n)
+        if n is not None and len(basis) != n:
+            raise InputError(f"m_basis must have {n} rows")
+    return options
 
 
 def load_document(path):
@@ -199,7 +214,9 @@ def load_document(path):
             doc = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # a ValueError also for text that is not UTF-8 or an integer with
+        # too many digits, a RecursionError for lists nested too deep
         raise InputError(f"{path} is not valid JSON: {exc}")
     return parse_document(doc)
 

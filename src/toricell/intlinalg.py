@@ -18,9 +18,7 @@ from fractions import Fraction
 from math import gcd
 from operator import add, le, sub
 
-
-class LinAlgError(ValueError):
-    pass
+from .errors import InternalError
 
 
 # ---------------------------------------------------------------------------
@@ -94,10 +92,8 @@ def transpose(A):
     return [list(col) for col in zip(*A)]
 
 
-def from_columns(cols, nrows=None):
+def from_columns(cols, nrows):
     if not cols:
-        if nrows is None:
-            raise LinAlgError("need nrows for empty column list")
         return [[] for _ in range(nrows)]
     return [list(row) for row in zip(*cols)]
 
@@ -461,7 +457,8 @@ def _dense_rank(A):
 
 
 def rational_mat_inverse(A):
-    """Inverse of a square matrix over the rationals (Fraction entries)."""
+    """Inverse of a square matrix over the rationals (Fraction entries).
+    Every caller proves its matrix nonsingular."""
     n = len(A)
     M = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
          for i, row in enumerate(A)]
@@ -472,7 +469,7 @@ def rational_mat_inverse(A):
                 piv = i
                 break
         if piv is None:
-            raise LinAlgError("matrix is singular")
+            raise InternalError("matrix is singular")
         M[col], M[piv] = M[piv], M[col]
         p = M[col][col]
         M[col] = [x / p for x in M[col]]

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cones import dual_cone_rays
-from .errors import InternalError
+from .errors import InputError, InternalError
 from .intlinalg import (
     dot,
     from_columns,
@@ -25,10 +25,6 @@ from .intlinalg import (
     solve_integer,
     vsub,
 )
-
-
-class MatchingError(ValueError):
-    pass
 
 
 class PiMap:
@@ -56,7 +52,7 @@ class PiMap:
             coords.append(tuple(t))
         self.coords = coords
         if Q.X is not None and self.rank != Q.X.n + nv - 1:
-            raise MatchingError(
+            raise InputError(
                 f"rank of Z(Q) is {self.rank}, expected n + r = {Q.X.n + nv - 1}")
 
     def pair(self, functional, arrow_idx):
@@ -91,7 +87,7 @@ def extremal_matching(Q, rho, pi=None):
     if pi is None:
         pi = PiMap(Q)
     if not 0 <= rho < Q.d:
-        raise MatchingError("ray index out of range")
+        raise InputError("ray index out of range")
     vals = tuple(a.label[rho] for a in Q.arrows)
     A = [list(c) for c in pi.coords]
     w = solve_integer(A, vals)
@@ -99,10 +95,10 @@ def extremal_matching(Q, rho, pi=None):
         raise InternalError("extremal functional is not integral on Z(Q)")
     w = tuple(w)
     if primitive(w) != w:
-        raise MatchingError(f"extremal matching for ray {rho} is not primitive")
+        raise InputError(f"extremal matching for ray {rho} is not primitive")
     tight = [pi.coords[i] for i, v in enumerate(vals) if v == 0]
     if rank([list(t) for t in tight]) != pi.rank - 1:
-        raise MatchingError(
+        raise InputError(
             f"functional of ray {rho} does not span a one-dimensional face of C")
     return PerfectMatching(functional=w, values=vals, extremal_ray=rho)
 
@@ -125,7 +121,7 @@ def perfect_matchings(Q, pi=None):
     found = {m.functional for m in out}
     missing = [rho for w, rho in extremal.items() if w not in found]
     if missing:
-        raise MatchingError(f"extremal matchings for rays {missing} are not rays of C")
+        raise InputError(f"extremal matchings for rays {missing} are not rays of C")
     return out
 
 
@@ -220,7 +216,7 @@ def weight_zero_check(Q):
     with matching minimal generators.
     """
     if Q.X is None:
-        raise MatchingError("no variety attached to the quiver")
+        raise InputError("quiver has no attached variety")
     cycle_divs = [Q.path_div(c) for c in simple_cycles(Q)]
     gens = _minimal_generators(cycle_divs)
     hb = sorted(tuple(v) for v in Q.X.section_semigroup_hilbert_basis())

@@ -16,11 +16,8 @@ from collections import deque
 from dataclasses import dataclass
 
 from .cones import minimal_points
+from .errors import InputError
 from .intlinalg import is_zero, leq, vadd, vsub
-
-
-class QuiverError(ValueError):
-    pass
 
 
 def monomial(label):
@@ -61,15 +58,15 @@ class QuiverOfSections:
         self.X = X
         self.collection = collection
         if not self.arrows:
-            raise QuiverError("quiver has no arrows")
+            raise InputError("quiver has no arrows")
         self.d = len(self.arrows[0].label)
         for a in self.arrows:
             if len(a.label) != self.d:
-                raise QuiverError("arrow labels of mixed dimension")
+                raise InputError("arrow labels of mixed dimension")
             if is_zero(a.label):
-                raise QuiverError("arrow labels must be nonzero")
+                raise InputError("arrow labels must be nonzero")
             if not (0 <= a.tail < n_vertices and 0 <= a.head < n_vertices):
-                raise QuiverError("arrow endpoint out of range")
+                raise InputError("arrow endpoint out of range")
         self.out = [[] for _ in range(n_vertices)]
         for a in self.arrows:
             self.out[a.tail].append(a)
@@ -207,7 +204,7 @@ class QuiverOfSections:
                     lifts[a.tail] = vsub(lifts[v], a.label)
                     todo.append(a.tail)
         if len(lifts) != self.n_vertices:
-            raise QuiverError("quiver is not connected")
+            raise InputError("quiver is not connected")
         self._lifts = [lifts[i] for i in range(self.n_vertices)]
         return self._lifts
 
@@ -264,12 +261,12 @@ def build_quiver(X, collection, arrow_order=None):
         want = [(t, h, tuple(lab)) for t, h, lab in arrow_order]
         have = [(t, h, tuple(lab)) for t, h, lab in arrows]
         if sorted(want) != sorted(have):
-            raise QuiverError(
+            raise InputError(
                 "arrow_order is not a permutation of the computed arrows; "
                 f"computed {sorted(have)}")
         arrows = want
     Q = QuiverOfSections(len(collection), arrows, X=X, collection=collection)
     if not Q.is_strongly_connected():
-        raise QuiverError("quiver of sections is not strongly connected")
+        raise InputError("quiver of sections is not strongly connected")
     return Q
 

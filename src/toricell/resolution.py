@@ -15,12 +15,8 @@ import math
 from dataclasses import dataclass
 
 from .complexes import mckay_complex, solve_gf2
-from .errors import InternalError
+from .errors import ConstructionError, InputError, InternalError
 from .intlinalg import is_zero, leq, sparse_rank
-
-
-class ResolutionError(ValueError):
-    pass
 
 
 class CellularResolution:
@@ -45,7 +41,7 @@ def build_resolution(complex_, signs=None):
     if signs is None:
         sol = complex_.solve_incidence()
         if not sol.feasible:
-            raise ResolutionError(
+            raise ConstructionError(
                 f"no incidence function exists: {sol.certificate}")
         signs = sol.signs
     else:
@@ -56,7 +52,7 @@ def build_resolution(complex_, signs=None):
 def verify_square_zero(res):
     """d.d = 0 at the symbolic level (`ToricCellComplex.sign_failure`)."""
     if failure := res.complex.sign_failure(res.signs):
-        raise ResolutionError(failure)
+        raise ConstructionError(failure)
     return True
 
 
@@ -185,23 +181,6 @@ def _pair_bases(complex_, pk, table, s, t):
     return pieces
 
 
-def _piece_bases(complex_, pk, table, s, t):
-    """Bases of the graded piece at (s, t, pk.bound), from the same class
-    table."""
-    bases = [[] for _ in range(complex_.n + 1)]
-    for k in range(complex_.n + 1):
-        for c in complex_.by_dim[k]:
-            div = pk.pack(c.divisor)
-            if not pk.leq(div, pk.B):
-                continue
-            rem = pk.B - div
-            rights = set(table.get((t, c.tail), ()))
-            for dL in table.get((c.head, s), ()):
-                if pk.leq(dL, rem) and rem - dL in rights:
-                    bases[k].append(c.id << pk.shift | dL)
-    return bases
-
-
 def _differential(pk, facets, bases, k):
     """d_k as sparse columns {row: coeff}, one per basis triple of P_k;
     d_0 is the augmentation onto the algebra piece (one row).  facets is
@@ -284,12 +263,11 @@ def graded_piece(res, s, t, dvec):
     dvec = tuple(dvec)
     pk = _packing(res.complex, dvec)
     table = _class_table(res.Q, pk)
-    dim_A = 1 if pk.B in table.get((t, s), ()) else 0
-    if not dim_A:
+    bases = _pair_bases(res.complex, pk, table, s, t).get(pk.B)
+    if bases is None:
         empty = [[] for _ in range(res.n + 1)]
         return GradedPiece(s=s, t=t, dvec=dvec, bases=empty,
                            matrices=[[[]] for _ in range(res.n + 1)], dim_A=0)
-    bases = _piece_bases(res.complex, pk, table, s, t)
     facets = _packed_facets(res, pk)
     matrices = [[[1] * len(bases[0])]]
     for k in range(1, res.n + 1):
@@ -306,7 +284,7 @@ def graded_piece(res, s, t, dvec):
 
     return GradedPiece(s=s, t=t, dvec=dvec,
                        bases=[[triple(x) for x in basis] for basis in bases],
-                       matrices=matrices, dim_A=dim_A)
+                       matrices=matrices, dim_A=1)
 
 
 def _composes_to_zero(outer, inner):
@@ -402,8 +380,7 @@ def _automorphisms(res):
             or any(len(m) < len(out) for m, out in zip(by_label, Q.out))):
         return auts
     arrows = sorted((a.tail, a.head, a.label) for a in Q.arrows)
-    signed = {(i.parent, i.facet, i.left, i.right): res.signs[i]
-              for i in C.incidences}
+    signs = res.signs
     for v in range(1, n):
         sigma = {0: v}
         todo = [0]
@@ -422,8 +399,8 @@ def _automorphisms(res):
                  for c in C.cells]
         if None in cells:
             continue
-        if all(signed.get((cells[p], cells[f], left, right)) == sign
-               for (p, f, left, right), sign in signed.items()):
+        if all(signs.get((cells[i.parent], cells[i.facet], i.left, i.right))
+               == signs[i] for i in C.incidences):
             auts.append(tuple(sigma[u] for u in range(n)))
     return auts
 
@@ -461,19 +438,19 @@ def verify_exactness(res, bound, check_products=False):
         bound = (bound,) * Q.d
     bound = tuple(bound)
     if len(bound) != Q.d or any(b < 0 for b in bound):
-        raise ValueError(
+        raise InputError(
             f"exactness bound must be {Q.d} nonnegative integers, got {bound}")
     n = Q.n_vertices
     pieces = n * n * math.prod(b + 1 for b in bound)
     if pieces > MAX_PIECES:
-        raise ValueError(
+        raise InputError(
             f"exactness at bound {bound} asks for {pieces} graded pieces, "
             f"more than the limit of {MAX_PIECES}")
     triples = sum(
         math.prod(math.comb(b - x + 2, 2) for b, x in zip(bound, c.divisor))
         for c in res.complex.cells if leq(c.divisor, bound))
     if triples > MAX_TRIPLES:
-        raise ValueError(
+        raise InputError(
             f"exactness at bound {bound} asks for up to {triples} basis "
             f"triples, more than the limit of {MAX_TRIPLES}")
     auts = _automorphisms(res)
@@ -528,7 +505,7 @@ def mckay_sign_crosscheck(group):
         equations.append((mask, rhs, (inc.parent, inc.facet)))
     assignment, certificate = solve_gf2(equations, n_cells)
     if assignment is None:
-        raise ResolutionError(
+        raise ConstructionError(
             f"solver and closed-form signs differ by no global sign: "
             f"{certificate}")
     delta = [(-1) ** x for x in assignment]
@@ -545,10 +522,10 @@ def mckay_sign_crosscheck(group):
     for s, t in itertools.product(range(Q.n_vertices), repeat=2):
         if pk.B not in table.get((t, s), ()):
             continue
-        bases = _piece_bases(complex_, pk, table, s, t)
+        bases = _pair_bases(complex_, pk, table, s, t)[pk.B]
         ra, rb = ([sparse_rank(_differential(pk, f, bases, k))
                    for k in range(complex_.n + 1)] for f in facets)
         if ra != rb:
-            raise ResolutionError(
+            raise ConstructionError(
                 f"graded ranks differ at ({s}, {t}): {ra} vs {rb}")
     return delta

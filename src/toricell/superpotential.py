@@ -13,6 +13,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 
+from .errors import InputError
 from .intlinalg import leq, vadd, vscale, vsub
 
 
@@ -245,10 +246,10 @@ def consistency(Q, W, bound=2):
     refused before any work.
     """
     if bound < 0:
-        raise ValueError(f"consistency bound must be nonnegative, got {bound}")
+        raise InputError(f"consistency bound must be nonnegative, got {bound}")
     classes = Q.n_vertices ** 2 * (bound + 1) ** Q.d
     if classes > MAX_CLASSES:
-        raise ValueError(
+        raise InputError(
             f"consistency at bound {bound} could create {classes} path "
             f"classes, more than the limit of {MAX_CLASSES}")
     quick = [a.idx for a in Q.arrows if not leq(a.label, Q.ones)]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .errors import InternalError
+from .errors import ConstructionError, InputError, InternalError
 from .intlinalg import (
     identity,
     left_pseudo_inverse,
@@ -28,17 +28,13 @@ from .intlinalg import (
 )
 
 
-class TilingError(ValueError):
-    pass
-
-
 def _complete_to_basis(z):
     """A basis of Z^n whose last vector is the primitive vector z."""
     n = len(z)
     col = [[x] for x in z]
     sf = smith_normal_form(col)
     if sf.S[0][0] not in (1, -1):
-        raise TilingError("covector is not primitive")
+        raise InternalError("covector is not primitive")
     # U (A V) = S with V = [v], so U . (v z) = e1 and z is the first
     # column of U^{-1} up to the sign v; U is unimodular, so its inverse
     # is integral
@@ -67,7 +63,7 @@ class ProjectionData:
 def projection_maps(X, m_basis=None):
     """Exact rational projection data for a Gorenstein threefold."""
     if X.n != 3:
-        raise TilingError("tiling reconstruction needs a threefold")
+        raise ConstructionError("tiling reconstruction needs a threefold")
     z = tuple(X.gorenstein_covector)
     if m_basis is None:
         basis = _complete_to_basis(z)
@@ -78,9 +74,9 @@ def projection_maps(X, m_basis=None):
                - U[0][1] * (U[1][0] * U[2][2] - U[1][2] * U[2][0])
                + U[0][2] * (U[1][0] * U[2][1] - U[1][1] * U[2][0]))
         if det not in (1, -1):
-            raise TilingError("supplied M-basis is not unimodular")
+            raise InputError("supplied M-basis is not unimodular")
         if basis[-1] != z:
-            raise TilingError(
+            raise InputError(
                 f"last basis vector must be the Gorenstein covector {z}")
     B = [[sum(m[k] * ray[k] for k in range(3)) for m in basis]
          for ray in X.rays]
@@ -90,7 +86,7 @@ def projection_maps(X, m_basis=None):
     fprime = [f[0], f[1]]
     for rho in range(X.d):
         if fprime[0][rho] == fprime[1][rho] == 0:
-            raise TilingError("a ray label projects to the origin")
+            raise ConstructionError("a ray label projects to the origin")
     return ProjectionData(m_basis=basis, B=B, f=f, fprime=fprime)
 
 
@@ -122,18 +118,18 @@ def dimer_reconstruct(Q, W, proj=None, lifts=None):
     """
     if proj is None:
         if Q.X is None:
-            raise TilingError("no variety attached to the quiver")
+            raise InputError("quiver has no attached variety")
         proj = projection_maps(Q.X)
     if lifts is None:
         lifts = Q.preferred_lifts()
     else:
         lifts = [tuple(u) for u in lifts]
         if len(lifts) != Q.n_vertices:
-            raise TilingError("one lift per vertex is required")
+            raise InputError("one lift per vertex is required")
         for a in Q.arrows:
             gap = vsub(vsub(lifts[a.head], lifts[a.tail]), a.label)
             if solve_integer(proj.B, gap) is None:
-                raise TilingError(
+                raise InputError(
                     f"lifts are not compatible with {a.pretty()}")
     pos = [proj.project(u) for u in lifts]
     vecs = [proj.project(a.label) for a in Q.arrows]
@@ -144,7 +140,7 @@ def dimer_reconstruct(Q, W, proj=None, lifts=None):
         end = vadd(pos[a.tail], vec)
         gap = vsub(pos[a.head], end)
         if any(x.denominator != 1 for x in map(Fraction, gap)):
-            raise TilingError(f"edge of {a.pretty()} misses its head vertex")
+            raise ConstructionError(f"edge of {a.pretty()} misses its head vertex")
     faces = []
     for term in W.terms:
         start = Q.arrows[term[0]].tail
@@ -153,7 +149,7 @@ def dimer_reconstruct(Q, W, proj=None, lifts=None):
             pts.append(vadd(pts[-1], vecs[idx]))
         closing = vadd(pts[-1], vecs[term[-1]])
         if closing != pts[0]:
-            raise TilingError("superpotential term does not close a polygon")
+            raise ConstructionError("superpotential term does not close a polygon")
         area = Fraction(0)
         for k in range(len(pts)):
             x1, y1 = pts[k]

@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import product
 
 from .cones import FiberContext, dual_cone_rays
-from .errors import InternalError
+from .errors import InputError, InternalError
 from .intlinalg import (
     CokernelForm,
     is_zero,
@@ -25,33 +25,29 @@ from .intlinalg import (
 )
 
 
-class VarietyError(ValueError):
-    pass
-
-
 class GorensteinToricVariety:
     """Affine Gorenstein toric variety from primitive ray generators."""
 
     def __init__(self, rays):
         rays = [tuple(r) for r in rays]
         if not rays:
-            raise VarietyError("no rays")
+            raise InputError("no rays")
         n = len(rays[0])
         if any(len(r) != n for r in rays):
-            raise VarietyError("rays of mixed dimension")
+            raise InputError("rays of mixed dimension")
         if len(set(rays)) != len(rays):
-            raise VarietyError("rays must be pairwise distinct")
+            raise InputError("rays must be pairwise distinct")
         for r in rays:
             if is_zero(r) or primitive(r) != r:
-                raise VarietyError(f"ray {r} is not primitive")
+                raise InputError(f"ray {r} is not primitive")
         if rank([list(r) for r in rays]) != n:
-            raise VarietyError("cone is not full-dimensional")
+            raise InputError("cone is not full-dimensional")
         # facet normals of the cone, the rays of its dual
         self.facets = dual_cone_rays(rays)
         if rank(self.facets) != n:
-            raise VarietyError("cone is not pointed (contains a line)")
+            raise InputError("cone is not pointed (contains a line)")
         if dual_cone_rays(self.facets) != sorted(rays):
-            raise VarietyError("input rays are not the extremal rays of their cone")
+            raise InputError("input rays are not the extremal rays of their cone")
         self.rays = rays
         self.n = n
         self.d = len(rays)
@@ -60,7 +56,7 @@ class GorensteinToricVariety:
         self.cl = CokernelForm(self.B)
         u = solve_integer(self.B, (1,) * self.d)
         if u is None:
-            raise VarietyError("not Gorenstein: no covector with <u, v_rho> = 1 for all rays")
+            raise InputError("not Gorenstein: no covector with <u, v_rho> = 1 for all rays")
         self.gorenstein_covector = u
         self._fiber_ctx = None
 
@@ -108,13 +104,13 @@ class Collection:
         self.X = X
         self.classes = [WeilClass.of(X, v) for v in representatives]
         if not self.classes:
-            raise VarietyError("empty collection")
+            raise InputError("empty collection")
         if not is_zero(self.classes[0].canonical):
-            raise VarietyError("collection must start with the trivial class")
+            raise InputError("collection must start with the trivial class")
         seen = set()
         for c in self.classes:
             if c.canonical in seen:
-                raise VarietyError("collection classes must be pairwise distinct")
+                raise InputError("collection classes must be pairwise distinct")
             seen.add(c.canonical)
 
     def __len__(self):
@@ -190,9 +186,9 @@ def mckay_toric_data(group):
     class per character of G.
     """
     if not group.in_sl():
-        raise VarietyError("group is not a subgroup of SL(n)")
+        raise InputError("group is not a subgroup of SL(n)")
     if not group.is_small():
-        raise VarietyError("group contains quasireflections")
+        raise InputError("group contains quasireflections")
     n = group.n
     # M = kernel of the character map Z^n -> prod Z/o_k
     rows = []

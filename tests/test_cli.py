@@ -7,6 +7,7 @@ import pytest
 from toricell import tiling
 from toricell.cli import main
 from toricell.errors import InternalError
+from toricell.intlinalg import rational_mat_inverse
 
 from conftest import INPUTS, input_path
 
@@ -163,6 +164,17 @@ def test_invalid_input_exit_code(capsys, tmp_path):
     assert main(["quiver", str(bad)]) == 2
     missing = tmp_path / "missing.json"
     assert main(["quiver", str(missing)]) == 2
+    # text that is not UTF-8, lists nested past the recursion limit and an
+    # integer past the digit limit of int(str): each raised a traceback
+    bad.write_bytes(b"\xff\xfe")
+    assert main(["quiver", str(bad)]) == 2
+    bad.write_text("[" * 100_000)
+    assert main(["quiver", str(bad)]) == 2
+    bad.write_text('{"kind": "toric", "rays": [[' + "1" * 5000 + "]]}")
+    assert main(["quiver", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("is not valid JSON") == 3
 
 
 def test_internal_error_exit_code(capsys, monkeypatch):
@@ -179,6 +191,23 @@ def test_internal_error_exit_code(capsys, monkeypatch):
         "internal error: projection is not a left inverse of B\n")
 
 
+@pytest.mark.parametrize("bug, message", [
+    # every caller of the rational inverse proves its matrix nonsingular,
+    # so a singular one is a bug, not invalid input
+    (lambda B: rational_mat_inverse([[1, 2], [2, 4]]), "matrix is singular"),
+    (lambda B: 1 // 0, "ZeroDivisionError: integer division or modulo by zero"),
+], ids=["singular", "zero_division"])
+def test_bug_exit_code(capsys, monkeypatch, bug, message):
+    """Any exception other than InputError or ConstructionError is a bug:
+    exit 3 with one line on stderr and no traceback."""
+    monkeypatch.setattr(tiling, "left_pseudo_inverse", bug)
+    assert main(["reconstruct",
+                 input_path("threefold_four_sheaves.json")]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"internal error: {message}\n"
+
+
 @pytest.mark.parametrize("order, weight", [(0, 1), (6, "a"), (6, 1.5)])
 def test_malformed_quotient_exit_code(capsys, tmp_path, order, weight):
     bad = tmp_path / "bad.json"
@@ -191,6 +220,18 @@ def test_malformed_quotient_exit_code(capsys, tmp_path, order, weight):
     assert "positive integer order and integer weights" in captured.err
 
 
+with open(input_path("threefold_four_sheaves.json")) as fh:
+    FOUR = json.load(fh)
+# the four-sheaves quiver as a dimer_quiver without rays
+DIMER = {"kind": "dimer_quiver", "vertices": 4,
+         "arrows": FOUR["options"]["arrow_order"]}
+
+
+def four_sheaves(**options):
+    """The four-sheaves document with the given options replaced."""
+    return dict(FOUR, options=dict(FOUR["options"], **options))
+
+
 @pytest.mark.parametrize("doc, message", [
     ({"kind": "cyclic_quotient", "order": 2, "weights": [1, 1],
       "options": {"bound": True}}, "bound must be an integer"),
@@ -198,12 +239,46 @@ def test_malformed_quotient_exit_code(capsys, tmp_path, order, weight):
      "integer weights, at least one"),
     ({"kind": "cyclic_quotient", "order": 20000003,
       "weights": [1, 1, 20000001]}, "exceeds MAX_GROUP_ORDER = 64"),
+    (dict(DIMER, rays=FOUR["rays"],
+          arrows=[[t, h, label + [0]] for t, h, label in DIMER["arrows"]]),
+     "arrow labels must have length 4"),
 ])
 def test_rejected_document_exit_code(capsys, tmp_path, doc, message):
+    check_rejected(capsys, tmp_path, doc, message, "consistency")
+
+
+@pytest.mark.parametrize("command, doc, message", [
+    ("reconstruct", four_sheaves(m_basis=[[1, 0]] * 3),
+     "m_basis must have length 3"),
+    ("reconstruct", four_sheaves(m_basis=[[1, 0, 0], [0, 0, 1]]),
+     "m_basis must have 3 rows"),
+    ("reconstruct", four_sheaves(m_basis=[[2, 0, 0], [0, 1, 0], [0, 0, 1]]),
+     "M-basis is not unimodular"),
+    ("reconstruct", four_sheaves(m_basis=[[0, 0, 1], [0, 1, 0], [1, 0, 0]]),
+     "last basis vector must be the Gorenstein covector"),
+    ("reconstruct", four_sheaves(lifts=[[0, 0, 0, 0]] * 3),
+     "lifts must have 4 rows"),
+    ("reconstruct", four_sheaves(lifts=[[0, 0, 0]] * 4),
+     "lifts must have length 4"),
+    ("reconstruct", four_sheaves(lifts=[[0, 0, 0, 0], [0, 1, 0, 0],
+                                        [1, 1, 0, 0], [0, 0, 0, -1]]),
+     "lifts are not compatible with a"),
+    ("complex", DIMER, "quiver has no attached variety"),
+    ("resolution", DIMER, "quiver has no attached variety"),
+    ("reconstruct", DIMER, "quiver has no attached variety"),
+])
+def test_rejected_request_exit_code(capsys, tmp_path, command, doc, message):
+    """Options and subcommands the document does not fit exit 2 as well;
+    each of these exited 1 or raised a traceback, or exited 1 under one
+    subcommand and 2 under another."""
+    check_rejected(capsys, tmp_path, doc, message, command)
+
+
+def check_rejected(capsys, tmp_path, doc, message, command):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     t0 = time.perf_counter()
-    assert main(["consistency", str(bad)]) == 2
+    assert main([command, str(bad)]) == 2
     assert time.perf_counter() - t0 < 5
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -6,12 +6,12 @@ from hypothesis import strategies as st
 
 from toricell import complexes, resolution
 from toricell.complexes import (
-    ComplexError,
     general_complex,
     mckay_complex,
     sign_infeasibility,
     solve_gf2,
 )
+from toricell.errors import ConstructionError
 from toricell.intlinalg import mat_mul, smith_normal_form, vadd
 from toricell.superpotential import relations, superpotential
 from toricell.variety import AbelianGroupData
@@ -119,7 +119,7 @@ def test_general_complex_dimension_three(quiver_four_sheaves):
 
 def test_relation_count_must_match_arrows(quiver_five_sheaves):
     Q = quiver_five_sheaves
-    with pytest.raises(ComplexError):
+    with pytest.raises(ConstructionError, match="needs one per arrow"):
         general_complex(Q, superpotential(Q))
 
 

@@ -8,10 +8,10 @@ import pytest
 
 from toricell import cones
 from toricell.cones import (
-    ConeError,
     FiberContext,
     dual_cone_rays,
 )
+from toricell.errors import InputError
 from toricell.inputs import MAX_GROUP_ORDER
 from toricell.intlinalg import (
     CokernelForm,
@@ -323,12 +323,12 @@ def test_fibers_golden(fixture):
 def test_point_cap_raises(monkeypatch):
     """_BOX_LIMIT caps the points of the S0 walk and of every fiber walk."""
     monkeypatch.setattr(cones, "_BOX_LIMIT", 50)
-    with pytest.raises(ConeError, match="_BOX_LIMIT = 50"):
+    with pytest.raises(InputError, match="_BOX_LIMIT = 50"):
         fiber_context([[1, 0], [-1, 50]])
     ctx = fiber_context([[1, 0], [0, 1], [1, 1]])
     assert ctx.fibers([(0, 0, -3)]) == [[
         (0, 3, 0), (1, 2, 0), (2, 1, 0), (3, 0, 0)]]
-    with pytest.raises(ConeError, match="_BOX_LIMIT = 50"):
+    with pytest.raises(InputError, match="_BOX_LIMIT = 50"):
         ctx.fibers([(0, 0, -40)])
 
 

@@ -1,11 +1,7 @@
 import pytest
 
-from toricell.inputs import (
-    InputError,
-    load_document,
-    parse_document,
-    quiver_document,
-)
+from toricell.errors import InputError
+from toricell.inputs import load_document, parse_document, quiver_document
 
 from conftest import fixture_documents, input_path
 
@@ -22,9 +18,9 @@ def test_all_fixture_documents_load():
 
 
 def test_unknown_kind_rejected():
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="unknown kind 'nonsense'"):
         parse_document({"kind": "nonsense"})
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="must be a JSON object"):
         parse_document([1, 2, 3])
 
 
@@ -33,7 +29,7 @@ def test_unknown_option_rejected():
            "rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
            "collection": [[0, 0, 0]],
            "options": {"bogus": 1}}
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="unknown option 'bogus'"):
         parse_document(raw)
 
 
@@ -55,7 +51,7 @@ def test_dimer_quiver_roundtrip(quiver_four_sheaves):
 def test_malformed_arrow_rejected():
     raw = {"kind": "dimer_quiver", "vertices": 2,
            "arrows": [[0, 1, "x"]]}
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="labels must be nonnegative"):
         parse_document(raw)
 
 
@@ -100,7 +96,8 @@ MALFORMED_GENERATORS = [
 def test_malformed_quotient_group_rejected(gen):
     with pytest.raises(InputError, match="positive integer order"):
         parse_document({"kind": "abelian_quotient", "generators": [gen]})
-    with pytest.raises(InputError):
+    with pytest.raises(InputError,
+                       match="positive integer order|has the wrong type"):
         parse_document(dict(gen, kind="cyclic_quotient"))
 
 

@@ -1,7 +1,7 @@
 import pytest
 
+from toricell.errors import InputError
 from toricell.matchings import (
-    MatchingError,
     PiMap,
     _minimal_generators,
     extremal_matching,
@@ -46,7 +46,7 @@ def test_extremal_matching_values_are_label_multiplicities(quiver_four_sheaves):
         m = extremal_matching(Q, rho)
         assert m.values == tuple(a.label[rho] for a in Q.arrows)
         assert m.extremal_ray is not None
-    with pytest.raises(MatchingError):
+    with pytest.raises(InputError, match="ray index out of range"):
         extremal_matching(Q, Q.d)
 
 

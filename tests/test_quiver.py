@@ -5,7 +5,8 @@ import os
 
 import pytest
 
-from toricell.quiver import QuiverError, QuiverOfSections, build_quiver
+from toricell.errors import InputError
+from toricell.quiver import QuiverOfSections, build_quiver
 from toricell.variety import (
     AbelianGroupData,
     Collection,
@@ -37,7 +38,7 @@ def test_quiver_arrows_fixed_order(quiver_four_sheaves):
 def test_arrow_order_must_be_permutation():
     X = GorensteinToricVariety([(1, 0, 1), (0, 1, 1), (-1, 1, 1), (0, -1, 1)])
     coll = Collection(X, [(0, 0, 0, 0), (1, 0, 0, 0)])
-    with pytest.raises(QuiverError):
+    with pytest.raises(InputError, match="not a permutation"):
         build_quiver(X, coll, arrow_order=[(0, 1, (1, 0, 0, 0))])
 
 
@@ -86,9 +87,9 @@ def test_preferred_lifts_follow_tree_arrows(quiver_four_sheaves):
 
 
 def test_quiver_from_data_validation():
-    with pytest.raises(QuiverError):
+    with pytest.raises(InputError, match="must be nonzero"):
         QuiverOfSections(2, [(0, 1, (0, 0))])  # zero label
-    with pytest.raises(QuiverError):
+    with pytest.raises(InputError, match="endpoint out of range"):
         QuiverOfSections(2, [(0, 2, (1, 0))])  # endpoint out of range
 
 

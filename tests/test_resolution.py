@@ -14,14 +14,13 @@ from toricell.complexes import (
     general_complex,
     mckay_complex,
 )
-from toricell.errors import InternalError
+from toricell.errors import ConstructionError, InputError, InternalError
 from toricell.intlinalg import leq, rank, vadd, vsub
 from toricell.resolution import (
     MAX_PIECES,
     MAX_TRIPLES,
     CellularResolution,
     ExactnessReport,
-    ResolutionError,
     _automorphisms,
     _class_table,
     _differential,
@@ -189,12 +188,9 @@ def test_weight_zero_quotient_z3_1110():
 
 
 def test_exactness_rejects_vacuous_checks(z6_resolution):
-    with pytest.raises(ValueError):
-        verify_exactness(z6_resolution, -1)
-    with pytest.raises(ValueError):
-        verify_exactness(z6_resolution, (1, -1, 1))
-    with pytest.raises(ValueError):
-        verify_exactness(z6_resolution, (1, 1))
+    for bound in (-1, (1, -1, 1), (1, 1)):
+        with pytest.raises(InputError, match="3 nonnegative integers"):
+            verify_exactness(z6_resolution, bound)
     rep = verify_exactness(z6_resolution, 0)
     assert rep.exact and rep.pieces_checked == 36
 
@@ -203,12 +199,12 @@ def test_exactness_piece_limit(z6_resolution):
     """A request above MAX_PIECES is refused before any work; the
     fourfold at bound 3 (64 pairs, 4^6 divisors) stays below it."""
     assert 64 * 4 ** 6 <= MAX_PIECES
-    with pytest.raises(ValueError, match="graded pieces"):
+    with pytest.raises(InputError, match="graded pieces"):
         verify_exactness(z6_resolution, 100000)
     b = 0
     while 36 * (b + 1) ** 3 <= MAX_PIECES:
         b += 1
-    with pytest.raises(ValueError, match="graded pieces"):
+    with pytest.raises(InputError, match="graded pieces"):
         verify_exactness(z6_resolution, b)
 
 
@@ -234,7 +230,7 @@ def test_exactness_triple_limit(z6_resolution, request):
     b = 0
     while 36 * (b + 1) ** 3 <= MAX_PIECES:
         b += 1
-    with pytest.raises(ValueError, match="basis triples"):
+    with pytest.raises(InputError, match="basis triples"):
         verify_exactness(z6_resolution, b - 1)
 
 
@@ -242,7 +238,7 @@ def test_differential_off_piece_is_internal_error(mckay_z6_complex):
     """The complex validates the classes of every incidence, so only a bug
     can send a differential out of its graded piece: with one entry of
     res.facets corrupted to a facet of the cell's own dimension, the
-    sweep raises InternalError (exit 3), not a ValueError (exit 2)."""
+    sweep raises InternalError (exit 3), not an InputError (exit 2)."""
     C = mckay_z6_complex
     res = build_resolution(C, signs=C.explicit_signs)
     cell = C.by_dim[1][0]
@@ -298,7 +294,7 @@ def test_broken_sign_negative_control(mckay_z6_complex):
     inc = next(i for i in C.incidences if C.cells[i.parent].dim == 2)
     signs[inc] = -signs[inc]
     res = CellularResolution(C, signs)
-    with pytest.raises(ResolutionError):
+    with pytest.raises(ConstructionError, match="d.d != 0 on flag"):
         verify_square_zero(res)
     # failing square-zero, every piece gets the product check anyway
     rep = verify_exactness(res, 1)
@@ -680,7 +676,7 @@ def exact_rank_oracle(res, bound):
     Q = res.Q
     try:
         square_zero = verify_square_zero(res)
-    except ResolutionError:
+    except ConstructionError:
         square_zero = False
     failures = {False: [], True: []}
     for s, t in itertools.product(range(Q.n_vertices), repeat=2):
@@ -747,7 +743,7 @@ def test_augmentation_sign_control(mckay_z6_complex):
     v0 = next(c.id for c in C.by_dim[0] if c.head == 0)
     res = CellularResolution(C, {inc: -sign if inc.facet == v0 else sign
                                  for inc, sign in C.explicit_signs.items()})
-    with pytest.raises(ResolutionError, match="augmentation"):
+    with pytest.raises(ConstructionError, match="augmentation"):
         verify_square_zero(res)
     oracle = exact_rank_oracle(res, 1)
     for check_products in (False, True):

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from toricell.errors import InputError
 from toricell.inputs import parse_document
 from toricell.intlinalg import leq, vsub
 from toricell.superpotential import (
@@ -320,7 +321,7 @@ def test_dropped_relation_gives_same_witnesses(quiver_four_sheaves,
 
 def test_consistency_rejects_negative_bound(quiver_four_sheaves):
     Q = quiver_four_sheaves
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError, match="must be nonnegative, got -1"):
         consistency(Q, superpotential(Q), bound=-1)
 
 
@@ -332,5 +333,5 @@ def test_consistency_class_limit(quiver_four_sheaves):
     b = 0
     while 16 * (b + 1) ** 4 <= MAX_CLASSES:
         b += 1
-    with pytest.raises(ValueError, match="path classes"):
+    with pytest.raises(InputError, match="path classes"):
         consistency(Q, superpotential(Q), bound=b)

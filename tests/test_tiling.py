@@ -4,10 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from toricell.errors import ConstructionError, InputError
 from toricell.intlinalg import vadd
 from toricell.superpotential import superpotential
 from toricell.tiling import (
-    TilingError,
     _crossings,
     _segments_conflict,
     dimer_reconstruct,
@@ -31,15 +31,15 @@ def test_projection_matrix_exact(quiver_four_sheaves):
 
 def test_projection_needs_threefold():
     X = GorensteinToricVariety([(1, 0), (0, 1)])
-    with pytest.raises(TilingError):
+    with pytest.raises(ConstructionError, match="needs a threefold"):
         projection_maps(X)
 
 
 def test_projection_rejects_bad_basis(quiver_four_sheaves):
     X = quiver_four_sheaves.X
-    with pytest.raises(TilingError):
+    with pytest.raises(InputError, match="not unimodular"):
         projection_maps(X, m_basis=[[2, 0, 0], [0, 1, 0], [0, 0, 1]])
-    with pytest.raises(TilingError):
+    with pytest.raises(InputError, match="Gorenstein covector"):
         # unimodular but the wrong last vector
         projection_maps(X, m_basis=[[0, 0, 1], [0, 1, 0], [1, 0, 0]])
 
@@ -101,7 +101,7 @@ def test_trivial_quiver_tiling(quiver_trivial_a3):
 
 def test_bad_lifts_rejected(quiver_four_sheaves):
     Q = quiver_four_sheaves
-    with pytest.raises(TilingError):
+    with pytest.raises(InputError, match="not compatible with a"):
         dimer_reconstruct(Q, superpotential(Q), lifts=[
             (0, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0), (0, 0, 0, -1)])
 

@@ -1,10 +1,10 @@
 import pytest
 
+from toricell.errors import InputError
 from toricell.variety import (
     AbelianGroupData,
     Collection,
     GorensteinToricVariety,
-    VarietyError,
     mckay_toric_data,
 )
 
@@ -25,24 +25,25 @@ def test_gorenstein_covector():
 
 def test_rejects_non_gorenstein():
     # no covector pairs to 1 on both rays
-    with pytest.raises(VarietyError):
+    with pytest.raises(InputError, match="not Gorenstein"):
         GorensteinToricVariety([(1, 0), (2, 3)])
 
 
 def test_rejects_unpointed():
-    with pytest.raises(VarietyError):
+    with pytest.raises(InputError, match="not pointed"):
         GorensteinToricVariety([(1, 0), (-1, 0), (0, 1)])
 
 
 def test_rejects_not_full_dimensional():
     # rank 2 in N = Z^3: the variety checks this before building the cone
-    with pytest.raises(VarietyError, match="not full-dimensional"):
+    with pytest.raises(InputError, match="not full-dimensional"):
         GorensteinToricVariety([(1, 0, 0), (0, 1, 0)])
 
 
 def test_rejects_non_extremal_input_ray():
-    with pytest.raises(VarietyError):
-        GorensteinToricVariety([(1, 0, 1), (0, 1, 1), (1, 1, 2)])
+    # (1, 1, 2) is the sum of the first two rays
+    with pytest.raises(InputError, match="not the extremal rays"):
+        GorensteinToricVariety([(1, 0, 1), (0, 1, 1), (0, 0, 1), (1, 1, 2)])
 
 
 def test_divisor_class_relations():
@@ -80,9 +81,9 @@ def test_section_semigroup_hilbert_basis_affine_space():
 
 def test_collection_rejects_duplicates():
     X = GorensteinToricVariety(F1_RAYS)
-    with pytest.raises(VarietyError):
+    with pytest.raises(InputError, match="pairwise distinct"):
         Collection(X, [e(), e(1), e(1, 1, 4, 4)])  # second class repeated
-    with pytest.raises(VarietyError):
+    with pytest.raises(InputError, match="start with the trivial class"):
         Collection(X, [e(1), e()])  # must start with the trivial class
 
 
