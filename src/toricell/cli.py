@@ -115,10 +115,9 @@ def _matchings(doc, args):
     return code
 
 
-def _build_complex(doc, args):
-    if doc.kind in ("cyclic_quotient", "abelian_quotient") or args.mckay:
-        if doc.group is None:
-            raise InputError("--mckay needs a quotient input")
+def _build_complex(doc):
+    """The hypercube complex of a quotient, else the superpotential one."""
+    if doc.group is not None:
         return mckay_complex(doc.group)
     Q = doc.quiver()
     W = build_superpotential(Q)
@@ -126,7 +125,7 @@ def _build_complex(doc, args):
 
 
 def _complex(doc, args):
-    C = _build_complex(doc, args)
+    C = _build_complex(doc)
     # tau raises unless it is an involution, and solve_incidence unless the
     # face poset check passes, so a printed report has both true
     C.tau()
@@ -144,7 +143,7 @@ def _complex(doc, args):
 
 def _resolution(doc, args):
     bound = _bound(doc, args, 1) if args.verify_exactness else None
-    C = _build_complex(doc, args)
+    C = _build_complex(doc)
     signs = getattr(C, "explicit_signs", None)
     res = build_resolution(C, signs=signs)
     verify_square_zero(res)
@@ -270,12 +269,10 @@ def main(argv=None):
     p.add_argument("--bound", type=int, help="divisor bound (default 2)")
     add("matchings", _matchings, help="perfect matchings and the "
         "weight-zero slice check")
-    p = add("complex", _complex, help="toric cell complex and incidences")
-    p.add_argument("--mckay", action="store_true",
-                   help="force the hypercube complex of a quotient input")
-    p = add("resolution", _resolution, help="cellular bimodule resolution")
-    p.add_argument("--mckay", action="store_true",
-                   help="force the hypercube complex of a quotient input")
+    add("complex", _complex, help="toric cell complex and incidences; the "
+        "hypercube complex for a quotient input")
+    p = add("resolution", _resolution, help="cellular bimodule resolution "
+            "over the same complex")
     p.add_argument("--verify-exactness", action="store_true")
     p.add_argument("--bound", type=int, help="divisor bound for exactness")
     p = add("reconstruct", _reconstruct, help="torus tiling of a threefold")

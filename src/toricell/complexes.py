@@ -70,6 +70,10 @@ class ToricCellComplex:
             self._validate(inc)
             self.incidences.append(inc)
             self._facets_of[inc.parent].append(inc)
+        # (vertex map, cell map) of each known symmetry, identity first;
+        # mckay_complex adds the translations by its group
+        self.translations = [(tuple(range(Q.n_vertices)),
+                              tuple(range(len(cells))))]
         self._tau = None
         self._composites = None
 
@@ -268,7 +272,8 @@ def mckay_complex(group):
     Cells are pairs (vertex, S) for S a subset of the coordinate directions;
     the facet dropping the nu-th direction of S shares the tail (left class
     an arrow, sign (-1)^nu) or the head (right class an arrow, sign
-    (-1)^(nu+1)).  The closed-form signs are returned alongside.
+    (-1)^(nu+1)).  The closed-form signs are returned alongside, and the
+    translations: g sends (j, S) to (j', S) with char(j') = char(j) + g.
     """
     X, collection = mckay_toric_data(group)
     Q = build_quiver(X, collection)
@@ -314,6 +319,13 @@ def mckay_complex(group):
                 explicit[head_facet] = (-1) ** (nu + 1)
     complex_ = ToricCellComplex(Q, n, cells, incidences)
     complex_.explicit_signs = explicit
+    reps = [c.representative for c in collection.classes]
+    complex_.translations = []
+    for g in reps:  # vertex 0 has the trivial character: identity first
+        sigma = tuple(vertex_of_char[group.character(vadd(v, g))] for v in reps)
+        # the face (j, S) is the cell j << n | bits of S
+        complex_.translations.append((sigma, tuple(
+            sigma[i >> n] << n | i & (1 << n) - 1 for i in range(len(cells)))))
     # the 1-skeleton must be the quiver itself
     one_cells = {(c.tail, c.head, c.divisor) for c in complex_.by_dim[1]}
     arrows = {(a.tail, a.head, a.label) for a in Q.arrows}

@@ -28,6 +28,11 @@ from .intlinalg import (
 
 # the most points one staircase walk may visit
 _BOX_LIMIT = 4_000_000
+# the most (plus ray, minus ray) pair times ray scans one double description
+# may make; every fixture needs at most 4,306, the perfect matchings of
+# Z/14(1,2,11) 5.8 M (0.4 s on a 2-CPU machine) and those of Z/16(1,2,13)
+# 53 M (4 s)
+_SCAN_LIMIT = 6_500_000
 
 
 def dual_cone_rays(generators):
@@ -36,7 +41,9 @@ def dual_cone_rays(generators):
     The generators must span the ambient space, so that the dual cone is
     pointed; both callers prove that they do.  Double description method:
     start from a simplicial subcone and add the remaining inequalities one
-    at a time.
+    at a time.  Each step that splits the rays scans all of them for
+    every (plus, minus) pair, and a run whose scans would pass
+    _SCAN_LIMIT is refused before the step that passes it.
     """
     generators = [tuple(g) for g in generators]
     r = len(generators[0]) if generators else 0
@@ -54,41 +61,41 @@ def dual_cone_rays(generators):
 
     inv = rational_mat_inverse([list(g) for g in chosen])
     rays = []
-    for j in range(r):
-        col = [inv[i][j] for i in range(r)]
-        mult = lcm(*(f.denominator for f in col)) if r else 1
-        ray = primitive(tuple(int(f * mult) for f in col))
-        rays.append(ray)
+    for col in zip(*inv):
+        mult = lcm(*(f.denominator for f in col))
+        rays.append(primitive(tuple(int(f * mult) for f in col)))
 
-    processed = list(chosen)
-    for a in rest:
+    # bit i of tight[y]: the i-th inequality added so far is tight at y; a
+    # combination of p and m is tight exactly where both are
+    tight = {y: sum(1 << i for i, c in enumerate(chosen) if dot(c, y) == 0)
+             for y in rays}
+    scans = 0
+    for k, a in enumerate(rest, start=r):
         plus, zero, minus = [], [], []
         for y in rays:
             s = dot(a, y)
             (plus if s > 0 else zero if s == 0 else minus).append(y)
+        for y in zero:
+            tight[y] |= 1 << k
         if not minus:
-            processed.append(a)
             continue
-        tight = {y: frozenset(i for i, c in enumerate(processed) if dot(c, y) == 0)
-                 for y in rays}
+        scans += len(plus) * len(minus) * len(rays)
+        if scans > _SCAN_LIMIT:
+            raise InputError(f"double description scans more than "
+                             f"_SCAN_LIMIT = {_SCAN_LIMIT} rays")
         new_rays = plus + zero
         for p in plus:
             for m in minus:
                 common = tight[p] & tight[m]
-                if len(common) < r - 2:
+                if common.bit_count() < r - 2:
                     continue
-                adjacent = True
-                for w in rays:
-                    if w is p or w is m:
-                        continue
-                    if common <= tight[w]:
-                        adjacent = False
-                        break
-                if not adjacent:
+                if any(tight[w] & common == common
+                       for w in rays if w is not p and w is not m):
                     continue
                 combo = vsub(vscale(dot(a, p), m), vscale(dot(a, m), p))
-                new_rays.append(primitive(combo))
-        processed.append(a)
+                ray = primitive(combo)
+                tight[ray] = common | 1 << k
+                new_rays.append(ray)
         rays = sorted(set(new_rays))
     return sorted(set(rays))
 

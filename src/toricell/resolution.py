@@ -14,7 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .complexes import mckay_complex, solve_gf2
+from .complexes import mckay_complex
 from .errors import ConstructionError, InputError, InternalError
 from .intlinalg import is_zero, leq, sparse_rank
 
@@ -357,51 +357,37 @@ MAX_PIECES = 500_000
 MAX_TRIPLES = 40_000_000
 
 
-def _automorphisms(res):
-    """The vertex permutations sigma, as tuples, that carry the resolution
-    onto itself; the identity comes first.
+def _gauge(complex_, a, b):
+    """(delta, conflicts) for sign functions a, b on the incidences: delta
+    is +1 on the 0-cells and a(i) b(i) delta(facet) on the first facet
+    incidence i of each higher cell, by increasing dimension; conflicts
+    are the i with a(i) != delta(parent) delta(facet) b(i).  A gauge from
+    b to a that is +1 on the 0-cells must take these values, so it exists
+    iff there are no conflicts.  A cell with no facet keeps +1, which can
+    only add conflicts."""
+    delta = [1] * len(complex_.cells)
+    for k in range(1, complex_.n + 1):
+        for c in complex_.by_dim[k]:
+            for i in complex_.facet_incidences(c.id)[:1]:
+                delta[c.id] = a[i] * b[i] * delta[i.facet]
+    conflicts = [i for i in complex_.incidences
+                 if a[i] != delta[i.parent] * delta[i.facet] * b[i]]
+    return delta, conflicts
 
-    A candidate maps vertex 0 to some v and follows the arrows out of
-    each vertex reached, matched by label.  It is kept only when it is a
-    bijection of the vertices that maps the labelled arrows onto
-    themselves, every cell onto the cell with the same dimension and
-    divisor at the translated head and tail, and every facet incidence
-    onto one with the same derivative classes and sign.  Where an arrow
-    label repeats at a vertex, or a (dim, head, tail, divisor) key at two
-    cells, a permutation may not determine the cell map, so only the
-    identity is returned.
-    """
-    Q, C = res.Q, res.complex
-    n = Q.n_vertices
-    auts = [tuple(range(n))]
-    by_label = [{a.label: a.head for a in out} for out in Q.out]
-    cell_of = {(c.dim, c.head, c.tail, c.divisor): c.id for c in C.cells}
-    if (len(cell_of) < len(C.cells)
-            or any(len(m) < len(out) for m, out in zip(by_label, Q.out))):
-        return auts
-    arrows = sorted((a.tail, a.head, a.label) for a in Q.arrows)
-    signs = res.signs
-    for v in range(1, n):
-        sigma = {0: v}
-        todo = [0]
-        while todo:
-            u = todo.pop()
-            image = by_label[sigma[u]]
-            for label, head in by_label[u].items():
-                if head not in sigma and label in image:
-                    sigma[head] = image[label]
-                    todo.append(head)
-        if len(sigma) < n or len(set(sigma.values())) < n:
-            continue
-        if sorted((sigma[t], sigma[h], lab) for t, h, lab in arrows) != arrows:
-            continue
-        cells = [cell_of.get((c.dim, sigma[c.head], sigma[c.tail], c.divisor))
-                 for c in C.cells]
-        if None in cells:
-            continue
-        if all(signs.get((cells[i.parent], cells[i.facet], i.left, i.right))
-               == signs[i] for i in C.incidences):
-            auts.append(tuple(sigma[u] for u in range(n)))
+
+def _automorphisms(res):
+    """The vertex maps of the complex's translations, identity first, that
+    carry the signs to a gauge transform of themselves: sigma with
+    signs . sigma = delta(parent) delta(facet) signs for a delta that is
+    +1 on the 0-cells (`_gauge`)."""
+    C, signs = res.complex, res.signs
+    (identity, _), *rest = C.translations
+    auts = [identity]
+    for vertices, cells in rest:
+        moved = {i: signs[(cells[i.parent], cells[i.facet], i.left, i.right)]
+                 for i in C.incidences}
+        if not _gauge(C, moved, signs)[1]:
+            auts.append(vertices)
     return auts
 
 
@@ -420,18 +406,18 @@ def verify_exactness(res, bound, check_products=False):
 
     Pieces are computed for one pair per orbit of the automorphisms of
     the resolution (`_automorphisms`), and their failures are copied to
-    the other pairs of the orbit.  This is exact: sigma maps
-    the labelled arrows onto themselves, so a path of class d runs from
-    u to v iff one runs from sigma(u) to sigma(v), and the class table
-    is invariant.  Hence the triples (eta, dL, dR) at (s, t, d)
-    correspond one to one to the triples (sigma(eta), dL, dR) at
-    (sigma(s), sigma(t), d), and since sigma maps the facet incidences
-    of eta onto those of sigma(eta) with equal classes and signs, the
-    differential entries agree under this correspondence.  The two
-    pieces differ by a reordering of their bases, so they have the same
-    dimensions, ranks, products d_{k-1}.d_k and failure details.
-    `pieces_checked` counts every piece, including those
-    certified by this isomorphism.
+    the other pairs of the orbit.  This is exact: a translation sigma of a
+    quotient's hypercube complex maps the labelled arrows onto themselves,
+    so the class table is invariant, and each cell eta and its facet
+    incidences onto sigma(eta), head and tail moved, with equal divisor
+    and classes.  So the triples (eta, dL, dR) at (s, t, d) match the
+    (sigma(eta), dL, dR) at (sigma(s), sigma(t), d), whose differentials
+    carry the signs . sigma = delta(parent) delta(facet) signs.  Scaling
+    each triple by delta(eta) maps one piece onto the other, and commutes
+    with the augmentation, which sends every 0-cell triple to +1, because
+    delta is +1 on the 0-cells.  The two pieces have the same dimensions,
+    ranks, products d_{k-1}.d_k and failure details.  `pieces_checked`
+    counts every piece, including those certified by this isomorphism.
     """
     Q = res.Q
     if isinstance(bound, int):
@@ -481,51 +467,22 @@ def verify_exactness(res, bound, check_products=False):
 
 
 def mckay_sign_crosscheck(group):
-    """Compare the solver's incidence function on the hypercube complex of
-    an abelian quotient with the closed-form (-1)^nu signs.
-
-    Both satisfy the cancellation parity, so they differ by a global sign
-    function delta on cells: solver(inc) = delta(parent) * delta(facet) *
-    closed_form(inc).  The delta system is solved over GF(2) and verified.
-    The graded ranks compared stay exact: mod 2 every sign is 1, so the
-    GF(2) ranks of the two resolutions agree whatever the signs.
+    """The gauge delta on the cells of an abelian quotient's hypercube
+    complex with solver(inc) = delta(parent) delta(facet) closed_form(inc)
+    for the solver's and the closed-form (-1)^nu signs (`_gauge`).  Any
+    such delta is constant on the 0-cells, by the augmentation equation on
+    each 1-cell and as the quiver is connected, so it may be taken +1
+    there.  It rescales basis triples by +-1, so the graded ranks agree,
+    and it keeps the solver's signs valid, so the closed-form ones are.
     """
     complex_ = mckay_complex(group)
     explicit = complex_.explicit_signs
-    complex_.verify_signs(explicit)
     sol = complex_.solve_incidence()
     if not sol.feasible:
         raise InternalError("solver found no incidence function")
-    # delta per cell: x_p + x_f = 0 or 1 according to sign agreement
-    n_cells = len(complex_.cells)
-    equations = []
-    for inc in complex_.incidences:
-        rhs = 0 if sol.signs[inc] == explicit[inc] else 1
-        mask = (1 << inc.parent) ^ (1 << inc.facet)
-        equations.append((mask, rhs, (inc.parent, inc.facet)))
-    assignment, certificate = solve_gf2(equations, n_cells)
-    if assignment is None:
+    delta, conflicts = _gauge(complex_, sol.signs, explicit)
+    if conflicts:
         raise ConstructionError(
-            f"solver and closed-form signs differ by no global sign: "
-            f"{certificate}")
-    delta = [(-1) ** x for x in assignment]
-    for inc in complex_.incidences:
-        if sol.signs[inc] != delta[inc.parent] * delta[inc.facet] * explicit[inc]:
-            raise InternalError("global sign verification failed")
-    # the closed-form and the solver resolution, both square-zero by
-    # verify_signs, must have the same graded ranks at Q.ones
-    Q = complex_.Q
-    pk = _packing(complex_, Q.ones)
-    table = _class_table(Q, pk)
-    facets = [_packed_facets(CellularResolution(complex_, signs), pk)
-              for signs in (explicit, sol.signs)]
-    for s, t in itertools.product(range(Q.n_vertices), repeat=2):
-        if pk.B not in table.get((t, s), ()):
-            continue
-        bases = _pair_bases(complex_, pk, table, s, t)[pk.B]
-        ra, rb = ([sparse_rank(_differential(pk, f, bases, k))
-                   for k in range(complex_.n + 1)] for f in facets)
-        if ra != rb:
-            raise ConstructionError(
-                f"graded ranks differ at ({s}, {t}): {ra} vs {rb}")
+            f"solver and closed-form signs differ by no gauge: "
+            f"{conflicts}")
     return delta

@@ -133,6 +133,22 @@ def test_consistency_class_limit_exit_code(capsys):
     assert "path classes" in captured.err
 
 
+def test_matchings_scan_limit_exit_code(capsys, tmp_path):
+    """The perfect matchings of Z/22(1,2,19), an admitted quotient whose
+    double description ran for minutes, pass cones._SCAN_LIMIT and are
+    refused with exit code 2 before much of that work."""
+    doc = tmp_path / "z22.json"
+    doc.write_text(json.dumps({"kind": "cyclic_quotient", "order": 22,
+                               "weights": [1, 2, 19]}))
+    t0 = time.perf_counter()
+    code = main(["matchings", str(doc)])
+    assert time.perf_counter() - t0 < 5
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "_SCAN_LIMIT" in captured.err
+
+
 def test_reconstruct_valid(capsys, tmp_path):
     svg = tmp_path / "t.svg"
     code, doc = run(capsys, "reconstruct", input_path("threefold_four_sheaves.json"),

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricell import complexes, resolution
+from toricell import complexes
 from toricell.complexes import (
     general_complex,
     mckay_complex,
@@ -184,9 +184,9 @@ def solve_gf2_oracle(equations, n_vars):
 
 
 def check_solve_gf2_against_oracle(monkeypatch):
-    """Patch solve_gf2 where complexes and resolution call it, so that
-    every call must return exactly what the oracle returns; the returned
-    list collects the number of equations of each call."""
+    """Patch solve_gf2 where complexes calls it, so that every call must
+    return exactly what the oracle returns; the returned list collects the
+    number of equations of each call."""
     calls = []
 
     def checked(equations, n_vars):
@@ -196,7 +196,6 @@ def check_solve_gf2_against_oracle(monkeypatch):
         return got
 
     monkeypatch.setattr(complexes, "solve_gf2", checked)
-    monkeypatch.setattr(resolution, "solve_gf2", checked)
     return calls
 
 

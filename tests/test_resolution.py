@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 import re
 
 import pytest
@@ -10,6 +11,7 @@ from toricell import resolution
 from toricell.complexes import (
     Cell,
     FacetIncidence,
+    IncidenceSolution,
     ToricCellComplex,
     general_complex,
     mckay_complex,
@@ -24,6 +26,7 @@ from toricell.resolution import (
     _automorphisms,
     _class_table,
     _differential,
+    _gauge,
     _gf2_certified,
     _packed_facets,
     _packing,
@@ -169,6 +172,16 @@ def test_sign_crosscheck_z2():
 
 def test_sign_crosscheck_trivial():
     mckay_sign_crosscheck(AbelianGroupData.cyclic(1, (0, 0, 0)))
+
+
+def test_sign_crosscheck_reports_conflicts(mckay_z6_group, monkeypatch):
+    """Solver signs that are no gauge transform of the closed form, here
+    the single flip, are refused with the conflicting incidences."""
+    monkeypatch.setattr(ToricCellComplex, "solve_incidence", lambda C:
+                        IncidenceSolution(single_flip(C).signs, True, None))
+    with pytest.raises(ConstructionError,
+                       match=r"differ by no gauge: \[FacetIncidence"):
+        mckay_sign_crosscheck(mckay_z6_group)
 
 
 def test_weight_zero_quotient_z3_1110():
@@ -360,6 +373,15 @@ def fixture_resolution(name, request):
     return build_resolution(general_complex(Q, superpotential(Q)))
 
 
+def solver_resolution(name):
+    """The resolution of a quotient fixture with the solver's signs, the
+    library default of build_resolution."""
+    return build_resolution(mckay_complex(load(name).group))
+
+
+QUOTIENTS = ["mckay_z2_11.json", "mckay_z2_110.json", "mckay_z6_123.json"]
+
+
 @pytest.mark.parametrize("name", [
     "conifold.json", "fourfold.json", "mckay_z2_11.json",
     "mckay_z2_110.json", "mckay_z6_123.json", "threefold_four_sheaves.json",
@@ -443,6 +465,83 @@ def test_exactness_matches_per_pair_oracle(name, check_products, request):
     rep = verify_exactness(res, bound, check_products)
     assert rep.exact
     assert rep == oracle_exactness(res, bound, check_products)
+
+
+@pytest.mark.parametrize("name", QUOTIENTS)
+def test_solver_signs_match_both_oracles(name):
+    """The solver's signs are not the closed-form ones but a gauge
+    transform of them, so they keep all |G| translations;
+    the report is that of the identity oracle at bound 2, and of the
+    exact-rank oracle at bound 1 (2 for the order-2 groups)."""
+    res = solver_resolution(name)
+    assert res.signs != res.complex.explicit_signs
+    assert len(_automorphisms(res)) == FIXTURE_SYMMETRY[name]
+    small = 1 if name == "mckay_z6_123.json" else 2
+    exact_ranks = exact_rank_oracle(res, small)
+    for check_products in (False, True):
+        rep = verify_exactness(res, 2, check_products)
+        assert rep.exact
+        assert rep == oracle_exactness(res, 2, check_products)
+        assert (verify_exactness(res, small, check_products)
+                == exact_ranks[check_products])
+
+
+def gauged(res, delta):
+    """The resolution with signs delta(parent) delta(facet) signs."""
+    return CellularResolution(res.complex, {
+        i: delta[i.parent] * delta[i.facet] * sign
+        for i, sign in res.signs.items()})
+
+
+def random_delta(C, seed, fix_vertices):
+    """A seeded +-1 on every cell, +1 on the 0-cells with fix_vertices."""
+    rng = random.Random(seed)
+    return [1 if fix_vertices and c.dim == 0 else rng.choice((1, -1))
+            for c in C.cells]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_gauge_recovers_delta(mckay_z6_complex, seed):
+    """_gauge finds exactly a random delta that is +1 on the 0-cells, and
+    reports conflicts between the closed-form signs and a single flip."""
+    C = mckay_z6_complex
+    delta = random_delta(C, seed, True)
+    signs = gauged(CellularResolution(C, C.explicit_signs), delta).signs
+    assert _gauge(C, signs, C.explicit_signs) == (delta, [])
+    assert _gauge(C, single_flip(C).signs, C.explicit_signs)[1]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_gauged_invariant_flip(mckay_z6_complex, seed):
+    """The invariant flip under a random delta: +1 on the 0-cells, it
+    keeps the 6 translations; free on the 0-cells, where the augmentation
+    sees it, a translation sigma is kept only if delta(sigma(v)) delta(v)
+    is the same at every vertex v.  Either way the report is the
+    oracle's; the flip breaks d.d = 0, so products are always checked."""
+    C = mckay_z6_complex
+    flip = invariant_flip(C)
+    for fix_vertices in (True, False):
+        delta = random_delta(C, seed, fix_vertices)
+        res = gauged(flip, delta)
+        at = [delta[c.id] for c in C.by_dim[0]]
+        kept = [g for g, _ in C.translations
+                if len({at[g[v]] * at[v] for v in range(6)}) == 1]
+        assert _automorphisms(res) == kept
+        assert len(kept) == 6 or not fix_vertices
+        rep = verify_exactness(res, 1)
+        assert not rep.exact and rep == oracle_exactness(res, 1, False)
+
+
+@pytest.mark.parametrize("name", QUOTIENTS)
+def test_solver_and_closed_form_ranks_agree(name, request):
+    """The gauge between the solver's and the closed-form signs rescales
+    basis triples, so their exact graded ranks at Q.ones agree."""
+    a, b = fixture_resolution(name, request), solver_resolution(name)
+    Q = a.Q
+    for s, t in itertools.product(range(Q.n_vertices), repeat=2):
+        ranks = [[rank(m) for m in graded_piece(res, s, t, Q.ones).matrices]
+                 for res in (a, b)]
+        assert ranks[0] == ranks[1]
 
 
 def single_flip(C):
@@ -781,7 +880,8 @@ def test_forced_fallback_leaves_reports_unchanged(monkeypatch, request,
 def test_sign_crosscheck_needs_exact_ranks(mckay_z6_complex):
     """Mod 2 every sign is 1, so the single-flip resolution and the
     closed-form one have the same GF(2) ranks at Q.ones, but not the same
-    exact ranks: mckay_sign_crosscheck must compare exact ranks."""
+    exact ranks: sign choices cannot be compared by GF(2) ranks, which is
+    why the cross-check compares the signs themselves, up to a gauge."""
     C = mckay_z6_complex
     good, bad = CellularResolution(C, C.explicit_signs), single_flip(C)
     differ = False
@@ -797,17 +897,16 @@ def test_sign_crosscheck_needs_exact_ranks(mckay_z6_complex):
 @pytest.mark.parametrize("name", sorted(FIXTURE_SYMMETRY))
 def test_solve_gf2_matches_oracle_on_fixtures(name, request, monkeypatch):
     """Every GF(2) system the fixtures give solve_gf2: the incidence
-    system of a superpotential fixture, and for a quotient both systems
-    of mckay_sign_crosscheck.  Each call must return the oracle's
-    solution or certificate."""
+    system, which for a quotient mckay_sign_crosscheck solves and compares
+    with the closed form.  Each call must return the oracle's solution or
+    certificate."""
     calls = check_solve_gf2_against_oracle(monkeypatch)
     group = load(name).group
     if group is not None:
         mckay_sign_crosscheck(group)
-        assert len(calls) == 2
     else:
         fixture_resolution(name, request)
-        assert len(calls) == 1
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("n", sorted(SMALL_GROUPS))
@@ -815,17 +914,16 @@ def test_small_abelian_quotients(n, monkeypatch):
     """For each small abelian subgroup of SL(n): the relations equal the
     path-walk oracle's, the quiver is consistent at bound 2, tau is an
     involution, Delta has the homology of the n-torus, the McKay
-    resolution is exact at bound 2, and for n <= 3
-    the solver's signs are the closed-form ones up to a global sign, with
-    both GF(2) systems of that cross-check solved as the oracle solves
-    them.
+    resolution is exact at bound 2, and the solver's signs are the
+    closed-form ones up to a gauge, with the solver's GF(2) system solved
+    as the oracle solves it for n <= 3.
 
-    The sign cross-check is left out for n = 4: on the 54 SL(4) groups it
-    added 2.0-2.8 s to this test on a 2-CPU machine (three runs), against
-    3.6-4.7 s for the rest of it.  Its 108 GF(2) solves take about 0.3 s
-    of that; rebuilding each complex, the two sign checks, the solver's
-    face-poset pass and the exact ranks at Q.ones take the rest."""
-    calls = check_solve_gf2_against_oracle(monkeypatch)
+    On the 54 SL(4) groups the sign cross-check adds 0.4-0.6 s to this
+    test on a 2-CPU machine, and 0.5 s more as `mckay_sign_crosscheck`,
+    which rebuilds each complex, so the test compares the signs on the
+    complex it has; checking the SL(4) solves against the quadratic
+    oracle would add 2.0 s more, so the oracle checks n <= 3."""
+    calls = check_solve_gf2_against_oracle(monkeypatch) if n <= 3 else []
     for G in SMALL_GROUPS[n]:
         C = mckay_complex(G)
         W = superpotential(C.Q)
@@ -836,6 +934,7 @@ def test_small_abelian_quotients(n, monkeypatch):
         check_torus_homology(C, C.explicit_signs)
         res = build_resolution(C, signs=C.explicit_signs)
         assert verify_exactness(res, 2).exact, G
-        if n <= 3:
-            mckay_sign_crosscheck(G)
-    assert len(calls) == (2 * len(SMALL_GROUPS[n]) if n <= 3 else 0)
+        # mckay_sign_crosscheck(G) on the complex already built
+        assert not _gauge(C, C.solve_incidence().signs,
+                          C.explicit_signs)[1], G
+    assert len(calls) == (len(SMALL_GROUPS[n]) if n <= 3 else 0)
