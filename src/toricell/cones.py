@@ -10,17 +10,16 @@ arithmetic is exact; vectors are integer tuples.
 from __future__ import annotations
 
 from itertools import combinations
-from math import floor, lcm
 
 from .errors import InputError, InternalError
 from .intlinalg import (
+    adjugate,
     dot,
     leq,
     mat_mul,
     mat_vec,
     primitive,
     rank,
-    rational_mat_inverse,
     vscale,
     vsub,
 )
@@ -59,11 +58,9 @@ def dual_cone_rays(generators):
         else:
             rest.append(g)
 
-    inv = rational_mat_inverse([list(g) for g in chosen])
-    rays = []
-    for col in zip(*inv):
-        mult = lcm(*(f.denominator for f in col))
-        rays.append(primitive(tuple(int(f * mult) for f in col)))
+    # the rays of {y : g.y >= 0 for the chosen g} are the columns of adj / det
+    adj, det = adjugate([list(g) for g in chosen])
+    rays = [primitive(vscale(det, col)) for col in zip(*adj)]
 
     # bit i of tight[y]: the i-th inequality added so far is tight at y; a
     # combination of p and m is tight exactly where both are
@@ -149,11 +146,14 @@ class FiberContext:
         self.z = tuple(map(sum, zip(*[mat_vec(self.B, t) for t in facets])))
         if not self.z or min(self.z) <= 0:
             raise InternalError("no strictly positive degree-zero section")
-        # where the rows S of B t >= -c are tight, c + B t = c - K c_S
-        self.vertex_maps = [
-            (S, mat_mul(self.B, rational_mat_inverse([self.B[i] for i in S])))
-            for S in combinations(range(self.d), self.n)
-            if rank([self.B[i] for i in S]) == self.n]
+        # (S, K, den) for each n independent rows S of B: see box
+        self.vertex_maps = []
+        for S in combinations(range(self.d), self.n):
+            B_S = [self.B[i] for i in S]
+            if rank(B_S) == self.n:
+                adj, det = adjugate(B_S)
+                K = [vscale(1 if det > 0 else -1, row) for row in mat_mul(self.B, adj)]
+                self.vertex_maps.append((S, K, abs(det)))
         self._key = cl.coordinates
         self._moduli = cl.moduli
         self._steps = [cl.coordinates(tuple(int(i == k) for i in range(self.d)))
@@ -174,23 +174,28 @@ class FiberContext:
         every floor(l_i) is 0, since each g_i = B t_i is nonzero and
         nonnegative.  So a generator is c + B p + sum l_i g_i with
         l_i < 1, which is at most max over V of (c + B t), plus z, in
-        every coordinate.  A vertex is where n independent rows of
-        c + B t >= 0 are tight.  The walk is capped at the componentwise
-        max of these boxes over the classes, so for each of them it keeps
-        every generator, and every point it keeps is one.
+        every coordinate.  The walk is capped at the componentwise max of
+        these boxes over the classes, so for each of them it keeps every
+        generator, and every point it keeps is one.
         """
         keys = [self._key(c) for c in classes]
         todo = {k: tuple(c) for k, c in zip(keys, classes) if k not in self._fibers}
         if todo:
-            cap = self.z
-            for c in todo.values():
-                for S, K in self.vertex_maps:
-                    v = vsub(c, mat_vec(K, [c[i] for i in S]))
-                    if min(v) >= 0:
-                        cap = tuple(max(a, floor(x) + b)
-                                    for a, x, b in zip(cap, v, self.z))
+            cap = tuple(map(max, zip(*map(self.box, todo.values()))))
             self._walk(cap, set(todo))
         return [self._fibers[k] for k in keys]
+
+    def box(self, c):
+        """z plus the floor of the max over V of c + B t: the cap of the
+        generators of class c (see fibers).  The point where the rows S are
+        tight is t = -B_S^{-1} c_S, so den (c + B t) = den c - K c_S for
+        den = |det B_S| and K = sign(det B_S) B adj(B_S)."""
+        cap = self.z
+        for S, K, den in self.vertex_maps:
+            v = vsub(vscale(den, c), mat_vec(K, [c[i] for i in S]))
+            if min(v) >= 0:
+                cap = tuple(max(a, x // den + b) for a, x, b in zip(cap, v, self.z))
+        return cap
 
     def _walk(self, cap, wanted):
         """Walk D ∩ [0, cap] by total degree; cache the fibers of the wanted

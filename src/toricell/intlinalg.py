@@ -1,10 +1,11 @@
 """Exact integer/rational linear algebra.
 
-Everything here works with plain Python ints (arbitrary precision) or
-fractions.Fraction; no floats anywhere.  Vectors are tuples, matrices are
-lists (or tuples) of row tuples.  Most matrices are small (dimensions in
-the tens: cone generators, lattice maps, Smith forms), and those routines
-favour clarity over asymptotics.  The exception is rank, which also
+Everything here works with plain Python ints (arbitrary precision); only
+the left inverse returns fractions.Fraction entries, and no floats appear
+anywhere.  Vectors are tuples, matrices are lists (or tuples) of row
+tuples.  Most matrices are small (dimensions in the tens: cone
+generators, lattice maps, Smith forms), and those routines favour clarity
+over asymptotics.  The exception is rank, which also
 serves the differentials of graded pieces: for Z/6(1,2,3) at divisor
 bound 5 a piece has up to 1,331 basis elements and a differential up to
 243,000 entries, almost all zero.  So rank works on sparse rows.
@@ -270,14 +271,10 @@ def solve_integer(A, b):
     y = [0] * n
     for i in range(m):
         d = sf.S[i][i] if i < min(m, n) else 0
-        if d == 0:
-            if i >= n or c[i] != 0:
-                if c[i] != 0:
-                    return None
-            continue
-        if c[i] % d != 0:
+        if (c[i] % d if d else c[i]) != 0:
             return None
-        y[i] = c[i] // d
+        if d:
+            y[i] = c[i] // d
     return mat_vec(sf.V, y)
 
 
@@ -448,44 +445,51 @@ def _dense_rank(A):
 
 
 # ---------------------------------------------------------------------------
-# rational helpers
+# inverses
 #
-# rational_mat_inverse is the package's one rational elimination (it
-# serves the dual cones, the left inverse and the inverse of a Smith
-# transform U); left_pseudo_inverse is its one left inverse (it serves the
-# tiling projection).  Integer systems go through the Smith form instead.
+# adjugate is the package's one elimination for inverses, all in integers
+# (dual cone seeds, fiber caps, Smith transforms); left_pseudo_inverse is
+# the one left inverse (tiling projection), and the one Fraction output.
 
 
-def rational_mat_inverse(A):
-    """Inverse of a square matrix over the rationals (Fraction entries).
-    Every caller proves its matrix nonsingular."""
+def adjugate(A):
+    """(adj, det) of a square integer matrix: adj A = A adj = det I.
+
+    Fraction-free Gauss-Jordan elimination on [A | I] (Bareiss, Math.
+    Comp. 22, 1968): every entry stays a minor of [A | I], so each
+    division is exact, and the left block ends as det(PA) I for the row
+    swaps P.  Every caller proves its matrix nonsingular."""
     n = len(A)
-    M = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(A)]
-    for col in range(n):
-        piv = None
-        for i in range(col, n):
-            if M[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
+    M = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(A)]
+    sign, prev = 1, 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if M[i][k]), None)
+        if p is None:
             raise InternalError("matrix is singular")
-        M[col], M[piv] = M[piv], M[col]
-        p = M[col][col]
-        M[col] = [x / p for x in M[col]]
+        if p != k:
+            M[k], M[p], sign = M[p], M[k], -sign
+        Mk, piv = M[k], M[k][k]
         for i in range(n):
-            if i != col and M[i][col] != 0:
-                f = M[i][col]
-                M[i] = [x - f * y for x, y in zip(M[i], M[col])]
-    return [row[n:] for row in M]
+            if i != k:
+                f = M[i][k]
+                M[i] = [(piv * x - f * y) // prev for x, y in zip(M[i], Mk)]
+        prev = piv
+    return [[sign * x for x in row[n:]] for row in M], sign * prev
+
+
+def unimodular_inverse(U):
+    """The integer inverse of a matrix that its caller proves unimodular."""
+    adj, det = adjugate(U)
+    if det not in (1, -1):
+        raise InternalError("matrix is not unimodular")
+    return [[det * x for x in row] for row in adj]
 
 
 def left_pseudo_inverse(B):
     """(B^T B)^{-1} B^T for a full-column-rank integer matrix, exact."""
     Bt = transpose(B)
-    G = mat_mul(Bt, B)
-    Ginv = rational_mat_inverse(G)
-    return mat_mul(Ginv, Bt)
+    adj, det = adjugate(mat_mul(Bt, B))
+    return [[Fraction(x, det) for x in row] for row in mat_mul(adj, Bt)]
 
 
 # ---------------------------------------------------------------------------
@@ -510,9 +514,7 @@ class CokernelForm:
         else:
             sf = smith_normal_form(A)
             self._U = sf.U
-            # U is unimodular, so its inverse is integral
-            self._Uinv = [[int(x) for x in row]
-                          for row in rational_mat_inverse(sf.U)]
+            self._Uinv = unimodular_inverse(sf.U)
             self._diag = [sf.S[i][i] if i < ncols else 0 for i in range(m)]
         # the Smith coordinates that carry a class: torsion, or 0 when free
         self.moduli = tuple(d for d in self._diag if d != 1)

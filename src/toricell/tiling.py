@@ -17,32 +17,29 @@ from math import lcm
 
 from .errors import ConstructionError, InputError, InternalError
 from .intlinalg import (
+    adjugate,
     identity,
     left_pseudo_inverse,
     mat_mul,
-    rational_mat_inverse,
+    rank,
     smith_normal_form,
     solve_integer,
+    unimodular_inverse,
     vadd,
+    vscale,
     vsub,
 )
 
 
 def _complete_to_basis(z):
     """A basis of Z^n whose last vector is the primitive vector z."""
-    n = len(z)
-    col = [[x] for x in z]
-    sf = smith_normal_form(col)
+    sf = smith_normal_form([[x] for x in z])
     if sf.S[0][0] not in (1, -1):
         raise InternalError("covector is not primitive")
     # U (A V) = S with V = [v], so U . (v z) = e1 and z is the first
-    # column of U^{-1} up to the sign v; U is unimodular, so its inverse
-    # is integral
-    v = sf.V[0][0]
-    Uinv = rational_mat_inverse(sf.U)
-    cols = [tuple(int(Uinv[i][j]) * (v if j == 0 else 1) for i in range(n))
-            for j in range(n)]
-    basis = cols[1:] + [cols[0]]
+    # column of U^{-1} up to the sign v
+    cols = list(zip(*unimodular_inverse(sf.U)))
+    basis = cols[1:] + [vscale(sf.V[0][0], cols[0])]
     if basis[-1] != tuple(z):
         raise InternalError("basis completion failed")
     return basis
@@ -69,11 +66,7 @@ def projection_maps(X, m_basis=None):
         basis = _complete_to_basis(z)
     else:
         basis = [tuple(v) for v in m_basis]
-        U = [[basis[j][i] for j in range(3)] for i in range(3)]
-        det = (U[0][0] * (U[1][1] * U[2][2] - U[1][2] * U[2][1])
-               - U[0][1] * (U[1][0] * U[2][2] - U[1][2] * U[2][0])
-               + U[0][2] * (U[1][0] * U[2][1] - U[1][1] * U[2][0]))
-        if det not in (1, -1):
+        if rank(basis) != 3 or adjugate(basis)[1] not in (1, -1):
             raise InputError("supplied M-basis is not unimodular")
         if basis[-1] != z:
             raise InputError(

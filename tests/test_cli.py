@@ -4,10 +4,10 @@ import time
 
 import pytest
 
-from toricell import tiling
+from toricell import intlinalg, tiling
 from toricell.cli import main
 from toricell.errors import InternalError
-from toricell.intlinalg import rational_mat_inverse
+from toricell.intlinalg import adjugate
 
 from conftest import INPUTS, input_path
 
@@ -208,9 +208,9 @@ def test_internal_error_exit_code(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("bug, message", [
-    # every caller of the rational inverse proves its matrix nonsingular,
-    # so a singular one is a bug, not invalid input
-    (lambda B: rational_mat_inverse([[1, 2], [2, 4]]), "matrix is singular"),
+    # every caller of the adjugate proves its matrix nonsingular, so a
+    # singular one is a bug, not invalid input
+    (lambda B: adjugate([[1, 2], [2, 4]]), "matrix is singular"),
     (lambda B: 1 // 0, "ZeroDivisionError: integer division or modulo by zero"),
 ], ids=["singular", "zero_division"])
 def test_bug_exit_code(capsys, monkeypatch, bug, message):
@@ -222,6 +222,28 @@ def test_bug_exit_code(capsys, monkeypatch, bug, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"internal error: {message}\n"
+
+
+@pytest.mark.parametrize("module, command, fixture", [
+    (intlinalg, "quiver", "conifold.json"),       # CokernelForm
+    (tiling, "reconstruct", "conifold.json"),     # _complete_to_basis
+], ids=["cokernel", "basis_completion"])
+def test_non_unimodular_smith_transform_exit_code(capsys, monkeypatch, module,
+                                                  command, fixture):
+    """A Smith transform U whose determinant is not +-1 has no integer
+    inverse; it is a bug and exits 3 instead of truncating U^{-1}."""
+    smith = intlinalg.smith_normal_form
+
+    def doubled_first_row(A):
+        sf = smith(A)
+        sf.U[0] = [2 * x for x in sf.U[0]]
+        return sf
+
+    monkeypatch.setattr(module, "smith_normal_form", doubled_first_row)
+    assert main([command, input_path(fixture)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: matrix is not unimodular\n"
 
 
 @pytest.mark.parametrize("order, weight", [(0, 1), (6, "a"), (6, 1.5)])

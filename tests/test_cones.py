@@ -1,12 +1,14 @@
+import ast
 import itertools
 import json
 import math
 import os
 import random
+from fractions import Fraction
 
 import pytest
 
-from toricell import cones
+from toricell import cones, intlinalg
 from toricell.cones import (
     FiberContext,
     dual_cone_rays,
@@ -17,12 +19,15 @@ from toricell.intlinalg import (
     CokernelForm,
     dot,
     left_pseudo_inverse,
+    mat_mul,
     mat_vec,
     primitive,
     rank,
     smith_normal_form,
+    transpose,
     vsub,
 )
+from toricell.quiver import build_quiver
 from toricell.variety import (
     AbelianGroupData,
     Collection,
@@ -30,7 +35,7 @@ from toricell.variety import (
     mckay_toric_data,
 )
 
-from conftest import load
+from conftest import INPUTS, load
 from test_quiver import SMALL_GROUPS
 
 
@@ -350,3 +355,102 @@ def test_largest_admitted_quotient_fibers(monkeypatch):
         for v in gens:
             assert max(v) < 64 and X.divisor_class(v) == c
     assert len(walks) == 1
+
+
+# ---------------------------------------------------------------------------
+# oracles: the fiber caps and the dual cone seed over Fraction, as they
+# were computed before the integer adjugate
+
+
+def fraction_inverse(A):
+    """Inverse of a nonsingular square matrix by Gauss-Jordan elimination
+    over Fraction."""
+    n = len(A)
+    M = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(A)]
+    for col in range(n):
+        piv = next(i for i in range(col, n) if M[i][col] != 0)
+        M[col], M[piv] = M[piv], M[col]
+        p = M[col][col]
+        M[col] = [x / p for x in M[col]]
+        for i in range(n):
+            if i != col and M[i][col] != 0:
+                f = M[i][col]
+                M[i] = [x - f * y for x, y in zip(M[i], M[col])]
+    return [row[n:] for row in M]
+
+
+def fraction_box(ctx, c):
+    """FiberContext.box with rational vertex maps K = B B_S^{-1}: the cap
+    z + floor(c - K c_S) over every S whose vertex is >= 0."""
+    cap = ctx.z
+    for S in itertools.combinations(range(ctx.d), ctx.n):
+        rows = [ctx.B[i] for i in S]
+        if rank(rows) != ctx.n:
+            continue
+        v = vsub(c, mat_vec(mat_mul(ctx.B, fraction_inverse(rows)),
+                            [c[i] for i in S]))
+        if min(v) >= 0:
+            cap = tuple(max(a, math.floor(x) + b)
+                        for a, x, b in zip(cap, v, ctx.z))
+    return cap
+
+
+def fraction_seed(A):
+    """The simplicial seed of dual_cone_rays from fraction_inverse, shaped
+    as adjugate's (adj, det): each column of A^{-1} times the lcm of its
+    denominators, made primitive."""
+    cols = [primitive(tuple(int(f * math.lcm(*(g.denominator for g in col)))
+                            for f in col))
+            for col in zip(*fraction_inverse(A))]
+    return transpose(cols), 1
+
+
+def test_integer_caps_and_seeds_match_fraction_oracle(monkeypatch):
+    """For every class that build_quiver asks for, on every fixture and on
+    Z/16(1,2,13) and Z/32(1,1,1,29), the integer cap equals the Fraction
+    cap; and dual_cone_rays of the rays and of the facets of each variety
+    equal the rays grown from the Fraction seed."""
+    requested = []
+    fibers = FiberContext.fibers
+    monkeypatch.setattr(FiberContext, "fibers", lambda ctx, classes: (
+        requested.append((ctx, list(classes))) or fibers(ctx, classes)))
+    for name in sorted(os.listdir(INPUTS)):
+        load(name).quiver()
+    for G in [AbelianGroupData.cyclic(16, (1, 2, 13)),
+              AbelianGroupData.cyclic(32, (1, 1, 1, 29))]:
+        build_quiver(*mckay_toric_data(G))
+    assert len(requested) == 11
+    moved = 0
+    for ctx, classes in requested:
+        for c in classes:
+            assert ctx.box(c) == fraction_box(ctx, c)
+            moved += ctx.box(c) != ctx.z
+    assert moved > 0  # some vertex raises a cap above z
+    cones_in = [gens for ctx, _ in requested
+                for gens in ([tuple(row) for row in ctx.B],
+                             dual_cone_rays(ctx.B))]
+    integer = [dual_cone_rays(gens) for gens in cones_in]
+    monkeypatch.setattr(cones, "adjugate", fraction_seed)
+    assert [dual_cone_rays(gens) for gens in cones_in] == integer
+
+
+def _parse(module):
+    with open(module.__file__) as fh:
+        return ast.parse(fh.read())
+
+
+def test_polyhedral_layer_is_integer_only():
+    """cones.py imports nothing from fractions, so the polyhedral layer
+    stays integer-only; in intlinalg only left_pseudo_inverse, whose
+    output the tiling projection needs rational, names Fraction."""
+    imports = [node for node in ast.walk(_parse(cones))
+               if isinstance(node, ast.ImportFrom) and node.module == "fractions"
+               or isinstance(node, ast.Import)
+               and any(alias.name == "fractions" for alias in node.names)]
+    assert imports == []
+    users = {func.name for func in ast.walk(_parse(intlinalg))
+             if isinstance(func, ast.FunctionDef)
+             and any(isinstance(node, ast.Name) and node.id == "Fraction"
+                     for node in ast.walk(func))}
+    assert users == {"left_pseudo_inverse"}

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from toricell.complexes import general_complex
+from toricell.errors import InternalError
 from toricell.intlinalg import (
     CokernelForm,
     _dense_rank,
+    adjugate,
     dot,
     from_columns,
     identity,
@@ -18,10 +20,11 @@ from toricell.intlinalg import (
     mat_vec,
     primitive,
     rank,
-    rational_mat_inverse,
     smith_normal_form,
     solve_integer,
     sparse_rank,
+    transpose,
+    unimodular_inverse,
     vadd,
     vector_gcd,
     vsub,
@@ -166,12 +169,51 @@ def test_left_pseudo_inverse_is_left_inverse():
     assert prod == [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
 
 
-def test_rational_mat_inverse():
-    from fractions import Fraction
+def test_adjugate_small_cases():
+    """A unimodular 2 x 2 matrix, 1 x 1 and empty matrices, and every 4 x 4
+    permutation matrix, whose adjugate is its sign times its transpose."""
+    A = [[2, 1], [1, 1]]
+    assert adjugate(A) == ([[1, -1], [-1, 2]], 1)
+    assert adjugate([[-3]]) == ([[1]], -3)
+    assert adjugate([]) == ([], 1)
+    for perm in itertools.permutations(range(4)):
+        P = [[int(j == perm[i]) for j in range(4)] for i in range(4)]
+        adj, det = adjugate(P)
+        assert det == det3(P) in (1, -1)
+        assert adj == [[det * x for x in row] for row in transpose(P)]
 
-    A = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(1)]]
-    inv = rational_mat_inverse(A)
-    assert mat_mul(A, inv) == [[1, 0], [0, 1]]
+
+def test_adjugate_against_cofactor_oracle():
+    """600 seeded random matrices, n <= 5 and entries in [-4, 4]: adj A =
+    A adj = det I with det the cofactor expansion, and a singular matrix
+    raises.  Every fifth one with n > 1 gets a zero leading entry, so its
+    first pivot needs a row swap."""
+    rng = random.Random(20261019)
+    swaps = singular = 0
+    for k in range(600):
+        n = rng.randint(1, 5)
+        A = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        if k % 5 == 0 and n > 1:
+            A[0][0] = 0
+        det = det3(A)
+        if det == 0:
+            singular += 1
+            with pytest.raises(InternalError, match="matrix is singular"):
+                adjugate(A)
+            continue
+        adj, d = adjugate(A)
+        assert d == det
+        scalar = [[det * int(i == j) for j in range(n)] for i in range(n)]
+        assert mat_mul(A, adj) == mat_mul(adj, A) == scalar
+        swaps += A[0][0] == 0
+    assert singular > 20 and swaps > 50
+
+
+def test_unimodular_inverse():
+    U = [[2, 1], [1, 1]]
+    assert mat_mul(U, unimodular_inverse(U)) == identity(2)
+    with pytest.raises(InternalError, match="matrix is not unimodular"):
+        unimodular_inverse([[2, 0], [0, 1]])
 
 
 def test_cokernel_form_canonical_classes():

@@ -39,6 +39,9 @@ def test_projection_rejects_bad_basis(quiver_four_sheaves):
     X = quiver_four_sheaves.X
     with pytest.raises(InputError, match="not unimodular"):
         projection_maps(X, m_basis=[[2, 0, 0], [0, 1, 0], [0, 0, 1]])
+    with pytest.raises(InputError, match="not unimodular"):
+        # singular: bad input, not a failed elimination
+        projection_maps(X, m_basis=[[1, 0, 0], [1, 0, 0], [0, 0, 1]])
     with pytest.raises(InputError, match="Gorenstein covector"):
         # unimodular but the wrong last vector
         projection_maps(X, m_basis=[[0, 0, 1], [0, 1, 0], [1, 0, 0]])
