@@ -1,11 +1,11 @@
-"""Exact integer/rational linear algebra.
+"""Exact integer linear algebra.
 
-Everything here works with plain Python ints (arbitrary precision); only
-the left inverse returns fractions.Fraction entries, and no floats appear
-anywhere.  Vectors are tuples, matrices are lists (or tuples) of row
-tuples.  Most matrices are small (dimensions in the tens: cone
-generators, lattice maps, Smith forms), and those routines favour clarity
-over asymptotics.  The exception is rank, which also
+Everything here works with plain Python ints (arbitrary precision); no
+fractions and no floats appear anywhere: a rational answer is returned as
+an integer matrix with its denominator.  Vectors are tuples, matrices are
+lists (or tuples) of row tuples.  Most matrices are small (dimensions in
+the tens: cone generators, lattice maps, Smith forms), and those routines
+favour clarity over asymptotics.  The exception is rank, which also
 serves the differentials of graded pieces: for Z/6(1,2,3) at divisor
 bound 5 a piece has up to 1,331 basis elements and a differential up to
 243,000 entries, almost all zero.  So rank works on sparse rows.
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 from operator import add, le, sub
 
@@ -91,12 +90,6 @@ def mat_mul(A, B):
 
 def transpose(A):
     return [list(col) for col in zip(*A)]
-
-
-def from_columns(cols, nrows):
-    if not cols:
-        return [[] for _ in range(nrows)]
-    return [list(row) for row in zip(*cols)]
 
 
 # ---------------------------------------------------------------------------
@@ -262,22 +255,6 @@ def kernel_basis(A):
     return [tuple(row[j] for row in sf.V) for j in range(sf.rank, n)]
 
 
-def solve_integer(A, b):
-    """One integer solution x of A x = b, or None if none exists."""
-    m = len(A)
-    n = len(A[0]) if m else 0
-    sf = smith_normal_form(A)
-    c = mat_vec(sf.U, b)
-    y = [0] * n
-    for i in range(m):
-        d = sf.S[i][i] if i < min(m, n) else 0
-        if (c[i] % d if d else c[i]) != 0:
-            return None
-        if d:
-            y[i] = c[i] // d
-    return mat_vec(sf.V, y)
-
-
 def lattice_basis(vectors, dim):
     """Basis of the lattice generated by integer vectors (row-HNF style)."""
     if not vectors:
@@ -316,6 +293,23 @@ def lattice_basis(vectors, dim):
     for i in range(r):
         basis.append(tuple(rows[i]))
     return basis
+
+
+def echelon_coordinates(basis, v):
+    """The integer coordinates of v in an echelon basis from lattice_basis,
+    by substitution pivot by pivot.  Later rows vanish at a pivot, so a
+    remainder left there stays to the end: InternalError if v is off the
+    lattice."""
+    rest = list(v)
+    coords = []
+    for b in basis:
+        p = next(j for j, x in enumerate(b) if x)
+        q = rest[p] // b[p]
+        coords.append(q)
+        rest = [x - q * y for x, y in zip(rest, b)]
+    if any(rest):
+        raise InternalError("vector is off the lattice")
+    return tuple(coords)
 
 
 def rank(A):
@@ -448,8 +442,9 @@ def _dense_rank(A):
 # inverses
 #
 # adjugate is the package's one elimination for inverses, all in integers
-# (dual cone seeds, fiber caps, Smith transforms); left_pseudo_inverse is
-# the one left inverse (tiling projection), and the one Fraction output.
+# (dual cone seeds, fiber caps, Smith transforms); left_inverse is the one
+# left inverse (Gorenstein covector, tiling projection), returned as an
+# integer matrix and its denominator.
 
 
 def adjugate(A):
@@ -485,11 +480,12 @@ def unimodular_inverse(U):
     return [[det * x for x in row] for row in adj]
 
 
-def left_pseudo_inverse(B):
-    """(B^T B)^{-1} B^T for a full-column-rank integer matrix, exact."""
+def left_inverse(B):
+    """(N, det) with N / det = (B^T B)^{-1} B^T, for a full-column-rank
+    integer matrix B: N = adj(B^T B) B^T and det = det(B^T B) > 0."""
     Bt = transpose(B)
     adj, det = adjugate(mat_mul(Bt, B))
-    return [[Fraction(x, det) for x in row] for row in mat_mul(adj, Bt)]
+    return mat_mul(adj, Bt), det
 
 
 # ---------------------------------------------------------------------------

@@ -13,18 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cones import dual_cone_rays
-from .errors import InputError, InternalError
-from .intlinalg import (
-    dot,
-    from_columns,
-    is_zero,
-    lattice_basis,
-    leq,
-    primitive,
-    rank,
-    solve_integer,
-    vsub,
-)
+from .errors import InputError
+from .intlinalg import dot, echelon_coordinates, lattice_basis, primitive, rank
 
 
 class PiMap:
@@ -40,17 +30,9 @@ class PiMap:
             inc[a.head] += 1
             inc[a.tail] -= 1
             cols.append(tuple(inc) + tuple(a.label))
-        self.columns = cols
         self.basis = lattice_basis(cols, self.ambient)
         self.rank = len(self.basis)
-        mat = from_columns(self.basis, self.ambient)
-        coords = []
-        for c in cols:
-            t = solve_integer(mat, c)
-            if t is None:
-                raise InternalError("arrow image outside the lattice basis")
-            coords.append(tuple(t))
-        self.coords = coords
+        self.coords = [echelon_coordinates(self.basis, c) for c in cols]
         if Q.X is not None and self.rank != Q.X.n + nv - 1:
             raise InputError(
                 f"rank of Z(Q) is {self.rank}, expected n + r = {Q.X.n + nv - 1}")
@@ -89,11 +71,8 @@ def extremal_matching(Q, rho, pi=None):
     if not 0 <= rho < Q.d:
         raise InputError("ray index out of range")
     vals = tuple(a.label[rho] for a in Q.arrows)
-    A = [list(c) for c in pi.coords]
-    w = solve_integer(A, vals)
-    if w is None:
-        raise InternalError("extremal functional is not integral on Z(Q)")
-    w = tuple(w)
+    # the coordinate x_rho of the ambient Z^{Q_0} + Z^d, read in the basis
+    w = tuple(b[Q.n_vertices + rho] for b in pi.basis)
     if primitive(w) != w:
         raise InputError(f"extremal matching for ray {rho} is not primitive")
     tight = [pi.coords[i] for i, v in enumerate(vals) if v == 0]
@@ -157,54 +136,11 @@ def simple_cycles(Q):
     return out
 
 
-def _minimal_generators(divisors):
-    """Elements of the set not expressible as a sum of two nonzero semigroup
-    elements, the semigroup being generated by the set itself.
-
-    The divisors lie in N^d, so subtracting a nonzero generator always
-    descends; membership is decided from an explicit stack, children
-    before parents, as in QuiverOfSections.reachable.
-    """
-    gens = sorted(set(divisors))
-    memo = {}
-
-    def in_semigroup(v):
-        stack = [v]
-        while stack:
-            w = stack[-1]
-            if w in memo:
-                stack.pop()
-                continue
-            subs = [vsub(w, g) for g in gens if not is_zero(g) and leq(g, w)]
-            if is_zero(w) or any(memo.get(u) for u in subs):
-                memo[w] = True
-            else:
-                missing = [u for u in subs if u not in memo]
-                if missing:
-                    stack.extend(missing)
-                    continue
-                memo[w] = False
-            stack.pop()
-        return memo[v]
-
-    out = []
-    for d in gens:
-        reducible = False
-        for g in gens:
-            if not is_zero(g) and g != d and leq(g, d):
-                rest = vsub(d, g)
-                if not is_zero(rest) and in_semigroup(rest):
-                    reducible = True
-                    break
-        if not reducible:
-            out.append(d)
-    return out
-
-
 @dataclass
 class WeightZeroReport:
     matches: bool
-    cycle_generators: list   # minimal generators of div(N(Q) ∩ ker pi_1)
+    missing: list            # Hilbert basis elements no simple cycle reaches
+    off_slice: list          # simple-cycle divisors of nonzero class
     semigroup_basis: list    # Hilbert basis of N^d ∩ ker(deg)
 
 
@@ -212,13 +148,23 @@ def weight_zero_check(Q):
     """Compare the weight-zero slice of N(Q) with the section semigroup.
 
     The slice N(Q) ∩ ker(pi_1) is generated by the images of simple directed
-    cycles, and its second projection should be the semigroup N^d ∩ ker(deg)
-    with matching minimal generators.
+    cycles; their divisors G generate a semigroup T in N^d, whose minimal
+    generators irr(T) should be the Hilbert basis HB(S0) of the semigroup
+    S0 = N^d ∩ ker(deg).  That holds iff every g in G has class 0 and
+    HB(S0) ⊆ G.  If so, T ⊆ S0 and T contains HB(S0), which generates S0,
+    so T = S0.  Conversely, each g in G is a sum of elements of irr(T) =
+    HB(S0), so it lies in S0; and irr(T) lies in every generating set of
+    T, G included.  (Labels are nonzero, so 0 is not in G.)  The check is
+    therefore two set tests; ``missing`` and ``off_slice`` say which one
+    fails.
     """
-    if Q.X is None:
+    X = Q.X
+    if X is None:
         raise InputError("quiver has no attached variety")
-    cycle_divs = [Q.path_div(c) for c in simple_cycles(Q)]
-    gens = _minimal_generators(cycle_divs)
-    hb = sorted(tuple(v) for v in Q.X.section_semigroup_hilbert_basis())
-    return WeightZeroReport(matches=gens == hb, cycle_generators=gens,
+    cycle_divs = {Q.path_div(c) for c in simple_cycles(Q)}
+    hb = sorted(tuple(v) for v in X.section_semigroup_hilbert_basis())
+    missing = [v for v in hb if v not in cycle_divs]
+    off_slice = sorted(g for g in cycle_divs if any(X.cl.coordinates(g)))
+    return WeightZeroReport(matches=not missing and not off_slice,
+                            missing=missing, off_slice=off_slice,
                             semigroup_basis=hb)

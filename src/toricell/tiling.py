@@ -19,11 +19,10 @@ from .errors import ConstructionError, InputError, InternalError
 from .intlinalg import (
     adjugate,
     identity,
-    left_pseudo_inverse,
+    left_inverse,
     mat_mul,
     rank,
     smith_normal_form,
-    solve_integer,
     unimodular_inverse,
     vadd,
     vscale,
@@ -73,7 +72,8 @@ def projection_maps(X, m_basis=None):
                 f"last basis vector must be the Gorenstein covector {z}")
     B = [[sum(m[k] * ray[k] for k in range(3)) for m in basis]
          for ray in X.rays]
-    f = left_pseudo_inverse(B)
+    N, det = left_inverse(B)
+    f = [[Fraction(x, det) for x in row] for row in N]
     if mat_mul(f, B) != identity(3):
         raise InternalError("projection is not a left inverse of B")
     fprime = [f[0], f[1]]
@@ -107,7 +107,8 @@ def dimer_reconstruct(Q, W, proj=None, lifts=None):
     Vertex lifts default to the spanning-tree lifts of the quiver; an
     explicit list (one divisor vector per vertex, the first zero) may be
     supplied instead, and is checked to be a lift: u_{h(a)} - u_{t(a)}
-    must differ from div(a) by an element of B(M) for every arrow.
+    must differ from div(a) by an element of B(M), the divisors of class
+    0, for every arrow.
     """
     if proj is None:
         if Q.X is None:
@@ -121,7 +122,7 @@ def dimer_reconstruct(Q, W, proj=None, lifts=None):
             raise InputError("one lift per vertex is required")
         for a in Q.arrows:
             gap = vsub(vsub(lifts[a.head], lifts[a.tail]), a.label)
-            if solve_integer(proj.B, gap) is None:
+            if any(Q.X.cl.coordinates(gap)):
                 raise InputError(
                     f"lifts are not compatible with {a.pretty()}")
     pos = [proj.project(u) for u in lifts]

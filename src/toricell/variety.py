@@ -10,17 +10,20 @@ of the class difference.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
+from math import lcm
 
 from .cones import FiberContext, dual_cone_rays
 from .errors import InputError, InternalError
 from .intlinalg import (
     CokernelForm,
     is_zero,
+    kernel_basis,
+    lattice_basis,
+    left_inverse,
+    mat_vec,
     primitive,
     rank,
-    solve_integer,
     vsub,
 )
 
@@ -54,8 +57,11 @@ class GorensteinToricVariety:
         # deg: Z^d -> Cl(X) = coker(B), B rows = rays
         self.B = [list(r) for r in rays]
         self.cl = CokernelForm(self.B)
-        u = solve_integer(self.B, (1,) * self.d)
-        if u is None:
+        # B has full column rank, so u with B u = 1 is unique if it exists,
+        # and then it is the left inverse applied to 1
+        N, det = left_inverse(self.B)
+        u = tuple(sum(row) // det for row in N)
+        if mat_vec(self.B, u) != (1,) * self.d:
             raise InputError("not Gorenstein: no covector with <u, v_rho> = 1 for all rays")
         self.gorenstein_covector = u
         self._fiber_ctx = None
@@ -142,28 +148,25 @@ class AbelianGroupData:
         ranges = [range(g[0]) for g in self.generators]
         return list(product(*ranges))
 
-    def element_action(self, exponents):
-        """Diagonal action of an element, as n fractions mod 1."""
-        act = [Fraction(0)] * self.n
-        for (order, weights), e in zip(self.generators, exponents):
-            for i in range(self.n):
-                act[i] += Fraction(e * weights[i], order)
-        return tuple(x % 1 for x in act)
-
     def order(self):
         k = 1
         for order, _ in self.generators:
             k *= order
         return k
 
+    def actions(self):
+        """The diagonal action of each element as n powers of a primitive
+        L-th root of unity, L the lcm of the orders: on coordinate i the
+        element e acts by the power sum_k e_k w_ki (L / o_k) mod L."""
+        L = lcm(*(order for order, _ in self.generators))
+        return [tuple(sum(e * weights[i] * (L // order) for e, (order, weights)
+                          in zip(exponents, self.generators)) % L
+                      for i in range(self.n))
+                for exponents in self.elements()]
+
     def is_small(self):
         """True if the group contains no quasireflection."""
-        for e in self.elements():
-            act = self.element_action(e)
-            nontrivial = sum(1 for f in act if f != 0)
-            if nontrivial == 1:
-                return False
-        return True
+        return all(sum(1 for p in act if p) != 1 for act in self.actions())
 
     def in_sl(self):
         for order, weights in self.generators:
@@ -189,6 +192,9 @@ def mckay_toric_data(group):
         raise InputError("group is not a subgroup of SL(n)")
     if not group.is_small():
         raise InputError("group contains quasireflections")
+    if len(set(group.actions())) != group.order():
+        raise InputError("group does not act faithfully: distinct elements "
+                         "act alike")
     n = group.n
     # M = kernel of the character map Z^n -> prod Z/o_k
     rows = []
@@ -199,7 +205,6 @@ def mckay_toric_data(group):
     # solutions of W u = diag(o) y: kernel of [W | -diag(o)] projected to u
     k = len(rows)
     big = [rows[i] + [-(aug[i] if i == j else 0) for j in range(k)] for i in range(k)]
-    from .intlinalg import kernel_basis, lattice_basis
     kb = [v[:n] for v in kernel_basis(big)]
     basis = lattice_basis(kb, n)
     if len(basis) != n:

@@ -197,8 +197,8 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     """A broken invariant of the library exits 3, apart from invalid
     input (2) and a failing property (1)."""
     assert not issubclass(InternalError, ValueError)
-    monkeypatch.setattr(tiling, "left_pseudo_inverse",
-                        lambda B: [[0] * len(B) for _ in range(3)])
+    monkeypatch.setattr(tiling, "left_inverse",
+                        lambda B: ([[0] * len(B) for _ in range(3)], 1))
     assert main(["reconstruct",
                  input_path("threefold_four_sheaves.json")]) == 3
     captured = capsys.readouterr()
@@ -216,7 +216,7 @@ def test_internal_error_exit_code(capsys, monkeypatch):
 def test_bug_exit_code(capsys, monkeypatch, bug, message):
     """Any exception other than InputError or ConstructionError is a bug:
     exit 3 with one line on stderr and no traceback."""
-    monkeypatch.setattr(tiling, "left_pseudo_inverse", bug)
+    monkeypatch.setattr(tiling, "left_inverse", bug)
     assert main(["reconstruct",
                  input_path("threefold_four_sheaves.json")]) == 3
     captured = capsys.readouterr()
@@ -280,6 +280,16 @@ def four_sheaves(**options):
     (dict(DIMER, rays=FOUR["rays"],
           arrows=[[t, h, label + [0]] for t, h, label in DIMER["arrows"]]),
      "arrow labels must have length 4"),
+    # in SL(3) and small, but two elements act alike: exited 3 before
+    ({"kind": "cyclic_quotient", "order": 4, "weights": [2, 2, 0]},
+     "group does not act faithfully"),
+    ({"kind": "cyclic_quotient", "order": 6, "weights": [2, 2, 2]},
+     "group does not act faithfully"),
+    ({"kind": "cyclic_quotient", "order": 2, "weights": [0, 0, 0]},
+     "group does not act faithfully"),
+    ({"kind": "abelian_quotient",
+      "generators": [{"order": 2, "weights": [1, 1, 0]}] * 2},
+     "group does not act faithfully"),
 ])
 def test_rejected_document_exit_code(capsys, tmp_path, doc, message):
     check_rejected(capsys, tmp_path, doc, message, "consistency")

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from toricell import cones, intlinalg
+from toricell import cones, intlinalg, variety
 from toricell.cones import (
     FiberContext,
     dual_cone_rays,
@@ -18,7 +18,7 @@ from toricell.inputs import MAX_GROUP_ORDER
 from toricell.intlinalg import (
     CokernelForm,
     dot,
-    left_pseudo_inverse,
+    left_inverse,
     mat_mul,
     mat_vec,
     primitive,
@@ -95,9 +95,13 @@ def hilbert_basis(facets):
     """
     F = [list(f) for f in facets]
     assert rank(F) == len(F[0])
-    left = left_pseudo_inverse(F)
-    return sorted(tuple(int(x) for x in mat_vec(left, v))
-                  for v in fiber_context(F).s0_hilbert)
+    N, det = left_inverse(F)
+    out = []
+    for v in fiber_context(F).s0_hilbert:
+        x = mat_vec(N, v)
+        assert all(a % det == 0 for a in x)
+        out.append(tuple(a // det for a in x))
+    return sorted(out)
 
 
 def cone_contains(facets, v):
@@ -441,16 +445,19 @@ def _parse(module):
 
 
 def test_polyhedral_layer_is_integer_only():
-    """cones.py imports nothing from fractions, so the polyhedral layer
-    stays integer-only; in intlinalg only left_pseudo_inverse, whose
-    output the tiling projection needs rational, names Fraction."""
-    imports = [node for node in ast.walk(_parse(cones))
-               if isinstance(node, ast.ImportFrom) and node.module == "fractions"
-               or isinstance(node, ast.Import)
-               and any(alias.name == "fractions" for alias in node.names)]
-    assert imports == []
+    """Neither cones.py, intlinalg.py nor variety.py imports fractions,
+    and no function in intlinalg names Fraction: the polyhedral layer and
+    the lattice answers stay in integers, and only the tiling projection
+    and the CLI turn them into rationals."""
+    for module in (cones, intlinalg, variety):
+        imports = [node for node in ast.walk(_parse(module))
+                   if isinstance(node, ast.ImportFrom)
+                   and node.module == "fractions"
+                   or isinstance(node, ast.Import)
+                   and any(alias.name == "fractions" for alias in node.names)]
+        assert imports == [], module.__name__
     users = {func.name for func in ast.walk(_parse(intlinalg))
              if isinstance(func, ast.FunctionDef)
              and any(isinstance(node, ast.Name) and node.id == "Fraction"
                      for node in ast.walk(func))}
-    assert users == {"left_pseudo_inverse"}
+    assert users == set()

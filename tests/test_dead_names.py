@@ -14,6 +14,10 @@ part of its interface, so it carries no leading underscore.
 Every parameter with a default is passed at some call in src/ or
 perfbench/, matched by the called name as above: an option that only
 tests set is API kept for the tests alone.
+
+Every name a module of src/toricell imports occurs in that module as a
+bare name, so a deletion leaves no stale import behind; the package's
+__init__.py, whose imports are its re-exports, is exempt.
 """
 
 import ast
@@ -201,3 +205,32 @@ def test_no_option_only_tests_set():
     assert not unset, "options no caller in src/ or perfbench/ sets: " + \
         ", ".join(f"{f}:{line} {name}({param}=)"
                   for f, line, name, param in unset)
+
+
+def unused_imports():
+    """(file, line, name) for each name that a module of src/toricell
+    other than __init__.py imports and never uses as a bare name."""
+    found = []
+    for path in _python_files(PACKAGE):
+        if os.path.abspath(path) == REEXPORTS:
+            continue
+        tree = _parse(path)
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                names = [alias.asname or alias.name for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names = [alias.asname or alias.name.split(".")[0]
+                         for alias in node.names]
+            else:
+                continue
+            found += [(os.path.basename(path), node.lineno, name)
+                      for name in names if name not in used]
+    return sorted(found)
+
+
+def test_no_unused_imports():
+    stale = unused_imports()
+    assert not stale, "imported but never used: " + ", ".join(
+        f"{f}:{line} {name}" for f, line, name in stale)

@@ -11,22 +11,22 @@ from toricell.intlinalg import (
     _dense_rank,
     adjugate,
     dot,
-    from_columns,
+    echelon_coordinates,
     identity,
     kernel_basis,
     lattice_basis,
-    left_pseudo_inverse,
+    left_inverse,
     mat_mul,
     mat_vec,
     primitive,
     rank,
     smith_normal_form,
-    solve_integer,
     sparse_rank,
     transpose,
     unimodular_inverse,
     vadd,
     vector_gcd,
+    vscale,
     vsub,
 )
 from toricell.resolution import build_resolution, graded_piece
@@ -82,19 +82,50 @@ def test_kernel_basis_spans_kernel(A):
     assert len(kb) == n - rank(A)
 
 
+def in_column_span(A, b):
+    """Oracle: b is an integer combination of the columns of A, read off
+    the Smith form U A V = S as U b divisible by the diagonal of S."""
+    sf = smith_normal_form(A)
+    diag = [sf.S[i][i] if i < len(A[0]) else 0 for i in range(len(A))]
+    return all(x % d == 0 if d else x == 0
+               for x, d in zip(mat_vec(sf.U, b), diag))
+
+
+def combine(coords, basis, dim):
+    v = (0,) * dim
+    for c, b in zip(coords, basis):
+        v = vadd(v, vscale(c, b))
+    return v
+
+
 @settings(max_examples=150, deadline=None)
-@given(matrices(), st.lists(small_int, min_size=1, max_size=4))
-def test_solve_integer_roundtrip(A, x):
-    x = (x * 4)[:len(A[0])]
-    b = mat_vec(A, x)
-    sol = solve_integer(A, b)
-    assert sol is not None
-    assert list(mat_vec(A, sol)) == list(b)
+@given(st.lists(st.lists(small_int, min_size=3, max_size=3),
+                min_size=1, max_size=5),
+       st.lists(small_int, min_size=5, max_size=5),
+       st.lists(small_int, min_size=3, max_size=3))
+def test_echelon_coordinates_roundtrip(vectors, mix, v):
+    """Every integer combination of the generators has coordinates that
+    rebuild it; any other vector, by the Smith-form oracle, raises."""
+    basis = lattice_basis(vectors, 3)
+    member = combine(mix, vectors, 3)
+    assert combine(echelon_coordinates(basis, member), basis, 3) == member
+    if in_column_span(transpose(vectors), v):
+        assert combine(echelon_coordinates(basis, v), basis, 3) == tuple(v)
+    else:
+        with pytest.raises(InternalError, match="off the lattice"):
+            echelon_coordinates(basis, v)
 
 
-def test_solve_integer_no_solution():
-    assert solve_integer([[2]], (1,)) is None
-    assert solve_integer([[1, 0], [0, 0]], (0, 1)) is None
+def test_echelon_coordinates_off_lattice():
+    for vectors, v in [
+        ([(2,)], (1,)),                       # remainder at a pivot
+        ([(1, 0)], (0, 1)),                   # past the last pivot
+        ([(1, 1, 0), (0, 0, 2)], (0, 1, 0)),  # a column with no pivot
+        ([(1, 1, 0), (0, 0, 2)], (0, 0, 1)),
+        ([], (0, 1)),
+    ]:
+        with pytest.raises(InternalError, match="vector is off the lattice"):
+            echelon_coordinates(lattice_basis(vectors, len(v)), v)
 
 
 @settings(max_examples=100, deadline=None)
@@ -145,12 +176,13 @@ def test_rank_on_graded_piece_matrices(which, quiver_four_sheaves,
                 min_size=1, max_size=5))
 def test_lattice_basis_membership(vectors):
     basis = lattice_basis(vectors, 3)
-    mat = from_columns(basis, 3)
     for v in vectors:
         if basis:
-            assert solve_integer(mat, v) is not None
+            assert in_column_span(transpose(basis), v)
         else:
             assert all(x == 0 for x in v)
+    for b in basis:
+        assert in_column_span(transpose(vectors), b)
     assert len(basis) == rank(vectors)
 
 
@@ -160,13 +192,12 @@ def test_primitive_and_gcd():
     assert vector_gcd((12, 18, 30)) == 6
 
 
-def test_left_pseudo_inverse_is_left_inverse():
+def test_left_inverse_is_left_inverse():
     B = [[1, 0, 1], [0, 1, 1], [-1, 1, 1], [0, -1, 1]]
-    f = left_pseudo_inverse(B)
-    from fractions import Fraction
-
-    prod = mat_mul(f, [[Fraction(x) for x in row] for row in B])
-    assert prod == [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
+    N, det = left_inverse(B)
+    assert det == det3(mat_mul(transpose(B), B)) > 0
+    assert mat_mul(N, B) == [[det * int(i == j) for j in range(3)]
+                             for i in range(3)]
 
 
 def test_adjugate_small_cases():
@@ -243,7 +274,7 @@ def test_cokernel_coordinates_key_the_classes():
         vs = [tuple(rng.randint(-4, 4) for _ in B) for _ in range(30)]
         for v, w in itertools.product(vs, repeat=2):
             assert (ck.coordinates(v) == ck.coordinates(w)) == \
-                (solve_integer(B, vsub(v, w)) is not None)
+                in_column_span(B, vsub(v, w))
             assert ck.coordinates(vadd(v, w)) == tuple(
                 (a + b) % m if m else a + b for a, b, m in
                 zip(ck.coordinates(v), ck.coordinates(w), moduli))

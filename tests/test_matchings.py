@@ -1,9 +1,10 @@
+import os
+
 import pytest
 
 from toricell.errors import InputError
 from toricell.matchings import (
     PiMap,
-    _minimal_generators,
     extremal_matching,
     perfect_matchings,
     simple_cycles,
@@ -14,7 +15,7 @@ from toricell.superpotential import superpotential
 from toricell.variety import mckay_toric_data
 from toricell.quiver import QuiverOfSections, build_quiver
 
-from conftest import load
+from conftest import INPUTS, load
 
 
 def dimer_matching_audit(W, matchings):
@@ -82,13 +83,13 @@ def test_simple_cycles_trivial_quiver(quiver_trivial_a3):
 def test_weight_zero_slice(quiver_four_sheaves, quiver_conifold):
     for Q in (quiver_four_sheaves, quiver_conifold):
         rep = weight_zero_check(Q)
-        assert rep.matches
-        assert rep.cycle_generators == rep.semigroup_basis
+        assert rep.matches and not rep.missing and not rep.off_slice
+        assert cycle_generators(Q) == rep.semigroup_basis
 
 
 def test_weight_zero_conifold_generators(quiver_conifold):
     rep = weight_zero_check(quiver_conifold)
-    assert rep.cycle_generators == [
+    assert cycle_generators(quiver_conifold) == rep.semigroup_basis == [
         (0, 1, 0, 1), (0, 1, 1, 0), (1, 0, 0, 1), (1, 0, 1, 0)]
 
 
@@ -145,21 +146,61 @@ def _minimal_generators_recursive(divisors):
                        for g in gens)]
 
 
-@pytest.mark.parametrize("name", [
-    "threefold_four_sheaves.json", "threefold_five_sheaves.json",
-    "threefold_three_sheaves.json", "conifold.json", "mckay_z6_123.json",
-    "mckay_z2_11.json", "trivial_a3.json"])
+def cycle_generators(Q):
+    """Oracle: the minimal generators of the semigroup of simple-cycle
+    divisors, from the recursive membership search."""
+    return _minimal_generators_recursive(
+        [Q.path_div(c) for c in simple_cycles(Q)])
+
+
+def check_weight_zero(Q):
+    """weight_zero_check against the oracle: the verdict is whether the
+    minimal generators are the Hilbert basis, and missing and off_slice
+    are read off the cycle divisors through the canonical classes."""
+    rep = weight_zero_check(Q)
+    divs = {Q.path_div(c) for c in simple_cycles(Q)}
+    zero = Q.X.divisor_class((0,) * Q.d)
+    assert rep.semigroup_basis == sorted(
+        tuple(v) for v in Q.X.section_semigroup_hilbert_basis())
+    assert rep.matches == (cycle_generators(Q) == rep.semigroup_basis)
+    assert rep.missing == [v for v in rep.semigroup_basis if v not in divs]
+    assert rep.off_slice == sorted(
+        g for g in divs if Q.X.divisor_class(g) != zero)
+    return rep
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(INPUTS)))
 def test_weight_zero_walks_match_recursion(name):
     Q = load(name).quiver()
     cycles = simple_cycles(Q)
     assert cycles == _simple_cycles_recursive(Q)
-    divs = [Q.path_div(c) for c in cycles]
-    divs += [tuple(2 * x for x in d) for d in divs[:5]]  # reducible extras
-    assert _minimal_generators(divs) == _minimal_generators_recursive(divs)
+    assert check_weight_zero(Q).matches
+
+
+def test_weight_zero_negative_controls():
+    """On the variety of each of three fixtures: drop an arrow, bump a
+    label by one ray, add an arrow back along another.  Each control
+    agrees with the oracle, and together they cover both verdicts, a
+    nonempty missing and a nonempty off_slice.  (On Z/6(1,2,3) the
+    dropped arrow leaves every Hilbert basis element on a cycle, and the
+    reversed one closes a 2-cycle of class 0, so both still match.)"""
+    reports = []
+    for name in ("conifold.json", "threefold_four_sheaves.json",
+                 "mckay_z6_123.json"):
+        Q = load(name).quiver()
+        arrows = [(a.tail, a.head, a.label) for a in Q.arrows]
+        t, h, label = arrows[0]
+        for control in (arrows[1:],
+                        [(t, h, (label[0] + 1,) + label[1:])] + arrows[1:],
+                        arrows + [(h, t, label)]):
+            reports.append(check_weight_zero(
+                QuiverOfSections(Q.n_vertices, control, X=Q.X)))
+    assert {rep.matches for rep in reports} == {True, False}
+    assert any(rep.missing for rep in reports)
+    assert any(rep.off_slice for rep in reports)
 
 
 def test_long_cycles_do_not_recurse():
     n = 1500
     Q = QuiverOfSections(n, [(i, (i + 1) % n, (1,)) for i in range(n)])
     assert simple_cycles(Q) == [tuple(range(n))]
-    assert _minimal_generators([(1, 0), (n, 0)]) == [(1, 0)]

@@ -1,3 +1,6 @@
+import random
+from fractions import Fraction
+
 import pytest
 
 from toricell.errors import InputError
@@ -20,7 +23,19 @@ def e(*idx, d=4):
 
 def test_gorenstein_covector():
     X = GorensteinToricVariety(F1_RAYS)
-    assert X.gorenstein_covector == [0, 0, 1] or tuple(X.gorenstein_covector) == (0, 0, 1)
+    assert X.gorenstein_covector == (0, 0, 1)
+
+
+@pytest.mark.parametrize("rays", [
+    # rays at height 2: u = (0, 0, 1/2) solves B u = 1 over Q only
+    [(1, 0, 2), (0, 1, 2), (-1, 0, 2), (0, -1, 2)],
+    # no plane through the four rays: B u = 1 has no solution at all,
+    # and the left inverse's least-squares u is not one
+    [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 2)],
+])
+def test_covector_on_non_gorenstein_cones(rays):
+    with pytest.raises(InputError, match="not Gorenstein"):
+        GorensteinToricVariety(rays)
 
 
 def test_rejects_non_gorenstein():
@@ -99,6 +114,44 @@ def test_cyclic_group_data():
 def test_group_not_small():
     G = AbelianGroupData.cyclic(2, (0, 1))
     assert not G.is_small()
+
+
+def fraction_is_small(G):
+    """Oracle: the diagonal action of each element as fractions mod 1, and
+    a quasireflection moves exactly one coordinate."""
+    for exponents in G.elements():
+        act = [sum(Fraction(e * w[i], order) for e, (order, w)
+                   in zip(exponents, G.generators)) % 1 for i in range(G.n)]
+        if sum(1 for f in act if f) == 1:
+            return False
+    return True
+
+
+def test_is_small_matches_fraction_oracle():
+    """1,000 seeded groups with one to three generators of order <= 6 in
+    dimension 2 to 4, both verdicts among them."""
+    rng = random.Random(20261019)
+    verdicts = set()
+    for _ in range(1000):
+        n = rng.randint(2, 4)
+        gens = tuple((o, tuple(rng.randrange(o) for _ in range(n)))
+                     for o in (rng.randint(1, 6)
+                               for _ in range(rng.randint(1, 3))))
+        G = AbelianGroupData(generators=gens, n=n)
+        assert G.is_small() == fraction_is_small(G), G
+        verdicts.add(G.is_small())
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("order, weights", [
+    (4, (2, 2, 0)), (6, (2, 2, 2)), (2, (0, 0, 0))])
+def test_mckay_rejects_non_faithful_group(order, weights):
+    """The elements act by fewer than order() distinct diagonal matrices."""
+    G = AbelianGroupData.cyclic(order, weights)
+    assert G.in_sl() and G.is_small()
+    assert len(set(G.actions())) < G.order()
+    with pytest.raises(InputError, match="does not act faithfully"):
+        mckay_toric_data(G)
 
 
 def test_group_not_sl():
