@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .complexes import general_complex, mckay_complex, sign_infeasibility
 from .errors import ConstructionError, InputError, InternalError
@@ -214,8 +213,7 @@ def _reconstruct(doc, args):
         _svg(tiling, args.svg)
 
     def rat(x):
-        f = Fraction(x)
-        return [f.numerator, f.denominator]
+        return [x.numerator, x.denominator]
 
     _emit({
         "fprime": [[rat(x) for x in row] for row in proj.fprime],

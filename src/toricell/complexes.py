@@ -11,7 +11,6 @@ from the tail of the parent to the tail of the facet).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import ConstructionError, InputError
@@ -21,8 +20,7 @@ from .superpotential import cyclic_canonical, relations
 from .variety import mckay_toric_data
 
 
-@dataclass(frozen=True)
-class Cell:
+class Cell(NamedTuple):
     id: int
     dim: int
     head: int
@@ -215,14 +213,12 @@ class ToricCellComplex:
             raise ConstructionError(failure)
 
 
-@dataclass
-class FacePosetReport:
+class FacePosetReport(NamedTuple):
     ok: bool
     violations: list
 
 
-@dataclass
-class IncidenceSolution:
+class IncidenceSolution(NamedTuple):
     signs: object      # {FacetIncidence: +1 or -1}, or None when infeasible
     feasible: bool
     certificate: object  # conflicting flag descriptions when infeasible
@@ -499,8 +495,7 @@ def general_complex(Q, W, rels=None):
 # parity of the term cycle around a dual 3-cell
 
 
-@dataclass
-class SignParityReport:
+class SignParityReport(NamedTuple):
     arrow: int
     n_terms: int
     edges: list        # pairs of term indices linked by a relation facet

@@ -10,7 +10,6 @@ round-trip as inputs).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 from .errors import InputError
 from .quiver import QuiverOfSections, build_quiver
@@ -109,15 +108,18 @@ def _arrow_list(raw, what):
     return out
 
 
-@dataclass
 class InputDocument:
-    kind: str
-    group: object = None
-    rays: list = None
-    collection_reps: list = None
-    vertices: int = None
-    arrows: list = None
-    options: dict = field(default_factory=dict)
+    """A parsed document; `parse_document` sets its parsed options."""
+
+    def __init__(self, kind, group=None, rays=None, collection_reps=None,
+                 vertices=None, arrows=None):
+        self.kind = kind
+        self.group = group
+        self.rays = rays
+        self.collection_reps = collection_reps
+        self.vertices = vertices
+        self.arrows = arrows
+        self.options = {}
 
     def quiver(self):
         if self.kind == "dimer_quiver":

@@ -14,9 +14,9 @@ bound 5 a piece has up to 1,331 basis elements and a differential up to
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from math import gcd
 from operator import add, le, sub
+from typing import NamedTuple
 
 from .errors import InternalError
 
@@ -96,8 +96,7 @@ def transpose(A):
 # Smith normal form
 
 
-@dataclass
-class SmithForm:
+class SmithForm(NamedTuple):
     """U * A * V == S with U, V unimodular and S diagonal, d_i | d_{i+1}."""
 
     U: list

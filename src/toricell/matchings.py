@@ -10,7 +10,7 @@ label of a.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cones import dual_cone_rays
 from .errors import InputError
@@ -42,8 +42,7 @@ class PiMap:
         return dot(functional, self.coords[arrow_idx])
 
 
-@dataclass(frozen=True)
-class PerfectMatching:
+class PerfectMatching(NamedTuple):
     """A primitive functional spanning a one-dimensional face of C."""
 
     functional: tuple  # coordinates in the dual basis of the Z(Q) basis
@@ -136,8 +135,7 @@ def simple_cycles(Q):
     return out
 
 
-@dataclass
-class WeightZeroReport:
+class WeightZeroReport(NamedTuple):
     matches: bool
     missing: list            # Hilbert basis elements no simple cycle reaches
     off_slice: list          # simple-cycle divisors of nonzero class

@@ -13,7 +13,7 @@ limit.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cones import minimal_points
 from .errors import InputError
@@ -32,8 +32,7 @@ def monomial(label):
     return "".join(parts) or "1"
 
 
-@dataclass(frozen=True)
-class Arrow:
+class Arrow(NamedTuple):
     idx: int
     tail: int
     head: int

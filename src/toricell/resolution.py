@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .complexes import mckay_complex
 from .errors import ConstructionError, InputError, InternalError
@@ -66,8 +66,7 @@ def verify_minimality(res):
     return MinimalityReport(minimal=not bad, unit_incidences=bad)
 
 
-@dataclass
-class MinimalityReport:
+class MinimalityReport(NamedTuple):
     minimal: bool
     unit_incidences: list
 
@@ -240,8 +239,7 @@ def _gf2_certified(pk, facets, bases):
     return len(bases[0]) - len(cleared) == 1
 
 
-@dataclass
-class GradedPiece:
+class GradedPiece(NamedTuple):
     """The slice of the resolution at target vertex s, source vertex t,
     divisor dvec: bases of each P_k, the differential matrices, the
     augmentation row, and the dimension of the algebra piece."""
@@ -338,8 +336,7 @@ def _piece_failures(pk, facets, bases, check_products):
     return failures
 
 
-@dataclass
-class ExactnessReport:
+class ExactnessReport(NamedTuple):
     exact: bool
     bound: tuple
     pieces_checked: int

@@ -11,7 +11,7 @@ one index of the terms of W, built with it (`Superpotential`).
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import InputError
 from .intlinalg import leq, vadd, vscale, vsub
@@ -24,7 +24,6 @@ def cyclic_canonical(cycle):
     return min(tuple(cycle[k:] + cycle[:k]) for k in range(len(cycle)))
 
 
-@dataclass
 class Superpotential:
     """The terms of W and its derivative index.
 
@@ -39,16 +38,14 @@ class Superpotential:
     derivative is nonempty is a key.
     """
 
-    quiver: object
-    terms: list  # cyclic-canonical arrow-id tuples
-    derivatives: dict = field(init=False, repr=False)
-
-    def __post_init__(self):
+    def __init__(self, quiver, terms):
+        self.quiver = quiver
+        self.terms = terms  # cyclic-canonical arrow-id tuples
         self.derivatives = {}
-        for term in self.terms:
+        for term in terms:
             for k in range(len(term)):
                 rot = term[k:] + term[:k]
-                tail = self.quiver.arrows[rot[0]].tail
+                tail = quiver.arrows[rot[0]].tail
                 for j in range(len(rot) + 1):
                     self.derivatives.setdefault(
                         (tail, rot[:j]), set()).add(rot[j:])
@@ -66,8 +63,7 @@ def superpotential(Q):
     return Superpotential(quiver=Q, terms=sorted(seen))
 
 
-@dataclass(frozen=True)
-class FRelation:
+class FRelation(NamedTuple):
     """A binomial relation p_plus - p_minus between parallel paths."""
 
     p_plus: tuple
@@ -196,8 +192,7 @@ def _least_paths(Q, step, heads, wanted):
     return least
 
 
-@dataclass
-class ConsistencyReport:
+class ConsistencyReport(NamedTuple):
     consistent: bool
     bound: int
     quick_reject_arrows: list

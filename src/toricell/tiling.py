@@ -11,9 +11,9 @@ the torus R^2 / Z^2 exactly when the algebra comes from a dimer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
 from .errors import ConstructionError, InputError, InternalError
 from .intlinalg import (
@@ -44,8 +44,7 @@ def _complete_to_basis(z):
     return basis
 
 
-@dataclass
-class ProjectionData:
+class ProjectionData(NamedTuple):
     m_basis: list   # basis vectors of M, Gorenstein covector last
     B: list         # d x n matrix of M -> Z^d in that basis
     f: list         # n x d rational left inverse of B
@@ -83,15 +82,13 @@ def projection_maps(X, m_basis=None):
     return ProjectionData(m_basis=basis, B=B, f=f, fprime=fprime)
 
 
-@dataclass
-class Face:
+class Face(NamedTuple):
     term: tuple        # arrow ids, first applied first
     points: list       # polygon corners, term[k] runs points[k] -> points[k+1]
     area: Fraction     # signed (positive = anticlockwise)
 
 
-@dataclass
-class Tiling:
+class Tiling(NamedTuple):
     Q: object
     W: object
     proj: ProjectionData
@@ -133,7 +130,7 @@ def dimer_reconstruct(Q, W, proj=None, lifts=None):
         # the head position must agree modulo the period lattice Z^2
         end = vadd(pos[a.tail], vec)
         gap = vsub(pos[a.head], end)
-        if any(x.denominator != 1 for x in map(Fraction, gap)):
+        if any(x.denominator != 1 for x in gap):
             raise ConstructionError(f"edge of {a.pretty()} misses its head vertex")
     faces = []
     for term in W.terms:
@@ -197,7 +194,7 @@ def _segments_conflict(p1, p2, q1, q2):
 
 def _reduce(point):
     """Translate by Z^2 so the point lies in the half-open unit square."""
-    return tuple(x - (x.numerator // x.denominator) for x in map(Fraction, point))
+    return tuple(x % 1 for x in point)
 
 
 def _scaled(points):
@@ -243,8 +240,7 @@ def _crossings(edges):
     return sorted(found)
 
 
-@dataclass
-class TilingReport:
+class TilingReport(NamedTuple):
     valid: bool
     nonconvex_faces: list     # term tuples
     crossings: list           # (arrow id, arrow id, translate)

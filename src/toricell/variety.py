@@ -9,9 +9,9 @@ of the class difference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from math import lcm
+from typing import NamedTuple
 
 from .cones import FiberContext, dual_cone_rays
 from .errors import InputError, InternalError
@@ -91,8 +91,7 @@ class GorensteinToricVariety:
         return list(self.fiber_context.s0_hilbert)
 
 
-@dataclass(frozen=True)
-class WeilClass:
+class WeilClass(NamedTuple):
     """A divisor class: a chosen representative plus its canonical form."""
 
     representative: tuple
@@ -132,8 +131,7 @@ class Collection:
 # abelian quotient singularities
 
 
-@dataclass(frozen=True)
-class AbelianGroupData:
+class AbelianGroupData(NamedTuple):
     """A finite abelian subgroup of the diagonal torus of GL(n)."""
 
     generators: tuple  # tuple of (order, weights) pairs

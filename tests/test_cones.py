@@ -439,25 +439,39 @@ def test_integer_caps_and_seeds_match_fraction_oracle(monkeypatch):
     assert [dual_cone_rays(gens) for gens in cones_in] == integer
 
 
-def _parse(module):
-    with open(module.__file__) as fh:
+def _parse(path):
+    with open(path) as fh:
         return ast.parse(fh.read())
+
+
+def _imports(tree, name):
+    """The statements of a module's tree that import the module name."""
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == name
+            or isinstance(node, ast.Import)
+            and any(alias.name == name for alias in node.names)]
 
 
 def test_polyhedral_layer_is_integer_only():
     """Neither cones.py, intlinalg.py nor variety.py imports fractions,
     and no function in intlinalg names Fraction: the polyhedral layer and
     the lattice answers stay in integers, and only the tiling projection
-    and the CLI turn them into rationals."""
+    turns them into rationals."""
     for module in (cones, intlinalg, variety):
-        imports = [node for node in ast.walk(_parse(module))
-                   if isinstance(node, ast.ImportFrom)
-                   and node.module == "fractions"
-                   or isinstance(node, ast.Import)
-                   and any(alias.name == "fractions" for alias in node.names)]
-        assert imports == [], module.__name__
-    users = {func.name for func in ast.walk(_parse(intlinalg))
+        assert _imports(_parse(module.__file__), "fractions") == [], \
+            module.__name__
+    users = {func.name for func in ast.walk(_parse(intlinalg.__file__))
              if isinstance(func, ast.FunctionDef)
              and any(isinstance(node, ast.Name) and node.id == "Fraction"
                      for node in ast.walk(func))}
     assert users == set()
+
+
+def test_no_module_imports_dataclasses():
+    """Records are named tuples: no module of toricell imports dataclasses,
+    whose import alone pulls inspect, dis, tokenize and ast into start-up."""
+    package = os.path.dirname(cones.__file__)
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            tree = _parse(os.path.join(package, name))
+            assert _imports(tree, "dataclasses") == [], name
