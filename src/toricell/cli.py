@@ -8,13 +8,14 @@ input document, an option or a requested bound is invalid or too large
 (`errors.InputError`); and 3 means an internal error: toricell broke one
 of its own invariants (`errors.InternalError`), or any other exception
 escaped, a bug either way.  Errors print one line to stderr, never a
-traceback.
+traceback.  A closed stdout (`| head`) exits silently with 141 (SIGPIPE).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .complexes import general_complex, mckay_complex, sign_infeasibility
@@ -36,6 +37,7 @@ from .tiling import dimer_reconstruct, projection_maps, verify_tiling
 def _emit(payload):
     json.dump(payload, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
+    sys.stdout.flush()  # a closed pipe raises here, inside main
 
 
 def _quiver(doc, args):
@@ -292,6 +294,10 @@ def main(argv=None):
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # stdout on devnull, so the interpreter's final flush cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except Exception as exc:  # any other exception is a bug as well
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

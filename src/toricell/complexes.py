@@ -124,11 +124,7 @@ class ToricCellComplex:
         """Pairs breaking 'f facet of c iff tau(c) facet of tau(f)'."""
         t = self.tau()
         have = {(i.parent, i.facet) for i in self.incidences}
-        bad = []
-        for p, f in have:
-            if (t[f], t[p]) not in have:
-                bad.append((p, f))
-        return bad
+        return [(p, f) for p, f in have if (t[f], t[p]) not in have]
 
     # -- two-step composites and the face poset -----------------------------
 
@@ -154,10 +150,8 @@ class ToricCellComplex:
 
     def face_poset_check(self):
         """Verify that every two-step route group has exactly two members."""
-        bad = []
-        for key, routes in sorted(self.composite_groups().items()):
-            if len(routes) != 2:
-                bad.append((key, routes))
+        bad = [(key, routes) for key, routes
+               in sorted(self.composite_groups().items()) if len(routes) != 2]
         return FacePosetReport(ok=not bad, violations=bad)
 
     # -- incidence function -------------------------------------------------

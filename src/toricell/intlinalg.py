@@ -259,16 +259,10 @@ def lattice_basis(vectors, dim):
     if not vectors:
         return []
     rows = [list(v) for v in vectors]
-    basis = []
-    col = 0
-    r = 0
+    col = r = 0
     while col < dim and r < len(rows):
         # gcd-eliminate column col among rows r..
-        piv = None
-        for i in range(r, len(rows)):
-            if rows[i][col] != 0:
-                piv = i
-                break
+        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
         if piv is None:
             col += 1
             continue
@@ -289,9 +283,7 @@ def lattice_basis(vectors, dim):
             rows[r] = [-a for a in rows[r]]
         r += 1
         col += 1
-    for i in range(r):
-        basis.append(tuple(rows[i]))
-    return basis
+    return [tuple(row) for row in rows[:r]]
 
 
 def echelon_coordinates(basis, v):

@@ -59,10 +59,8 @@ def verify_square_zero(res):
 def verify_minimality(res):
     """The resolution is minimal iff no differential entry is a unit,
     i.e. no incidence has both derivative classes trivial."""
-    bad = []
-    for inc in res.complex.incidences:
-        if is_zero(inc.left) and is_zero(inc.right):
-            bad.append(inc)
+    bad = [inc for inc in res.complex.incidences
+           if is_zero(inc.left) and is_zero(inc.right)]
     return MinimalityReport(minimal=not bad, unit_incidences=bad)
 
 
@@ -141,13 +139,26 @@ def _packed_facets(res, pk):
 
 def _class_table(Q, pk):
     """{(u, v): classes}: the packed divisor classes d <= pk.bound, in
-    increasing order, that a path from u to v carries."""
-    table = {}
-    for d in itertools.product(*[range(b + 1) for b in pk.bound]):
-        x = pk.pack(d)
-        for u in range(Q.n_vertices):
-            for v in Q.reachable(u, d):
-                table.setdefault((u, v), []).append(x)
+    increasing order, that a path from u to v carries, from one sweep
+    over the box in increasing packed order: reach[x][u] is the bitmask of
+    the heads of paths from u of class x, the OR of reach[x - label][head]
+    over the arrows out of u with label <= x.  Arrows with a label above
+    the bound are dropped first, so no packed label overflows a field."""
+    out = [[(pk.pack(a.label), a.head) for a in arrows
+            if leq(a.label, pk.bound)] for arrows in Q.out]
+    box = itertools.product(*[range(b + 1) for b in pk.bound])
+    reach, table = {}, {}
+    for x in map(pk.pack, box):
+        reach[x] = row = []
+        for u, arcs in enumerate(out):
+            m = 0 if x else 1 << u
+            for label, head in arcs:
+                if pk.leq(label, x):
+                    m |= reach[x - label][head]
+            row.append(m)
+            for v in range(m.bit_length()):
+                if m >> v & 1:
+                    table.setdefault((u, v), []).append(x)
     return table
 
 
@@ -180,6 +191,13 @@ def _pair_bases(complex_, pk, table, s, t):
     return pieces
 
 
+def _off_piece(pk, y):
+    """The message for a facet triple y outside its piece: the classes of
+    every incidence are validated, so only a bug can lead there."""
+    facet, dL = pk.split(y)
+    return f"differential leaves the graded piece at {(facet, pk.unpack(dL))}"
+
+
 def _differential(pk, facets, bases, k):
     """d_k as sparse columns {row: coeff}, one per basis triple of P_k;
     d_0 is the augmentation onto the algebra piece (one row).  facets is
@@ -193,21 +211,16 @@ def _differential(pk, facets, bases, k):
         for delta, sign in facets[x >> pk.shift]:
             i = index.get(x + delta)
             if i is None:
-                # ToricCellComplex._validate proves the left and right
-                # class of every incidence realizable, so the facet triple
-                # (facet, dL + left, right + dR) has the piece's divisor
-                # and paths on both sides: only a bug can miss the piece
-                facet, dL = pk.split(x + delta)
-                raise InternalError("differential leaves the graded piece "
-                                    f"at {(facet, pk.unpack(dL))}")
+                raise InternalError(_off_piece(pk, x + delta))
             col[i] = col.get(i, 0) + sign
         cols.append({i: c for i, c in col.items() if c})
     return cols
 
 
-def _gf2_certified(pk, facets, bases):
+def _gf2_certified(pk, offsets, bases):
     """Whether the GF(2) ranks r(k) of the d_k of a piece where d.d = 0
-    satisfy r(0) = 1 and r(k) + r(k+1) = dim P_k for every k.
+    satisfy r(0) = 1 and r(k) + r(k+1) = dim P_k for every k; offsets[c]
+    lists the deltas of `_packed_facets`[c].
 
     d_n, ..., d_1 are reduced in turn, columns as int bitsets keyed by
     their highest row.  A reduced column of d_{k+1} with pivot i is e_i
@@ -217,25 +230,25 @@ def _gf2_certified(pk, facets, bases):
     identity at k holds iff none of the rest reduces to zero; at k = 0,
     iff one is left.  The guard of `_differential` runs on every column.
     """
-    cleared = set()
-    for k in range(len(bases) - 1, 0, -1):
-        index = dict(zip(bases[k - 1], itertools.count()))
-        pivots = {}
-        for j, x in enumerate(bases[k]):
-            rows = [index.get(x + delta) for delta, _ in facets[x >> pk.shift]]
-            if None in rows:  # a bug: _differential raises naming it
-                _differential(pk, facets, bases, k)
-            if j in cleared:
-                continue
-            col = 0
-            for i in rows:
-                col ^= 1 << i
-            while col and (top := col.bit_length()) in pivots:
-                col ^= pivots[top]
-            if not col:
-                return False
-            pivots[top] = col
-        cleared = {top - 1 for top in pivots}
+    shift, cleared = pk.shift, set()
+    try:
+        for k in range(len(bases) - 1, 0, -1):
+            index = dict(zip(bases[k - 1], itertools.count()))
+            pivots = {}
+            for j, x in enumerate(bases[k]):
+                col = 0
+                for delta in offsets[x >> shift]:
+                    col ^= 1 << index[x + delta]
+                if j in cleared:
+                    continue
+                while col and (top := col.bit_length()) in pivots:
+                    col ^= pivots[top]
+                if not col:
+                    return False
+                pivots[top] = col
+            cleared = {top - 1 for top in pivots}
+    except KeyError as miss:
+        raise InternalError(_off_piece(pk, miss.args[0])) from None
     return len(bases[0]) - len(cleared) == 1
 
 
@@ -285,26 +298,43 @@ def graded_piece(res, s, t, dvec):
                        matrices=matrices, dim_A=1)
 
 
-def _composes_to_zero(outer, inner):
-    """d_{k-1} . d_k == 0 for sparse columns outer = d_{k-1}, inner = d_k."""
-    for col in inner:
-        total = {}
-        for i, x in col.items():
-            for r, y in outer[i].items():
-                total[r] = total.get(r, 0) + x * y
-        if any(total.values()):
-            return False
-    return True
+def _product_failure(pk, facets, bases):
+    """The first k with d_{k-1}.d_k != 0 on a piece, or 0, read on packed
+    triples after the guard of `_differential` has run on every column
+    at every k.  d_0 sends each triple of P_0 to 1, so d_0.d_1(x) is the
+    sum of the signs s1 of the facets of x's cell; for k >= 2,
+    d_{k-1}.d_k(x) sums s1 s2 at x + delta1 + delta2 over the facets of
+    x and of each x + delta1."""
+    shift = pk.shift
+    for k in range(1, len(bases)):
+        inside = set(bases[k - 1])
+        for x in bases[k]:
+            for delta, _ in facets[x >> shift]:
+                if x + delta not in inside:
+                    raise InternalError(_off_piece(pk, x + delta))
+    ones = {x >> shift for x in bases[1]}  # d_0.d_1(x) depends on x's cell
+    if any(sum(s for _, s in facets[c]) for c in ones):
+        return 1
+    for k in range(2, len(bases)):
+        for x in bases[k]:
+            total = {}
+            for d1, s1 in facets[x >> shift]:
+                for d2, s2 in facets[(x + d1) >> shift]:
+                    y = x + d1 + d2
+                    total[y] = total.get(y, 0) + s1 * s2
+            if any(total.values()):
+                return k
+    return 0
 
 
-def _piece_failures(pk, facets, bases, check_products):
+def _piece_failures(pk, facets, offsets, bases, check_products):
     """Rank identities certifying exactness of one nonzero graded piece.
 
     With d_0 the augmentation and d_{n+1} = 0, the complex is exact iff
     rank d_k + rank d_{k+1} = dim P_k for 0 <= k <= n, reading
     rank d_0 = dim of the algebra piece, which is 1; the Euler
     characteristic then telescopes to rank d_0 = 1.  With check_products
-    a nonzero d_{k-1}.d_k is reported first.
+    a nonzero d_{k-1}.d_k (`_product_failure`) is reported first.
 
     The caller passes check_products whenever d.d = 0 is not known
     symbolically, so d.d = 0 holds on every piece ranked here, and GF(2)
@@ -314,25 +344,19 @@ def _piece_failures(pk, facets, bases, check_products):
     <= dim P_k, and d_0 has one row: the identities for r2 force those
     for r.  Pieces they do not settle get the exact `sparse_rank`.
     """
-    n = len(bases) - 1
-    dims = [len(b) for b in bases]
-    diffs = None
-    if check_products:
-        diffs = [_differential(pk, facets, bases, k) for k in range(n + 1)]
-        for k in range(1, n + 1):
-            if not _composes_to_zero(diffs[k - 1], diffs[k]):
-                return [(f"d{k - 1}.d{k}", None, None, None)]
-    if _gf2_certified(pk, facets, bases):
+    if check_products and (k := _product_failure(pk, facets, bases)):
+        return [(f"d{k - 1}.d{k}", None, None, None)]
+    if _gf2_certified(pk, offsets, bases):
         return []
-    diffs = diffs or [_differential(pk, facets, bases, k)
-                      for k in range(n + 1)]
-    ranks = [sparse_rank(cols) for cols in diffs] + [0]
+    n = len(bases) - 1
+    ranks = [sparse_rank(_differential(pk, facets, bases, k))
+             for k in range(n + 1)] + [0]
     failures = []
     if ranks[0] != 1:
         failures.append(("augmentation", ranks[0], 1, None))
     for k in range(n + 1):
-        if ranks[k] + ranks[k + 1] != dims[k]:
-            failures.append((k, ranks[k], ranks[k + 1], dims[k]))
+        if ranks[k] + ranks[k + 1] != len(bases[k]):
+            failures.append((k, ranks[k], ranks[k + 1], len(bases[k])))
     return failures
 
 
@@ -348,8 +372,8 @@ class ExactnessReport(NamedTuple):
 # (eta, dL, dR) with dL + dR <= bound - div(eta): all basis triples of an
 # abelian quotient, and at least them whenever a path's tail and divisor
 # fix its head.  The fourfold at bound 3 has 262,144 pieces and 32,972,288
-# triples; mckay_z2_11 at bound 40 has 5,651,522 and takes 4-5 s on a
-# 2-CPU machine, and 34 s at bound 63 (the guard admits bounds up to 65)
+# triples; mckay_z2_11 at bound 40 has 5,651,522 and takes 3.3-4.0 s on a
+# 2-CPU machine, and 30 s at bound 63 (the guard admits bounds up to 65)
 MAX_PIECES = 500_000
 MAX_TRIPLES = 40_000_000
 
@@ -442,15 +466,15 @@ def verify_exactness(res, bound, check_products=False):
     pk = _packing(res.complex, bound)
     table = _class_table(Q, pk)
     facets = _packed_facets(res, pk)
-    failures = []
-    covered = set()
+    offsets = [[delta for delta, _ in f] for f in facets]
+    failures, covered = [], set()
     for s, t in itertools.product(range(n), repeat=2):
         if (s, t) in covered:
             continue
         orbit = {(g[s], g[t]) for g in auts}
         covered.update(orbit)
         for dvec, bases in _pair_bases(res.complex, pk, table, s, t).items():
-            fail = _piece_failures(pk, facets, bases, check_products)
+            fail = _piece_failures(pk, facets, offsets, bases, check_products)
             if fail:
                 dvec = pk.unpack(dvec)
                 failures.extend((u, v, dvec, list(fail)) for u, v in orbit)

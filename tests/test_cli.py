@@ -1,5 +1,8 @@
+import fcntl
 import json
 import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -205,6 +208,35 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     assert captured.out == ""
     assert captured.err == (
         "internal error: projection is not a left inverse of B\n")
+
+
+def test_closed_pipe_exits_quietly():
+    """A reader that closes stdout after 10 bytes, as `| head -c 10` does,
+    is no bug in toricell: it stops with 141, the shell's code for
+    SIGPIPE, and prints nothing more.  The pipe holds one 4 KiB page, so
+    the 24 kB report must meet the closed end."""
+    if not hasattr(fcntl, "F_SETPIPE_SZ"):
+        pytest.skip("needs a pipe of fixed size (Linux)")
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    r, w = os.pipe()
+    fcntl.fcntl(r, fcntl.F_SETPIPE_SZ, 4096)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "toricell.cli", "consistency",
+         input_path("threefold_three_sheaves.json"), "--bound", "3"],
+        stdout=w, stderr=subprocess.PIPE, env=env)
+    os.close(w)
+    head = b""
+    while len(head) < 10 and (chunk := os.read(r, 10 - len(head))):
+        head += chunk
+    os.close(r)
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert head == b'{\n  "bound'
+    assert err == b""
 
 
 @pytest.mark.parametrize("bug, message", [

@@ -1,5 +1,6 @@
 import itertools
 import math
+import os
 import random
 import re
 
@@ -33,6 +34,7 @@ from toricell.resolution import (
     _Packing,
     _pair_bases,
     _piece_failures,
+    _product_failure,
     build_resolution,
     graded_piece,
     mckay_sign_crosscheck,
@@ -40,11 +42,11 @@ from toricell.resolution import (
     verify_minimality,
     verify_square_zero,
 )
-from toricell.quiver import build_quiver
+from toricell.quiver import QuiverOfSections, build_quiver
 from toricell.superpotential import consistency, relations, superpotential
 from toricell.variety import AbelianGroupData, mckay_toric_data
 
-from conftest import load
+from conftest import INPUTS, load
 from test_complexes import (
     check_solve_gf2_against_oracle,
     check_torus_homology,
@@ -112,8 +114,15 @@ def verify_piece(res, s, t, dvec):
     if not piece.dim_A:
         return [], piece
     pk = _packing(res.complex, dvec)
-    return _piece_failures(pk, _packed_facets(res, pk),
+    facets = _packed_facets(res, pk)
+    return _piece_failures(pk, facets, facet_offsets(facets),
                            packed_bases(pk, piece.bases), True), piece
+
+
+def facet_offsets(facets):
+    """The deltas of `_packed_facets`, without signs, as
+    verify_exactness passes them to the GF(2) certificate."""
+    return [[delta for delta, _ in f] for f in facets]
 
 
 def packed_bases(pk, bases):
@@ -245,6 +254,49 @@ def test_exactness_triple_limit(z6_resolution, request):
         b += 1
     with pytest.raises(InputError, match="basis triples"):
         verify_exactness(z6_resolution, b - 1)
+
+
+def reachable_class_table(Q, pk):
+    """The class table from one `Q.reachable` walk per class and vertex:
+    the oracle for the packed sweep of _class_table."""
+    table = {}
+    for d in itertools.product(*[range(b + 1) for b in pk.bound]):
+        x = pk.pack(d)
+        for u in range(Q.n_vertices):
+            for v in Q.reachable(u, d):
+                table.setdefault((u, v), []).append(x)
+    return table
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(INPUTS)))
+def test_class_table_matches_reachable_oracle(name, request):
+    """Every input's quiver at the scalar bounds 0-3: the same keys, and
+    each key's classes in the same increasing order."""
+    if name == "fourfold.json":
+        Q = request.getfixturevalue("fourfold_pipeline")[0]
+    else:
+        Q = load(name).quiver()
+    for b in range(4):
+        pk = _Packing((b,) * Q.d, 1)
+        assert _class_table(Q, pk) == reachable_class_table(Q, pk)
+
+
+def test_class_table_mixed_bound_and_label_above_it():
+    """A vector bound with a zero entry, and a quiver whose arrow 0 -> 1
+    has a label above the bound that overflows a field of the packing,
+    where it would read as (1, 0): the sweep drops that arrow, so no class
+    reaches vertex 1 from vertex 0."""
+    Q = load("threefold_four_sheaves.json").quiver()
+    pk = _Packing((2, 0, 3, 1), 1)
+    assert _class_table(Q, pk) == reachable_class_table(Q, pk)
+    Q = QuiverOfSections(2, [(0, 1, (0, 16)), (1, 0, (0, 1)),
+                             (0, 0, (1, 1)), (1, 1, (2, 0))])
+    pk = _Packing((2, 2), 0)
+    assert pk.pack((0, 16)) == pk.pack((1, 0))
+    table = _class_table(Q, pk)
+    assert table == reachable_class_table(Q, pk)
+    assert (0, 1) not in table
+    assert table[1, 0] == [pk.pack(d) for d in [(0, 1), (1, 2), (2, 1)]]
 
 
 def test_differential_off_piece_is_internal_error(mckay_z6_complex):
@@ -684,7 +736,7 @@ def test_gf2_rank_against_dense_elimination(case, tripled):
                 m[row[g]][j] += sign
         mats.append(m)
     expected = gf2_identities_hold([len(b) for b in faces], mats)
-    assert _gf2_certified(pk, facets, bases) == expected
+    assert _gf2_certified(pk, facet_offsets(facets), bases) == expected
     assert expected or not cone
 
 
@@ -708,12 +760,12 @@ def test_gf2_certified_matches_dense_ranks(name, bound, request,
     verdicts = set()
     for dvec in itertools.product(range(bound + 1), repeat=Q.d):
         pk = _packing(res.complex, dvec)
-        facets = _packed_facets(res, pk)
+        offsets = facet_offsets(_packed_facets(res, pk))
         for s, t in itertools.product(range(Q.n_vertices), repeat=2):
             piece = graded_piece(res, s, t, dvec)
             if not piece.dim_A:
                 continue
-            got = _gf2_certified(pk, facets, packed_bases(pk, piece.bases))
+            got = _gf2_certified(pk, offsets, packed_bases(pk, piece.bases))
             assert got == gf2_identities_hold(piece.dims(), piece.matrices)
             verdicts.add(got)
     assert verdicts == ({False, True} if name == "missing_top_cell"
@@ -735,12 +787,73 @@ def test_cleared_column_off_piece_is_internal_error(mckay_z6_complex):
     cid, dL, _dR = piece.bases[2][pivot]
     pk = _packing(C, cube.divisor)
     packed = packed_bases(pk, piece.bases)
-    assert _gf2_certified(pk, _packed_facets(res, pk), packed)
+    assert _gf2_certified(pk, facet_offsets(_packed_facets(res, pk)), packed)
     _facet, left, sign = res.facets[cid][0]
     res.facets[cid][0] = (cid, left, sign)
-    with pytest.raises(InternalError,
-                       match=re.escape(f"at {(cid, vadd(dL, left))}")):
-        _gf2_certified(pk, _packed_facets(res, pk), packed)
+    facets = _packed_facets(res, pk)
+    at = re.escape(f"at {(cid, vadd(dL, left))}")
+    with pytest.raises(InternalError, match=at):
+        _gf2_certified(pk, facet_offsets(facets), packed)
+    with pytest.raises(InternalError, match=at):
+        _piece_failures(pk, facets, facet_offsets(facets), packed, True)
+    with pytest.raises(InternalError, match="leaves the graded piece"):
+        verify_exactness(res, 1, check_products=True)
+
+
+def composes_to_zero(outer, inner):
+    """d_{k-1} . d_k == 0 for sparse columns outer = d_{k-1}, inner = d_k."""
+    for col in inner:
+        total = {}
+        for i, x in col.items():
+            for r, y in outer[i].items():
+                total[r] = total.get(r, 0) + x * y
+        if any(total.values()):
+            return False
+    return True
+
+
+def product_failure_oracle(pk, facets, bases):
+    """The first k where the `_differential` columns of d_{k-1} and d_k
+    compose to nonzero, or 0."""
+    diffs = [_differential(pk, facets, bases, k) for k in range(len(bases))]
+    return next((k for k in range(1, len(bases))
+                 if not composes_to_zero(diffs[k - 1], diffs[k])), 0)
+
+
+def test_product_failure_matches_composition_oracle(mckay_z6_complex):
+    """On every piece at bound 2 of four resolutions, the packed d.d
+    names the k the sparse product names: the flips fail at k >= 2, the
+    augmentation flip at k = 1, and missing_top_cell nowhere."""
+    C = mckay_z6_complex
+    first = {}
+    for name, res in [("single", single_flip(C)),
+                      ("invariant", invariant_flip(C)),
+                      ("missing", missing_top_cell(C)),
+                      ("augmentation", augmentation_flip(C))]:
+        pk = _packing(res.complex, (2, 2, 2))
+        table = _class_table(res.Q, pk)
+        facets = _packed_facets(res, pk)
+        found = first[name] = set()
+        for s, t in itertools.product(range(6), repeat=2):
+            for bases in _pair_bases(res.complex, pk, table, s, t).values():
+                k = _product_failure(pk, facets, bases)
+                assert k == product_failure_oracle(pk, facets, bases)
+                found.add(k)
+    assert max(first["single"]) >= 2 and max(first["invariant"]) >= 2
+    assert first["missing"] == {0} and 1 in first["augmentation"]
+
+
+def test_guard_fires_before_product_failure(mckay_z6_complex):
+    """A facet triple outside its piece is a bug, reported before any
+    product: with a 3-cell facet corrupted on the single flip, whose d1.d2
+    fails, the product check raises InternalError."""
+    res = single_flip(mckay_z6_complex)
+    assert not verify_exactness(res, 2, check_products=True).exact
+    cube = mckay_z6_complex.by_dim[3][0]
+    _facet, left, sign = res.facets[cube.id][0]
+    res.facets[cube.id][0] = (cube.id, left, sign)
+    with pytest.raises(InternalError, match="leaves the graded piece"):
+        verify_exactness(res, 2, check_products=True)
 
 
 def oracle_piece_failures(dims, mats, check_products):
@@ -831,6 +944,14 @@ def test_uncertified_pieces_get_exact_ranks(mckay_z6_complex):
         assert rep == oracle[check_products]
 
 
+def augmentation_flip(C):
+    """The closed-form resolution with every incidence onto the 0-cell at
+    vertex 0 flipped."""
+    v0 = next(c.id for c in C.by_dim[0] if c.head == 0)
+    return CellularResolution(C, {inc: -sign if inc.facet == v0 else sign
+                                  for inc, sign in C.explicit_signs.items()})
+
+
 def test_augmentation_sign_control(mckay_z6_complex):
     """Flipping every incidence onto vertex 0 keeps the two-step routes
     cancelling, but not the two ends of the arrows at vertex 0, so the
@@ -838,10 +959,7 @@ def test_augmentation_sign_control(mckay_z6_complex):
     verify_square_zero rejects it, and every report is the oracle's.  The
     flip only rescales basis elements, so the rank identities still hold;
     the product check, which such a resolution always gets, sees it."""
-    C = mckay_z6_complex
-    v0 = next(c.id for c in C.by_dim[0] if c.head == 0)
-    res = CellularResolution(C, {inc: -sign if inc.facet == v0 else sign
-                                 for inc, sign in C.explicit_signs.items()})
+    res = augmentation_flip(mckay_z6_complex)
     with pytest.raises(ConstructionError, match="augmentation"):
         verify_square_zero(res)
     oracle = exact_rank_oracle(res, 1)
@@ -868,7 +986,7 @@ def test_forced_fallback_leaves_reports_unchanged(monkeypatch, request,
     before = reports()
     calls = []
 
-    def settles_nothing(pk, facets, bases):
+    def settles_nothing(pk, offsets, bases):
         calls.append(bases)
         return False
 
