@@ -65,6 +65,47 @@ def leq(v, w):
     return all(map(le, v, w))
 
 
+class Packing:
+    """Nonnegative vectors with entries at most 2 * max(bound) + slack,
+    each as a single int.
+
+    Coordinate i takes a field of w bits, coordinate 0 the highest, so
+    int order is lexicographic order, and w is one bit more than the
+    largest entry needs.  So the top bit of every field, its guard bit,
+    stays clear: such vectors add as ints with no carry between fields,
+    and x <= y componentwise iff ((y | H) - x) & H == H for H the guard
+    bits, as a field of x above y's borrows its guard bit and no other
+    does.  A tag (an int) sits above the shift = d * w bits of a vector.
+    """
+
+    def __init__(self, bound, slack):
+        self.w = w = (2 * max(bound) + slack).bit_length() + 1
+        self.shift = len(bound) * w
+        # the lowest bit of each field, coordinate 0 first
+        self.fields = range(self.shift - w, -1, -w)
+        self.bound = tuple(bound)
+        self.H = self.pack([1 << (w - 1)] * len(bound))
+        self.B = self.pack(bound)
+
+    def pack(self, v):
+        x = 0
+        for a in v:
+            x = x << self.w | a
+        return x
+
+    def unpack(self, x):
+        mask = (1 << self.w) - 1
+        return tuple([x >> f & mask for f in self.fields])
+
+    def leq(self, x, y):
+        """Componentwise x <= y."""
+        return ((y | self.H) - x) & self.H == self.H
+
+    def split(self, x):
+        """(tag, vector) of x = tag << shift | vector."""
+        return x >> self.shift, x & ((1 << self.shift) - 1)
+
+
 # ---------------------------------------------------------------------------
 # matrix helpers
 

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from .complexes import mckay_complex
 from .errors import ConstructionError, InputError, InternalError
-from .intlinalg import is_zero, leq, sparse_rank
+from .intlinalg import Packing, is_zero, leq, sparse_rank
 
 
 class CellularResolution:
@@ -81,51 +81,10 @@ class MinimalityReport(NamedTuple):
 # so inside this module a basis triple is the int eta << shift | dL.
 
 
-class _Packing:
-    """The divisor vectors of one sweep over the pieces with divisor
-    <= bound, each as a single int.
-
-    Coordinate i takes a field of w bits, coordinate 0 the highest, so
-    int order is lexicographic order.  No field of the sweep exceeds
-    2 * bound_i + slack, reached by dL + div(eta) + dR with dL, dR <=
-    bound and slack the largest cell-divisor entry, and w is one bit more
-    than that value needs.  So the top bit of every field, its guard bit,
-    stays clear: vectors add as ints with no carry between fields, and x
-    <= y componentwise iff ((y | H) - x) & H == H for H the guard bits,
-    as a field of x above y's borrows its guard bit and no other does.
-    A cell id sits above the shift = d * w bits of a vector.
-    """
-
-    def __init__(self, bound, slack):
-        self.w = w = (2 * max(bound) + slack).bit_length() + 1
-        self.shift = len(bound) * w
-        # the lowest bit of each field, coordinate 0 first
-        self.fields = range(self.shift - w, -1, -w)
-        self.bound = tuple(bound)
-        self.H = self.pack([1 << (w - 1)] * len(bound))
-        self.B = self.pack(bound)
-
-    def pack(self, v):
-        x = 0
-        for a in v:
-            x = x << self.w | a
-        return x
-
-    def unpack(self, x):
-        mask = (1 << self.w) - 1
-        return tuple([x >> f & mask for f in self.fields])
-
-    def leq(self, x, y):
-        """Componentwise x <= y."""
-        return ((y | self.H) - x) & self.H == self.H
-
-    def split(self, x):
-        """(eta, dL) of the basis triple x = eta << shift | dL."""
-        return x >> self.shift, x & ((1 << self.shift) - 1)
-
-
 def _packing(complex_, bound):
-    return _Packing(bound, max(x for c in complex_.cells for x in c.divisor))
+    """A sweep's dL + div(eta) + dR has entries <= 2 * bound + the largest
+    cell-divisor entry; a cell id is the tag above a vector."""
+    return Packing(bound, max(x for c in complex_.cells for x in c.divisor))
 
 
 def _packed_facets(res, pk):

@@ -14,7 +14,7 @@ import heapq
 from typing import NamedTuple
 
 from .errors import InputError
-from .intlinalg import leq, vadd, vscale, vsub
+from .intlinalg import Packing, leq, vscale
 
 
 def cyclic_canonical(cycle):
@@ -118,78 +118,66 @@ def arrow_coverage(Q, W):
 MAX_CLASSES = 500_000
 
 
-def _path_classes(Q, rules, i, budget):
-    """F-term classes of the paths from i with divisor <= budget, as
-    (buckets, step, heads): buckets maps (head, div) to its class ids,
-    class 0 being the trivial path; step maps (class, arrow id) to the
-    class of the class's paths followed by the arrow; heads[c] is the head
-    of class c.  See `consistency`."""
+def _path_classes(Q, rules, i, pk):
+    """{(head, div): the least path of each class} for the F-term classes
+    of the paths from i with divisor <= pk.bound, div packed by pk.  See
+    `consistency`."""
+    vb = Q.n_vertices.bit_length()
+    mask, H = (1 << vb) - 1, pk.H << vb
+    top = (pk.B | pk.H) << vb | mask  # a bucket key is div << vb | head
+    out = [[((pk.pack(a.label) << vb) + a.head - h, a.idx) for a in arrows
+            if leq(a.label, pk.bound)] for h, arrows in enumerate(Q.out)]
     sides = {}
     for u, v in rules:
-        sides.setdefault(Q.arrows[u[-1]].head, []).append(
-            (Q.arrows[u[0]].tail, Q.path_div(u), u, v))
-    zero = (0,) * Q.d
-    buckets, heads, step = {(i, zero): [0]}, [i], {}
-    pending, queue = {}, []  # (|div|, div, head) -> elements (class, arrow)
+        e, tail, head = Q.path_div(u), Q.arrows[u[0]].tail, Q.arrows[u[-1]].head
+        if leq(e, pk.bound):
+            sides.setdefault(head, []).append(
+                (pk.pack(e) << vb, tail - head, u[:-1], u[-1], v[:-1], v[-1]))
+    least, buckets, step = [()], {i: range(1)}, {}
+    pending, queue = {}, []  # key -> elements (class, arrow)
 
-    def extend(c, head, div):
-        for a in Q.out[head]:
-            d = vadd(div, a.label)
-            if leq(d, budget):
-                key = (sum(d), d, a.head)
-                if key not in pending:
-                    pending[key] = []
-                    heapq.heappush(queue, key)
-                pending[key].append((c, a.idx))
+    def extend(c, key):
+        for delta, a in out[key & mask]:
+            k = key + delta
+            if (top - k) & H == H:
+                if k not in pending:
+                    pending[k] = []
+                    heapq.heappush(queue, k)
+                pending[k].append((c, a))
 
-    def element(x, path):
-        for a in path[:-1]:
-            x = step[x, a]
-        return x, path[-1]
+    def find(x):  # union-find with path halving
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
 
-    extend(0, i, zero)
+    extend(0, i)
     while queue:
         key = heapq.heappop(queue)
-        _, div, head = key
-        rep = {e: e for e in pending.pop(key)}  # element -> representative
-        for tail, e, u, v in sides.get(head, ()):
-            if leq(e, div):
-                for x in buckets.get((tail, vsub(div, e)), ()):
-                    a, b = rep[element(x, u)], rep[element(x, v)]
-                    for f in [f for f, r in rep.items() if r == b]:
-                        rep[f] = a
-        ids = {r: len(heads) + k
-               for k, r in enumerate(dict.fromkeys(rep.values()))}
-        heads += [head] * len(ids)
-        step.update((e, ids[r]) for e, r in rep.items())
-        buckets[head, div] = list(ids.values())
-        for c in ids.values():
-            extend(c, head, div)
-    return buckets, step, heads
-
-
-def _least_paths(Q, step, heads, wanted):
-    """{c: the least path of class c} for the class ids c in wanted, from a
-    depth-first walk over the step table that tries arrows in id order and
-    enters each class once (see `consistency`)."""
-    least, path, seen = {}, [], {0}
-    stack = [(0, iter(Q.out[heads[0]]))]
-    while stack and len(least) < len(wanted):
-        top, arrows = stack[-1]
-        for a in arrows:
-            c = step.get((top, a.idx))
-            if c is not None and c not in seen:
-                seen.add(c)
-                path.append(a.idx)
-                if c in wanted:
-                    least[c] = tuple(path)
-                stack.append((c, iter(Q.out[heads[c]])))
-                break
-        else:
-            stack.pop()
-            if path:
-                path.pop()
-    return least
+        elements = pending.pop(key)
+        parent = {e: e for e in elements}
+        for E, hop, u, ua, v, va in sides.get(key & mask, ()):
+            if ((key | H) - E) & H == H:
+                for x in buckets.get(key - E + hop, ()):
+                    a, b = x, x
+                    for y in u:
+                        a = step[a, y]
+                    for y in v:
+                        b = step[b, y]
+                    parent[find((b, va))] = find((a, ua))
+        first, ids = len(least), {}
+        for e in elements:
+            p = least[e[0]] + e[1:]
+            c = ids.setdefault(find(e), len(least))
+            if c == len(least):
+                least.append(p)
+            elif p < least[c]:
+                least[c] = p
+            step[e] = c
+        buckets[key] = range(first, len(least))
+        for c in buckets[key]:
+            extend(c, key)
+    return {(key & mask, key >> vb): least[r.start:r.stop]
+            for key, r in buckets.items()}
 
 
 class ConsistencyReport(NamedTuple):
@@ -208,7 +196,12 @@ def consistency(Q, W, bound=2):
     F-term equivalence is generated by the steps x.u.y ~ x.v.y for the
     relations (u, v).  Per tail vertex it is decided by a congruence
     closure over classes, closing the buckets (head, div) in increasing
-    |div|; three facts make this exact:
+    order of the int div << vb | head, div packed (`intlinalg.Packing`).
+    A bucket reads only buckets of a smaller div, as labels and relation
+    sides have nonzero divisors, and int order extends the componentwise
+    order.  Arrows and sides whose divisor is not <= the budget lie in no
+    bucket and are dropped first, so no field overflows.  Three facts make
+    the closure exact:
 
     - A class decides its extensions, since appending an arrow to a chain
       of steps gives a chain of steps.  So each path of a bucket is an
@@ -221,24 +214,24 @@ def consistency(Q, W, bound=2):
       classes of a bucket are the components of its elements under x.u ~
       x.v for each relation (u, v) ending at its head and each class x of
       (tail u, div - div u), the trivial path included.
-    - The least path extends.  Labels are nonzero, so no path of a bucket
-      is a prefix of another.  A depth-first walk from the trivial path,
-      trying arrows in id order and never entering a class twice, visits
-      paths in lexicographic order and enters each class first along its
-      least path m: had it cut off a prefix m' of m, the path p' by which
-      it entered the class of m' precedes m' and is not its prefix, and p'
-      followed by the rest of m would be a smaller path in m's class.  So
-      the witnesses, the two least representatives of each bucket with
-      two classes or more in (tail, head, div) order, are those of
-      comparing every path.
+    - The least path is made with its class: least(c) is the least
+      least(c').a over the elements (c', a) of c.  Labels are nonzero, so
+      no path of a bucket is a prefix of another.  If m = m'.a is least
+      in c and p' < m' shares the class of m', then p'.a is in c and p'.a
+      < m; so m' is least in its class, and m is the least candidate.  So
+      the witnesses, the two least representatives of each bucket with two
+      classes or more in (tail, head, div) order, are those of comparing
+      every path.
 
     Each class and element is made once, and a relation (u, v) costs
-    |u| + |v| table steps per class x, plus a pass over the bucket's
-    elements when it joins two classes.  So the work grows with the number
-    of classes (per tail at most vertices times divisors in the box when
-    the quiver is consistent), not with the number of paths.  A bound at
-    which vertex pairs times divisors in the box pass MAX_CLASSES is
-    refused before any work.
+    |u| + |v| table steps per class x and a union of two elements.  The
+    unions of a bucket go through a union-find with path halving, so n
+    elements and m finds cost O((n + m) log n) (Tarjan and van Leeuwen,
+    JACM 1984).  So the work grows with the number of classes (per tail
+    at most vertices times divisors in the box when the quiver is
+    consistent), not with the number of paths.  A bound at which vertex
+    pairs times divisors in the box pass MAX_CLASSES is refused before
+    any work.
     """
     if bound < 0:
         raise InputError(f"consistency bound must be nonnegative, got {bound}")
@@ -251,16 +244,13 @@ def consistency(Q, W, bound=2):
     uncovered = [a.idx for a in arrow_coverage(Q, W)]
     rels = relations(Q, W)
     rules = [r.pair for r in rels]
-    budget = vscale(bound, Q.ones)
+    pk = Packing(vscale(bound, Q.ones), 0)
     witnesses = []
     for i in range(Q.n_vertices):
-        buckets, step, heads = _path_classes(Q, rules, i, budget)
-        split = sorted(item for item in buckets.items() if len(item[1]) > 1)
-        least = _least_paths(Q, step, heads,
-                             {c for _, ids in split for c in ids})
-        for (head, div), ids in split:
-            witnesses.append(
-                (i, head, div, *sorted(least[c] for c in ids)[:2]))
+        classes = _path_classes(Q, rules, i, pk).items()
+        witnesses += [(i, head, pk.unpack(div), *sorted(paths)[:2])
+                      for (head, div), paths in sorted(classes)
+                      if len(paths) > 1]
     consistent = not quick and not uncovered and not witnesses
     return ConsistencyReport(consistent=consistent, bound=bound,
                              quick_reject_arrows=quick, witnesses=witnesses,

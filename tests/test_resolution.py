@@ -18,7 +18,7 @@ from toricell.complexes import (
     mckay_complex,
 )
 from toricell.errors import ConstructionError, InputError, InternalError
-from toricell.intlinalg import leq, rank, vadd, vsub
+from toricell.intlinalg import Packing, leq, rank, vadd, vsub
 from toricell.resolution import (
     MAX_PIECES,
     MAX_TRIPLES,
@@ -31,7 +31,6 @@ from toricell.resolution import (
     _gf2_certified,
     _packed_facets,
     _packing,
-    _Packing,
     _pair_bases,
     _piece_failures,
     _product_failure,
@@ -277,7 +276,7 @@ def test_class_table_matches_reachable_oracle(name, request):
     else:
         Q = load(name).quiver()
     for b in range(4):
-        pk = _Packing((b,) * Q.d, 1)
+        pk = Packing((b,) * Q.d, 1)
         assert _class_table(Q, pk) == reachable_class_table(Q, pk)
 
 
@@ -287,11 +286,11 @@ def test_class_table_mixed_bound_and_label_above_it():
     where it would read as (1, 0): the sweep drops that arrow, so no class
     reaches vertex 1 from vertex 0."""
     Q = load("threefold_four_sheaves.json").quiver()
-    pk = _Packing((2, 0, 3, 1), 1)
+    pk = Packing((2, 0, 3, 1), 1)
     assert _class_table(Q, pk) == reachable_class_table(Q, pk)
     Q = QuiverOfSections(2, [(0, 1, (0, 16)), (1, 0, (0, 1)),
                              (0, 0, (1, 1)), (1, 1, (2, 0))])
-    pk = _Packing((2, 2), 0)
+    pk = Packing((2, 2), 0)
     assert pk.pack((0, 16)) == pk.pack((1, 0))
     table = _class_table(Q, pk)
     assert table == reachable_class_table(Q, pk)
@@ -341,7 +340,7 @@ def test_packing_round_trip_order_sum_and_mask(case):
     """unpack inverts pack, int order is lexicographic order, + is vadd,
     and the guard-bit test is leq, also on sums above the bound."""
     bound, slack, low, right, top, below = case
-    pk = _Packing(bound, slack)
+    pk = Packing(bound, slack)
     total = vadd(low, right)
     vectors = [bound, low, right, top, below, total]
     for v in vectors:
@@ -719,7 +718,7 @@ def test_gf2_rank_against_dense_elimination(case, tripled):
         return [(f[:i] + f[i + 1:], (-1) ** i)
                 for i in range(len(f) if len(f) > 1 else 0)]
 
-    pk = _Packing((0,), 0)
+    pk = Packing((0,), 0)
     cells = [f for by_dim in faces for f in by_dim]
     cid = {f: i for i, f in enumerate(cells)}
     repeats = (1, 1, -1) if tripled else (1,)

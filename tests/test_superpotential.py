@@ -1,5 +1,6 @@
 import importlib
 import importlib.util
+import itertools
 import os
 import random
 
@@ -7,7 +8,8 @@ import pytest
 
 from toricell.errors import InputError
 from toricell.inputs import parse_document
-from toricell.intlinalg import leq, vsub
+from toricell.quiver import QuiverOfSections
+from toricell.intlinalg import Packing, dot, leq, vsub
 from toricell.superpotential import (
     MAX_CLASSES,
     FRelation,
@@ -17,6 +19,7 @@ from toricell.superpotential import (
     superpotential,
 )
 
+from closure_oracle import closure_consistency
 from conftest import load
 from path_oracle import (
     class_leasts,
@@ -96,14 +99,12 @@ def oracle_rewrite_neighbors(path, rules):
 def closure_class_leasts(Q, rules, bound):
     """{(tail, head, div): the sorted least paths of the bucket's classes}
     for every bucket of nonempty paths, from the congruence closure."""
-    budget = tuple(bound * x for x in Q.ones)
+    pk = Packing(tuple(bound * x for x in Q.ones), 0)
     out = {}
     for i in range(Q.n_vertices):
-        buckets, step, heads = sp._path_classes(Q, rules, i, budget)
-        least = sp._least_paths(Q, step, heads, set(range(1, len(heads))))
-        for (head, div), ids in buckets.items():
-            if any(div):
-                out[i, head, div] = sorted(least[c] for c in ids)
+        for (head, div), paths in sp._path_classes(Q, rules, i, pk).items():
+            if div:
+                out[i, head, pk.unpack(div)] = sorted(paths)
     return out
 
 
@@ -302,6 +303,89 @@ def test_consistency_matches_oracle_on_fixtures(name, bound):
 def test_fourfold_consistency_matches_oracle(fourfold_pipeline):
     Q, W, rels, _ = fourfold_pipeline
     assert check_against_oracle(Q, W, 2, rels).consistent
+
+
+# ---------------------------------------------------------------------------
+# the kernel against the congruence closure it replaced (closure_oracle)
+
+
+def assert_closure_reports(Q, W, bounds):
+    for bound in bounds:
+        assert consistency(Q, W, bound) == closure_consistency(Q, W, bound)
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_consistency_matches_closure_kernel_on_fixtures(name):
+    Q = load(name).quiver()
+    assert_closure_reports(Q, superpotential(Q), range(4))
+
+
+def test_fourfold_consistency_matches_closure_kernel(fourfold_pipeline):
+    Q, W, _, _ = fourfold_pipeline
+    assert_closure_reports(Q, W, range(3))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_consistency_matches_closure_kernel_relabelled(seed):
+    entries, _ = _generate_module().documents(
+        "threefold_consistency", seed, root=ROOT)
+    for _label, raw, _settings in entries:
+        Q = parse_document(raw).quiver()
+        assert_closure_reports(Q, superpotential(Q), range(4))
+
+
+def test_three_sheaves_bound_4_matches_closure_kernel(quiver_three_sheaves):
+    Q = quiver_three_sheaves
+    W = superpotential(Q)
+    rep = consistency(Q, W, bound=4)
+    assert len(rep.witnesses) == 292
+    assert rep == closure_consistency(Q, W, bound=4)
+
+
+def test_kernel_at_bound_zero(quiver_four_sheaves):
+    """At bound 0 every arrow and relation side lies above the budget, so
+    each tail has its trivial path alone and nothing can fail."""
+    Q = quiver_four_sheaves
+    W = superpotential(Q)
+    rules = [r.pair for r in relations(Q, W)]
+    pk = Packing((0,) * Q.d, 0)
+    for i in range(Q.n_vertices):
+        assert sp._path_classes(Q, rules, i, pk) == {(i, 0): [()]}
+    rep = consistency(Q, W, bound=0)
+    assert rep.consistent and rep == closure_consistency(Q, W, bound=0)
+
+
+def test_kernel_one_vertex_with_loops(quiver_trivial_a3):
+    """trivial_a3 is C[x, y, z]: one vertex, a loop per coordinate and
+    the commutation relations.  Each monomial is one class, whose least
+    path takes the loops in increasing arrow id."""
+    Q = quiver_trivial_a3
+    W = superpotential(Q)
+    rules = [r.pair for r in relations(Q, W)]
+    assert Q.n_vertices == 1 and len(rules) == 3
+    for bound in range(4):
+        pk = Packing((bound,) * Q.d, 0)
+        want = {(0, pk.pack(div)): [
+                    sum(((a.idx,) * dot(a.label, div) for a in Q.arrows), ())]
+                for div in itertools.product(range(bound + 1), repeat=Q.d)}
+        assert sp._path_classes(Q, rules, 0, pk) == want
+    assert_closure_reports(Q, W, range(4))
+
+
+def test_kernel_drops_arrow_and_side_above_budget():
+    """At bound 2 a field holds up to 4 in 4 bits, so the label (0, 16) of
+    arrow 0 would pack as (1, 0), and the label (0, 17) of arrow 6 and the
+    side (0, 1) of the second rule as (1, 1).  The kernel drops them, so
+    its classes are the path oracle's: arrows 4 and 5 are one class, and
+    the path 2 and the class of 4.1 stay apart."""
+    Q = QuiverOfSections(2, [
+        (0, 1, (0, 16)), (1, 0, (0, 1)), (0, 0, (1, 1)), (1, 1, (2, 0)),
+        (0, 1, (1, 0)), (0, 1, (1, 0)), (0, 0, (0, 17))])
+    rules = [((4,), (5,)), ((0, 1), (6,))]
+    leasts = closure_class_leasts(Q, rules, 2)
+    assert leasts == class_leasts(Q, rules, 2)
+    assert leasts[0, 1, (1, 0)] == [(4,)]
+    assert leasts[0, 0, (1, 1)] == [(2,), (4, 1)]
 
 
 def test_dropped_relation_gives_same_witnesses(quiver_four_sheaves,
