@@ -68,10 +68,12 @@ class ToricCellComplex:
             self._validate(inc)
             self.incidences.append(inc)
             self._facets_of[inc.parent].append(inc)
-        # (vertex map, cell map) of each known symmetry, identity first;
-        # mckay_complex adds the translations by its group
+        # (vertex map, incidence map) of each known symmetry, identity
+        # first, the incidence map sending the position of each incidence
+        # in self.incidences to that of its image; mckay_complex adds the
+        # translations by its group
         self.translations = [(tuple(range(Q.n_vertices)),
-                              tuple(range(len(cells))))]
+                              range(len(self.incidences)))]
         self._tau = None
         self._composites = None
 
@@ -310,12 +312,16 @@ def mckay_complex(group):
     complex_ = ToricCellComplex(Q, n, cells, incidences)
     complex_.explicit_signs = explicit
     reps = [c.representative for c in collection.classes]
+    # no two incidences coincide, and each vertex j lists the same m of
+    # them, those of its faces (j, S), in the same order; a translation
+    # commutes with shift, so it sends the r-th incidence of vertex j to
+    # the r-th of vertex sigma(j)
+    m = len(incidences) // len(reps)
     complex_.translations = []
     for g in reps:  # vertex 0 has the trivial character: identity first
         sigma = tuple(vertex_of_char[group.character(vadd(v, g))] for v in reps)
-        # the face (j, S) is the cell j << n | bits of S
         complex_.translations.append((sigma, tuple(
-            sigma[i >> n] << n | i & (1 << n) - 1 for i in range(len(cells)))))
+            sigma[i // m] * m + i % m for i in range(len(incidences)))))
     # the 1-skeleton must be the quiver itself
     one_cells = {(c.tail, c.head, c.divisor) for c in complex_.by_dim[1]}
     arrows = {(a.tail, a.head, a.label) for a in Q.arrows}

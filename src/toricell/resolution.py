@@ -150,6 +150,24 @@ def _pair_bases(complex_, pk, table, s, t):
     return pieces
 
 
+def _one_sided_bases(complex_, pk, table, s, t):
+    """The pieces of P (x)_A A_0 at (s, t), as `_pair_bases` gives those
+    of P: the (eta, dL) with t(eta) = t.  The piece at divisor 0 is
+    listed when s = t, even if empty, as A_0 is not zero there."""
+    n, H, top = complex_.n, pk.H, pk.B | pk.H  # d <= B: (top - d) & H == H
+    pieces = {0: [[] for _ in range(n + 1)]} if s == t else {}
+    for c in complex_.cells:
+        if c.tail != t:
+            continue
+        div, tag = pk.pack(c.divisor), c.id << pk.shift
+        for dL in table.get((c.head, s), ()):
+            if (top - (d := dL + div)) & H == H:
+                if (basis := pieces.get(d)) is None:
+                    basis = pieces[d] = [[] for _ in range(n + 1)]
+                basis[c.dim].append(tag | dL)
+    return pieces
+
+
 def _off_piece(pk, y):
     """The message for a facet triple y outside its piece: the classes of
     every incidence are validated, so only a bug can lead there."""
@@ -179,15 +197,22 @@ def _differential(pk, facets, bases, k):
 def _gf2_certified(pk, offsets, bases):
     """Whether the GF(2) ranks r(k) of the d_k of a piece where d.d = 0
     satisfy r(0) = 1 and r(k) + r(k+1) = dim P_k for every k; offsets[c]
-    lists the deltas of `_packed_facets`[c].
+    lists the deltas of `_packed_facets`[c].  See `_gf2_cokernel`."""
+    return _gf2_cokernel(pk, offsets, bases) == 1
+
+
+def _gf2_cokernel(pk, offsets, bases):
+    """dim P_0 - r(1) if r(k) + r(k+1) = dim P_k for every k >= 1, else
+    None: with an augmentation of rank a, the identities hold at every k
+    iff this is a.
 
     d_n, ..., d_1 are reduced in turn, columns as int bitsets keyed by
     their highest row.  A reduced column of d_{k+1} with pivot i is e_i
     plus lower rows, in im d_{k+1}, inside ker d_k mod 2; with the e_j of
     the other rows these form a triangular basis of P_k.  So clearing
     (Chen-Kerber's twist) skips the columns of d_k at pivot rows, and the
-    identity at k holds iff none of the rest reduces to zero; at k = 0,
-    iff one is left.  The guard of `_differential` runs on every column.
+    identity at k >= 1 holds iff none of the rest reduces to zero.  The
+    guard of `_differential` runs on every column.
     """
     shift, cleared = pk.shift, set()
     try:
@@ -203,12 +228,12 @@ def _gf2_certified(pk, offsets, bases):
                 while col and (top := col.bit_length()) in pivots:
                     col ^= pivots[top]
                 if not col:
-                    return False
+                    return None
                 pivots[top] = col
             cleared = {top - 1 for top in pivots}
     except KeyError as miss:
         raise InternalError(_off_piece(pk, miss.args[0])) from None
-    return len(bases[0]) - len(cleared) == 1
+    return len(bases[0]) - len(cleared)
 
 
 class GradedPiece(NamedTuple):
@@ -307,12 +332,20 @@ def _piece_failures(pk, facets, offsets, bases, check_products):
         return [(f"d{k - 1}.d{k}", None, None, None)]
     if _gf2_certified(pk, offsets, bases):
         return []
+    return _rank_failures(pk, facets, bases, 1)
+
+
+def _rank_failures(pk, facets, bases, aug):
+    """The rank identities of a piece that fail, with exact ranks, for an
+    augmentation onto a space of dimension aug (0 or 1) that sends each
+    basis element of P_0 to its basis vector."""
     n = len(bases) - 1
-    ranks = [sparse_rank(_differential(pk, facets, bases, k))
-             for k in range(n + 1)] + [0]
+    ranks = [min(aug, len(bases[0]))] + [
+        sparse_rank(_differential(pk, facets, bases, k))
+        for k in range(1, n + 1)] + [0]
     failures = []
-    if ranks[0] != 1:
-        failures.append(("augmentation", ranks[0], 1, None))
+    if ranks[0] != aug:
+        failures.append(("augmentation", ranks[0], aug, None))
     for k in range(n + 1):
         if ranks[k] + ranks[k + 1] != len(bases[k]):
             failures.append((k, ranks[k], ranks[k + 1], len(bases[k])))
@@ -330,9 +363,12 @@ class ExactnessReport(NamedTuple):
 # in the box) or basis triples than these.  Triples are counted as the
 # (eta, dL, dR) with dL + dR <= bound - div(eta): all basis triples of an
 # abelian quotient, and at least them whenever a path's tail and divisor
-# fix its head.  The fourfold at bound 3 has 262,144 pieces and 32,972,288
-# triples; mckay_z2_11 at bound 40 has 5,651,522 and takes 3.3-4.0 s on a
-# 2-CPU machine, and 30 s at bound 63 (the guard admits bounds up to 65)
+# fix its head.  The limits bound the bimodule sweep, which every call the
+# one-sided certificate does not settle runs.  The fourfold at bound 3 has
+# 262,144 pieces and 32,972,288 triples; mckay_z2_11 at bound 40 has
+# 5,651,522, and on a 2-CPU machine the sweep takes 2.3-3.5 s there and
+# 19 s at bound 63 (the guard admits bounds up to 65), where the
+# certificate takes 0.02-0.03 s
 MAX_PIECES = 500_000
 MAX_TRIPLES = 40_000_000
 
@@ -345,30 +381,72 @@ def _gauge(complex_, a, b):
     b to a that is +1 on the 0-cells must take these values, so it exists
     iff there are no conflicts.  A cell with no facet keeps +1, which can
     only add conflicts."""
+    incs = complex_.incidences
+    delta, bad = _coboundary(complex_, _first_facets(complex_),
+                             [a[i] * b[i] for i in incs])
+    return delta, [incs[j] for j in bad]
+
+
+def _first_facets(complex_):
+    """(cell, position of its first facet incidence) for each cell with a
+    facet, by increasing dimension: the order in which `_gauge` fixes
+    delta."""
+    first = {}
+    for j, i in enumerate(complex_.incidences):
+        first.setdefault(i.parent, j)
+    return sorted(first.items(), key=lambda cj: complex_.cells[cj[0]].dim)
+
+
+def _coboundary(complex_, first, ratio):
+    """`_gauge` for ratio = a b as a list in the order of
+    complex_.incidences, with conflicts as positions in it; first is
+    `_first_facets` of the complex."""
+    incs = complex_.incidences
     delta = [1] * len(complex_.cells)
-    for k in range(1, complex_.n + 1):
-        for c in complex_.by_dim[k]:
-            for i in complex_.facet_incidences(c.id)[:1]:
-                delta[c.id] = a[i] * b[i] * delta[i.facet]
-    conflicts = [i for i in complex_.incidences
-                 if a[i] != delta[i.parent] * delta[i.facet] * b[i]]
-    return delta, conflicts
+    for c, j in first:
+        delta[c] = ratio[j] * delta[incs[j].facet]
+    return delta, [j for j, i in enumerate(incs)
+                   if ratio[j] != delta[i.parent] * delta[i.facet]]
 
 
 def _automorphisms(res):
     """The vertex maps of the complex's translations, identity first, that
     carry the signs to a gauge transform of themselves: sigma with
     signs . sigma = delta(parent) delta(facet) signs for a delta that is
-    +1 on the 0-cells (`_gauge`)."""
-    C, signs = res.complex, res.signs
+    +1 on the 0-cells (`_gauge`), read on the signs listed by position
+    through each translation's incidence map."""
+    C = res.complex
+    signs = [res.signs[i] for i in C.incidences]
+    first = _first_facets(C)
     (identity, _), *rest = C.translations
-    auts = [identity]
-    for vertices, cells in rest:
-        moved = {i: signs[(cells[i.parent], cells[i.facet], i.left, i.right)]
-                 for i in C.incidences}
-        if not _gauge(C, moved, signs)[1]:
-            auts.append(vertices)
-    return auts
+    return [identity] + [
+        vertices for vertices, moved in rest
+        if not _coboundary(C, first,
+                           [signs[j] * x for j, x in zip(moved, signs)])[1]]
+
+
+def _one_sided_exact(res, pk, table, facets, pairs):
+    """Whether P (x)_A A_0 -> A_0 is exact in every piece at the pairs
+    (s, t), by `_gf2_cokernel` or exact ranks; False before any piece if
+    an arrow has label 0 or res.facets is not the complex's incidences
+    with res.signs.  facets is `_packed_facets` of res."""
+    C = res.complex
+    if not all(any(a.label) for a in res.Q.arrows):
+        return False
+    ones = []  # facets[c] at the incidences with right class 0
+    for c, packed in zip(C.cells, facets):
+        incs = C.facet_incidences(c.id)
+        if res.facets[c.id] != [(i.facet, i.left, res.signs[i]) for i in incs]:
+            return False
+        ones.append([f for f, i in zip(packed, incs) if not any(i.right)])
+    offsets = [[delta for delta, _ in f] for f in ones]
+    for s, t in pairs:
+        for d, bases in _one_sided_bases(C, pk, table, s, t).items():
+            aug = int(s == t and d == 0)
+            if (_gf2_cokernel(pk, offsets, bases) != aug
+                    and _rank_failures(pk, ones, bases, aug)):
+                return False
+    return True
 
 
 def verify_exactness(res, bound, check_products=False):
@@ -384,6 +462,25 @@ def verify_exactness(res, bound, check_products=False):
     every piece checked for d_{k-1}.d_k = 0, as with check_products, so
     the rank identities are only read where d.d = 0.
 
+    The sweep runs only when the one-sided certificate
+    (`_one_sided_exact`) does not settle the call.  It is tried when the
+    signs pass `verify_square_zero`, no arrow has label 0 (so A_0 is the
+    vertex idempotents) and res.facets lists the complex's incidences
+    with res.signs.  The augmented complex C = (P_n -> ... -> P_0 -> A)
+    is then one of N^d-graded projective right A-modules; filtered by
+    C.A_{>=p}, p the total degree, gr_p C = (C (x)_A A_0) (x)_{A_0} A_p,
+    finitely in each divisor.  The box is downward closed and A_e = 0
+    unless e >= 0, so C is exact at every divisor <= bound if C (x)_A A_0
+    is (Butler-King, J. Algebra 212, 1999).  The piece of C (x)_A A_0 at
+    (s, t, d) has the basis (eta, d - div(eta)) over the cells with
+    t(eta) = t, a differential from the incidences with right class 0,
+    and an augmentation of rank 1 at (t, t, 0) and 0 elsewhere.  As a
+    quotient of C it has d.d = 0, so GF(2) ranks certify it as below.
+    With the signs passing, every product d_{k-1}.d_k of P is 0 (each
+    landing triple is one `composite_groups` key), so check_products
+    asks for nothing more.  C (x)_A A_0 is inexact at the least divisor
+    where C is, so an inexact resolution always gets the sweep's report.
+
     Pieces are computed for one pair per orbit of the automorphisms of
     the resolution (`_automorphisms`), and their failures are copied to
     the other pairs of the orbit.  This is exact: a translation sigma of a
@@ -396,8 +493,9 @@ def verify_exactness(res, bound, check_products=False):
     each triple by delta(eta) maps one piece onto the other, and commutes
     with the augmentation, which sends every 0-cell triple to +1, because
     delta is +1 on the 0-cells.  The two pieces have the same dimensions,
-    ranks, products d_{k-1}.d_k and failure details.  `pieces_checked`
-    counts every piece, including those certified by this isomorphism.
+    ranks, products d_{k-1}.d_k and failure details, and so do their
+    quotients by A_+.  `pieces_checked` counts every piece, including
+    those certified by this isomorphism.
     """
     Q = res.Q
     if isinstance(bound, int):
@@ -420,18 +518,22 @@ def verify_exactness(res, bound, check_products=False):
             f"exactness at bound {bound} asks for up to {triples} basis "
             f"triples, more than the limit of {MAX_TRIPLES}")
     auts = _automorphisms(res)
-    check_products = (check_products
-                      or res.complex.sign_failure(res.signs) is not None)
+    orbits, covered = {}, set()
+    for s, t in itertools.product(range(n), repeat=2):
+        if (s, t) not in covered:
+            orbits[s, t] = {(g[s], g[t]) for g in auts}
+            covered.update(orbits[s, t])
     pk = _packing(res.complex, bound)
     table = _class_table(Q, pk)
     facets = _packed_facets(res, pk)
+    square_zero = res.complex.sign_failure(res.signs) is None
+    if square_zero and _one_sided_exact(res, pk, table, facets, orbits):
+        return ExactnessReport(exact=True, bound=bound,
+                               pieces_checked=pieces, failures=[])
+    check_products = check_products or not square_zero
     offsets = [[delta for delta, _ in f] for f in facets]
-    failures, covered = [], set()
-    for s, t in itertools.product(range(n), repeat=2):
-        if (s, t) in covered:
-            continue
-        orbit = {(g[s], g[t]) for g in auts}
-        covered.update(orbit)
+    failures = []
+    for (s, t), orbit in orbits.items():
         for dvec, bases in _pair_bases(res.complex, pk, table, s, t).items():
             fail = _piece_failures(pk, facets, offsets, bases, check_products)
             if fail:
@@ -455,7 +557,11 @@ def mckay_sign_crosscheck(group):
     there.  It rescales basis triples by +-1, so the graded ranks agree,
     and it keeps the solver's signs valid, so the closed-form ones are.
     """
-    complex_ = mckay_complex(group)
+    return _crosscheck(mckay_complex(group))
+
+
+def _crosscheck(complex_):
+    """`mckay_sign_crosscheck` on the group's `mckay_complex`, built."""
     explicit = complex_.explicit_signs
     sol = complex_.solve_incidence()
     if not sol.feasible:

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import os
@@ -1026,6 +1027,12 @@ def test_solve_gf2_matches_oracle_on_fixtures(name, request, monkeypatch):
     assert len(calls) == 1
 
 
+@functools.cache
+def small_complexes(n):
+    """The hypercube complexes of SMALL_GROUPS[n], built once."""
+    return [mckay_complex(G) for G in SMALL_GROUPS[n]]
+
+
 @pytest.mark.parametrize("n", sorted(SMALL_GROUPS))
 def test_small_abelian_quotients(n, monkeypatch):
     """For each small abelian subgroup of SL(n): the relations equal the
@@ -1036,13 +1043,12 @@ def test_small_abelian_quotients(n, monkeypatch):
     as the oracle solves it for n <= 3.
 
     On the 54 SL(4) groups the sign cross-check adds 0.4-0.6 s to this
-    test on a 2-CPU machine, and 0.5 s more as `mckay_sign_crosscheck`,
-    which rebuilds each complex, so the test compares the signs on the
-    complex it has; checking the SL(4) solves against the quadratic
-    oracle would add 2.0 s more, so the oracle checks n <= 3."""
+    test on a 2-CPU machine; it runs as `_crosscheck` on the complex
+    already built, as `mckay_sign_crosscheck` would add 0.5 s building it
+    again.  Checking the SL(4) solves against the quadratic oracle would
+    add 2.0 s more, so the oracle checks n <= 3."""
     calls = check_solve_gf2_against_oracle(monkeypatch) if n <= 3 else []
-    for G in SMALL_GROUPS[n]:
-        C = mckay_complex(G)
+    for G, C in zip(SMALL_GROUPS[n], small_complexes(n)):
         W = superpotential(C.Q)
         assert relations(C.Q, W) == relations_by_path_walk(C.Q), G
         assert consistency(C.Q, W, 2).consistent, G
@@ -1051,7 +1057,235 @@ def test_small_abelian_quotients(n, monkeypatch):
         check_torus_homology(C, C.explicit_signs)
         res = build_resolution(C, signs=C.explicit_signs)
         assert verify_exactness(res, 2).exact, G
-        # mckay_sign_crosscheck(G) on the complex already built
-        assert not _gauge(C, C.solve_incidence().signs,
-                          C.explicit_signs)[1], G
+        resolution._crosscheck(C)
     assert len(calls) == (len(SMALL_GROUPS[n]) if n <= 3 else 0)
+
+
+# ---------------------------------------------------------------------------
+# the one-sided certificate P (x)_A A_0 against the bimodule sweep, which
+# verify_exactness runs when the certificate is turned off
+
+
+def sweep_exactness(res, bound, check_products):
+    """The bimodule sweep's report: verify_exactness with the one-sided
+    certificate settling nothing."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(resolution, "_one_sided_exact", lambda *args: False)
+        return verify_exactness(res, bound, check_products)
+
+
+def spy(mp, name, calls):
+    """Replace resolution.<name> by a wrapper that appends what each call
+    returns to calls."""
+    real = getattr(resolution, name)
+
+    def wrapper(*args):
+        calls.append(real(*args))
+        return calls[-1]
+
+    mp.setattr(resolution, name, wrapper)
+
+
+def spied_exactness(res, bound, check_products=False):
+    """(report, what the one-sided certificate returned or None if it was
+    not asked, whether the bimodule sweep ran)."""
+    asked, swept = [], []
+    with pytest.MonkeyPatch.context() as mp:
+        spy(mp, "_one_sided_exact", asked)
+        spy(mp, "_pair_bases", swept)
+        rep = verify_exactness(res, bound, check_products)
+    assert len(asked) <= 1
+    return rep, (asked or [None])[0], bool(swept)
+
+
+def one_sided_facets(res, pk):
+    """`_packed_facets` at the incidences whose right class is 0."""
+    C = res.complex
+    return [[f for f, i in zip(packed, C.facet_incidences(c.id))
+             if not any(i.right)]
+            for c, packed in zip(C.cells, _packed_facets(res, pk))]
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_SYMMETRY) + [
+    "missing_top_cell", "single_flip", "augmentation_flip"])
+def test_one_sided_verdict_is_the_sweeps(name, request, mckay_z6_complex):
+    """Every fixture with a complex (the two threefolds that are not
+    dimer-consistent have none) and the three inexact controls: the
+    report is the sweep's at bounds 0-2 (the fourfold 0-1), with and
+    without check_products, and byte for byte in repr."""
+    controls = {"missing_top_cell": missing_top_cell,
+                "single_flip": single_flip,
+                "augmentation_flip": augmentation_flip}
+    if name in controls:
+        res = controls[name](mckay_z6_complex)
+    else:
+        res = fixture_resolution(name, request)
+    for bound in range(2 if name == "fourfold.json" else 3):
+        for check_products in (False, True):
+            rep = verify_exactness(res, bound, check_products)
+            assert repr(rep) == repr(sweep_exactness(res, bound,
+                                                     check_products))
+
+
+@pytest.mark.parametrize("n", sorted(SMALL_GROUPS))
+def test_one_sided_verdict_on_small_quotients(n):
+    """On the 80 small quotients, at bounds 0-2 with and without
+    check_products, the certificate decides alone and its report is the
+    sweep's.  Each translation's incidence map sends every incidence to
+    its image under the cell map (j, S) -> (sigma(j), S)."""
+    for G, C in zip(SMALL_GROUPS[n], small_complexes(n)):
+        m = 1 << C.n
+        for sigma, moved in C.translations:
+            def cell(i):
+                return sigma[i // m] * m + i % m
+            assert [C.incidences[j] for j in moved] == [
+                FacetIncidence(cell(i.parent), cell(i.facet), i.left, i.right)
+                for i in C.incidences], G
+        res = build_resolution(C, signs=C.explicit_signs)
+        for bound in range(3):
+            for check_products in (False, True):
+                rep, certified, swept = spied_exactness(res, bound,
+                                                        check_products)
+                assert rep.exact and certified and not swept, G
+                assert rep == sweep_exactness(res, bound, check_products), G
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_SYMMETRY))
+def test_one_sided_certificate_taken_when_exact(name, request):
+    """Exact, square-zero resolutions, with closed-form or solver signs:
+    the certificate settles them and the bimodule sweep never runs."""
+    cases = [fixture_resolution(name, request)]
+    if name in QUOTIENTS:
+        cases.append(solver_resolution(name))
+    for res in cases:
+        assert verify_square_zero(res)
+        for check_products in (False, True):
+            rep, certified, swept = spied_exactness(res, 1, check_products)
+            assert rep.exact and certified is True and not swept
+
+
+def test_one_sided_certificate_not_taken(mckay_z6_complex):
+    """Signs that fail verify_square_zero never ask the certificate; the
+    inexact missing_top_cell asks it and is refused; so is a resolution
+    whose res.facets entry was corrupted on an incidence with a nonzero
+    right class, which the one-sided pieces never read, and the sweep
+    then raises at it."""
+    C = mckay_z6_complex
+    for res in (single_flip(C), augmentation_flip(C)):
+        rep, certified, swept = spied_exactness(res, 2)
+        assert not rep.exact and certified is None and swept
+    rep, certified, swept = spied_exactness(missing_top_cell(C), 2)
+    assert not rep.exact and certified is False and swept
+
+    res = build_resolution(C, signs=C.explicit_signs)
+    cell = C.by_dim[1][0]
+    j = next(j for j, i in enumerate(C.facet_incidences(cell.id))
+             if any(i.right))
+    _facet, left, sign = res.facets[cell.id][j]
+    res.facets[cell.id][j] = (cell.id, left, sign)
+    pk = _packing(C, (2, 2, 2))
+    asked = []
+    with pytest.MonkeyPatch.context() as mp:
+        spy(mp, "_one_sided_exact", asked)
+        with pytest.raises(InternalError, match="leaves the graded piece"):
+            verify_exactness(res, 2)
+    assert asked == [False]
+    # the corrupted entry is not among the one-sided facets
+    assert one_sided_facets(res, pk) == one_sided_facets(
+        CellularResolution(C, C.explicit_signs), pk)
+
+
+def test_one_sided_needs_vertex_only_degree_zero():
+    """A quiver with an arrow of label 0 has more in A_0 than the
+    vertices, so the certificate refuses before any piece, and the sweep
+    decides."""
+    C = mckay_complex(AbelianGroupData.cyclic(3, (1, 1, 1)))
+    res = build_resolution(C, signs=C.explicit_signs)
+    pk = _packing(C, (1, 1, 1))
+    args = (pk, _class_table(res.Q, pk), _packed_facets(res, pk), [(0, 0)])
+    assert resolution._one_sided_exact(res, *args)
+    res.Q.arrows[0] = res.Q.arrows[0]._replace(label=(0, 0, 0))
+    assert not resolution._one_sided_exact(res, *args)
+
+
+def test_one_sided_piece_at_a_vertex_without_its_cell():
+    """A complex of the Z/2(1, 1) quiver with the 0-cell of vertex 0
+    alone passes the square-zero test, but A_0 at vertex 1 is not hit:
+    at bound 0 the one-sided piece at (1, 1, 0), listed though empty, is
+    the only one that fails, so the certificate refuses, and the sweep
+    reports the augmentation there."""
+    Q = load("mckay_z2_11.json").quiver()
+    C = ToricCellComplex(Q, 2, [Cell(id=0, dim=0, head=0, tail=0,
+                                     divisor=(0, 0), payload=("vertex", 0))],
+                         [])
+    res = CellularResolution(C, {})
+    assert verify_square_zero(res)
+    rep, certified, swept = spied_exactness(res, 0)
+    assert certified is False and swept
+    assert rep.failures == [(1, 1, (0, 0), [("augmentation", 0, 1, None)])]
+    assert rep == sweep_exactness(res, 0, False)
+
+
+@pytest.mark.parametrize("name", ["exact", "missing"])
+def test_gf2_cokernel_against_dense_ranks(name, mckay_z6_complex):
+    """On every one-sided piece at bound 2, _gf2_cokernel is dim P_0 minus
+    the dense GF(2) rank of d_1 when the identities hold at every k >= 1,
+    else None; the augmentation rank aug is 1 at (t, t, 0) and 0
+    elsewhere, and the piece is certified iff the cokernel is aug, which
+    for aug = 1 is _gf2_certified.  missing_top_cell has pieces of both
+    kinds."""
+    C = mckay_z6_complex
+    res = (CellularResolution(C, C.explicit_signs) if name == "exact"
+           else missing_top_cell(C))
+    pk = _packing(res.complex, (2, 2, 2))
+    table = _class_table(res.Q, pk)
+    ones = one_sided_facets(res, pk)
+    offsets = facet_offsets(ones)
+    seen = set()
+    for s, t in itertools.product(range(6), repeat=2):
+        pieces = resolution._one_sided_bases(res.complex, pk, table, s, t)
+        assert (0 in pieces) == (s == t)
+        for d, bases in pieces.items():
+            aug = int(s == t and d == 0)
+            dims = [len(b) for b in bases]
+            ranks = [dense_gf2_rank(m) for m in one_sided_matrices(
+                pk, ones, bases)] + [0]
+            holds = all(ranks[k] + ranks[k + 1] == dims[k]
+                        for k in range(1, len(bases)))
+            got = resolution._gf2_cokernel(pk, offsets, bases)
+            assert got == (dims[0] - ranks[1] if holds else None)
+            assert _gf2_certified(pk, offsets, bases) == (got == 1)
+            seen.add((aug, got == aug))
+    assert seen == ({(0, True), (1, True)} if name == "exact"
+                    else {(0, True), (0, False), (1, True)})
+
+
+def one_sided_matrices(pk, facets, bases):
+    """d_1, ..., d_n of a piece as dense rows, from `_differential`;
+    index 0 is a placeholder the rank identities at k >= 1 do not read."""
+    mats = [[]]
+    for k in range(1, len(bases)):
+        rows = [[0] * len(bases[k]) for _ in bases[k - 1]]
+        for j, col in enumerate(_differential(pk, facets, bases, k)):
+            for i, x in col.items():
+                rows[i][j] = x
+        mats.append(rows)
+    return mats
+
+
+def test_gf2_cokernel_by_hand():
+    """An edge e onto two vertices v, w is the augmented complex of a
+    point: cokernel 1, certified for aug = 1 only; with only the facet w
+    the edge kills it, cokernel 0; a vertex alone leaves cokernel 1; an
+    edge with no facet reduces to zero, so None."""
+    pk = Packing((0,), 0)
+    v, w, e = (c << pk.shift for c in range(3))
+    offsets = [[], [], [v - e, w - e]]
+    assert resolution._gf2_cokernel(pk, offsets, [[v, w], [e]]) == 1
+    assert _gf2_certified(pk, offsets, [[v, w], [e]])
+    offsets[2] = [w - e]
+    assert resolution._gf2_cokernel(pk, offsets, [[w], [e]]) == 0
+    assert not _gf2_certified(pk, offsets, [[w], [e]])
+    assert resolution._gf2_cokernel(pk, offsets, [[v], []]) == 1
+    offsets[2] = []
+    assert resolution._gf2_cokernel(pk, offsets, [[v], [e]]) is None
