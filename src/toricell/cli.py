@@ -118,9 +118,9 @@ def _matchings(doc, args):
 
 def _build_complex(doc):
     """The hypercube complex of a quotient, else the superpotential one."""
-    if doc.group is not None:
-        return mckay_complex(doc.group)
     Q = doc.quiver()
+    if doc.group is not None:
+        return mckay_complex(doc.group, Q)
     W = build_superpotential(Q)
     return general_complex(Q, W)
 

@@ -258,7 +258,7 @@ def solve_gf2(equations, n_vars):
 # hypercube complexes of abelian quotients
 
 
-def mckay_complex(group):
+def mckay_complex(group, Q=None):
     """The cell complex of hypercube faces for an abelian quotient A^n / G.
 
     Cells are pairs (vertex, S) for S a subset of the coordinate directions;
@@ -266,10 +266,12 @@ def mckay_complex(group):
     an arrow, sign (-1)^nu) or the head (right class an arrow, sign
     (-1)^(nu+1)).  The closed-form signs are returned alongside, and the
     translations: g sends (j, S) to (j', S) with char(j') = char(j) + g.
+    Q is the group's quiver of sections, built here when not given.
     """
-    X, collection = mckay_toric_data(group)
-    Q = build_quiver(X, collection)
-    n = X.n
+    if Q is None:
+        Q = build_quiver(*mckay_toric_data(group))
+    collection = Q.collection
+    n = Q.X.n
     char_of_vertex = [group.character(c.representative)
                       for c in collection.classes]
     vertex_of_char = {ch: j for j, ch in enumerate(char_of_vertex)}

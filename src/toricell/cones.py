@@ -3,7 +3,8 @@
 Dual ray enumeration (double description), and the degree fibers of an
 embedding B: Z^n -> Z^d: the Hilbert basis of the degree-zero semigroup
 and the minimal generators of every fiber, from one breadth-first walk
-over the points that no nonzero degree-zero element lies below.  All
+over the points that no nonzero degree-zero element lies below, which
+can also stop at the first points of chosen classes.  All
 arithmetic is exact; vectors are integer tuples.
 """
 
@@ -15,7 +16,6 @@ from .errors import InputError, InternalError
 from .intlinalg import (
     adjugate,
     dot,
-    leq,
     mat_mul,
     mat_vec,
     primitive,
@@ -25,7 +25,7 @@ from .intlinalg import (
 )
 
 
-# the most points one staircase walk may visit
+# the most points one staircase walk may extend
 _BOX_LIMIT = 4_000_000
 # the most (plus ray, minus ray) pair times ray scans one double description
 # may make; every fixture needs at most 4,306, the perfect matchings of
@@ -135,6 +135,8 @@ class FiberContext:
     D has v < z, and that one walk yields S0 and every fiber, its cap
     excluding no point of D.  When Cl has a free part, ``fibers`` walks
     again, capped at the proven boxes of the classes asked for.
+    ``walk`` can also stop at the first points of chosen classes, which is
+    how `quiver.build_quiver` finds the arrows out of a vertex.
     """
 
     def __init__(self, B, cl, facets):
@@ -159,7 +161,9 @@ class FiberContext:
         self._steps = [cl.coordinates(tuple(int(i == k) for i in range(self.d)))
                        for k in range(self.d)]
         self._fibers = {}  # class key -> sorted generators of its fiber
-        self.s0_hilbert = self._walk(self.z, () if 0 in self._moduli else None)
+        found, self.s0_hilbert = self.walk(
+            self.z, () if 0 in self._moduli else None)
+        self._fibers.update((k, sorted(v)) for k, v in found.items())
 
     def fibers(self, classes):
         """The sorted minimal generators of the fiber of each class (any
@@ -182,7 +186,8 @@ class FiberContext:
         todo = {k: tuple(c) for k, c in zip(keys, classes) if k not in self._fibers}
         if todo:
             cap = tuple(map(max, zip(*map(self.box, todo.values()))))
-            self._walk(cap, set(todo))
+            found = self.walk(cap, set(todo))[0]
+            self._fibers.update((k, sorted(v)) for k, v in found.items())
         return [self._fibers[k] for k in keys]
 
     def box(self, c):
@@ -197,14 +202,23 @@ class FiberContext:
                 cap = tuple(max(a, x // den + b) for a, x, b in zip(cap, v, self.z))
         return cap
 
-    def _walk(self, cap, wanted):
-        """Walk D ∩ [0, cap] by total degree; cache the fibers of the wanted
-        class keys (all for None) and return the Hilbert basis of S0.
+    def walk(self, cap, wanted=(), stop=frozenset()):
+        """Walk D ∩ [0, cap] by total degree and return (found, hilbert):
+        the points of each class key in wanted (all for None) or in stop,
+        and the class-0 points whose predecessors were all walked (with no
+        stop, the Hilbert basis of S0).
+
+        A point whose key is in stop is found but not extended, and no
+        point above it is walked: a w >= u with w != u has a predecessor
+        w - e_j >= u, which by induction on the degree is not walked.  So
+        the walk finds what it would find without stop, less the points
+        strictly above a point of a stop key.
 
         A point w is reached once, from w - e_k for its last nonzero
         coordinate k, and each point is also coded by the integer
         sum w_k P_k in the mixed radix P of the box, so that its
-        predecessors are found by subtraction."""
+        predecessors are found by subtraction.  _BOX_LIMIT bounds the
+        points extended."""
         d, moduli, steps = self.d, self._moduli, self._steps
         place = [1]
         for b in cap[:-1]:
@@ -225,12 +239,15 @@ class FiberContext:
                     for j in support:
                         if j != k and w_code - place[j] not in level:
                             break
-                    else:  # every predecessor is in D
+                    else:  # every predecessor is walked
                         key_w = tuple([(a + b) % m if m else a + b
                                        for a, b, m in zip(key, steps[k], moduli)])
                         w = v[:k] + (v[k] + 1,) + v[k + 1:]
                         if not any(key_w):
                             hilbert.append(w)
+                            continue
+                        if key_w in stop:
+                            found.setdefault(key_w, []).append(w)
                             continue
                         walked += 1
                         if walked > _BOX_LIMIT:
@@ -238,21 +255,4 @@ class FiberContext:
                                             f"_BOX_LIMIT = {_BOX_LIMIT} points")
                         up[w_code] = (w, key_w)
             level = up
-        for key, points in found.items():
-            self._fibers[key] = sorted(points)
-        return sorted(hilbert)
-
-
-def minimal_points(points):
-    """The (v, t) pairs whose v is componentwise minimal among the points
-    (all v distinct), sorted by v; t is any data carried along with v.
-
-    In (degree, v) order every w <= v with w != v comes before v, and a w
-    that was dropped lies above a kept point; so v need only be compared
-    with the points kept so far.
-    """
-    kept = []
-    for v, t in sorted(points, key=lambda p: (sum(p[0]), p[0])):
-        if not any(leq(w, v) for w, _ in kept):
-            kept.append((v, t))
-    return sorted(kept)
+        return found, sorted(hilbert)

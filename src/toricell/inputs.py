@@ -24,12 +24,11 @@ from .variety import (
 KINDS = ("toric", "cyclic_quotient", "abelian_quotient", "dimer_quiver")
 
 # Largest quotient group order accepted.  The McKay quiver has one vertex
-# per group element.  The hom fibers come from one staircase walk, so the
-# cost of its build is now build_quiver's minimal_points over the
-# candidates of each tail (three quarters of it under cProfile):
-# Z/50(1,1,48) takes 0.26 s, Z/64(1,1,62) 0.51 s and Z/100(1,1,98) 1.7 s
-# on a 2-vCPU guest.  Exactness sweeps every pair of vertices, so a higher
-# cap needs those layers measured too.
+# per group element.  Its build is one staircase walk for S0 and one
+# pruned walk per vertex, which stops at the unit vectors:
+# Z/50(1,1,48) takes 6 ms, Z/64(1,1,62) 10 ms, Z/100(1,1,98) 23 ms and
+# Z/64(1,1,1,61) 0.13 s on a 2-vCPU guest.  Exactness sweeps every pair of
+# vertices, so a higher cap needs those layers measured too.
 MAX_GROUP_ORDER = 64
 
 

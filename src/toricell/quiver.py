@@ -15,7 +15,6 @@ from __future__ import annotations
 from collections import deque
 from typing import NamedTuple
 
-from .cones import minimal_points
 from .errors import InputError
 from .intlinalg import is_zero, leq, vadd, vsub
 
@@ -241,20 +240,35 @@ def build_quiver(X, collection, arrow_order=None):
     are antichains) nor i (s - u would be a point of the fiber of s below
     s).  Conversely, if s = u + w is reducible, then u lies above a
     candidate u' <= u < s out of i, so s is not minimal.
+
+    Proof that one walk per tail finds them.  The fiber generators are the
+    points of D (`cones.FiberContext`), so the candidates out of i are the
+    points of D of the classes c_j - c_i and the Hilbert basis of S0.  All
+    lie in [0, cap]: the Hilbert basis below z, the generators of each
+    class in its box, and all of D below z when Cl is finite.  The walk
+    stops at the points of these classes and finds exactly the candidates
+    strictly above no point it stopped at (`FiberContext.walk`: the pruned
+    set is closed upward).  Those are the minimal candidates: one above
+    another candidate lies above a minimal one, which the walk found by
+    induction on the degree, and a minimal one lies above no candidate.
     """
-    loops = X.section_semigroup_hilbert_basis()
-    n = len(collection)
-    pairs = [(i, j) for i in range(n) for j in range(n) if j != i]
-    # all classes in one call, so that one walk finds every fiber
-    fibers = dict(zip(pairs, X.fiber_context.fibers(
-        [collection.difference(i, j) for i, j in pairs])))
+    ctx, cl = X.fiber_context, X.cl
+    reps = [c.representative for c in collection.classes]
+    # class keys are additive modulo cl.moduli (CokernelForm.coordinates)
+    keys = [cl.coordinates(r) for r in reps]
     arrows = []
-    for i in range(n):
-        candidates = [(s, i) for s in loops]
-        for j in range(n):
-            if j != i:
-                candidates += [(s, j) for s in fibers[i, j]]
-        arrows += [(i, j, s) for s, j in minimal_points(candidates)]
+    for i, (rep_i, key_i) in enumerate(zip(reps, keys)):
+        heads = {tuple((a - b) % m if m else a - b
+                       for a, b, m in zip(key_j, key_i, cl.moduli)): j
+                 for j, key_j in enumerate(keys) if j != i}
+        cap = ctx.z
+        if 0 in cl.moduli:
+            boxes = [ctx.box(vsub(rep, rep_i)) for rep in reps if rep != rep_i]
+            cap = tuple(map(max, zip(cap, *boxes)))
+        found, loops = ctx.walk(cap, stop=heads)
+        arrows += [(i, i, s) for s in loops]
+        arrows += [(i, heads[key], s) for key, points in found.items()
+                   for s in points]
     arrows.sort()
     if arrow_order is not None:
         want = [(t, h, tuple(lab)) for t, h, lab in arrow_order]

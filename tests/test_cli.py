@@ -297,6 +297,11 @@ DIMER = {"kind": "dimer_quiver", "vertices": 4,
          "arrows": FOUR["options"]["arrow_order"]}
 
 
+# a quotient whose arrow order lists one of its nine arrows
+BAD_ORDER = {"kind": "cyclic_quotient", "order": 3, "weights": [1, 1, 1],
+             "options": {"arrow_order": [[0, 1, [1, 0, 0]]]}}
+
+
 def four_sheaves(**options):
     """The four-sheaves document with the given options replaced."""
     return dict(FOUR, options=dict(FOUR["options"], **options))
@@ -346,6 +351,11 @@ def test_rejected_document_exit_code(capsys, tmp_path, doc, message):
     ("complex", DIMER, "quiver has no attached variety"),
     ("resolution", DIMER, "quiver has no attached variety"),
     ("reconstruct", DIMER, "quiver has no attached variety"),
+    # complex and resolution built the quotient's complex without its
+    # arrow order and exited 0
+    *[(command, BAD_ORDER, "arrow_order is not a permutation")
+      for command in ("quiver", "consistency", "matchings", "complex",
+                      "resolution", "reconstruct")],
 ])
 def test_rejected_request_exit_code(capsys, tmp_path, command, doc, message):
     """Options and subcommands the document does not fit exit 2 as well;

@@ -346,8 +346,8 @@ def test_largest_admitted_quotient_fibers(monkeypatch):
     that finds S0 gives all 64 hom fibers, none empty, and each generator
     has its class and coordinates < 64."""
     walks = []
-    walk = FiberContext._walk
-    monkeypatch.setattr(FiberContext, "_walk",
+    walk = FiberContext.walk
+    monkeypatch.setattr(FiberContext, "walk",
                         lambda ctx, *args: walks.append(args) or walk(ctx, *args))
     G = AbelianGroupData.cyclic(64, (1, 1, 1, 61))
     assert G.order() == MAX_GROUP_ORDER
@@ -411,27 +411,33 @@ def fraction_seed(A):
 
 
 def test_integer_caps_and_seeds_match_fraction_oracle(monkeypatch):
-    """For every class that build_quiver asks for, on every fixture and on
+    """For every cap that build_quiver asks for, on every fixture and on
     Z/16(1,2,13) and Z/32(1,1,1,29), the integer cap equals the Fraction
     cap; and dual_cone_rays of the rays and of the facets of each variety
     equal the rays grown from the Fraction seed."""
     requested = []
-    fibers = FiberContext.fibers
-    monkeypatch.setattr(FiberContext, "fibers", lambda ctx, classes: (
-        requested.append((ctx, list(classes))) or fibers(ctx, classes)))
-    for name in sorted(os.listdir(INPUTS)):
-        load(name).quiver()
+    box = FiberContext.box
+    monkeypatch.setattr(FiberContext, "box", lambda ctx, c: (
+        requested.append((ctx, c)) or box(ctx, c)))
+    quivers = [load(name).quiver() for name in sorted(os.listdir(INPUTS))]
     for G in [AbelianGroupData.cyclic(16, (1, 2, 13)),
               AbelianGroupData.cyclic(32, (1, 1, 1, 29))]:
-        build_quiver(*mckay_toric_data(G))
-    assert len(requested) == 11
+        quivers.append(build_quiver(*mckay_toric_data(G)))
+    contexts = [Q.X.fiber_context for Q in quivers]
+    assert len(contexts) == 11
+    # a finite class group caps every walk at z and asks for no box; the
+    # free ones ask for the box of every E_j - E_i out of every tail
+    free = [Q for Q in quivers if 0 in Q.X.cl.moduli]
+    assert {id(ctx) for ctx, _ in requested} == {
+        id(Q.X.fiber_context) for Q in free}
+    assert len(requested) == sum(len(Q.collection) * (len(Q.collection) - 1)
+                                 for Q in free)
     moved = 0
-    for ctx, classes in requested:
-        for c in classes:
-            assert ctx.box(c) == fraction_box(ctx, c)
-            moved += ctx.box(c) != ctx.z
+    for ctx, c in requested:
+        assert box(ctx, c) == fraction_box(ctx, c)
+        moved += box(ctx, c) != ctx.z
     assert moved > 0  # some vertex raises a cap above z
-    cones_in = [gens for ctx, _ in requested
+    cones_in = [gens for ctx in contexts
                 for gens in ([tuple(row) for row in ctx.B],
                              dual_cone_rays(ctx.B))]
     integer = [dual_cone_rays(gens) for gens in cones_in]

@@ -2,10 +2,14 @@ import itertools
 import json
 import math
 import os
+import random
 
 import pytest
 
+from toricell import cones
+from toricell.cones import FiberContext
 from toricell.errors import InputError
+from toricell.intlinalg import mat_vec
 from toricell.quiver import QuiverOfSections, build_quiver
 from toricell.variety import (
     AbelianGroupData,
@@ -14,7 +18,8 @@ from toricell.variety import (
     mckay_toric_data,
 )
 
-from conftest import load
+from conftest import INPUTS, load
+from quiver_oracle import candidate_arrows
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -269,6 +274,7 @@ def test_build_quiver_matches_closed_form_mckay_quiver(n):
         X, coll = mckay_toric_data(G)
         Q = build_quiver(X, coll)
         assert labels(Q) == mckay_quiver(G, coll), G
+        assert labels(Q) == candidate_arrows(X, coll), G
 
 
 def test_weight_zero_fixture_matches_closed_form():
@@ -283,3 +289,90 @@ def test_weight_zero_fixture_matches_closed_form():
     assert [(t, h, tuple(lab)) for t, h, lab in golden["arrows"]] == want
     assert [(t, h) for t, h, lab in want if lab == (0, 0, 1)] == [
         (0, 0), (1, 1)]
+
+
+# ---------------------------------------------------------------------------
+# the pruned walk against the candidate oracle
+
+
+def variety_and_collection(doc):
+    if doc.kind == "toric":
+        X = GorensteinToricVariety(doc.rays)
+        return X, Collection(X, doc.collection_reps)
+    return mckay_toric_data(doc.group)
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(INPUTS)))
+def test_build_quiver_matches_candidate_oracle(name):
+    X, coll = variety_and_collection(load(name))
+    assert labels(build_quiver(X, coll)) == candidate_arrows(X, coll)
+
+
+@pytest.mark.parametrize("order, weights", [
+    (16, (1, 2, 13)), (32, (1, 1, 1, 29)), (64, (1, 2, 61))])
+def test_large_quotient_matches_candidate_oracle(order, weights):
+    G = AbelianGroupData.cyclic(order, weights)
+    X, coll = mckay_toric_data(G)
+    Q = build_quiver(X, coll)
+    assert labels(Q) == candidate_arrows(X, coll) == mckay_quiver(G, coll)
+
+
+def relabelled(doc, seed):
+    """A toric document with its rays permuted, its members permuted and
+    twisted so that another one is trivial, and every representative
+    moved within its class by a random B u; with the map of the arrows
+    (t, h, s) of the document onto those of the relabelled collection."""
+    rng = random.Random(seed)
+    d, n = len(doc.rays), len(doc.collection_reps)
+    rays = list(range(d))
+    rng.shuffle(rays)
+    members = list(range(n))
+    rng.shuffle(members)
+    X = GorensteinToricVariety([doc.rays[r] for r in rays])
+    first = doc.collection_reps[members[0]]
+    reps = []
+    for m in members:
+        shift = mat_vec(X.B, [rng.randint(-2, 2) for _ in range(X.n)])
+        reps.append(tuple(doc.collection_reps[m][r] - first[r] + b
+                          for r, b in zip(rays, shift)))
+    vertex = {m: k for k, m in enumerate(members)}
+
+    def move(arrow):
+        t, h, s = arrow
+        return vertex[t], vertex[h], tuple(s[r] for r in rays)
+
+    return X, Collection(X, reps), move
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("name", [
+    "threefold_three_sheaves.json", "threefold_four_sheaves.json",
+    "threefold_five_sheaves.json"])
+def test_relabelled_threefolds_match_candidate_oracle(name, seed):
+    """Relabelling rays, members and representatives moves the arrows
+    along, with and without the document's arrow order."""
+    doc = load(name)
+    X, coll, move = relabelled(doc, seed)
+    want = sorted(map(move, labels(doc.quiver())))
+    assert labels(build_quiver(X, coll)) == want == candidate_arrows(X, coll)
+    order = [move((t, h, tuple(s))) for t, h, s in doc.options["arrow_order"]]
+    assert labels(build_quiver(X, coll, arrow_order=order)) == order
+
+
+def test_mckay_walks_extend_only_the_origin(monkeypatch):
+    """On Z/64(1,1,1,61) every e_k has a nonzero character, so each is an
+    arrow out of every vertex: the one walk per tail stops at the unit
+    vectors and extends no point but the origin.  With _BOX_LIMIT at 0
+    any other extended point raises, as it would for a walk that lists
+    whole fibers."""
+    G = AbelianGroupData.cyclic(64, (1, 1, 1, 61))
+    X, coll = mckay_toric_data(G)
+    X.fiber_context  # the S0 walk, over all of D, before the limit drops
+    walks = []
+    walk = FiberContext.walk
+    monkeypatch.setattr(FiberContext, "walk", lambda ctx, *args, **kw: (
+        walks.append(args) or walk(ctx, *args, **kw)))
+    monkeypatch.setattr(cones, "_BOX_LIMIT", 0)
+    Q = build_quiver(X, coll)
+    assert len(walks) == 64
+    assert labels(Q) == mckay_quiver(G, coll)

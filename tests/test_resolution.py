@@ -202,7 +202,7 @@ def test_weight_zero_quotient_z3_1110():
     assert sum(a.tail == a.head for a in Q.arrows) == 3
     rep = consistency(Q, superpotential(Q), 3)
     assert rep.consistent and rep.n_relations == 18
-    C = mckay_complex(G)
+    C = mckay_complex(G, Q)
     assert C.counts() == (3, 12, 18, 12, 3)
     res = build_resolution(C, signs=C.explicit_signs)
     assert verify_square_zero(res)
