@@ -150,7 +150,7 @@ def _resolution(doc, args):
     verify_square_zero(res)
     minimal = verify_minimality(res)
     payload = {
-        "counts": list(res.generator_counts()),
+        "counts": list(C.counts()),
         "square_zero": True,
         "minimal": minimal.minimal,
     }

@@ -191,22 +191,22 @@ class ToricCellComplex:
         self.verify_signs(signs)
         return IncidenceSolution(signs=signs, feasible=True, certificate=None)
 
-    def sign_failure(self, signs):
-        """Why the signs break the cancellation identity, or None: they must
-        cancel on each two-step route group, and on the two ends of each
-        1-cell (the augmentation)."""
-        for key, routes in self.composite_groups().items():
-            if sum(signs[i1] * signs[i2] for i1, i2 in routes):
-                return f"d.d != 0 on flag {key}"
-        for c in self.by_dim.get(1, []):
-            if sum(signs[i] for i in self._facets_of[c.id]):
-                return f"augmentation . d1 != 0 on cell {c.id}"
-        return None
+    def sign_failures(self, signs):
+        """(parent cell, why) for each way the signs break the cancellation
+        identity: they must cancel on each two-step route group, and on the
+        two ends of each 1-cell (the augmentation)."""
+        failures = [(key[0], f"d.d != 0 on flag {key}")
+                    for key, routes in self.composite_groups().items()
+                    if sum(signs[i1] * signs[i2] for i1, i2 in routes)]
+        failures += [(c.id, f"augmentation . d1 != 0 on cell {c.id}")
+                     for c in self.by_dim.get(1, [])
+                     if sum(signs[i] for i in self._facets_of[c.id])]
+        return failures
 
     def verify_signs(self, signs):
-        """Re-check the cancellation identity for a given sign assignment."""
-        if failure := self.sign_failure(signs):
-            raise ConstructionError(failure)
+        """Raise on the first failure of the cancellation identity."""
+        if failures := self.sign_failures(signs):
+            raise ConstructionError(failures[0][1])
 
 
 class FacePosetReport(NamedTuple):

@@ -125,18 +125,16 @@ class FiberContext:
     its Hilbert basis ``s0_hilbert``.  So one breadth-first walk by total
     degree, from 0 through D (∩ box), visits each point of D once, keys
     each by its class with one column of the Smith transform per step,
-    and keeps every point as a generator of its fiber.
+    and keeps each point of a class asked for as a generator of its fiber.
 
     Every element s of the Hilbert basis is a ray generator or lies in the
     half-open zonotope {sum l_i g_i : 0 <= l_i < 1} (if l_i >= 1, s - g_i
-    is in S0), so 0 <= s <= z and the walk for S0 is capped at z.  When
-    Cl is finite (d = n), C is simplicial and its rays map to o_k e_k, for
-    o_k the order of the class of e_k; so z = (o_1, ..., o_d), every v in
-    D has v < z, and that one walk yields S0 and every fiber, its cap
-    excluding no point of D.  When Cl has a free part, ``fibers`` walks
-    again, capped at the proven boxes of the classes asked for.
-    ``walk`` can also stop at the first points of chosen classes, which is
-    how `quiver.build_quiver` finds the arrows out of a vertex.
+    is in S0), so 0 <= s <= z and the walk for S0 is capped at z; it keeps
+    no fiber.  ``fibers`` walks again, capped at the proven boxes of the
+    classes asked for.  When Cl is finite (d = n), the one vertex map has
+    K = den I, so every box is z.  ``walk`` can also stop at the first
+    points of chosen classes, which is how `quiver.build_quiver` finds the
+    arrows out of a vertex.
     """
 
     def __init__(self, B, cl, facets):
@@ -161,9 +159,7 @@ class FiberContext:
         self._steps = [cl.coordinates(tuple(int(i == k) for i in range(self.d)))
                        for k in range(self.d)]
         self._fibers = {}  # class key -> sorted generators of its fiber
-        found, self.s0_hilbert = self.walk(
-            self.z, () if 0 in self._moduli else None)
-        self._fibers.update((k, sorted(v)) for k, v in found.items())
+        self.s0_hilbert = self.walk(self.z)[1]
 
     def fibers(self, classes):
         """The sorted minimal generators of the fiber of each class (any
@@ -204,7 +200,7 @@ class FiberContext:
 
     def walk(self, cap, wanted=(), stop=frozenset()):
         """Walk D ∩ [0, cap] by total degree and return (found, hilbert):
-        the points of each class key in wanted (all for None) or in stop,
+        the points of each class key in wanted or in stop,
         and the class-0 points whose predecessors were all walked (with no
         stop, the Hilbert basis of S0).
 
@@ -229,7 +225,7 @@ class FiberContext:
         while level:
             up = {}
             for code, (v, key) in level.items():
-                if wanted is None or key in wanted:
+                if key in wanted:
                     found.setdefault(key, []).append(v)
                 support = [j for j in range(d) if v[j]]
                 for k in range(support[-1] if support else 0, d):

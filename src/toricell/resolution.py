@@ -27,14 +27,6 @@ class CellularResolution:
         self.Q = complex_.Q
         self.n = complex_.n
         self.signs = signs
-        # cell id -> (facet, left class, sign) per facet incidence
-        self.facets = {
-            c.id: [(inc.facet, inc.left, signs[inc])
-                   for inc in complex_.facet_incidences(c.id)]
-            for c in complex_.cells}
-
-    def generator_counts(self):
-        return self.complex.counts()
 
 
 def build_resolution(complex_, signs=None):
@@ -50,9 +42,8 @@ def build_resolution(complex_, signs=None):
 
 
 def verify_square_zero(res):
-    """d.d = 0 at the symbolic level (`ToricCellComplex.sign_failure`)."""
-    if failure := res.complex.sign_failure(res.signs):
-        raise ConstructionError(failure)
+    """d.d = 0 at the symbolic level (`ToricCellComplex.sign_failures`)."""
+    res.complex.verify_signs(res.signs)
     return True
 
 
@@ -82,18 +73,21 @@ class MinimalityReport(NamedTuple):
 
 
 def _packing(complex_, bound):
-    """A sweep's dL + div(eta) + dR has entries <= 2 * bound + the largest
-    cell-divisor entry; a cell id is the tag above a vector."""
+    """A triple's dL + div(eta) + dR has entries <= 2 * bound + the
+    largest cell-divisor entry; a cell id is the tag above a vector."""
     return Packing(bound, max(x for c in complex_.cells for x in c.divisor))
 
 
-def _packed_facets(res, pk):
-    """Per cell id, (delta, sign) for each facet incidence, where delta =
-    (facet - cell) << shift + left class: the triple eta << shift | dL
-    plus delta is the facet's triple facet << shift | (dL + left)."""
-    return [[(((facet - c.id) << pk.shift) + pk.pack(left), sign)
-             for facet, left, sign in res.facets[c.id]]
-            for c in res.complex.cells]
+def _packed_facets(res, pk, one_sided=False):
+    """Per cell id, (delta, sign) for each facet incidence, or each one of
+    right class 0 if one_sided, where delta = (facet - cell) << shift +
+    left class: the triple eta << shift | dL plus delta is the facet's
+    triple facet << shift | (dL + left)."""
+    C = res.complex
+    return [[(((i.facet - c.id) << pk.shift) + pk.pack(i.left), res.signs[i])
+             for i in C.facet_incidences(c.id)
+             if not (one_sided and any(i.right))]
+            for c in C.cells]
 
 
 def _class_table(Q, pk):
@@ -194,13 +188,6 @@ def _differential(pk, facets, bases, k):
     return cols
 
 
-def _gf2_certified(pk, offsets, bases):
-    """Whether the GF(2) ranks r(k) of the d_k of a piece where d.d = 0
-    satisfy r(0) = 1 and r(k) + r(k+1) = dim P_k for every k; offsets[c]
-    lists the deltas of `_packed_facets`[c].  See `_gf2_cokernel`."""
-    return _gf2_cokernel(pk, offsets, bases) == 1
-
-
 def _gf2_cokernel(pk, offsets, bases):
     """dim P_0 - r(1) if r(k) + r(k+1) = dim P_k for every k >= 1, else
     None: with an augmentation of rank a, the identities hold at every k
@@ -282,59 +269,6 @@ def graded_piece(res, s, t, dvec):
                        matrices=matrices, dim_A=1)
 
 
-def _product_failure(pk, facets, bases):
-    """The first k with d_{k-1}.d_k != 0 on a piece, or 0, read on packed
-    triples after the guard of `_differential` has run on every column
-    at every k.  d_0 sends each triple of P_0 to 1, so d_0.d_1(x) is the
-    sum of the signs s1 of the facets of x's cell; for k >= 2,
-    d_{k-1}.d_k(x) sums s1 s2 at x + delta1 + delta2 over the facets of
-    x and of each x + delta1."""
-    shift = pk.shift
-    for k in range(1, len(bases)):
-        inside = set(bases[k - 1])
-        for x in bases[k]:
-            for delta, _ in facets[x >> shift]:
-                if x + delta not in inside:
-                    raise InternalError(_off_piece(pk, x + delta))
-    ones = {x >> shift for x in bases[1]}  # d_0.d_1(x) depends on x's cell
-    if any(sum(s for _, s in facets[c]) for c in ones):
-        return 1
-    for k in range(2, len(bases)):
-        for x in bases[k]:
-            total = {}
-            for d1, s1 in facets[x >> shift]:
-                for d2, s2 in facets[(x + d1) >> shift]:
-                    y = x + d1 + d2
-                    total[y] = total.get(y, 0) + s1 * s2
-            if any(total.values()):
-                return k
-    return 0
-
-
-def _piece_failures(pk, facets, offsets, bases, check_products):
-    """Rank identities certifying exactness of one nonzero graded piece.
-
-    With d_0 the augmentation and d_{n+1} = 0, the complex is exact iff
-    rank d_k + rank d_{k+1} = dim P_k for 0 <= k <= n, reading
-    rank d_0 = dim of the algebra piece, which is 1; the Euler
-    characteristic then telescopes to rank d_0 = 1.  With check_products
-    a nonzero d_{k-1}.d_k (`_product_failure`) is reported first.
-
-    The caller passes check_products whenever d.d = 0 is not known
-    symbolically, so d.d = 0 holds on every piece ranked here, and GF(2)
-    ranks are tried first: `_gf2_certified` skips the columns of d_k that
-    clearing proves dependent.  An odd minor is nonzero, so the GF(2)
-    rank r2 is at most the rational rank r; d.d = 0 gives r(k) + r(k+1)
-    <= dim P_k, and d_0 has one row: the identities for r2 force those
-    for r.  Pieces they do not settle get the exact `sparse_rank`.
-    """
-    if check_products and (k := _product_failure(pk, facets, bases)):
-        return [(f"d{k - 1}.d{k}", None, None, None)]
-    if _gf2_certified(pk, offsets, bases):
-        return []
-    return _rank_failures(pk, facets, bases, 1)
-
-
 def _rank_failures(pk, facets, bases, aug):
     """The rank identities of a piece that fail, with exact ranks, for an
     augmentation onto a space of dimension aug (0 or 1) that sends each
@@ -361,14 +295,13 @@ class ExactnessReport(NamedTuple):
 
 # verify_exactness refuses more graded pieces (vertex pairs times divisors
 # in the box) or basis triples than these.  Triples are counted as the
-# (eta, dL, dR) with dL + dR <= bound - div(eta): all basis triples of an
-# abelian quotient, and at least them whenever a path's tail and divisor
-# fix its head.  The limits bound the bimodule sweep, which every call the
-# one-sided certificate does not settle runs.  The fourfold at bound 3 has
-# 262,144 pieces and 32,972,288 triples; mckay_z2_11 at bound 40 has
-# 5,651,522, and on a 2-CPU machine the sweep takes 2.3-3.5 s there and
-# 19 s at bound 63 (the guard admits bounds up to 65), where the
-# certificate takes 0.02-0.03 s
+# (eta, dL, dR) with dL + dR <= bound - div(eta); those with dR = 0 are the
+# one-sided basis elements (eta, dL) of all pieces whenever a path's tail
+# and divisor fix its head, so the count bounds these from above.  The
+# fourfold at bound 3 has 262,144 pieces and 32,972,288 triples;
+# mckay_z2_11 has 5,651,522 at bound 40 and 37,949,472 at bound 65, the
+# largest the guard admits, where on a 2-CPU machine the call takes
+# 0.01-0.02 s and 0.03-0.05 s
 MAX_PIECES = 500_000
 MAX_TRIPLES = 40_000_000
 
@@ -425,28 +358,33 @@ def _automorphisms(res):
                            [signs[j] * x for j, x in zip(moved, signs)])[1]]
 
 
-def _one_sided_exact(res, pk, table, facets, pairs):
-    """Whether P (x)_A A_0 -> A_0 is exact in every piece at the pairs
-    (s, t), by `_gf2_cokernel` or exact ranks; False before any piece if
-    an arrow has label 0 or res.facets is not the complex's incidences
-    with res.signs.  facets is `_packed_facets` of res."""
-    C = res.complex
-    if not all(any(a.label) for a in res.Q.arrows):
-        return False
-    ones = []  # facets[c] at the incidences with right class 0
-    for c, packed in zip(C.cells, facets):
-        incs = C.facet_incidences(c.id)
-        if res.facets[c.id] != [(i.facet, i.left, res.signs[i]) for i in incs]:
-            return False
-        ones.append([f for f, i in zip(packed, incs) if not any(i.right)])
+def _one_sided_failures(res, pk, table, orbits):
+    """(s, t, d, detail) for each piece of P (x)_A A_0 -> A_0 at divisor
+    d <= pk.bound that is not exact, detail its failed rank identities,
+    computed at the first pair (s, t) of each orbit and copied to the
+    others.
+
+    The piece at (s, t, d) has the basis (eta, d - div(eta)) over the
+    cells with t(eta) = t (`_one_sided_bases`), the differential of the
+    incidences with right class 0, and an augmentation of rank 1 at
+    (t, t, 0) and 0 elsewhere.  The caller knows d.d = 0 on every piece,
+    and GF(2) ranks are tried first (`_gf2_cokernel`).  An odd minor is
+    nonzero, so the GF(2) rank r2 is at most the rational rank r; d.d = 0
+    gives r(k) + r(k+1) <= dim P_k, and the augmentation has rank at most
+    one: the identities for r2 force those for r.  Pieces they do not
+    settle get the exact `sparse_rank` (`_rank_failures`).
+    """
+    ones = _packed_facets(res, pk, one_sided=True)
     offsets = [[delta for delta, _ in f] for f in ones]
-    for s, t in pairs:
-        for d, bases in _one_sided_bases(C, pk, table, s, t).items():
+    failures = []
+    for (s, t), orbit in orbits.items():
+        for d, bases in _one_sided_bases(res.complex, pk, table, s, t).items():
             aug = int(s == t and d == 0)
-            if (_gf2_cokernel(pk, offsets, bases) != aug
-                    and _rank_failures(pk, ones, bases, aug)):
-                return False
-    return True
+            if _gf2_cokernel(pk, offsets, bases) != aug and (
+                    fail := _rank_failures(pk, ones, bases, aug)):
+                d = pk.unpack(d)
+                failures.extend((u, v, d, list(fail)) for u, v in orbit)
+    return failures
 
 
 def verify_exactness(res, bound, check_products=False):
@@ -454,32 +392,28 @@ def verify_exactness(res, bound, check_products=False):
     componentwise <= bound (an integer or a vector) at every vertex pair
     (s, t).
 
-    A piece whose divisor no path from t to s carries is zero and exact,
-    so it counts as checked without work.  The pairs are swept one at a
-    time, so only one pair's bases are held at once.  A request of more
-    than MAX_PIECES pieces or MAX_TRIPLES basis triples is refused before
-    any work.  A resolution whose signs fail `verify_square_zero` has
-    every piece checked for d_{k-1}.d_k = 0, as with check_products, so
-    the rank identities are only read where d.d = 0.
+    A request of more than MAX_PIECES pieces or MAX_TRIPLES basis triples
+    is refused before any work; `pieces_checked` counts every piece in the
+    box.  A cell eta whose two-step routes or augmentation do not cancel
+    (`ToricCellComplex.sign_failures`) makes d_{k-1}.d_k, k = dim eta,
+    nonzero on the triple (eta, 0, 0) of the piece (h(eta), t(eta),
+    div(eta)).  Those pieces in the box are the failures, with the k of
+    each.  Without one, d.d = 0 on every piece in the box, as a triple
+    (eta, dL, dR) lies in it only if div(eta) does, and the pieces of
+    P (x)_A A_0 decide (`_one_sided_failures`).  check_products is kept
+    for old callers and changes nothing: failing signs are always
+    reported, and passing signs make every product 0.
 
-    The sweep runs only when the one-sided certificate
-    (`_one_sided_exact`) does not settle the call.  It is tried when the
-    signs pass `verify_square_zero`, no arrow has label 0 (so A_0 is the
-    vertex idempotents) and res.facets lists the complex's incidences
-    with res.signs.  The augmented complex C = (P_n -> ... -> P_0 -> A)
-    is then one of N^d-graded projective right A-modules; filtered by
+    The augmented complex C = (P_n -> ... -> P_0 -> A) is one of
+    N^d-graded projective right A-modules, and A_0 is spanned by the
+    vertices, as no arrow has label 0 (`QuiverOfSections`).  Filtered by
     C.A_{>=p}, p the total degree, gr_p C = (C (x)_A A_0) (x)_{A_0} A_p,
-    finitely in each divisor.  The box is downward closed and A_e = 0
-    unless e >= 0, so C is exact at every divisor <= bound if C (x)_A A_0
-    is (Butler-King, J. Algebra 212, 1999).  The piece of C (x)_A A_0 at
-    (s, t, d) has the basis (eta, d - div(eta)) over the cells with
-    t(eta) = t, a differential from the incidences with right class 0,
-    and an augmentation of rank 1 at (t, t, 0) and 0 elsewhere.  As a
-    quotient of C it has d.d = 0, so GF(2) ranks certify it as below.
-    With the signs passing, every product d_{k-1}.d_k of P is 0 (each
-    landing triple is one `composite_groups` key), so check_products
-    asks for nothing more.  C (x)_A A_0 is inexact at the least divisor
-    where C is, so an inexact resolution always gets the sweep's report.
+    finitely in each divisor; A_e = 0 unless e >= 0.  So at a fixed head
+    s, where C (x)_A A_0 is exact below d (componentwise, d excluded), so
+    is C, and their homology at d agrees (Butler-King, J. Algebra 212,
+    1999).  The box is downward closed, so C is exact in it iff
+    C (x)_A A_0 is, and for each s the least failing divisors of the two
+    are the same.
 
     Pieces are computed for one pair per orbit of the automorphisms of
     the resolution (`_automorphisms`), and their failures are copied to
@@ -487,15 +421,13 @@ def verify_exactness(res, bound, check_products=False):
     quotient's hypercube complex maps the labelled arrows onto themselves,
     so the class table is invariant, and each cell eta and its facet
     incidences onto sigma(eta), head and tail moved, with equal divisor
-    and classes.  So the triples (eta, dL, dR) at (s, t, d) match the
-    (sigma(eta), dL, dR) at (sigma(s), sigma(t), d), whose differentials
+    and classes.  So the basis (eta, dL) at (s, t, d) matches the
+    (sigma(eta), dL) at (sigma(s), sigma(t), d), whose differentials
     carry the signs . sigma = delta(parent) delta(facet) signs.  Scaling
-    each triple by delta(eta) maps one piece onto the other, and commutes
-    with the augmentation, which sends every 0-cell triple to +1, because
-    delta is +1 on the 0-cells.  The two pieces have the same dimensions,
-    ranks, products d_{k-1}.d_k and failure details, and so do their
-    quotients by A_+.  `pieces_checked` counts every piece, including
-    those certified by this isomorphism.
+    each basis element by delta(eta) maps one piece onto the other, and
+    commutes with the augmentation, which sends every 0-cell to +1,
+    because delta is +1 on the 0-cells.  The two pieces have the same
+    dimensions, ranks and failure details.
     """
     Q = res.Q
     if isinstance(bound, int):
@@ -517,28 +449,24 @@ def verify_exactness(res, bound, check_products=False):
         raise InputError(
             f"exactness at bound {bound} asks for up to {triples} basis "
             f"triples, more than the limit of {MAX_TRIPLES}")
-    auts = _automorphisms(res)
-    orbits, covered = {}, set()
-    for s, t in itertools.product(range(n), repeat=2):
-        if (s, t) not in covered:
-            orbits[s, t] = {(g[s], g[t]) for g in auts}
-            covered.update(orbits[s, t])
-    pk = _packing(res.complex, bound)
-    table = _class_table(Q, pk)
-    facets = _packed_facets(res, pk)
-    square_zero = res.complex.sign_failure(res.signs) is None
-    if square_zero and _one_sided_exact(res, pk, table, facets, orbits):
-        return ExactnessReport(exact=True, bound=bound,
-                               pieces_checked=pieces, failures=[])
-    check_products = check_products or not square_zero
-    offsets = [[delta for delta, _ in f] for f in facets]
-    failures = []
-    for (s, t), orbit in orbits.items():
-        for dvec, bases in _pair_bases(res.complex, pk, table, s, t).items():
-            fail = _piece_failures(pk, facets, offsets, bases, check_products)
-            if fail:
-                dvec = pk.unpack(dvec)
-                failures.extend((u, v, dvec, list(fail)) for u, v in orbit)
+    products = {}
+    for cid, _why in res.complex.sign_failures(res.signs):
+        c = res.complex.cells[cid]
+        if leq(c.divisor, bound):
+            products.setdefault((c.head, c.tail, c.divisor), set()).add(c.dim)
+    if products:
+        failures = [(s, t, d, [(f"d{k - 1}.d{k}", None, None, None)
+                               for k in sorted(ks)])
+                    for (s, t, d), ks in products.items()]
+    else:
+        auts = _automorphisms(res)
+        orbits, covered = {}, set()
+        for s, t in itertools.product(range(n), repeat=2):
+            if (s, t) not in covered:
+                orbits[s, t] = {(g[s], g[t]) for g in auts}
+                covered.update(orbits[s, t])
+        pk = _packing(res.complex, bound)
+        failures = _one_sided_failures(res, pk, _class_table(Q, pk), orbits)
     failures.sort()
     return ExactnessReport(exact=not failures, bound=bound,
                            pieces_checked=pieces, failures=failures)

@@ -342,9 +342,10 @@ def test_point_cap_raises(monkeypatch):
 
 
 def test_largest_admitted_quotient_fibers(monkeypatch):
-    """Z/64(1,1,1,61), of the largest order an input may have: the one walk
-    that finds S0 gives all 64 hom fibers, none empty, and each generator
-    has its class and coordinates < 64."""
+    """Z/64(1,1,1,61), of the largest order an input may have: one walk
+    finds S0 and one more, at the same cap z (Cl is finite), gives all 64
+    hom fibers, none empty, and each generator has its class and
+    coordinates < 64."""
     walks = []
     walk = FiberContext.walk
     monkeypatch.setattr(FiberContext, "walk",
@@ -358,7 +359,7 @@ def test_largest_admitted_quotient_fibers(monkeypatch):
         assert gens
         for v in gens:
             assert max(v) < 64 and X.divisor_class(v) == c
-    assert len(walks) == 1
+    assert [args[0] for args in walks] == [X.fiber_context.z] * 2
 
 
 # ---------------------------------------------------------------------------
