@@ -11,13 +11,14 @@ from the tail of the parent to the tail of the facet).
 
 from __future__ import annotations
 
+from functools import lru_cache
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .errors import ConstructionError, InputError
 from .intlinalg import leq, vadd, vsub
-from .quiver import build_quiver
+from .quiver import mckay_quiver
 from .superpotential import cyclic_canonical, relations
-from .variety import mckay_toric_data
 
 
 class Cell(NamedTuple):
@@ -72,8 +73,8 @@ class ToricCellComplex:
         # first, the incidence map sending the position of each incidence
         # in self.incidences to that of its image; mckay_complex adds the
         # translations by its group
-        self.translations = [(tuple(range(Q.n_vertices)),
-                              range(len(self.incidences)))]
+        self.translations = ((tuple(range(Q.n_vertices)),
+                              range(len(self.incidences))),)
         self._tau = None
         self._composites = None
 
@@ -264,12 +265,13 @@ def mckay_complex(group, Q=None):
     Cells are pairs (vertex, S) for S a subset of the coordinate directions;
     the facet dropping the nu-th direction of S shares the tail (left class
     an arrow, sign (-1)^nu) or the head (right class an arrow, sign
-    (-1)^(nu+1)).  The closed-form signs are returned alongside, and the
-    translations: g sends (j, S) to (j', S) with char(j') = char(j) + g.
-    Q is the group's quiver of sections, built here when not given.
+    (-1)^(nu+1)).  The closed-form signs are recorded alongside, read-only,
+    and the translations: g sends (j, S) to (j', S) with char(j') =
+    char(j) + g.  Q is the group's quiver of sections; without it, the
+    group's `quiver.mckay_quiver` is used and the complex is shared too.
     """
     if Q is None:
-        Q = build_quiver(*mckay_toric_data(group))
+        return _mckay_complex(group)
     collection = Q.collection
     n = Q.X.n
     char_of_vertex = [group.character(c.representative)
@@ -312,24 +314,30 @@ def mckay_complex(group, Q=None):
                 explicit[tail_facet] = (-1) ** nu
                 explicit[head_facet] = (-1) ** (nu + 1)
     complex_ = ToricCellComplex(Q, n, cells, incidences)
-    complex_.explicit_signs = explicit
+    complex_.explicit_signs = MappingProxyType(explicit)
     reps = [c.representative for c in collection.classes]
     # no two incidences coincide, and each vertex j lists the same m of
     # them, those of its faces (j, S), in the same order; a translation
     # commutes with shift, so it sends the r-th incidence of vertex j to
     # the r-th of vertex sigma(j)
     m = len(incidences) // len(reps)
-    complex_.translations = []
-    for g in reps:  # vertex 0 has the trivial character: identity first
-        sigma = tuple(vertex_of_char[group.character(vadd(v, g))] for v in reps)
-        complex_.translations.append((sigma, tuple(
-            sigma[i // m] * m + i % m for i in range(len(incidences)))))
+    # vertex 0 has the trivial character: identity first
+    sigmas = [tuple(vertex_of_char[group.character(vadd(v, g))] for v in reps)
+              for g in reps]
+    complex_.translations = tuple((sigma, tuple(
+        sigma[i // m] * m + i % m for i in range(len(incidences))))
+        for sigma in sigmas)
     # the 1-skeleton must be the quiver itself
     one_cells = {(c.tail, c.head, c.divisor) for c in complex_.by_dim[1]}
     arrows = {(a.tail, a.head, a.label) for a in Q.arrows}
     if one_cells != arrows:
         raise ConstructionError("1-cells do not match the quiver arrows")
     return complex_
+
+
+@lru_cache(maxsize=8)
+def _mckay_complex(group):
+    return mckay_complex(group, mckay_quiver(group))
 
 
 # ---------------------------------------------------------------------------

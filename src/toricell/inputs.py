@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 
 from .errors import InputError
-from .quiver import QuiverOfSections, build_quiver
+from .quiver import QuiverOfSections, build_quiver, mckay_quiver
 from .variety import (
     AbelianGroupData,
     Collection,
@@ -130,14 +130,14 @@ class InputDocument:
                     coll = Collection(X, self.collection_reps)
             return QuiverOfSections(self.vertices, self.arrows, X=X,
                                     collection=coll)
+        order = self.options.get("arrow_order")
         if self.kind in ("cyclic_quotient", "abelian_quotient"):
-            X, coll = mckay_toric_data(self.group)
-            return build_quiver(X, coll,
-                                arrow_order=self.options.get("arrow_order"))
+            if order is None:
+                return mckay_quiver(self.group)
+            return build_quiver(*mckay_toric_data(self.group), arrow_order=order)
         X = GorensteinToricVariety(self.rays)
-        coll = Collection(X, self.collection_reps)
-        return build_quiver(X, coll,
-                            arrow_order=self.options.get("arrow_order"))
+        return build_quiver(X, Collection(X, self.collection_reps),
+                            arrow_order=order)
 
 
 def parse_document(doc):

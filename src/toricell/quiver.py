@@ -13,10 +13,12 @@ limit.
 from __future__ import annotations
 
 from collections import deque
+from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import InputError
 from .intlinalg import is_zero, leq, vadd, vsub
+from .variety import mckay_toric_data
 
 
 def monomial(label):
@@ -283,3 +285,10 @@ def build_quiver(X, collection, arrow_order=None):
         raise InputError("quiver of sections is not strongly connected")
     return Q
 
+
+@lru_cache(maxsize=8)
+def mckay_quiver(group):
+    """The quiver of sections of A^n / G in the default arrow order,
+    built once for each of the 8 groups used last and shared by all its
+    callers, so they must not change it; a rejected group always raises."""
+    return build_quiver(*mckay_toric_data(group))

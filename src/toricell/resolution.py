@@ -477,19 +477,19 @@ def verify_exactness(res, bound, check_products=False):
 
 
 def mckay_sign_crosscheck(group):
-    """The gauge delta on the cells of an abelian quotient's hypercube
-    complex with solver(inc) = delta(parent) delta(facet) closed_form(inc)
-    for the solver's and the closed-form (-1)^nu signs (`_gauge`).  Any
-    such delta is constant on the 0-cells, by the augmentation equation on
-    each 1-cell and as the quiver is connected, so it may be taken +1
-    there.  It rescales basis triples by +-1, so the graded ranks agree,
-    and it keeps the solver's signs valid, so the closed-form ones are.
-    """
+    """The gauge delta on the cells of the group's shared hypercube
+    complex (`mckay_complex`, built once per group) with solver(inc) =
+    delta(parent) delta(facet) closed_form(inc) for the solver's and the
+    closed-form (-1)^nu signs (`_gauge`).  Any such delta is constant on
+    the 0-cells, by the augmentation equation on each 1-cell and as the
+    quiver is connected, so it may be taken +1 there.  It rescales basis
+    triples by +-1, so the graded ranks agree, and it keeps the solver's
+    signs valid, so the closed-form ones are."""
     return _crosscheck(mckay_complex(group))
 
 
 def _crosscheck(complex_):
-    """`mckay_sign_crosscheck` on the group's `mckay_complex`, built."""
+    """`mckay_sign_crosscheck` on a hypercube complex already built."""
     explicit = complex_.explicit_signs
     sol = complex_.solve_incidence()
     if not sol.feasible:

@@ -24,6 +24,7 @@ from .intlinalg import (
     mat_vec,
     primitive,
     rank,
+    vadd,
     vsub,
 )
 
@@ -214,28 +215,29 @@ def mckay_toric_data(group):
         if primitive(r) != r:
             raise InternalError("non-primitive ray; group not small")
     X = GorensteinToricVariety(rays)
-    # one representative divisor per character, smallest total degree first
-    reps = {}
-    target = group.order()
-    total = 0
-    while len(reps) < target:
-        for v in _compositions(total, n):
-            ch = group.character(v)
-            if ch not in reps:
-                reps[ch] = v
-        total += 1
-        if total > 16 * target:
-            raise InternalError("could not reach all characters")
+    # one representative per character, the lex-least of least degree:
+    # level L maps each character c of degree L to lexmin(c, L) =
+    # min_k lexmin(c - w_k, L - 1) + e_k.  The characters of degree <= L
+    # grow until closed under each + w_k; the w_k generate the dual group
+    # (G acts faithfully), so |G| - 1 levels reach them all
+    order, zero = group.order(), (0,) * n
+    units = [tuple(int(i == k) for i in range(n)) for k in range(n)]
+    level = {group.character(zero): zero}
+    reps = dict(level)
+    for _ in range(order - 1):
+        if len(reps) == order:
+            break
+        level, previous = {}, level
+        for v in previous.values():
+            for u in (vadd(v, e) for e in units):
+                c = group.character(u)
+                if c not in level or u < level[c]:
+                    level[c] = u
+        for c, u in level.items():
+            reps.setdefault(c, u)
+    if len(reps) != order:
+        raise InternalError("characters unreached in |G| - 1 levels")
     # identity character first, then by representative degree, then lex
     ordered = sorted(reps.values(), key=lambda v: (sum(v), v))
     collection = Collection(X, ordered)
     return X, collection
-
-
-def _compositions(total, n):
-    if n == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, n - 1):
-            yield (head,) + rest

@@ -7,7 +7,9 @@ import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from toricell.complexes import _mckay_complex  # noqa: E402
 from toricell.inputs import load_document  # noqa: E402
+from toricell.quiver import mckay_quiver  # noqa: E402
 
 INPUTS = os.path.join(os.path.dirname(__file__), "..", "inputs")
 
@@ -18,6 +20,14 @@ def input_path(name):
 
 def load(name):
     return load_document(input_path(name))
+
+
+@pytest.fixture(autouse=True)
+def fresh_quotient_memos():
+    """Empty the per-group quiver and complex memos before each test, so
+    that no test reads the builds of another."""
+    mckay_quiver.cache_clear()
+    _mckay_complex.cache_clear()
 
 
 @pytest.fixture(scope="session")

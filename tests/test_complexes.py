@@ -6,15 +6,21 @@ from hypothesis import strategies as st
 
 from toricell import complexes
 from toricell.complexes import (
+    ToricCellComplex,
     general_complex,
     mckay_complex,
     sign_infeasibility,
     solve_gf2,
 )
-from toricell.errors import ConstructionError
+from toricell.errors import ConstructionError, InputError
+from toricell.inputs import parse_document
 from toricell.intlinalg import mat_mul, smith_normal_form, vadd
+from toricell.quiver import QuiverOfSections, mckay_quiver
+from toricell.resolution import mckay_sign_crosscheck
 from toricell.superpotential import relations, superpotential
 from toricell.variety import AbelianGroupData
+
+from conftest import load
 
 
 def check_divisor_additivity(complex_):
@@ -237,3 +243,99 @@ def test_solve_gf2_matches_oracle(case):
     else:
         x = sum(a << j for j, a in enumerate(assignment))
         assert all((m & x).bit_count() % 2 == r for m, r, _ in equations)
+
+
+# ---------------------------------------------------------------------------
+# one build per quotient: the per-group quiver and complex memos
+
+
+def count_builds(monkeypatch):
+    """Lists that grow by one per QuiverOfSections and per
+    ToricCellComplex constructed from now on."""
+    built = {QuiverOfSections: [], ToricCellComplex: []}
+    for cls, log in built.items():
+        def init(self, *args, _init=cls.__init__, _log=log, **kwargs):
+            _log.append(self)
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", init)
+    return built
+
+
+@pytest.mark.parametrize("name", ["mckay_z2_11.json", "mckay_z6_123.json"])
+def test_quotient_chain_builds_once(name, monkeypatch):
+    """doc.quiver(), then mckay_complex, then mckay_sign_crosscheck build
+    one quiver and one complex for the group: the complex is built on the
+    document's quiver and the cross-check reads that complex."""
+    built = count_builds(monkeypatch)
+    doc = load(name)
+    Q = doc.quiver()
+    C = mckay_complex(doc.group)
+    assert C.Q is Q
+    assert built[QuiverOfSections] == [Q] and built[ToricCellComplex] == [C]
+    mckay_sign_crosscheck(doc.group)
+    assert doc.quiver() is Q and mckay_complex(doc.group) is C
+    assert built[QuiverOfSections] == [Q] and built[ToricCellComplex] == [C]
+    assert mckay_complex(doc.group, Q) is not C
+
+
+def test_arrow_order_quotient_gets_its_own_quiver():
+    """A quotient document with an arrow_order gets a quiver in that order,
+    not the group's shared one, which keeps the default order."""
+    raw = {"kind": "cyclic_quotient", "order": 6, "weights": [1, 2, 3]}
+    shared = parse_document(raw).quiver()
+    default = [[a.tail, a.head, list(a.label)] for a in shared.arrows]
+    doc = parse_document(dict(raw, options={"arrow_order": default[::-1]}))
+    Q = doc.quiver()
+    assert Q is not shared and Q is not doc.quiver()
+    assert [[a.tail, a.head, list(a.label)] for a in Q.arrows] == default[::-1]
+    assert mckay_quiver(doc.group) is shared
+    assert mckay_complex(doc.group).Q is shared
+
+
+@pytest.mark.parametrize("order, weights, why", [
+    (3, (1, 1, 0), "not a subgroup of SL"),
+    (4, (2, 2, 0), "does not act faithfully")])
+def test_rejected_group_raises_on_every_call(order, weights, why):
+    """A refused group is not memoized: every call raises again."""
+    doc = parse_document({"kind": "cyclic_quotient", "order": order,
+                          "weights": list(weights)})
+    for _ in range(2):
+        for build in (doc.quiver, lambda: mckay_complex(doc.group),
+                      lambda: mckay_sign_crosscheck(doc.group)):
+            with pytest.raises(InputError, match=why):
+                build()
+    assert mckay_quiver.cache_info().currsize == 0
+    assert complexes._mckay_complex.cache_info().currsize == 0
+
+
+def test_memos_stay_within_their_size():
+    """Past its size, each memo drops the group used longest ago."""
+    groups = [AbelianGroupData.cyclic(r, (1, r - 1)) for r in range(2, 14)]
+    for memo in (mckay_quiver, complexes._mckay_complex):
+        assert memo.cache_info().maxsize < len(groups)
+    for G in groups:
+        mckay_complex(G)
+    for memo in (mckay_quiver, complexes._mckay_complex):
+        info = memo.cache_info()
+        assert info.currsize == info.maxsize
+        memo(groups[-1])
+        memo(groups[0])
+        assert memo.cache_info()[:2] == (info.hits + 1, info.misses + 1)
+
+
+def test_shared_complex_is_read_only(mckay_z6_group):
+    """The closed-form signs and the translations of a complex cannot be
+    changed in place; a caller edits a copy."""
+    C = mckay_complex(mckay_z6_group)
+    inc = C.incidences[0]
+    with pytest.raises(TypeError):
+        C.explicit_signs[inc] = -C.explicit_signs[inc]
+    with pytest.raises(TypeError):
+        C.translations[0] = C.translations[1]
+    signs = dict(C.explicit_signs)
+    signs[inc] = -signs[inc]
+    assert mckay_complex(mckay_z6_group).explicit_signs[inc] == -signs[inc]
+    Q = load("conifold.json").quiver()
+    D = general_complex(Q, superpotential(Q))
+    with pytest.raises(TypeError):
+        D.translations[0] = D.translations[0]

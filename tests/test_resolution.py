@@ -1025,10 +1025,12 @@ def test_small_abelian_quotients(n, monkeypatch):
     as the oracle solves it for n <= 3.
 
     On the 54 SL(4) groups the sign cross-check adds 0.4-0.6 s to this
-    test on a 2-CPU machine; it runs as `_crosscheck` on the complex
-    already built, as `mckay_sign_crosscheck` would add 0.5 s building it
-    again.  Checking the SL(4) solves against the quadratic oracle would
-    add 2.0 s more, so the oracle checks n <= 3."""
+    test on a 2-CPU machine.  It runs as `_crosscheck` on the complex of
+    `small_complexes`, which another test shares: the per-group memo that
+    lets `mckay_sign_crosscheck` read the complex `mckay_complex` built is
+    emptied before each test and holds 8 groups, so here it would build
+    each complex again (0.5 s).  Checking the SL(4) solves against the
+    quadratic oracle would add 2.0 s more, so the oracle checks n <= 3."""
     calls = check_solve_gf2_against_oracle(monkeypatch) if n <= 3 else []
     for G, C in zip(SMALL_GROUPS[n], small_complexes(n)):
         W = superpotential(C.Q)

@@ -11,6 +11,8 @@ from toricell.variety import (
     mckay_toric_data,
 )
 
+from test_quiver import SMALL_GROUPS
+
 F1_RAYS = [(1, 0, 1), (0, 1, 1), (-1, 1, 1), (0, -1, 1)]
 
 
@@ -175,3 +177,41 @@ def test_mckay_toric_data_z2():
     X, coll = mckay_toric_data(G)
     assert X.n == 2
     assert len(coll) == 2
+
+
+def compositions(total, n):
+    """Every v in N^n of total degree total, in increasing lex order."""
+    if n == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for rest in compositions(total - head, n - 1):
+            yield (head,) + rest
+
+
+def representatives_by_enumeration(group):
+    """The lex-least representative of least degree of every character,
+    from the compositions of each degree in turn, sorted as the
+    collection lists them."""
+    reps, total = {}, 0
+    while len(reps) < group.order():
+        for v in compositions(total, group.n):
+            reps.setdefault(group.character(v), v)
+        total += 1
+    return sorted(reps.values(), key=lambda v: (sum(v), v))
+
+
+@pytest.mark.parametrize("n", sorted(SMALL_GROUPS))
+def test_representatives_match_enumeration(n):
+    """The level sweep of mckay_toric_data picks the representatives the
+    enumeration of compositions by degree picks, on the small groups and
+    a few larger ones."""
+    groups = SMALL_GROUPS[n] + {
+        2: [AbelianGroupData.cyclic(33, (1, 32))],
+        3: [AbelianGroupData.cyclic(50, (1, 1, 48)),
+            AbelianGroupData.cyclic(16, (1, 2, 13))],
+        4: [AbelianGroupData.cyclic(64, (1, 1, 1, 61))]}[n]
+    for G in groups:
+        _, coll = mckay_toric_data(G)
+        assert [c.representative for c in coll.classes] == \
+            representatives_by_enumeration(G), G
