@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from math import gcd
 
 from .complexes import general_complex, mckay_complex, sign_infeasibility
 from .errors import ConstructionError, InputError, InternalError
@@ -177,18 +178,20 @@ def _svg(tiling, path):
              f'<rect width="{scale}" height="{scale}" fill="white" '
              'stroke="black"/>']
 
+    den = tiling.proj.den
+
     def pt(p):
-        x = float(p[0]) % 1.0
-        y = float(p[1]) % 1.0
+        x = p[0] / den % 1.0
+        y = p[1] / den % 1.0
         return x * scale, (1 - y) * scale
 
     for _idx, start, vec in tiling.edges:
         for tx in (-1, 0, 1):
             for ty in (-1, 0, 1):
-                x1 = (float(start[0]) + tx) * scale
-                y1 = (1 - float(start[1]) - ty) * scale
-                x2 = x1 + float(vec[0]) * scale
-                y2 = y1 - float(vec[1]) * scale
+                x1 = (start[0] / den + tx) * scale
+                y1 = (1 - start[1] / den - ty) * scale
+                x2 = x1 + vec[0] / den * scale
+                y2 = y1 - vec[1] / den * scale
                 lines.append(
                     f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" '
                     f'y2="{y2:.2f}" stroke="black" stroke-width="1"/>')
@@ -214,8 +217,8 @@ def _reconstruct(doc, args):
     if args.svg:
         _svg(tiling, args.svg)
 
-    def rat(x):
-        return [x.numerator, x.denominator]
+    def rat(x, den=proj.den):
+        return [x // gcd(x, den), den // gcd(x, den)]
 
     _emit({
         "fprime": [[rat(x) for x in row] for row in proj.fprime],
@@ -223,7 +226,7 @@ def _reconstruct(doc, args):
         "faces": [Q.pretty_path(f.term) for f in tiling.faces],
         "valid": rep.valid,
         "euler": rep.euler,
-        "total_area": rat(rep.total_area),
+        "total_area": rat(rep.total_area, 2 * proj.den ** 2),
         "crossings": [[f"a{i + 1}", f"a{j + 1}", list(t)]
                       for i, j, t in rep.crossings],
     })

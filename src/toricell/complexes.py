@@ -104,7 +104,8 @@ class ToricCellComplex:
     # -- duality ------------------------------------------------------------
 
     def tau(self):
-        """The involution pairing each k-cell with its dual (n-k)-cell."""
+        """The involution pairing each k-cell with its dual (n-k)-cell, as
+        a read-only mapping built once and shared by every caller."""
         if self._tau is not None:
             return self._tau
         ones = self.Q.ones
@@ -120,8 +121,8 @@ class ToricCellComplex:
         for cid, did in pairing.items():
             if pairing[did] != cid:
                 raise ConstructionError("duality pairing is not an involution")
-        self._tau = pairing
-        return pairing
+        self._tau = MappingProxyType(pairing)
+        return self._tau
 
     def tau_antisymmetry_violations(self):
         """Pairs breaking 'f facet of c iff tau(c) facet of tau(f)'."""
@@ -138,7 +139,7 @@ class ToricCellComplex:
         whose composed left and right divisors agree; for a cell complex
         with an incidence function every group has exactly two routes whose
         signs cancel.  The incidences are fixed at construction, so the
-        groups are built once and shared by every caller.
+        groups are built once and shared, read-only, by every caller.
         """
         if self._composites is None:
             groups = {}
@@ -148,7 +149,8 @@ class ToricCellComplex:
                     R = vadd(inc1.right, inc2.right)
                     key = (inc1.parent, inc2.facet, L, R)
                     groups.setdefault(key, []).append((inc1, inc2))
-            self._composites = groups
+            self._composites = MappingProxyType(
+                {key: tuple(routes) for key, routes in groups.items()})
         return self._composites
 
     def face_poset_check(self):

@@ -53,8 +53,8 @@ class QuiverOfSections:
 
     def __init__(self, n_vertices, arrows, X=None, collection=None):
         self.n_vertices = n_vertices
-        self.arrows = [Arrow(idx=i, tail=a[0], head=a[1], label=tuple(a[2]))
-                       for i, a in enumerate(arrows)]
+        self.arrows = tuple(Arrow(i, a[0], a[1], tuple(a[2]))
+                            for i, a in enumerate(arrows))
         self.X = X
         self.collection = collection
         if not self.arrows:
@@ -67,9 +67,10 @@ class QuiverOfSections:
                 raise InputError("arrow labels must be nonzero")
             if not (0 <= a.tail < n_vertices and 0 <= a.head < n_vertices):
                 raise InputError("arrow endpoint out of range")
-        self.out = [[] for _ in range(n_vertices)]
+        out = [[] for _ in range(n_vertices)]
         for a in self.arrows:
-            self.out[a.tail].append(a)
+            out[a.tail].append(a)
+        self.out = tuple(map(tuple, out))
         self.ones = (1,) * self.d
         self._reach_memo = {}
         self._lifts = None
@@ -205,7 +206,7 @@ class QuiverOfSections:
                     todo.append(a.tail)
         if len(lifts) != self.n_vertices:
             raise InputError("quiver is not connected")
-        self._lifts = [lifts[i] for i in range(self.n_vertices)]
+        self._lifts = tuple(lifts[i] for i in range(self.n_vertices))
         return self._lifts
 
     # -- export -------------------------------------------------------------

@@ -294,14 +294,13 @@ class ExactnessReport(NamedTuple):
 
 
 # verify_exactness refuses more graded pieces (vertex pairs times divisors
-# in the box) or basis triples than these.  Triples are counted as the
-# (eta, dL, dR) with dL + dR <= bound - div(eta); those with dR = 0 are the
-# one-sided basis elements (eta, dL) of all pieces whenever a path's tail
-# and divisor fix its head, so the count bounds these from above.  The
-# fourfold at bound 3 has 262,144 pieces and 32,972,288 triples;
-# mckay_z2_11 has 5,651,522 at bound 40 and 37,949,472 at bound 65, the
-# largest the guard admits, where on a 2-CPU machine the call takes
-# 0.01-0.02 s and 0.03-0.05 s
+# in the box) or one-sided basis elements than these.  Basis elements are
+# counted as the (eta, dL) with dL <= bound - div(eta) over the cells; a
+# path's tail and divisor fix its head, so each lies in at most one piece
+# of P (x)_A A_0.  The fourfold at bound 3 has 262,144 pieces and 204,140
+# elements, and mckay_z2_11 at bound 352, the largest MAX_PIECES admits,
+# 498,436 and 994,050 (about 1.5 s on a 2-CPU machine).  A hand-written
+# quiver with many cells per vertex pair can still pass MAX_TRIPLES.
 MAX_PIECES = 500_000
 MAX_TRIPLES = 40_000_000
 
@@ -392,17 +391,17 @@ def verify_exactness(res, bound, check_products=False):
     componentwise <= bound (an integer or a vector) at every vertex pair
     (s, t).
 
-    A request of more than MAX_PIECES pieces or MAX_TRIPLES basis triples
-    is refused before any work; `pieces_checked` counts every piece in the
-    box.  A cell eta whose two-step routes or augmentation do not cancel
-    (`ToricCellComplex.sign_failures`) makes d_{k-1}.d_k, k = dim eta,
-    nonzero on the triple (eta, 0, 0) of the piece (h(eta), t(eta),
-    div(eta)).  Those pieces in the box are the failures, with the k of
-    each.  Without one, d.d = 0 on every piece in the box, as a triple
-    (eta, dL, dR) lies in it only if div(eta) does, and the pieces of
-    P (x)_A A_0 decide (`_one_sided_failures`).  check_products is kept
-    for old callers and changes nothing: failing signs are always
-    reported, and passing signs make every product 0.
+    A request of more than MAX_PIECES pieces or MAX_TRIPLES one-sided
+    basis elements is refused before any work; `pieces_checked` counts
+    every piece in the box.  A cell eta whose two-step routes or
+    augmentation do not cancel (`ToricCellComplex.sign_failures`) makes
+    d_{k-1}.d_k, k = dim eta, nonzero on the triple (eta, 0, 0) of the
+    piece (h(eta), t(eta), div(eta)).  Those pieces in the box are the
+    failures, with the k of each.  Without one, d.d = 0 on every piece in
+    the box, as a triple (eta, dL, dR) lies in it only if div(eta) does,
+    and the pieces of P (x)_A A_0 decide (`_one_sided_failures`).
+    check_products is kept for old callers and changes nothing: failing
+    signs are always reported, and passing signs make every product 0.
 
     The augmented complex C = (P_n -> ... -> P_0 -> A) is one of
     N^d-graded projective right A-modules, and A_0 is spanned by the
@@ -442,13 +441,13 @@ def verify_exactness(res, bound, check_products=False):
         raise InputError(
             f"exactness at bound {bound} asks for {pieces} graded pieces, "
             f"more than the limit of {MAX_PIECES}")
-    triples = sum(
-        math.prod(math.comb(b - x + 2, 2) for b, x in zip(bound, c.divisor))
+    elements = sum(
+        math.prod(b - x + 1 for b, x in zip(bound, c.divisor))
         for c in res.complex.cells if leq(c.divisor, bound))
-    if triples > MAX_TRIPLES:
+    if elements > MAX_TRIPLES:
         raise InputError(
-            f"exactness at bound {bound} asks for up to {triples} basis "
-            f"triples, more than the limit of {MAX_TRIPLES}")
+            f"exactness at bound {bound} asks for up to {elements} basis "
+            f"elements, more than the limit of {MAX_TRIPLES}")
     products = {}
     for cid, _why in res.complex.sign_failures(res.signs):
         c = res.complex.cells[cid]

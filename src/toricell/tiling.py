@@ -1,18 +1,18 @@
 """Reconstruction of the torus tiling of a three-dimensional algebra.
 
 The lattice M embeds into Z^d by pairing with the rays; after a basis
-change putting the Gorenstein covector last, the rational left inverse
-f = (B^t B)^{-1} B^t projects divisor vectors to M-coordinates, and its
-first two rows f' land in the plane.  Vertices are placed at f' of the
-divisor lifts, each arrow becomes a segment translating by f'(div(a)),
-and each superpotential term traces a polygon; the result is a tiling of
-the torus R^2 / Z^2 exactly when the algebra comes from a dimer.
+change putting the Gorenstein covector last, the left inverse
+f / den = (B^t B)^{-1} B^t projects divisor vectors to M-coordinates,
+and its first two rows f' / den land in the plane.  Vertices are placed
+at f' of the divisor lifts, each arrow becomes a segment translating by
+f'(div(a)), and each superpotential term traces a polygon; the result is
+a tiling of the torus R^2 / Z^2 exactly when the algebra comes from a
+dimer.  All of it stays on the integer grid over den, where a point
+(x, y) stands for (x / den, y / den); only the CLI divides.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm
 from typing import NamedTuple
 
 from .errors import ConstructionError, InputError, InternalError
@@ -47,8 +47,9 @@ def _complete_to_basis(z):
 class ProjectionData(NamedTuple):
     m_basis: list   # basis vectors of M, Gorenstein covector last
     B: list         # d x n matrix of M -> Z^d in that basis
-    f: list         # n x d rational left inverse of B
+    f: list         # n x d integer numerators of the left inverse of B
     fprime: list    # first two rows of f
+    den: int        # their common denominator det(B^t B) > 0
 
     def project(self, v):
         return tuple(sum(row[k] * v[k] for k in range(len(v)))
@@ -56,7 +57,8 @@ class ProjectionData(NamedTuple):
 
 
 def projection_maps(X, m_basis=None):
-    """Exact rational projection data for a Gorenstein threefold."""
+    """Exact projection data for a Gorenstein threefold: the left inverse
+    of B as integer numerators f over the denominator den."""
     if X.n != 3:
         raise ConstructionError("tiling reconstruction needs a threefold")
     z = tuple(X.gorenstein_covector)
@@ -71,21 +73,20 @@ def projection_maps(X, m_basis=None):
                 f"last basis vector must be the Gorenstein covector {z}")
     B = [[sum(m[k] * ray[k] for k in range(3)) for m in basis]
          for ray in X.rays]
-    N, det = left_inverse(B)
-    f = [[Fraction(x, det) for x in row] for row in N]
-    if mat_mul(f, B) != identity(3):
+    f, den = left_inverse(B)
+    if mat_mul(f, B) != [[den * x for x in row] for row in identity(3)]:
         raise InternalError("projection is not a left inverse of B")
     fprime = [f[0], f[1]]
     for rho in range(X.d):
         if fprime[0][rho] == fprime[1][rho] == 0:
             raise ConstructionError("a ray label projects to the origin")
-    return ProjectionData(m_basis=basis, B=B, f=f, fprime=fprime)
+    return ProjectionData(m_basis=basis, B=B, f=f, fprime=fprime, den=den)
 
 
 class Face(NamedTuple):
     term: tuple        # arrow ids, first applied first
     points: list       # polygon corners, term[k] runs points[k] -> points[k+1]
-    area: Fraction     # signed (positive = anticlockwise)
+    area: int          # signed, over 2 den^2 (positive = anticlockwise)
 
 
 class Tiling(NamedTuple):
@@ -93,8 +94,8 @@ class Tiling(NamedTuple):
     W: object
     proj: ProjectionData
     lifts: list      # divisor lift of each vertex in Z^d
-    vertices: list   # rational planar position per quiver vertex
-    edges: list      # (arrow id, start point, edge vector)
+    vertices: list   # planar position per quiver vertex, over proj.den
+    edges: list      # (arrow id, start point, edge vector), over proj.den
     faces: list
 
 
@@ -127,10 +128,9 @@ def dimer_reconstruct(Q, W, proj=None, lifts=None):
     edges = []
     for a, vec in zip(Q.arrows, vecs):
         edges.append((a.idx, pos[a.tail], vec))
-        # the head position must agree modulo the period lattice Z^2
-        end = vadd(pos[a.tail], vec)
-        gap = vsub(pos[a.head], end)
-        if any(x.denominator != 1 for x in gap):
+        # the head position must agree modulo the period lattice (den Z)^2
+        gap = vsub(pos[a.head], vadd(pos[a.tail], vec))
+        if any(x % proj.den for x in gap):
             raise ConstructionError(f"edge of {a.pretty()} misses its head vertex")
     faces = []
     for term in W.terms:
@@ -141,11 +141,8 @@ def dimer_reconstruct(Q, W, proj=None, lifts=None):
         closing = vadd(pts[-1], vecs[term[-1]])
         if closing != pts[0]:
             raise ConstructionError("superpotential term does not close a polygon")
-        area = Fraction(0)
-        for k in range(len(pts)):
-            x1, y1 = pts[k]
-            x2, y2 = pts[(k + 1) % len(pts)]
-            area += Fraction(x1 * y2 - x2 * y1, 2)
+        area = sum(x1 * y2 - x2 * y1
+                   for (x1, y1), (x2, y2) in zip(pts, pts[1:] + pts[:1]))
         faces.append(Face(term=term, points=pts, area=area))
     return Tiling(Q=Q, W=W, proj=proj, lifts=list(lifts), vertices=pos,
                   edges=edges, faces=faces)
@@ -192,36 +189,26 @@ def _segments_conflict(p1, p2, q1, q2):
     return False
 
 
-def _reduce(point):
-    """Translate by Z^2 so the point lies in the half-open unit square."""
-    return tuple(x % 1 for x in point)
+def _reduce(point, den):
+    """Translate by (den Z)^2 so the point lies in the half-open unit
+    square [0, den)^2."""
+    return tuple(x % den for x in point)
 
 
-def _scaled(points):
-    """The points times L, the lcm of their coordinates' denominators, as
-    integer tuples; and L.  Scaling by L > 0 keeps every sign of _cross
-    and every comparison of _on_segment."""
-    L = lcm(*(x.denominator for p in points for x in p))
-    return [tuple(x.numerator * (L // x.denominator) for x in p)
-            for p in points], L
-
-
-def _crossings(edges):
-    """Sorted (arrow id, arrow id, translate) for every pair of edges that
-    meet other than at a shared endpoint, each edge first moved by Z^2 to
-    start in the unit square and the second then moved by a translate in
-    the 3 x 3 block.  The scan runs on integer coordinates scaled by their
-    common denominator, and skips a pair whose closed bounding boxes are
-    apart: boxes that only touch may still hide a T-junction."""
-    ends = []
-    for _idx, start, vec in edges:
-        s = _reduce(start)
-        ends += [s, vadd(s, vec)]
-    pts, L = _scaled(ends)
-    segs = [(idx, a, b, min(a[0], b[0]), max(a[0], b[0]),
-             min(a[1], b[1]), max(a[1], b[1]))
-            for (idx, _start, _vec), a, b in zip(edges, pts[::2], pts[1::2])]
-    shifts = (-L, 0, L)
+def _crossings(edges, den):
+    """Sorted (arrow id, arrow id, translate) for every pair of edges on
+    the grid over den that meet other than at a shared endpoint, each edge
+    first moved by (den Z)^2 to start in the unit square and the second
+    then moved by a translate in the 3 x 3 block.  The scan skips a pair
+    whose closed bounding boxes are apart: boxes that only touch may still
+    hide a T-junction."""
+    segs = []
+    for idx, start, vec in edges:
+        a = _reduce(start, den)
+        b = vadd(a, vec)
+        segs.append((idx, a, b, min(a[0], b[0]), max(a[0], b[0]),
+                     min(a[1], b[1]), max(a[1], b[1])))
+    shifts = (-den, 0, den)
     found = set()
     for k1, (i1, a1, b1, xlo1, xhi1, ylo1, yhi1) in enumerate(segs):
         for k2 in range(k1, len(segs)):
@@ -236,7 +223,7 @@ def _crossings(edges):
                         continue
                     if _segments_conflict(a1, b1, (a2[0] + tx, a2[1] + ty),
                                           (b2[0] + tx, b2[1] + ty)):
-                        found.add((i1, i2, (tx // L, ty // L)))
+                        found.add((i1, i2, (tx // den, ty // den)))
     return sorted(found)
 
 
@@ -245,7 +232,7 @@ class TilingReport(NamedTuple):
     nonconvex_faces: list     # term tuples
     crossings: list           # (arrow id, arrow id, translate)
     euler: int
-    total_area: Fraction
+    total_area: int           # over 2 den^2, so 2 den^2 covers the torus once
     duplicate_vertices: list
     unbalanced_arrows: list   # arrows not in one face of each orientation
 
@@ -255,14 +242,13 @@ def verify_tiling(tiling):
     strictly convex faces with a coherent turning sign, no edge meeting
     another except at a shared vertex (tested over the 3 x 3 block of
     translates), zero Euler characteristic, and faces covering the
-    fundamental domain once.  The turn and crossing tests run on
-    coordinates multiplied by their common denominator, so they stay
-    exact in integers."""
+    fundamental domain once.  Every test runs on the integer grid over
+    the projection's denominator."""
     Q = tiling.Q
+    den = tiling.proj.den
     nonconvex = []
     for face in tiling.faces:
-        pts, _ = _scaled(face.points)
-        m = len(pts)
+        pts, m = face.points, len(face.points)
         sign = 1 if face.area > 0 else -1
         ok = face.area != 0
         for k in range(m):
@@ -272,7 +258,7 @@ def verify_tiling(tiling):
         if not ok:
             nonconvex.append(face.term)
 
-    crossings = _crossings(tiling.edges)
+    crossings = _crossings(tiling.edges, den)
 
     euler = Q.n_vertices - len(Q.arrows) + len(tiling.faces)
     total_area = sum(abs(f.area) for f in tiling.faces)
@@ -280,7 +266,7 @@ def verify_tiling(tiling):
     duplicates = []
     seen = {}
     for v, p in enumerate(tiling.vertices):
-        key = _reduce(p)
+        key = _reduce(p, den)
         if key in seen:
             duplicates.append((seen[key], v))
         else:
@@ -293,8 +279,8 @@ def verify_tiling(tiling):
             orientation_count[idx][slot] += 1
     unbalanced = sorted(i for i, c in orientation_count.items() if c != [1, 1])
 
-    valid = (not nonconvex and not crossings and euler == 0
-             and total_area == 1 and not duplicates and not unbalanced)
+    valid = (not nonconvex and not crossings and euler == 0 and not duplicates
+             and total_area == 2 * den * den and not unbalanced)
     return TilingReport(valid=valid, nonconvex_faces=nonconvex,
                         crossings=crossings, euler=euler,
                         total_area=total_area,

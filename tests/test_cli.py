@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from toricell import intlinalg, tiling
+from toricell import intlinalg, resolution, tiling
 from toricell.cli import main
 from toricell.errors import InternalError
 from toricell.intlinalg import adjugate
@@ -109,10 +109,13 @@ def test_exactness_piece_limit_exit_code(capsys):
     assert "graded pieces" in captured.err
 
 
-def test_exactness_triple_limit_exit_code(capsys):
-    """A bound whose pieces pass resolution.MAX_PIECES but whose basis
-    triples pass resolution.MAX_TRIPLES is refused at once with exit
-    code 2."""
+def test_exactness_triple_limit_exit_code(capsys, monkeypatch):
+    """A bound whose pieces pass resolution.MAX_PIECES but whose one-sided
+    basis elements pass resolution.MAX_TRIPLES is refused at once with
+    exit code 2.  No fixture reaches the limit at a bound that MAX_PIECES
+    admits, so it is lowered below the 994,050 elements of mckay_z2_11 at
+    bound 352."""
+    monkeypatch.setattr(resolution, "MAX_TRIPLES", 994_049)
     t0 = time.perf_counter()
     code = main(["resolution", input_path("mckay_z2_11.json"),
                  "--verify-exactness", "--bound", "352"])
@@ -120,7 +123,7 @@ def test_exactness_triple_limit_exit_code(capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert "basis triples" in captured.err
+    assert "994050 basis elements" in captured.err
 
 
 def test_consistency_class_limit_exit_code(capsys):
@@ -438,3 +441,18 @@ def test_subcommand_golden(capsys, command, fixture):
     with open(os.path.join(folder, "exit_codes.json")) as fh:
         want_code = json.load(fh)[fixture]
     assert (code, out.encode()) == (want_code, want)
+
+
+@pytest.mark.parametrize("fixture", GOLDEN_FIXTURES)
+def test_reconstruct_svg_golden(capsys, tmp_path, fixture):
+    """The `reconstruct --svg` file is byte-identical to the committed
+    golden; a fixture without a golden SVG (no threefold) writes none."""
+    svg = tmp_path / "t.svg"
+    main(["reconstruct", input_path(fixture + ".json"), "--svg", str(svg)])
+    capsys.readouterr()
+    path = os.path.join(GOLDEN, "reconstruct", fixture + ".svg")
+    if not os.path.exists(path):
+        assert not svg.exists()
+        return
+    with open(path, "rb") as fh:
+        assert svg.read_bytes() == fh.read()

@@ -323,19 +323,37 @@ def test_memos_stay_within_their_size():
         assert memo.cache_info()[:2] == (info.hits + 1, info.misses + 1)
 
 
+def shared_parts_are_read_only(C):
+    """The translations, the duality, the two-step route groups and their
+    routes of a complex, and the arrows, out-lists and lifts of its
+    quiver, cannot be changed in place."""
+    Q = C.Q
+    key, routes = next(iter(C.composite_groups().items()))
+    for container, index, value in [
+            (C.translations, 0, C.translations[0]),
+            (C.tau(), 0, 5),
+            (C.composite_groups(), key, ()),
+            (routes, 0, routes[0]),
+            (Q.arrows, 0, Q.arrows[0]),
+            (Q.out, 0, ()),
+            (Q.out[0], 0, Q.out[0][0]),
+            (Q.preferred_lifts(), 1, (9, 9, 9))]:
+        with pytest.raises(TypeError):
+            container[index] = value
+
+
 def test_shared_complex_is_read_only(mckay_z6_group):
-    """The closed-form signs and the translations of a complex cannot be
+    """The closed-form signs, the translations, the duality and the route
+    groups of a complex, and the arrows and lifts of its quiver, cannot be
     changed in place; a caller edits a copy."""
     C = mckay_complex(mckay_z6_group)
     inc = C.incidences[0]
     with pytest.raises(TypeError):
         C.explicit_signs[inc] = -C.explicit_signs[inc]
-    with pytest.raises(TypeError):
-        C.translations[0] = C.translations[1]
+    shared_parts_are_read_only(C)
     signs = dict(C.explicit_signs)
     signs[inc] = -signs[inc]
     assert mckay_complex(mckay_z6_group).explicit_signs[inc] == -signs[inc]
+    assert load("mckay_z6_123.json").quiver() is C.Q
     Q = load("conifold.json").quiver()
-    D = general_complex(Q, superpotential(Q))
-    with pytest.raises(TypeError):
-        D.translations[0] = D.translations[0]
+    shared_parts_are_read_only(general_complex(Q, superpotential(Q)))

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from toricell import cones, intlinalg, variety
+from toricell import cones
 from toricell.cones import (
     FiberContext,
     dual_cone_rays,
@@ -459,26 +459,28 @@ def _imports(tree, name):
             and any(alias.name == name for alias in node.names)]
 
 
+def _modules():
+    """The source files of the toricell package, by name."""
+    package = os.path.dirname(cones.__file__)
+    return {name: os.path.join(package, name)
+            for name in sorted(os.listdir(package)) if name.endswith(".py")}
+
+
 def test_polyhedral_layer_is_integer_only():
-    """Neither cones.py, intlinalg.py nor variety.py imports fractions,
-    and no function in intlinalg names Fraction: the polyhedral layer and
-    the lattice answers stay in integers, and only the tiling projection
-    turns them into rationals."""
-    for module in (cones, intlinalg, variety):
-        assert _imports(_parse(module.__file__), "fractions") == [], \
-            module.__name__
-    users = {func.name for func in ast.walk(_parse(intlinalg.__file__))
-             if isinstance(func, ast.FunctionDef)
-             and any(isinstance(node, ast.Name) and node.id == "Fraction"
-                     for node in ast.walk(func))}
-    assert users == set()
+    """No module of toricell imports fractions or names Fraction: the
+    polyhedral layer, the lattice answers and the tiling all stay in
+    integers, and only the CLI divides, where it prints."""
+    for name, path in _modules().items():
+        tree = _parse(path)
+        assert _imports(tree, "fractions") == [], name
+        assert not any(isinstance(node, ast.Name) and node.id == "Fraction"
+                       or isinstance(node, ast.Attribute)
+                       and node.attr == "Fraction"
+                       for node in ast.walk(tree)), name
 
 
 def test_no_module_imports_dataclasses():
     """Records are named tuples: no module of toricell imports dataclasses,
     whose import alone pulls inspect, dis, tokenize and ast into start-up."""
-    package = os.path.dirname(cones.__file__)
-    for name in sorted(os.listdir(package)):
-        if name.endswith(".py"):
-            tree = _parse(os.path.join(package, name))
-            assert _imports(tree, "dataclasses") == [], name
+    for name, path in _modules().items():
+        assert _imports(_parse(path), "dataclasses") == [], name

@@ -6,7 +6,8 @@ with equal fields compare equal (and hash equal when every field is
 hashable).  The two classes that build state after construction,
 `Superpotential` and `InputDocument`, are plain classes.  Neither
 `import toricell` nor the CLI module loads `dataclasses` or `inspect`,
-whose imports cost a fresh process tens of milliseconds.
+whose imports cost a fresh process tens of milliseconds, nor
+`fractions`.
 """
 
 import copy
@@ -51,7 +52,7 @@ FIELDS = {
     "MinimalityReport": "minimal unit_incidences",
     "GradedPiece": "s t dvec bases matrices dim_A",
     "ExactnessReport": "exact bound pieces_checked failures",
-    "ProjectionData": "m_basis B f fprime",
+    "ProjectionData": "m_basis B f fprime den",
     "Face": "term points area",
     "Tiling": "Q W proj lifts vertices edges faces",
     "TilingReport": "valid nonconvex_faces crossings euler total_area "
@@ -134,14 +135,17 @@ def test_stateful_classes_keep_their_state():
 
 
 def test_import_loads_no_dataclasses_or_inspect():
-    """Checked in a fresh interpreter, since pytest loads both itself, and
+    """Nor fractions, nor decimal, which fractions imports: the library is
+    integer-only, directly and through every module it imports.  Checked
+    in a fresh interpreter, since pytest loads all four itself, and
     without site, whose hooks are not toricell's to answer for."""
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in [env.get("PYTHONPATH")] if p])
     code = ("import sys, toricell, toricell.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+            "print(sorted({'dataclasses', 'inspect', 'fractions', 'decimal'}"
+            " & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]", out.stdout

@@ -222,30 +222,34 @@ def test_exactness_piece_limit(z6_resolution):
         verify_exactness(z6_resolution, b)
 
 
-def guard_triples(res, b):
-    """The pairs (dL, dR) with dL + dR <= b - div(eta), over the cells."""
-    return sum(math.prod(math.comb(b - x + 2, 2) for x in c.divisor)
+def guard_elements(res, b):
+    """The dL <= b - div(eta), over the cells."""
+    return sum(math.prod(b - x + 1 for x in c.divisor)
                for c in res.complex.cells if max(c.divisor) <= b)
 
 
-def test_exactness_triple_limit(z6_resolution, request):
-    """The guard's triple count is the number of basis triples of all
+def test_exactness_triple_limit(z6_resolution, request, monkeypatch):
+    """The guard's count is the number of one-sided basis elements of all
     pieces of an abelian quotient.  A request above MAX_TRIPLES is refused
-    before any work; the fourfold at bound 3 stays below it."""
+    before any work.  The fourfold at bound 3 stays below it, and so does
+    mckay_z2_11 at bound 66, which the bimodule triple count refused."""
     pk = _packing(z6_resolution.complex, (2, 2, 2))
     table = _class_table(z6_resolution.Q, pk)
-    assert guard_triples(z6_resolution, 2) == sum(
+    count = guard_elements(z6_resolution, 2)
+    assert count == sum(
         len(basis) for s in range(6) for t in range(6)
-        for bases in _pair_bases(z6_resolution.complex, pk, table,
-                                 s, t).values()
+        for bases in resolution._one_sided_bases(
+            z6_resolution.complex, pk, table, s, t).values()
         for basis in bases)
     fourfold = fixture_resolution("fourfold.json", request)
-    assert guard_triples(fourfold, 3) <= MAX_TRIPLES
-    b = 0
-    while 36 * (b + 1) ** 3 <= MAX_PIECES:
-        b += 1
-    with pytest.raises(InputError, match="basis triples"):
-        verify_exactness(z6_resolution, b - 1)
+    assert guard_elements(fourfold, 3) <= MAX_TRIPLES
+    assert verify_exactness(fixture_resolution("mckay_z2_11.json", request),
+                            66).exact
+    monkeypatch.setattr(resolution, "MAX_TRIPLES", count)
+    assert verify_exactness(z6_resolution, 2).exact
+    monkeypatch.setattr(resolution, "MAX_TRIPLES", count - 1)
+    with pytest.raises(InputError, match="basis elements"):
+        verify_exactness(z6_resolution, 2)
 
 
 def reachable_class_table(Q, pk):

@@ -22,11 +22,17 @@ F = Fraction
 IDENTITY3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
+def rational(points, den):
+    """Integer points on the grid over den as tuples of Fractions."""
+    return [tuple(F(x, den) for x in p) for p in points]
+
+
 def test_projection_matrix_exact(quiver_four_sheaves):
     proj = projection_maps(quiver_four_sheaves.X, m_basis=IDENTITY3)
-    assert proj.fprime == [
-        [F(5, 9), F(1, 6), F(-4, 9), F(-5, 18)],
-        [F(1, 9), F(1, 3), F(1, 9), F(-5, 9)]]
+    assert rational(proj.fprime, proj.den) == [
+        (F(5, 9), F(1, 6), F(-4, 9), F(-5, 18)),
+        (F(1, 9), F(1, 3), F(1, 9), F(-5, 9))]
+    assert proj.den > 0
 
 
 def test_projection_needs_threefold():
@@ -53,7 +59,7 @@ def test_vertex_positions(quiver_four_sheaves):
     proj = projection_maps(Q.X, m_basis=doc.options["m_basis"])
     tiling = dimer_reconstruct(Q, superpotential(Q), proj=proj,
                                lifts=doc.options["lifts"])
-    assert tiling.vertices == [
+    assert rational(tiling.vertices, proj.den) == [
         (0, 0), (F(5, 9), F(1, 9)), (F(13, 18), F(4, 9)), (F(5, 18), F(5, 9))]
 
 
@@ -66,7 +72,7 @@ def test_valid_tiling(quiver_four_sheaves):
     rep = verify_tiling(tiling)
     assert rep.valid
     assert rep.euler == 0
-    assert rep.total_area == 1
+    assert F(rep.total_area, 2 * proj.den ** 2) == 1
     # three positively and three negatively oriented faces
     assert sorted(f.area > 0 for f in tiling.faces) == [False] * 3 + [True] * 3
 
@@ -88,7 +94,7 @@ def test_crossing_detection(quiver_five_sheaves):
     # every conflict involves one of the two parallel edges with the same
     # vertical label
     assert all({i, j} & {4, 7} for i, j, _ in rep.crossings)
-    assert rep.total_area != 1
+    assert F(rep.total_area, 2 * proj.den ** 2) != 1
 
 
 def test_trivial_quiver_tiling(quiver_trivial_a3):
@@ -109,14 +115,15 @@ def test_bad_lifts_rejected(quiver_four_sheaves):
             (0, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0), (0, 0, 0, -1)])
 
 
-def fraction_crossings(edges):
-    """The crossing scan in Fractions: every pair of edges, each moved by
-    Z^2 to start in the unit square, over all nine translates of the
-    second, with no box prefilter.  The oracle for _crossings."""
+def fraction_crossings(edges, den):
+    """The crossing scan in Fractions: every pair of edges, read off the
+    grid over den and each moved by Z^2 to start in the unit square, over
+    all nine translates of the second, with no box prefilter.  The oracle
+    for _crossings."""
     reduced = []
     for idx, start, vec in edges:
-        s = tuple(x - math.floor(x) for x in map(Fraction, start))
-        reduced.append((idx, s, vadd(s, vec)))
+        s = tuple(x - math.floor(x) for x in rational([start], den)[0])
+        reduced.append((idx, s, vadd(s, rational([vec], den)[0])))
     translates = [(Fraction(tx), Fraction(ty))
                   for tx in (-1, 0, 1) for ty in (-1, 0, 1)]
     found = set()
@@ -143,9 +150,10 @@ def fixture_tiling(name):
     ("threefold_four_sheaves.json", 0), ("threefold_five_sheaves.json", 7),
     ("conifold.json", 0), ("trivial_a3.json", 0)])
 def test_crossings_match_fraction_scan_on_fixtures(name, n_crossings):
-    edges = fixture_tiling(name).edges
-    assert _crossings(edges) == fraction_crossings(edges)
-    assert len(_crossings(edges)) == n_crossings
+    tiling = fixture_tiling(name)
+    edges, den = tiling.edges, tiling.proj.den
+    assert _crossings(edges, den) == fraction_crossings(edges, den)
+    assert len(_crossings(edges, den)) == n_crossings
 
 
 def random_rational(rng, lo, hi):
@@ -158,7 +166,8 @@ def random_edges(rng):
     long enough to wrap the torus, plus edges forced onto earlier ones:
     collinear overlaps, T-junctions (axis-parallel ones among them, whose
     bounding boxes only touch) and shared endpoints, each moved by a
-    random element of Z^2."""
+    random element of Z^2; returned on the grid over their common
+    denominator, with it."""
     segs = []
     n_free = rng.randint(2, 4)
     while len(segs) < n_free:
@@ -194,16 +203,26 @@ def random_edges(rng):
         shift = (rng.randint(-1, 1), rng.randint(-1, 1))
         if new[1] != (0, 0):
             segs.append((vadd(new[0], shift), new[1]))
-    return [(k, start, vec) for k, (start, vec) in enumerate(segs)]
+    return on_grid([(k, start, vec) for k, (start, vec) in enumerate(segs)])
+
+
+def on_grid(edges):
+    """Rational edges as integer points over their common denominator,
+    and that denominator."""
+    den = math.lcm(*(x.denominator for _, start, vec in edges
+                     for x in start + vec))
+    return [(k, tuple(int(x * den) for x in start),
+             tuple(int(x * den) for x in vec))
+            for k, start, vec in edges], den
 
 
 def test_crossings_match_fraction_scan_on_random_edges():
     rng = random.Random(20261018)
     translates = set()
     for _ in range(40):
-        edges = random_edges(rng)
-        got = _crossings(edges)
-        assert got == fraction_crossings(edges), edges
+        edges, den = random_edges(rng)
+        got = _crossings(edges, den)
+        assert got == fraction_crossings(edges, den), edges
         translates |= {t for _, _, t in got}
     # the cases reach conflicts under every translate of the block
     assert len(translates) == 9
