@@ -54,25 +54,22 @@ class FacetIncidence(NamedTuple):
 
 
 class ToricCellComplex:
+    """Cells, deduplicated facet incidences and cells by dimension, all
+    read-only: a complex may be shared (`mckay_complex`)."""
+
     def __init__(self, Q, n, cells, incidences):
         self.Q = Q
         self.n = n
-        self.cells = cells
-        self.by_dim = {k: [c for c in cells if c.dim == k] for k in range(n + 1)}
-        self.incidences = []
+        self.cells = cells = tuple(cells)
+        self.by_dim = MappingProxyType(
+            {k: tuple(c for c in cells if c.dim == k) for k in range(n + 1)})
+        self.incidences = tuple(dict.fromkeys(incidences))
         self._facets_of = {c.id: [] for c in cells}
-        seen = set()
-        for inc in incidences:
-            if inc in seen:
-                continue
-            seen.add(inc)
+        for inc in self.incidences:
             self._validate(inc)
-            self.incidences.append(inc)
             self._facets_of[inc.parent].append(inc)
-        # (vertex map, incidence map) of each known symmetry, identity
-        # first, the incidence map sending the position of each incidence
-        # in self.incidences to that of its image; mckay_complex adds the
-        # translations by its group
+        # (vertex map, incidence map by position) of each known symmetry,
+        # identity first; mckay_complex adds its quiver's translations
         self.translations = ((tuple(range(Q.n_vertices)),
                               range(len(self.incidences))),)
         self._tau = None
@@ -268,67 +265,52 @@ def mckay_complex(group, Q=None):
     the facet dropping the nu-th direction of S shares the tail (left class
     an arrow, sign (-1)^nu) or the head (right class an arrow, sign
     (-1)^(nu+1)).  The closed-form signs are recorded alongside, read-only,
-    and the translations: g sends (j, S) to (j', S) with char(j') =
-    char(j) + g.  Q is the group's quiver of sections; without it, the
+    and Q's translations (`quiver.build_quiver`): (j, S) ends at sigma(j)
+    for the sigma adding the class of e_S, and sigma sends (j, S) to
+    (sigma(j), S).  Q is the group's quiver of sections; without it, the
     group's `quiver.mckay_quiver` is used and the complex is shared too.
     """
     if Q is None:
         return _mckay_complex(group)
-    collection = Q.collection
-    n = Q.X.n
-    char_of_vertex = [group.character(c.representative)
-                      for c in collection.classes]
-    vertex_of_char = {ch: j for j, ch in enumerate(char_of_vertex)}
-
-    def shift(vertex, dirs):
-        rep = list(collection.classes[vertex].representative)
-        for i in dirs:
-            rep[i] += 1
-        return vertex_of_char[group.character(tuple(rep))]
-
-    cells = []
-    ids = {}
-    for j in range(len(collection)):
-        for bits in range(1 << n):
-            S = tuple(i for i in range(n) if bits >> i & 1)
-            div = tuple(1 if i in S else 0 for i in range(n))
-            cell = Cell(id=len(cells), dim=len(S), head=shift(j, S), tail=j,
-                        divisor=div, payload=("cube", j, S))
-            ids[(j, S)] = cell.id
-            cells.append(cell)
+    n, r = Q.X.n, Q.n_vertices
+    faces = [tuple(i for i in range(n) if bits >> i & 1)
+             for bits in range(1 << n)]
+    vertex_of_char = {group.character(c.representative): j
+                      for j, c in enumerate(Q.collection.classes)}
+    shift = {S: Q.translations[vertex_of_char[group.character(
+        tuple(int(i in S) for i in range(n)))]][0] for S in faces}
+    cells = [Cell(id=j * len(faces) + k, dim=len(S), head=shift[S][j], tail=j,
+                  divisor=tuple(int(i in S) for i in range(n)),
+                  payload=("cube", j, S))
+             for j in range(r) for k, S in enumerate(faces)]
+    ids = {c.payload[1:]: c.id for c in cells}
+    zero = (0,) * n
     incidences = []
     explicit = {}
-    for j in range(len(collection)):
-        for bits in range(1 << n):
-            S = tuple(i for i in range(n) if bits >> i & 1)
-            parent = ids[(j, S)]
+    for j in range(r):
+        for S in faces:
+            parent = ids[j, S]
             for nu, i in enumerate(S, start=1):
                 rest = tuple(k for k in S if k != i)
                 e_i = tuple(1 if k == i else 0 for k in range(n))
-                zero = (0,) * n
-                tail_facet = FacetIncidence(parent=parent, facet=ids[(j, rest)],
+                tail_facet = FacetIncidence(parent=parent, facet=ids[j, rest],
                                             left=e_i, right=zero)
-                head_facet = FacetIncidence(parent=parent,
-                                            facet=ids[(shift(j, (i,)), rest)],
-                                            left=zero, right=e_i)
-                incidences.append(tail_facet)
-                incidences.append(head_facet)
+                head_facet = FacetIncidence(
+                    parent=parent, facet=ids[shift[i,][j], rest],
+                    left=zero, right=e_i)
+                incidences += (tail_facet, head_facet)
                 explicit[tail_facet] = (-1) ** nu
                 explicit[head_facet] = (-1) ** (nu + 1)
     complex_ = ToricCellComplex(Q, n, cells, incidences)
     complex_.explicit_signs = MappingProxyType(explicit)
-    reps = [c.representative for c in collection.classes]
     # no two incidences coincide, and each vertex j lists the same m of
     # them, those of its faces (j, S), in the same order; a translation
     # commutes with shift, so it sends the r-th incidence of vertex j to
     # the r-th of vertex sigma(j)
-    m = len(incidences) // len(reps)
-    # vertex 0 has the trivial character: identity first
-    sigmas = [tuple(vertex_of_char[group.character(vadd(v, g))] for v in reps)
-              for g in reps]
+    m = len(incidences) // r
     complex_.translations = tuple((sigma, tuple(
         sigma[i // m] * m + i % m for i in range(len(incidences))))
-        for sigma in sigmas)
+        for sigma, _ in Q.translations)
     # the 1-skeleton must be the quiver itself
     one_cells = {(c.tail, c.head, c.divisor) for c in complex_.by_dim[1]}
     arrows = {(a.tail, a.head, a.label) for a in Q.arrows}

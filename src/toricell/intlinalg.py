@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import heapq
 from math import gcd
-from operator import add, le, sub
+from operator import add, le, mul, sub
 from typing import NamedTuple
 
 from .errors import InternalError
@@ -38,7 +38,7 @@ def vscale(s, v):
 
 
 def dot(v, w):
-    return sum(a * b for a, b in zip(v, w))
+    return sum(map(mul, v, w))
 
 
 def is_zero(v):

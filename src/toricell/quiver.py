@@ -12,11 +12,12 @@ limit.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from functools import lru_cache
 from typing import NamedTuple
 
-from .errors import InputError
+from .errors import InputError, InternalError
 from .intlinalg import is_zero, leq, vadd, vsub
 from .variety import mckay_toric_data
 
@@ -49,6 +50,10 @@ class QuiverOfSections:
 
     Labels are nonzero vectors of one length; loops are allowed.
     `build_quiver` computes the arrow data of a collection.
+
+    ``translations``: a group of (vertex map, arrow map) tuple pairs,
+    identity first, each sending an arrow (t, h, label) to one (sigma(t),
+    sigma(h), label); the identity alone unless `build_quiver` found more.
     """
 
     def __init__(self, n_vertices, arrows, X=None, collection=None):
@@ -72,6 +77,8 @@ class QuiverOfSections:
             out[a.tail].append(a)
         self.out = tuple(map(tuple, out))
         self.ones = (1,) * self.d
+        self.translations = ((tuple(range(n_vertices)),
+                              tuple(range(len(self.arrows)))),)
         self._reach_memo = {}
         self._lifts = None
 
@@ -166,7 +173,9 @@ class QuiverOfSections:
     # -- structural checks --------------------------------------------------
 
     def is_strongly_connected(self):
-        for start in range(self.n_vertices):
+        """One search per orbit of the translations suffices: sigma maps
+        the vertices reached from u onto those reached from sigma(u)."""
+        for start in orbit_representatives(self.translations):
             seen = {start}
             todo = deque([start])
             while todo:
@@ -221,6 +230,12 @@ class QuiverOfSections:
         return "\n".join(lines) + "\n"
 
 
+def orbit_representatives(translations):
+    """The least vertex of each orbit of a group of translations."""
+    (identity, _), *rest = translations
+    return [v for v in identity if all(s[v] >= v for s, _ in rest)]
+
+
 def build_quiver(X, collection, arrow_order=None):
     """Quiver of sections of a collection on a Gorenstein toric variety.
 
@@ -254,16 +269,26 @@ def build_quiver(X, collection, arrow_order=None):
     set is closed upward).  Those are the minimal candidates: one above
     another candidate lies above a minimal one, which the walk found by
     induction on the degree, and a minimal one lies above no candidate.
+
+    Translations.  When the collection is all of a finite Cl (a McKay
+    collection), translations[g] is sigma_g: j -> the vertex of class c_j
+    + c_g.  Class keys are additive, so these form a group, identity
+    first.  The classes c_j - c_i, j != i, are Cl - {0} at every i, so the
+    candidates are the same points at every tail, s going from i to the
+    vertex of class c_i + [s]: sigma_g maps arrows onto arrows of the same
+    label.  The arrow maps are looked up under any arrow_order, and a
+    missing image raises InternalError.
     """
     ctx, cl = X.fiber_context, X.cl
     reps = [c.representative for c in collection.classes]
     # class keys are additive modulo cl.moduli (CokernelForm.coordinates)
     keys = [cl.coordinates(r) for r in reps]
-    arrows = []
+    arrows, heads_of = [], []
     for i, (rep_i, key_i) in enumerate(zip(reps, keys)):
         heads = {tuple((a - b) % m if m else a - b
                        for a, b, m in zip(key_j, key_i, cl.moduli)): j
                  for j, key_j in enumerate(keys) if j != i}
+        heads_of.append(heads)
         cap = ctx.z
         if 0 in cl.moduli:
             boxes = [ctx.box(vsub(rep, rep_i)) for rep in reps if rep != rep_i]
@@ -282,6 +307,17 @@ def build_quiver(X, collection, arrow_order=None):
                 f"computed {sorted(have)}")
         arrows = want
     Q = QuiverOfSections(len(collection), arrows, X=X, collection=collection)
+    if 0 not in cl.moduli and len(keys) == math.prod(cl.moduli):
+        # heads_of[i][key of c_g] is the vertex of class c_i + c_g, g != 0
+        sigmas = [tuple([h.get(key, i) for i, h in enumerate(heads_of)])
+                  for key in keys]
+        arrow = {a[1:]: a.idx for a in Q.arrows}
+        try:
+            Q.translations = tuple(
+                (s, tuple([arrow[s[t], s[h], lab] for _, t, h, lab in Q.arrows]))
+                for s in sigmas)
+        except KeyError as miss:
+            raise InternalError(f"translation misses arrow {miss}") from None
     if not Q.is_strongly_connected():
         raise InputError("quiver of sections is not strongly connected")
     return Q

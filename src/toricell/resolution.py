@@ -17,16 +17,19 @@ from typing import NamedTuple
 from .complexes import mckay_complex
 from .errors import ConstructionError, InputError, InternalError
 from .intlinalg import Packing, is_zero, leq, sparse_rank
+from .quiver import orbit_representatives
 
 
 class CellularResolution:
-    """A toric cell complex with a fixed incidence sign assignment."""
+    """A toric cell complex with a fixed incidence sign assignment and
+    its `ToricCellComplex.sign_failures`, found once."""
 
     def __init__(self, complex_, signs):
         self.complex = complex_
         self.Q = complex_.Q
         self.n = complex_.n
         self.signs = signs
+        self.sign_failures = tuple(complex_.sign_failures(signs))
 
 
 def build_resolution(complex_, signs=None):
@@ -35,15 +38,16 @@ def build_resolution(complex_, signs=None):
         if not sol.feasible:
             raise ConstructionError(
                 f"no incidence function exists: {sol.certificate}")
-        signs = sol.signs
-    else:
-        complex_.verify_signs(signs)
-    return CellularResolution(complex_, signs)
+        return CellularResolution(complex_, sol.signs)
+    res = CellularResolution(complex_, signs)
+    verify_square_zero(res)
+    return res
 
 
 def verify_square_zero(res):
-    """d.d = 0 at the symbolic level (`ToricCellComplex.sign_failures`)."""
-    res.complex.verify_signs(res.signs)
+    """d.d = 0 at the symbolic level: raise on the first sign failure."""
+    if res.sign_failures:
+        raise ConstructionError(res.sign_failures[0][1])
     return True
 
 
@@ -93,25 +97,35 @@ def _packed_facets(res, pk, one_sided=False):
 def _class_table(Q, pk):
     """{(u, v): classes}: the packed divisor classes d <= pk.bound, in
     increasing order, that a path from u to v carries, from one sweep
-    over the box in increasing packed order: reach[x][u] is the bitmask of
-    the heads of paths from u of class x, the OR of reach[x - label][head]
-    over the arrows out of u with label <= x.  Arrows with a label above
-    the bound are dropped first, so no packed label overflows a field."""
-    out = [[(pk.pack(a.label), a.head) for a in arrows
-            if leq(a.label, pk.bound)] for arrows in Q.out]
+    over the box in increasing packed order: reach[x][v] is the bitmask of
+    the tails, one per orbit of Q's translations, of paths to v of class
+    x, the OR of reach[x - label][tail] over the arrows into v with label
+    <= x.  Arrows with a label above the bound are dropped first, so no
+    packed label overflows a field.  A translation sigma maps the paths
+    from u to v onto those from sigma(u) to sigma(v), classes kept."""
+    arcs = {}
+    for a in Q.arrows:
+        if leq(a.label, pk.bound):
+            arcs.setdefault(pk.pack(a.label), []).append((a.tail, a.head))
+    reps = set(orbit_representatives(Q.translations))
+    start = [1 << v if v in reps else 0 for v in range(Q.n_vertices)]
     box = itertools.product(*[range(b + 1) for b in pk.bound])
-    reach, table = {}, {}
+    reach, table = {0: start}, {}
     for x in map(pk.pack, box):
-        reach[x] = row = []
-        for u, arcs in enumerate(out):
-            m = 0 if x else 1 << u
-            for label, head in arcs:
+        if x:
+            reach[x] = row = [0] * Q.n_vertices
+            for label, ends in arcs.items():
                 if pk.leq(label, x):
-                    m |= reach[x - label][head]
-            row.append(m)
-            for v in range(m.bit_length()):
-                if m >> v & 1:
+                    before = reach[x - label]
+                    for tail, head in ends:
+                        row[head] |= before[tail]
+        for v, m in enumerate(reach[x]):
+            for u in range(m.bit_length()):
+                if m >> u & 1:
                     table.setdefault((u, v), []).append(x)
+    for (u, v), classes in list(table.items()):
+        for sigma, _ in Q.translations[1:]:
+            table[sigma[u], sigma[v]] = classes
     return table
 
 
@@ -449,7 +463,7 @@ def verify_exactness(res, bound, check_products=False):
             f"exactness at bound {bound} asks for up to {elements} basis "
             f"elements, more than the limit of {MAX_TRIPLES}")
     products = {}
-    for cid, _why in res.complex.sign_failures(res.signs):
+    for cid, _why in res.sign_failures:
         c = res.complex.cells[cid]
         if leq(c.divisor, bound):
             products.setdefault((c.head, c.tail, c.divisor), set()).add(c.dim)

@@ -15,6 +15,7 @@ from typing import NamedTuple
 
 from .errors import InputError
 from .intlinalg import Packing, leq, vscale
+from .quiver import orbit_representatives
 
 
 def cyclic_canonical(cycle):
@@ -36,11 +37,15 @@ class Superpotential:
     derivative of W by q, the paths from head(q) to tail(q) with divisor
     (1..1) - div(q), and every path q with divisor <= (1..1) whose
     derivative is nonempty is a key.
+
+    ``translations``: those of the quiver known to keep the terms; all
+    when `superpotential` built W, else the identity alone.
     """
 
     def __init__(self, quiver, terms):
         self.quiver = quiver
         self.terms = terms  # cyclic-canonical arrow-id tuples
+        self.translations = quiver.translations[:1]
         self.derivatives = {}
         for term in terms:
             for k in range(len(term)):
@@ -55,12 +60,20 @@ class Superpotential:
 
 
 def superpotential(Q):
-    """W = sum of the anticanonical cycles of Q, up to cyclic rotation."""
+    """W = sum of the anticanonical cycles of Q, up to cyclic rotation.
+
+    The cycles from one vertex u per orbit of Q's translations are moved
+    by each: sigma keeps labels, so it maps the anticanonical cycles from
+    u onto those from sigma(u), and the translations form a group.
+    """
     seen = set()
-    for i in range(Q.n_vertices):
+    for i in orbit_representatives(Q.translations):
         for cyc in Q.enumerate_paths(i, i, Q.ones):
-            seen.add(cyclic_canonical(cyc))
-    return Superpotential(quiver=Q, terms=sorted(seen))
+            for _, moved in Q.translations:
+                seen.add(cyclic_canonical(tuple(moved[a] for a in cyc)))
+    W = Superpotential(quiver=Q, terms=sorted(seen))
+    W.translations = Q.translations
+    return W
 
 
 class FRelation(NamedTuple):
@@ -232,6 +245,12 @@ def consistency(Q, W, bound=2):
     consistent), not with the number of paths.  A bound at which vertex
     pairs times divisors in the box pass MAX_CLASSES is refused before
     any work.
+
+    One tail per orbit of W's translations is swept: sigma keeps labels
+    and relations, so it maps the classes of the bucket (u, head, div)
+    onto those of (sigma(u), sigma(head), div).  Witnesses are least
+    paths in arrow-id order, which sigma need not keep, so once one
+    appears every tail is swept.
     """
     if bound < 0:
         raise InputError(f"consistency bound must be nonnegative, got {bound}")
@@ -245,12 +264,17 @@ def consistency(Q, W, bound=2):
     rels = relations(Q, W)
     rules = [r.pair for r in rels]
     pk = Packing(vscale(bound, Q.ones), 0)
-    witnesses = []
-    for i in range(Q.n_vertices):
+
+    def sweep(i):
         classes = _path_classes(Q, rules, i, pk).items()
-        witnesses += [(i, head, pk.unpack(div), *sorted(paths)[:2])
-                      for (head, div), paths in sorted(classes)
-                      if len(paths) > 1]
+        return [(i, head, pk.unpack(div), *sorted(paths)[:2])
+                for (head, div), paths in sorted(classes) if len(paths) > 1]
+
+    found = {i: sweep(i) for i in orbit_representatives(W.translations)}
+    if any(found.values()):
+        found.update((i, sweep(i)) for i in range(Q.n_vertices)
+                     if i not in found)
+    witnesses = [w for i in sorted(found) for w in found[i]]
     consistent = not quick and not uncovered and not witnesses
     return ConsistencyReport(consistent=consistent, bound=bound,
                              quick_reject_arrows=quick, witnesses=witnesses,

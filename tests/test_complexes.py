@@ -16,7 +16,7 @@ from toricell.errors import ConstructionError, InputError
 from toricell.inputs import parse_document
 from toricell.intlinalg import mat_mul, smith_normal_form, vadd
 from toricell.quiver import QuiverOfSections, mckay_quiver
-from toricell.resolution import mckay_sign_crosscheck
+from toricell.resolution import CellularResolution, mckay_sign_crosscheck
 from toricell.superpotential import relations, superpotential
 from toricell.variety import AbelianGroupData
 
@@ -324,13 +324,26 @@ def test_memos_stay_within_their_size():
 
 
 def shared_parts_are_read_only(C):
-    """The translations, the duality, the two-step route groups and their
-    routes of a complex, and the arrows, out-lists and lifts of its
-    quiver, cannot be changed in place."""
+    """The cells, incidences, cells by dimension, translations, duality,
+    two-step route groups and their routes of a complex, the arrows,
+    out-lists, lifts and translations of its quiver, and the sign
+    failures of a resolution on it, cannot be changed in place."""
     Q = C.Q
     key, routes = next(iter(C.composite_groups().items()))
+    res = CellularResolution(C, {i: 1 for i in C.incidences})
+    assert res.sign_failures
     for container, index, value in [
+            (C.cells, 0, C.cells[0]),
+            (C.incidences, 0, C.incidences[0]),
+            (C.by_dim, 0, ()),
+            (C.by_dim[0], 0, C.cells[0]),
             (C.translations, 0, C.translations[0]),
+            (C.translations[0], 0, ()),
+            (Q.translations, 0, Q.translations[0]),
+            (Q.translations[0], 0, ()),
+            (Q.translations[0][0], 0, 1),
+            (Q.translations[0][1], 0, 1),
+            (res.sign_failures, 0, None),
             (C.tau(), 0, 5),
             (C.composite_groups(), key, ()),
             (routes, 0, routes[0]),
@@ -343,14 +356,22 @@ def shared_parts_are_read_only(C):
 
 
 def test_shared_complex_is_read_only(mckay_z6_group):
-    """The closed-form signs, the translations, the duality and the route
-    groups of a complex, and the arrows and lifts of its quiver, cannot be
-    changed in place; a caller edits a copy."""
+    """The closed-form signs, the cells, incidences, translations, duality
+    and route groups of a complex, the arrows, lifts and translations of
+    its quiver, and a resolution's sign failures, cannot be changed in
+    place; a caller edits a copy.  Neither can an incidence be popped or
+    a dimension cleared, which once changed the next caller's complex."""
     C = mckay_complex(mckay_z6_group)
     inc = C.incidences[0]
     with pytest.raises(TypeError):
         C.explicit_signs[inc] = -C.explicit_signs[inc]
+    with pytest.raises(AttributeError):
+        C.incidences.pop()
+    with pytest.raises(AttributeError):
+        C.by_dim[3].clear()
     shared_parts_are_read_only(C)
+    assert mckay_complex(mckay_z6_group) is C
+    assert len(C.incidences) == 144 and C.counts() == (6, 18, 18, 6)
     signs = dict(C.explicit_signs)
     signs[inc] = -signs[inc]
     assert mckay_complex(mckay_z6_group).explicit_signs[inc] == -signs[inc]
