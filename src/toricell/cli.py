@@ -146,8 +146,7 @@ def _complex(doc, args):
 def _resolution(doc, args):
     bound = _bound(doc, args, 1) if args.verify_exactness else None
     C = _build_complex(doc)
-    signs = getattr(C, "explicit_signs", None)
-    res = build_resolution(C, signs=signs)
+    res = build_resolution(C, signs=C.explicit_signs)
     verify_square_zero(res)
     minimal = verify_minimality(res)
     payload = {

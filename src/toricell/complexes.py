@@ -55,7 +55,9 @@ class FacetIncidence(NamedTuple):
 
 class ToricCellComplex:
     """Cells, deduplicated facet incidences and cells by dimension, all
-    read-only: a complex may be shared (`mckay_complex`)."""
+    read-only: a complex may be shared (`mckay_complex`).  explicit_signs
+    are closed-form signs that Q's translations keep, acting on cells by
+    (j, S) -> (sigma(j), S), or None (all but `mckay_complex`)."""
 
     def __init__(self, Q, n, cells, incidences):
         self.Q = Q
@@ -68,10 +70,7 @@ class ToricCellComplex:
         for inc in self.incidences:
             self._validate(inc)
             self._facets_of[inc.parent].append(inc)
-        # (vertex map, incidence map by position) of each known symmetry,
-        # identity first; mckay_complex adds its quiver's translations
-        self.translations = ((tuple(range(Q.n_vertices)),
-                              range(len(self.incidences))),)
+        self.explicit_signs = None
         self._tau = None
         self._composites = None
 
@@ -264,11 +263,13 @@ def mckay_complex(group, Q=None):
     Cells are pairs (vertex, S) for S a subset of the coordinate directions;
     the facet dropping the nu-th direction of S shares the tail (left class
     an arrow, sign (-1)^nu) or the head (right class an arrow, sign
-    (-1)^(nu+1)).  The closed-form signs are recorded alongside, read-only,
-    and Q's translations (`quiver.build_quiver`): (j, S) ends at sigma(j)
-    for the sigma adding the class of e_S, and sigma sends (j, S) to
-    (sigma(j), S).  Q is the group's quiver of sections; without it, the
-    group's `quiver.mckay_quiver` is used and the complex is shared too.
+    (-1)^(nu+1)).  The closed-form signs are recorded alongside, read-only.
+    With Q's translations (`quiver.build_quiver`), (j, S) ends at sigma(j)
+    for the sigma adding the class of e_S.  Translations commute, so each
+    sigma sends (j, S) to (sigma(j), S) and every incidence to one with
+    the same classes and closed-form sign, which depends on S and nu
+    alone.  Q is the group's quiver of sections; without it, the group's
+    `quiver.mckay_quiver` is used and the complex is shared too.
     """
     if Q is None:
         return _mckay_complex(group)
@@ -303,14 +304,6 @@ def mckay_complex(group, Q=None):
                 explicit[head_facet] = (-1) ** (nu + 1)
     complex_ = ToricCellComplex(Q, n, cells, incidences)
     complex_.explicit_signs = MappingProxyType(explicit)
-    # no two incidences coincide, and each vertex j lists the same m of
-    # them, those of its faces (j, S), in the same order; a translation
-    # commutes with shift, so it sends the r-th incidence of vertex j to
-    # the r-th of vertex sigma(j)
-    m = len(incidences) // r
-    complex_.translations = tuple((sigma, tuple(
-        sigma[i // m] * m + i % m for i in range(len(incidences))))
-        for sigma, _ in Q.translations)
     # the 1-skeleton must be the quiver itself
     one_cells = {(c.tail, c.head, c.divisor) for c in complex_.by_dim[1]}
     arrows = {(a.tail, a.head, a.label) for a in Q.arrows}

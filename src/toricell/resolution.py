@@ -327,48 +327,35 @@ def _gauge(complex_, a, b):
     b to a that is +1 on the 0-cells must take these values, so it exists
     iff there are no conflicts.  A cell with no facet keeps +1, which can
     only add conflicts."""
-    incs = complex_.incidences
-    delta, bad = _coboundary(complex_, _first_facets(complex_),
-                             [a[i] * b[i] for i in incs])
-    return delta, [incs[j] for j in bad]
-
-
-def _first_facets(complex_):
-    """(cell, position of its first facet incidence) for each cell with a
-    facet, by increasing dimension: the order in which `_gauge` fixes
-    delta."""
+    cells, incs = complex_.cells, complex_.incidences
     first = {}
-    for j, i in enumerate(complex_.incidences):
-        first.setdefault(i.parent, j)
-    return sorted(first.items(), key=lambda cj: complex_.cells[cj[0]].dim)
-
-
-def _coboundary(complex_, first, ratio):
-    """`_gauge` for ratio = a b as a list in the order of
-    complex_.incidences, with conflicts as positions in it; first is
-    `_first_facets` of the complex."""
-    incs = complex_.incidences
-    delta = [1] * len(complex_.cells)
-    for c, j in first:
-        delta[c] = ratio[j] * delta[incs[j].facet]
-    return delta, [j for j, i in enumerate(incs)
-                   if ratio[j] != delta[i.parent] * delta[i.facet]]
+    for i in incs:
+        first.setdefault(i.parent, i)
+    delta = [1] * len(cells)
+    for i in sorted(first.values(), key=lambda i: cells[i.parent].dim):
+        delta[i.parent] = a[i] * b[i] * delta[i.facet]
+    return delta, [i for i in incs
+                   if a[i] != delta[i.parent] * delta[i.facet] * b[i]]
 
 
 def _automorphisms(res):
-    """The vertex maps of the complex's translations, identity first, that
-    carry the signs to a gauge transform of themselves: sigma with
-    signs . sigma = delta(parent) delta(facet) signs for a delta that is
-    +1 on the 0-cells (`_gauge`), read on the signs listed by position
-    through each translation's incidence map."""
-    C = res.complex
-    signs = [res.signs[i] for i in C.incidences]
-    first = _first_facets(C)
-    (identity, _), *rest = C.translations
-    return [identity] + [
-        vertices for vertices, moved in rest
-        if not _coboundary(C, first,
-                           [signs[j] * x for j, x in zip(moved, signs)])[1]]
+    """The vertex maps of Q's translations, identity first, if the signs
+    are a gauge transform delta(parent) delta(facet) E of the complex's
+    closed-form signs E, delta +1 on the 0-cells (`_gauge`); else, as for
+    a complex without E, the identity alone.
+
+    Each translation sigma acts on the cells by (j, S) -> (sigma(j), S)
+    and keeps E (`ToricCellComplex.explicit_signs`), so, as delta^2 = 1,
+    signs . sigma = (delta . sigma)(parent) (delta . sigma)(facet) E
+    = delta'(parent) delta'(facet) signs with delta' = (delta . sigma)
+    delta.  sigma maps 0-cells to 0-cells, so delta' is +1 on them: each
+    translation carries the signs to a gauge transform of themselves that
+    is +1 on the 0-cells, as `verify_exactness` needs.  One gauge check
+    certifies them all."""
+    E = res.complex.explicit_signs
+    if E is None or _gauge(res.complex, res.signs, E)[1]:
+        return [tuple(range(res.Q.n_vertices))]
+    return [sigma for sigma, _ in res.Q.translations]
 
 
 def _one_sided_failures(res, pk, table, orbits):
@@ -428,15 +415,17 @@ def verify_exactness(res, bound, check_products=False):
     C (x)_A A_0 is, and for each s the least failing divisors of the two
     are the same.
 
-    Pieces are computed for one pair per orbit of the automorphisms of
-    the resolution (`_automorphisms`), and their failures are copied to
-    the other pairs of the orbit.  This is exact: a translation sigma of a
-    quotient's hypercube complex maps the labelled arrows onto themselves,
-    so the class table is invariant, and each cell eta and its facet
-    incidences onto sigma(eta), head and tail moved, with equal divisor
-    and classes.  So the basis (eta, dL) at (s, t, d) matches the
-    (sigma(eta), dL) at (sigma(s), sigma(t), d), whose differentials
-    carry the signs . sigma = delta(parent) delta(facet) signs.  Scaling
+    Pieces are computed for one pair per orbit of the translations that
+    `_automorphisms` keeps, all of Q's if the signs are a gauge transform
+    of the closed-form ones and the identity alone otherwise, and their
+    failures are copied to the other pairs of the orbit.  This is exact:
+    a translation sigma maps the labelled arrows onto themselves, so the
+    class table is invariant, and each cell (j, S) of a quotient's
+    hypercube complex and its facet incidences onto (sigma(j), S), head
+    and tail moved, with equal divisor and classes.  So the basis
+    (eta, dL) at (s, t, d) matches the (sigma(eta), dL) at (sigma(s),
+    sigma(t), d), whose differentials carry the signs . sigma =
+    delta(parent) delta(facet) signs, delta +1 on the 0-cells.  Scaling
     each basis element by delta(eta) maps one piece onto the other, and
     commutes with the augmentation, which sends every 0-cell to +1,
     because delta is +1 on the 0-cells.  The two pieces have the same
@@ -503,13 +492,11 @@ def mckay_sign_crosscheck(group):
 
 def _crosscheck(complex_):
     """`mckay_sign_crosscheck` on a hypercube complex already built."""
-    explicit = complex_.explicit_signs
     sol = complex_.solve_incidence()
     if not sol.feasible:
         raise InternalError("solver found no incidence function")
-    delta, conflicts = _gauge(complex_, sol.signs, explicit)
+    delta, conflicts = _gauge(complex_, sol.signs, complex_.explicit_signs)
     if conflicts:
         raise ConstructionError(
-            f"solver and closed-form signs differ by no gauge: "
-            f"{conflicts}")
+            f"solver and closed-form signs differ by no gauge: {conflicts}")
     return delta

@@ -514,11 +514,12 @@ FIXTURE_SYMMETRY = {
 @pytest.mark.parametrize("name", sorted(FIXTURE_SYMMETRY))
 def test_automorphisms_of_fixtures(name, request):
     """|G| translations on a quotient by G, only the identity on the
-    superpotential fixtures."""
+    superpotential fixtures, whose complexes have no closed-form signs."""
     res = fixture_resolution(name, request)
     auts = _automorphisms(res)
     n = res.Q.n_vertices
     assert len(auts) == FIXTURE_SYMMETRY[name]
+    assert (res.complex.explicit_signs is None) == (name not in QUOTIENTS)
     assert auts[0] == tuple(range(n))
     assert len(set(auts)) == len(auts)
     assert all(sorted(g) == list(range(n)) for g in auts)
@@ -579,23 +580,45 @@ def test_gauge_recovers_delta(mckay_z6_complex, seed):
 
 @pytest.mark.parametrize("seed", range(5))
 def test_gauged_invariant_flip(mckay_z6_complex, seed):
-    """The invariant flip under a random delta: +1 on the 0-cells, it
-    keeps the 6 translations; free on the 0-cells, where the augmentation
-    sees it, a translation sigma is kept only if delta(sigma(v)) delta(v)
-    is the same at every vertex v.  Either way the report is the
-    oracle's."""
+    """The invariant flip under a random delta, +1 on the 0-cells or free
+    there, is no gauge transform of the closed-form signs, so it keeps
+    the identity alone, and the report is the oracle's."""
     C = mckay_z6_complex
     flip = invariant_flip(C)
     for fix_vertices in (True, False):
-        delta = random_delta(C, seed, fix_vertices)
-        res = gauged(flip, delta)
-        at = [delta[c.id] for c in C.by_dim[0]]
-        kept = [g for g, _ in C.translations
-                if len({at[g[v]] * at[v] for v in range(6)}) == 1]
-        assert _automorphisms(res) == kept
-        assert len(kept) == 6 or not fix_vertices
+        res = gauged(flip, random_delta(C, seed, fix_vertices))
+        assert _automorphisms(res) == [tuple(range(6))]
         rep = verify_exactness(res, 1)
         assert not rep.exact and rep == oracle_exactness(res, 1)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("name", QUOTIENTS)
+def test_gauged_signs_keep_every_translation(name, seed, request):
+    """The closed-form and the solver's signs under a random delta that
+    is +1 on the 0-cells keep all |G| translations of the quiver, and the
+    report is the oracle's.  Free on the 0-cells, delta keeps them iff it
+    is constant there: the complex is connected, so another gauge to the
+    same signs is delta or -delta."""
+    for res in (fixture_resolution(name, request), solver_resolution(name)):
+        C, every = res.complex, [g for g, _ in res.Q.translations]
+        assert len(every) == FIXTURE_SYMMETRY[name]
+        moved = gauged(res, random_delta(C, seed, True))
+        assert _automorphisms(moved) == every
+        assert verify_exactness(moved, 1) == oracle_exactness(moved, 1)
+        delta = random_delta(C, seed, False)
+        constant = len({delta[c.id] for c in C.by_dim[0]}) == 1
+        assert (_automorphisms(gauged(res, delta))
+                == (every if constant else [tuple(range(len(every)))]))
+
+
+def test_sign_controls_keep_the_identity_alone(mckay_z6_complex):
+    """The augmentation flip, the closed-form signs under a gauge that is
+    -1 at vertex 0 alone, and a complex without closed-form signs keep
+    the identity alone, as the single and invariant flips do."""
+    for res in (augmentation_flip(mckay_z6_complex),
+                missing_top_cell(mckay_z6_complex)):
+        assert _automorphisms(res) == [tuple(range(6))]
 
 
 @pytest.mark.parametrize("name", QUOTIENTS)
@@ -667,10 +690,13 @@ def test_single_flip_breaks_symmetry(mckay_z6_complex):
 
 def test_invariant_flip_copies_failures_to_orbit(mckay_z6_complex):
     """The invariant flip commutes with the translations, and so do the
-    cells whose routes do not cancel: the failures at each pair are those
-    at every pair of its orbit, and the oracle finds them too."""
+    cells whose routes do not cancel.  It is no gauge transform of the
+    closed-form signs, so every pair is computed, and the failures at
+    each pair are those at every pair of its orbit; the oracle finds them
+    too."""
     res = invariant_flip(mckay_z6_complex)
-    auts = _automorphisms(res)
+    assert _automorphisms(res) == [tuple(range(6))]
+    auts = [g for g, _ in res.Q.translations]
     assert len(auts) == 6
     rep = verify_exactness(res, 2)
     assert rep == oracle_exactness(res, 2)
@@ -1100,19 +1126,10 @@ def test_one_sided_verdict_is_the_sweeps(name, request, mckay_z6_complex):
 @pytest.mark.parametrize("n", sorted(SMALL_GROUPS))
 def test_one_sided_verdict_on_small_quotients(n, monkeypatch):
     """On the 80 small quotients, at bounds 0-2, the one-sided pieces
-    decide alone: every verdict is exact and no bimodule basis is built.
-    Each translation's incidence map sends every incidence to its image
-    under the cell map (j, S) -> (sigma(j), S)."""
+    decide alone: every verdict is exact and no bimodule basis is built."""
     bimodule = []
     spy(monkeypatch, "_pair_bases", bimodule)
     for G, C in zip(SMALL_GROUPS[n], small_complexes(n)):
-        m = 1 << C.n
-        for sigma, moved in C.translations:
-            def cell(i):
-                return sigma[i // m] * m + i % m
-            assert [C.incidences[j] for j in moved] == [
-                FacetIncidence(cell(i.parent), cell(i.facet), i.left, i.right)
-                for i in C.incidences], G
         res = build_resolution(C, signs=C.explicit_signs)
         for bound in range(3):
             assert verify_exactness(res, bound).exact, G
@@ -1178,24 +1195,15 @@ def test_one_sided_piece_at_a_vertex_without_its_cell():
 
 def without_top_cells(C):
     """The closed-form resolution of a hypercube complex without the top
-    cell of any vertex, cells renumbered, with the translations of C and
-    their incidence maps recomputed: d.d = 0 and it is not exact."""
+    cell of any vertex, cells renumbered, its signs recorded as the
+    complex's closed-form ones, which the translations still keep: d.d = 0
+    and it is not exact."""
     keep = {c.id: i for i, c in enumerate(c for c in C.cells if c.dim < C.n)}
     cells = [c._replace(id=keep[c.id]) for c in C.cells if c.id in keep]
     signs = {i._replace(parent=keep[i.parent], facet=keep[i.facet]): sign
              for i, sign in C.explicit_signs.items() if i.parent in keep}
     D = ToricCellComplex(C.Q, C.n, cells, list(signs))
-    ids = {c.payload[1:]: c.id for c in cells}  # (j, S) -> cell id
-    at = {i: j for j, i in enumerate(D.incidences)}
-
-    def moved(sigma, i):
-        def move(c):
-            _cube, j, S = cells[c].payload
-            return ids[sigma[j], S]
-        return at[i._replace(parent=move(i.parent), facet=move(i.facet))]
-
-    D.translations = [(sigma, [moved(sigma, i) for i in D.incidences])
-                      for sigma, _ in C.translations]
+    D.explicit_signs = signs
     return CellularResolution(D, signs)
 
 

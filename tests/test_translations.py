@@ -14,9 +14,11 @@ from toricell.inputs import parse_document
 from toricell.quiver import QuiverOfSections, build_quiver, mckay_quiver
 from toricell.resolution import (
     CellularResolution,
+    _automorphisms,
     _class_table,
     _packing,
     build_resolution,
+    mckay_sign_crosscheck,
     verify_exactness,
 )
 from toricell.superpotential import (
@@ -32,6 +34,7 @@ from test_quiver import SMALL_GROUPS
 from test_resolution import small_complexes
 
 Z64 = AbelianGroupData.cyclic(64, (1, 1, 1, 61))
+Z63 = AbelianGroupData.cyclic(63, (1, 2, 60))
 Z6 = {"kind": "cyclic_quotient", "order": 6, "weights": [1, 2, 3]}
 
 
@@ -64,10 +67,12 @@ def check_translations(Q):
 
 
 def check_layers(C, bound, full_exactness=True):
-    """W, consistency, the class table and the exactness report of C's
-    quiver equal those of its identity copy.  With full_exactness the
-    copy's complex has the identity alone too; else it keeps C's
-    translations, so only the quiver's differ."""
+    """W, consistency and the class table of C's quiver equal those of
+    its identity copy.  With full_exactness so does the exactness report
+    of C's cells on the copy, which has the identity alone and no
+    closed-form signs, so every vertex pair is computed.  Else the report
+    is that of C's cells rebuilt on C's quiver with C's closed-form
+    signs, which keep the translations through the gauge check."""
     Q = C.Q
     P = identity_copy(Q)
     W, V = superpotential(Q), superpotential(P)
@@ -75,9 +80,10 @@ def check_layers(C, bound, full_exactness=True):
     assert consistency(Q, W, bound) == consistency(P, V, bound)
     pk = _packing(C, (bound,) * Q.d)
     assert _class_table(Q, pk) == _class_table(P, pk)
-    D = ToricCellComplex(P, C.n, C.cells, C.incidences)
+    D = ToricCellComplex(P if full_exactness else Q, C.n, C.cells,
+                         C.incidences)
     if not full_exactness:
-        D.translations = C.translations
+        D.explicit_signs = C.explicit_signs
     assert (verify_exactness(build_resolution(C, C.explicit_signs), bound)
             == verify_exactness(CellularResolution(D, C.explicit_signs),
                                 bound))
@@ -97,6 +103,47 @@ def test_translations_on_quotients():
     C = mckay_complex(Z64)
     check_translations(C.Q)
     check_layers(C, 2, full_exactness=False)
+
+
+def invariance_violations(C):
+    """Brute force: the incidences i and translations sigma for which
+    the cell map (j, S) -> (sigma(j), S) does not send i to an incidence
+    with the same closed-form sign."""
+    ids = {c.payload[1:]: c.id for c in C.cells}
+
+    def move(sigma, c):
+        _cube, j, S = C.cells[c].payload
+        return ids[sigma[j], S]
+
+    E = C.explicit_signs
+    return [(i, sigma) for sigma, _ in C.Q.translations for i in C.incidences
+            if E.get(i._replace(parent=move(sigma, i.parent),
+                                facet=move(sigma, i.facet))) != E[i]]
+
+
+def test_closed_form_signs_are_translation_invariant():
+    """On the 80 small quotients, Z/64(1,1,1,61) and Z/63(1,2,60), every
+    translation of the quiver keeps the closed-form signs, as
+    `resolution._automorphisms` assumes.  About 1 s on a 2-CPU machine."""
+    complexes = [C for n in sorted(SMALL_GROUPS) for C in small_complexes(n)]
+    for C in complexes + [mckay_complex(Z64), mckay_complex(Z63)]:
+        assert len(C.Q.translations) == C.Q.n_vertices
+        assert not invariance_violations(C)
+
+
+@pytest.mark.parametrize("group, order", [(Z64, 64), (Z63, 63)],
+                         ids=["z64", "z63"])
+def test_large_quotient_solver_signs(group, order):
+    """On the largest admitted quotients the solver's signs are the
+    closed-form ones up to a gauge that is +1 on the 0-cells, so the
+    solver's resolution keeps all |G| translations.  About 0.6 s on a
+    2-CPU machine."""
+    delta = mckay_sign_crosscheck(group)
+    C = mckay_complex(group)
+    assert all(delta[c.id] == 1 for c in C.by_dim[0])
+    auts = _automorphisms(build_resolution(C))
+    assert len(auts) == order
+    assert auts == [sigma for sigma, _ in C.Q.translations]
 
 
 @pytest.mark.parametrize("name", [
