@@ -104,12 +104,12 @@ class ToricCellComplex:
         a read-only mapping built once and shared by every caller."""
         if self._tau is not None:
             return self._tau
-        ones = self.Q.ones
-        pairing = {}
+        ones, pairing, index = self.Q.ones, {}, {}
         for c in self.cells:
-            matches = [c2 for c2 in self.by_dim[self.n - c.dim]
-                       if c2.tail == c.head and c2.head == c.tail
-                       and c2.divisor == vsub(ones, c.divisor)]
+            index.setdefault((c.dim, c.tail, c.head, c.divisor), []).append(c)
+        for c in self.cells:
+            matches = index.get(
+                (self.n - c.dim, c.head, c.tail, vsub(ones, c.divisor)), [])
             if len(matches) != 1:
                 raise ConstructionError(
                     f"{c.describe(self.Q)} has {len(matches)} dual candidates")
@@ -225,32 +225,42 @@ def solve_gf2(equations, n_vars):
     equations: list of (bitmask, rhs, meta).  Returns (assignment, None) or
     (None, metas of an inconsistent subset).
 
-    Rows are keyed by their pivot, the lowest set bit, and have no bit at
-    an earlier row's pivot: they are unitriangular on the pivot columns.
-    So clearing the lowest pivot hit first ends with the mask, rhs and
-    origin, hence the solution and certificate, of clearing in row order.
+    Rows are keyed by their pivot, the lowest set bit.  In any order of
+    elimination, a consistent system has the lowest set bits of its row
+    space as pivots, and back-substitution by descending pivot gives the
+    one solution that is 0 off them: two such differ by a kernel vector z
+    that is 0 off the pivots, and row p, which has no bit below p, gives
+    z_p = 0 from the highest pivot p down.  So the equations are
+    eliminated by descending lowest set bit, sparse rows first.  An
+    inconsistent system is eliminated again in the given order, each row
+    with the bitmask of its equations, and the first equation to reduce
+    to 0 = 1 gives the certificate.
     """
-    rows = {}  # pivot bit -> (mask, rhs, origin bitmask)
-    lows = 0
-    for k, (mask, rhs, _meta) in enumerate(equations):
-        origin = 1 << k
-        while hit := mask & lows:
-            pmask, prhs, porigin = rows[hit & -hit]
-            mask ^= pmask
-            rhs ^= prhs
-            origin ^= porigin
-        if mask == 0:
-            if rhs == 1:
-                return None, [equations[i][2] for i in range(len(equations))
-                              if origin >> i & 1]
-            continue
-        rows[mask & -mask] = (mask, rhs, origin)
-        lows |= mask & -mask
-    x = 0  # bit j is variable j
-    for low, (mask, rhs, _) in reversed(rows.items()):
-        if (rhs + (mask & x).bit_count()) % 2:
-            x |= low
-    return [x >> j & 1 for j in range(n_vars)], None
+    by_low = sorted(range(len(equations)),
+                    key=lambda k: -(equations[k][0] & -equations[k][0]))
+    for order, track in ((by_low, 0), (range(len(equations)), 1)):
+        rows, lows = {}, 0  # pivot bit -> (mask, rhs, origin bitmask)
+        for k in order:
+            mask, rhs, _meta = equations[k]
+            origin = track << k
+            while hit := mask & lows:
+                pmask, prhs, porigin = rows[hit & -hit]
+                mask ^= pmask
+                rhs ^= prhs
+                origin ^= porigin
+            if mask:
+                rows[mask & -mask] = (mask, rhs, origin)
+                lows |= mask & -mask
+            elif rhs:
+                break
+        else:
+            x = 0  # bit j is variable j
+            for low, (mask, rhs, _) in sorted(rows.items(), reverse=True):
+                if (rhs + (mask & x).bit_count()) % 2:
+                    x |= low
+            return [x >> j & 1 for j in range(n_vars)], None
+    return None, [equations[i][2] for i in range(len(equations))
+                  if origin >> i & 1]
 
 
 # ---------------------------------------------------------------------------

@@ -101,6 +101,12 @@ class Packing:
         """Componentwise x <= y."""
         return ((y | self.H) - x) & self.H == self.H
 
+    def meet(self, x, y):
+        """Componentwise min(x, y): g marks the fields where x >= y."""
+        g = ((x | self.H) - y) & self.H
+        fill = g - (g >> (self.w - 1))
+        return x & ~fill | y & fill
+
     def split(self, x):
         """(tag, vector) of x = tag << shift | vector."""
         return x >> self.shift, x & ((1 << self.shift) - 1)

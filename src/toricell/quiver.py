@@ -54,6 +54,7 @@ class QuiverOfSections:
     ``translations``: a group of (vertex map, arrow map) tuple pairs,
     identity first, each sending an arrow (t, h, label) to one (sigma(t),
     sigma(h), label); the identity alone unless `build_quiver` found more.
+    ``of_sections``: True when `build_quiver` found the arrows.
     """
 
     def __init__(self, n_vertices, arrows, X=None, collection=None):
@@ -79,6 +80,7 @@ class QuiverOfSections:
         self.ones = (1,) * self.d
         self.translations = ((tuple(range(n_vertices)),
                               tuple(range(len(self.arrows)))),)
+        self.of_sections = False
         self._reach_memo = {}
         self._lifts = None
 
@@ -307,6 +309,7 @@ def build_quiver(X, collection, arrow_order=None):
                 f"computed {sorted(have)}")
         arrows = want
     Q = QuiverOfSections(len(collection), arrows, X=X, collection=collection)
+    Q.of_sections = True
     if 0 not in cl.moduli and len(keys) == math.prod(cl.moduli):
         # heads_of[i][key of c_g] is the vertex of class c_i + c_g, g != 0
         sigmas = [tuple([h.get(key, i) for i, h in enumerate(heads_of)])

@@ -17,7 +17,6 @@ from typing import NamedTuple
 from .complexes import mckay_complex
 from .errors import ConstructionError, InputError, InternalError
 from .intlinalg import Packing, is_zero, leq, sparse_rank
-from .quiver import orbit_representatives
 
 
 class CellularResolution:
@@ -98,19 +97,15 @@ def _class_table(Q, pk):
     """{(u, v): classes}: the packed divisor classes d <= pk.bound, in
     increasing order, that a path from u to v carries, from one sweep
     over the box in increasing packed order: reach[x][v] is the bitmask of
-    the tails, one per orbit of Q's translations, of paths to v of class
-    x, the OR of reach[x - label][tail] over the arrows into v with label
-    <= x.  Arrows with a label above the bound are dropped first, so no
-    packed label overflows a field.  A translation sigma maps the paths
-    from u to v onto those from sigma(u) to sigma(v), classes kept."""
+    the tails of paths to v of class x, the OR of reach[x - label][tail]
+    over the arrows into v with label <= x.  Arrows with a label above
+    the bound are dropped first, so no packed label overflows a field."""
     arcs = {}
     for a in Q.arrows:
         if leq(a.label, pk.bound):
             arcs.setdefault(pk.pack(a.label), []).append((a.tail, a.head))
-    reps = set(orbit_representatives(Q.translations))
-    start = [1 << v if v in reps else 0 for v in range(Q.n_vertices)]
     box = itertools.product(*[range(b + 1) for b in pk.bound])
-    reach, table = {0: start}, {}
+    reach, table = {0: [1 << v for v in range(Q.n_vertices)]}, {}
     for x in map(pk.pack, box):
         if x:
             reach[x] = row = [0] * Q.n_vertices
@@ -123,9 +118,6 @@ def _class_table(Q, pk):
             for u in range(m.bit_length()):
                 if m >> u & 1:
                     table.setdefault((u, v), []).append(x)
-    for (u, v), classes in list(table.items()):
-        for sigma, _ in Q.translations[1:]:
-            table[sigma[u], sigma[v]] = classes
     return table
 
 
@@ -313,8 +305,8 @@ class ExactnessReport(NamedTuple):
 # path's tail and divisor fix its head, so each lies in at most one piece
 # of P (x)_A A_0.  The fourfold at bound 3 has 262,144 pieces and 204,140
 # elements, and mckay_z2_11 at bound 352, the largest MAX_PIECES admits,
-# 498,436 and 994,050 (about 1.5 s on a 2-CPU machine).  A hand-written
-# quiver with many cells per vertex pair can still pass MAX_TRIPLES.
+# 498,436 and 994,050.  A hand-written quiver with many cells per vertex
+# pair can still pass MAX_TRIPLES.
 MAX_PIECES = 500_000
 MAX_TRIPLES = 40_000_000
 
@@ -358,32 +350,79 @@ def _automorphisms(res):
     return [sigma for sigma, _ in res.Q.translations]
 
 
-def _one_sided_failures(res, pk, table, orbits):
+def _one_sided_failures(res, pk, auts):
     """(s, t, d, detail) for each piece of P (x)_A A_0 -> A_0 at divisor
-    d <= pk.bound that is not exact, detail its failed rank identities,
-    computed at the first pair (s, t) of each orbit and copied to the
-    others.
+    d <= pk.bound that is not exact, detail its failed rank identities.
 
-    The piece at (s, t, d) has the basis (eta, d - div(eta)) over the
-    cells with t(eta) = t (`_one_sided_bases`), the differential of the
-    incidences with right class 0, and an augmentation of rank 1 at
-    (t, t, 0) and 0 elsewhere.  The caller knows d.d = 0 on every piece,
-    and GF(2) ranks are tried first (`_gf2_cokernel`).  An odd minor is
-    nonzero, so the GF(2) rank r2 is at most the rational rank r; d.d = 0
-    gives r(k) + r(k+1) <= dim P_k, and the augmentation has rank at most
-    one: the identities for r2 force those for r.  Pieces they do not
-    settle get the exact `sparse_rank` (`_rank_failures`).
+    A piece (`_one_sided_bases`) has at most one element (eta, d -
+    div(eta)) per cell eta at its tail, the differential of the
+    incidences with right class 0, each onto the facet's element, and an
+    augmentation of rank 1 at (t, t, 0) and 0 elsewhere: in the cells, it
+    depends on its cells and augmentation alone.  So the pieces at each
+    tail t, one per orbit of `auts`, are grouped by (name, aug) and each
+    group is reduced once; a failure goes to the group's (s, t, d) and
+    their translates (`verify_exactness`), each once, as translations act
+    freely.
+
+    Names.  In a quiver of sections (`build_quiver`) each section is a
+    sum of arrows, so a path from u to v carries exactly the d >= 0 of
+    class c_v - c_u.  If each cell's divisor is carried from its tail to
+    its head, (eta, d - div(eta)) is thus in the piece at (s, t, d) iff
+    div(eta) <= d and class(d) = c_s - c_t: its cells are those at t with
+    div(eta) <= m = min(d, M_t), M_t the join of the divisors at t, and
+    (m, d = 0) names it.  The d with pieces are those a path from t
+    carries (the class table): if the collection is all of a finite Cl,
+    every d, and each name is that of a d <= min(bound, M_t + 1).
+    Otherwise pieces are built and named by their cells.
+
+    The caller knows d.d = 0 on every piece, and GF(2) ranks are tried
+    first (`_gf2_cokernel`).  An odd minor is nonzero, so the GF(2) rank
+    r2 is at most the rational rank r; d.d = 0 gives r(k) + r(k+1) <=
+    dim P_k, and the augmentation has rank at most one: the identities
+    for r2 force those for r.  Pieces they do not settle get the exact
+    `sparse_rank` (`_rank_failures`).
     """
+    C, Q, n, shift = res.complex, res.Q, res.Q.n_vertices, pk.shift
+    lattice = Q.of_sections and all(
+        Q.path_exists(c.tail, c.head, c.divisor) for c in C.cells)
+    every = lattice and 0 not in (cl := Q.X.cl.moduli) and n == math.prod(cl)
+    table = None if every else _class_table(Q, pk)
     ones = _packed_facets(res, pk, one_sided=True)
     offsets = [[delta for delta, _ in f] for f in ones]
     failures = []
-    for (s, t), orbit in orbits.items():
-        for d, bases in _one_sided_bases(res.complex, pk, table, s, t).items():
-            aug = int(s == t and d == 0)
-            if _gf2_cokernel(pk, offsets, bases) != aug and (
+    for t in (t for t in range(n) if all(g[t] >= t for g in auts)):
+        at = [c for c in C.cells if c.tail == t]
+        cap = [min(b, max(x)) for b, x in zip(pk.bound, zip(
+            (0,) * Q.d, *(c.divisor for c in at)))]
+        groups, live = {}, ()
+        if every:
+            live = map(pk.pack, itertools.product(*(
+                range(min(b, x + 1) + 1) for b, x in zip(pk.bound, cap))))
+        elif lattice:
+            live = (d for s in range(n) for d in table.get((t, s), ()))
+        else:
+            for s in range(n):
+                for d, bases in _one_sided_bases(C, pk, table, s, t).items():
+                    name = tuple(x >> shift for basis in bases for x in basis)
+                    groups.setdefault((name, s == t and d == 0),
+                                      (bases, []))[1].append((s, d))
+        top = pk.pack(cap)
+        groups.update(dict.fromkeys((pk.meet(d, top), d == 0) for d in live))
+        by_dim = [[(c.id << shift, pk.pack(c.divisor)) for c in at
+                   if c.dim == k] for k in range(C.n + 1)]
+        for (name, aug), group in groups.items():
+            bases, members = group or ([
+                [tag | name - div for tag, div in cells if pk.leq(div, name)]
+                for cells in by_dim], None)
+            if _gf2_cokernel(pk, offsets, bases) == aug or not (
                     fail := _rank_failures(pk, ones, bases, aug)):
-                d = pk.unpack(d)
-                failures.extend((u, v, d, list(fail)) for u, v in orbit)
+                continue
+            if members is None:
+                table = table or _class_table(Q, pk)
+                members = [(s, d) for s in range(n) for d in table.get(
+                    (t, s), ()) if (pk.meet(d, top), d == 0) == (name, aug)]
+            failures.extend((g[s], g[t], pk.unpack(d), list(fail))
+                            for s, d in members for g in auts)
     return failures
 
 
@@ -415,10 +454,10 @@ def verify_exactness(res, bound, check_products=False):
     C (x)_A A_0 is, and for each s the least failing divisors of the two
     are the same.
 
-    Pieces are computed for one pair per orbit of the translations that
+    Pieces are computed at one tail per orbit of the translations that
     `_automorphisms` keeps, all of Q's if the signs are a gauge transform
     of the closed-form ones and the identity alone otherwise, and their
-    failures are copied to the other pairs of the orbit.  This is exact:
+    failures are copied to the translated pairs.  This is exact:
     a translation sigma maps the labelled arrows onto themselves, so the
     class table is invariant, and each cell (j, S) of a quotient's
     hypercube complex and its facet incidences onto (sigma(j), S), head
@@ -461,14 +500,8 @@ def verify_exactness(res, bound, check_products=False):
                                for k in sorted(ks)])
                     for (s, t, d), ks in products.items()]
     else:
-        auts = _automorphisms(res)
-        orbits, covered = {}, set()
-        for s, t in itertools.product(range(n), repeat=2):
-            if (s, t) not in covered:
-                orbits[s, t] = {(g[s], g[t]) for g in auts}
-                covered.update(orbits[s, t])
-        pk = _packing(res.complex, bound)
-        failures = _one_sided_failures(res, pk, _class_table(Q, pk), orbits)
+        failures = _one_sided_failures(
+            res, _packing(res.complex, bound), _automorphisms(res))
     failures.sort()
     return ExactnessReport(exact=not failures, bound=bound,
                            pieces_checked=pieces, failures=failures)
