@@ -101,7 +101,8 @@ class ToricCellComplex:
 
     def tau(self):
         """The involution pairing each k-cell with its dual (n-k)-cell, as
-        a read-only mapping built once and shared by every caller."""
+        a read-only mapping built once and shared: if c2 is c's only dual
+        candidate, c is one of c2's, so its only one or tau raises on c2."""
         if self._tau is not None:
             return self._tau
         ones, pairing, index = self.Q.ones, {}, {}
@@ -114,9 +115,6 @@ class ToricCellComplex:
                 raise ConstructionError(
                     f"{c.describe(self.Q)} has {len(matches)} dual candidates")
             pairing[c.id] = matches[0].id
-        for cid, did in pairing.items():
-            if pairing[did] != cid:
-                raise ConstructionError("duality pairing is not an involution")
         self._tau = MappingProxyType(pairing)
         return self._tau
 

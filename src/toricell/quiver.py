@@ -142,30 +142,31 @@ class QuiverOfSections:
         """Vertices reachable from i along paths with divisor exactly div.
 
         Results are memoized per (vertex, divisor).  Missing subproblems
-        are solved from an explicit stack, children before parents.
+        are solved from an explicit stack, children before parents, each
+        entry holding its children's keys.
         """
         memo = self._reach_memo
         key = (i, tuple(div))
         hit = memo.get(key)
         if hit is not None:
             return hit
-        stack = [key]
+        stack = [(key, None)]
         while stack:
-            v, d = top = stack[-1]
+            top, subs = stack[-1]
             if top in memo:
                 stack.pop()
                 continue
-            if is_zero(d):
-                memo[top] = frozenset((v,))
-                stack.pop()
-                continue
-            subs = [(a.head, vsub(d, a.label)) for a in self.out[v]
-                    if leq(a.label, d)]
-            missing = [s for s in subs if s not in memo]
-            if missing:
-                stack.extend(missing)
-                continue
-            memo[top] = frozenset().union(*(memo[s] for s in subs))
+            v, d = top
+            if subs is None and any(d):
+                subs = [(a.head, vsub(d, a.label)) for a in self.out[v]
+                        if leq(a.label, d)]
+                missing = [(s, None) for s in subs if s not in memo]
+                if missing:
+                    stack[-1] = (top, subs)
+                    stack += missing
+                    continue
+            memo[top] = (frozenset((v,)) if subs is None
+                         else frozenset().union(*[memo[s] for s in subs]))
             stack.pop()
         return memo[key]
 

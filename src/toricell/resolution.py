@@ -10,13 +10,14 @@ computation.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import NamedTuple
 
 from .complexes import mckay_complex
 from .errors import ConstructionError, InputError, InternalError
-from .intlinalg import Packing, is_zero, leq, sparse_rank
+from .intlinalg import Packing, is_zero, leq, sparse_rank, vsub
 
 
 class CellularResolution:
@@ -93,75 +94,25 @@ def _packed_facets(res, pk, one_sided=False):
             for c in C.cells]
 
 
-def _class_table(Q, pk):
-    """{(u, v): classes}: the packed divisor classes d <= pk.bound, in
-    increasing order, that a path from u to v carries, from one sweep
-    over the box in increasing packed order: reach[x][v] is the bitmask of
-    the tails of paths to v of class x, the OR of reach[x - label][tail]
-    over the arrows into v with label <= x.  Arrows with a label above
-    the bound are dropped first, so no packed label overflows a field."""
-    arcs = {}
-    for a in Q.arrows:
-        if leq(a.label, pk.bound):
-            arcs.setdefault(pk.pack(a.label), []).append((a.tail, a.head))
-    box = itertools.product(*[range(b + 1) for b in pk.bound])
-    reach, table = {0: [1 << v for v in range(Q.n_vertices)]}, {}
-    for x in map(pk.pack, box):
-        if x:
-            reach[x] = row = [0] * Q.n_vertices
-            for label, ends in arcs.items():
-                if pk.leq(label, x):
-                    before = reach[x - label]
-                    for tail, head in ends:
-                        row[head] |= before[tail]
-        for v, m in enumerate(reach[x]):
-            for u in range(m.bit_length()):
-                if m >> u & 1:
-                    table.setdefault((u, v), []).append(x)
-    return table
-
-
-def _pair_bases(complex_, pk, table, s, t):
-    """Bases of every nonzero graded piece at (s, t) with divisor <= bound,
-    as {packed dvec: [basis of P_0, ..., basis of P_n]}, from one sweep
-    over the cells pairing each left class with the right classes that
-    complete a triple of a piece."""
-    pieces = {d: [[] for _ in range(complex_.n + 1)]
-              for d in table.get((t, s), ())}
-    # t(eta) << shift | (dL + div(eta)) -> the bases of the pieces that a
-    # right class completes; pieces only holds divisors <= bound, and no
-    # sum carries between fields, so a hit is a triple within the bound
-    ends = {}
-    for k in range(complex_.n + 1):
-        for c in complex_.by_dim[k]:
-            div = pk.pack(c.divisor)
-            top = c.id << pk.shift
-            end = c.tail << pk.shift
-            rights = table.get((t, c.tail), ())
-            for dL in table.get((c.head, s), ()):
-                low = dL + div
-                fits = ends.get(end | low)
-                if fits is None:
-                    fits = ends[end | low] = [
-                        basis for dR in rights
-                        if (basis := pieces.get(low + dR)) is not None]
-                for basis in fits:
-                    basis[k].append(top | dL)
-    return pieces
-
-
-def _one_sided_bases(complex_, pk, table, s, t):
-    """The pieces of P (x)_A A_0 at (s, t), as `_pair_bases` gives those
-    of P: the (eta, dL) with t(eta) = t.  The piece at divisor 0 is
-    listed when s = t, even if empty, as A_0 is not zero there."""
-    n, H, top = complex_.n, pk.H, pk.B | pk.H  # d <= B: (top - d) & H == H
+def _one_sided_bases(complex_, pk, s, t):
+    """The pieces of P (x)_A A_0 at (s, t) with divisor <= pk.bound, as
+    {packed d: [basis of P_0, ..., basis of P_n]}: the (eta, dL) with
+    t(eta) = t and a path of class dL from h(eta) to s (`Q.reachable`),
+    by dimension in cell order.  The piece at divisor 0 is listed when
+    s = t, even if empty, as A_0 is not zero there."""
+    Q, n, H, top = complex_.Q, complex_.n, pk.H, pk.B | pk.H
+    box = list(itertools.product(*(range(b + 1) for b in pk.bound)))
     pieces = {0: [[] for _ in range(n + 1)]} if s == t else {}
+    carried = {}  # head -> the packed dL <= bound of its paths to s
     for c in complex_.cells:
         if c.tail != t:
             continue
+        if (dLs := carried.get(c.head)) is None:
+            dLs = carried[c.head] = [pk.pack(dL) for dL in box
+                                     if s in Q.reachable(c.head, dL)]
         div, tag = pk.pack(c.divisor), c.id << pk.shift
-        for dL in table.get((c.head, s), ()):
-            if (top - (d := dL + div)) & H == H:
+        for dL in dLs:
+            if (top - (d := dL + div)) & H == H:  # d <= bound
                 if (basis := pieces.get(d)) is None:
                     basis = pieces[d] = [[] for _ in range(n + 1)]
                 basis[c.dim].append(tag | dL)
@@ -247,15 +198,20 @@ class GradedPiece(NamedTuple):
 
 def graded_piece(res, s, t, dvec):
     """The graded piece at (s, t, dvec), with its differentials as dense
-    integer matrices."""
-    dvec = tuple(dvec)
+    integer matrices; its triples are found by `Q.path_exists`."""
+    dvec, Q = tuple(dvec), res.Q
     pk = _packing(res.complex, dvec)
-    table = _class_table(res.Q, pk)
-    bases = _pair_bases(res.complex, pk, table, s, t).get(pk.B)
-    if bases is None:
-        empty = [[] for _ in range(res.n + 1)]
-        return GradedPiece(s=s, t=t, dvec=dvec, bases=empty,
+    triples = [[] for _ in range(res.n + 1)]
+    if not Q.path_exists(t, s, dvec):
+        return GradedPiece(s=s, t=t, dvec=dvec, bases=triples,
                            matrices=[[[]] for _ in range(res.n + 1)], dim_A=0)
+    for c in res.complex.cells:
+        low = vsub(dvec, c.divisor)
+        for dL in itertools.product(*(range(x + 1) for x in low)):
+            dR = vsub(low, dL)
+            if Q.path_exists(c.head, s, dL) and Q.path_exists(t, c.tail, dR):
+                triples[c.dim].append((c.id, dL, dR))
+    bases = [[c << pk.shift | pk.pack(dL) for c, dL, _ in b] for b in triples]
     facets = _packed_facets(res, pk)
     matrices = [[[1] * len(bases[0])]]
     for k in range(1, res.n + 1):
@@ -264,15 +220,8 @@ def graded_piece(res, s, t, dvec):
             for i, x in col.items():
                 rows[i][j] = x
         matrices.append(rows)
-
-    def triple(x):
-        cid, dL = pk.split(x)
-        dR = pk.B - pk.pack(res.complex.cells[cid].divisor) - dL
-        return cid, pk.unpack(dL), pk.unpack(dR)
-
-    return GradedPiece(s=s, t=t, dvec=dvec,
-                       bases=[[triple(x) for x in basis] for basis in bases],
-                       matrices=matrices, dim_A=1)
+    return GradedPiece(s=s, t=t, dvec=dvec, bases=triples, matrices=matrices,
+                       dim_A=1)
 
 
 def _rank_failures(pk, facets, bases, aug):
@@ -366,14 +315,19 @@ def _one_sided_failures(res, pk, auts):
 
     Names.  In a quiver of sections (`build_quiver`) each section is a
     sum of arrows, so a path from u to v carries exactly the d >= 0 of
-    class c_v - c_u.  If each cell's divisor is carried from its tail to
-    its head, (eta, d - div(eta)) is thus in the piece at (s, t, d) iff
-    div(eta) <= d and class(d) = c_s - c_t: its cells are those at t with
-    div(eta) <= m = min(d, M_t), M_t the join of the divisors at t, and
-    (m, d = 0) names it.  The d with pieces are those a path from t
-    carries (the class table): if the collection is all of a finite Cl,
-    every d, and each name is that of a d <= min(bound, M_t + 1).
-    Otherwise pieces are built and named by their cells.
+    class c_v - c_u.  If the divisor of each cell at t is carried from t
+    to its head, (eta, d - div(eta)) is thus in the piece at (s, t, d)
+    iff div(eta) <= d and class(d) = c_s - c_t: its cells are those at t
+    with div(eta) <= m = min(d, M_t), M_t the join of the divisors at t,
+    and (m, d = 0) names it.  Class keys (`Q.X.cl.coordinates`) decide
+    all of it: a divisor is carried from t to h iff its key is that of
+    c_h - c_t, and the d with pieces at t are those with the key of some
+    c_s - c_t, read off the box grouped by key (`_box_classes`), which
+    also lists a failing group's members.  If the collection is all of a
+    finite Cl, every d has a piece, and each name is that of a d <=
+    min(bound, M_t + 1).  Pieces at other tails, and on other quivers,
+    are built over `Q.reachable` (`_one_sided_bases`) and named by their
+    cells.
 
     The caller knows d.d = 0 on every piece, and GF(2) ranks are tried
     first (`_gf2_cokernel`).  An odd minor is nonzero, so the GF(2) rank
@@ -383,10 +337,11 @@ def _one_sided_failures(res, pk, auts):
     `sparse_rank` (`_rank_failures`).
     """
     C, Q, n, shift = res.complex, res.Q, res.Q.n_vertices, pk.shift
-    lattice = Q.of_sections and all(
-        Q.path_exists(c.tail, c.head, c.divisor) for c in C.cells)
-    every = lattice and 0 not in (cl := Q.X.cl.moduli) and n == math.prod(cl)
-    table = None if every else _class_table(Q, pk)
+    if Q.of_sections:
+        cl, reps = Q.X.cl, [E.representative for E in Q.collection.classes]
+        key = functools.cache(cl.coordinates)
+        every = 0 not in cl.moduli and n == math.prod(cl.moduli)
+    box = None
     ones = _packed_facets(res, pk, one_sided=True)
     offsets = [[delta for delta, _ in f] for f in ones]
     failures = []
@@ -395,14 +350,18 @@ def _one_sided_failures(res, pk, auts):
         cap = [min(b, max(x)) for b, x in zip(pk.bound, zip(
             (0,) * Q.d, *(c.divisor for c in at)))]
         groups, live = {}, ()
-        if every:
+        lattice = Q.of_sections and all(
+            key(c.divisor) == key(vsub(reps[c.head], reps[t])) for c in at)
+        if lattice and every:
             live = map(pk.pack, itertools.product(*(
                 range(min(b, x + 1) + 1) for b, x in zip(pk.bound, cap))))
         elif lattice:
-            live = (d for s in range(n) for d in table.get((t, s), ()))
+            box = box or _box_classes(pk, cl.coordinates)
+            live = (d for s in range(n)
+                    for d in box.get(key(vsub(reps[s], reps[t])), ()))
         else:
             for s in range(n):
-                for d, bases in _one_sided_bases(C, pk, table, s, t).items():
+                for d, bases in _one_sided_bases(C, pk, s, t).items():
                     name = tuple(x >> shift for basis in bases for x in basis)
                     groups.setdefault((name, s == t and d == 0),
                                       (bases, []))[1].append((s, d))
@@ -418,12 +377,21 @@ def _one_sided_failures(res, pk, auts):
                     fail := _rank_failures(pk, ones, bases, aug)):
                 continue
             if members is None:
-                table = table or _class_table(Q, pk)
-                members = [(s, d) for s in range(n) for d in table.get(
-                    (t, s), ()) if (pk.meet(d, top), d == 0) == (name, aug)]
+                box = box or _box_classes(pk, cl.coordinates)
+                members = [(s, d) for s in range(n)
+                           for d in box.get(key(vsub(reps[s], reps[t])), ())
+                           if (pk.meet(d, top), d == 0) == (name, aug)]
             failures.extend((g[s], g[t], pk.unpack(d), list(fail))
                             for s, d in members for g in auts)
     return failures
+
+
+def _box_classes(pk, key):
+    """{class key: [packed d]} over the d <= pk.bound, in increasing order."""
+    classes = {}
+    for d in itertools.product(*(range(b + 1) for b in pk.bound)):
+        classes.setdefault(key(d), []).append(pk.pack(d))
+    return classes
 
 
 def verify_exactness(res, bound, check_products=False):
@@ -459,7 +427,8 @@ def verify_exactness(res, bound, check_products=False):
     of the closed-form ones and the identity alone otherwise, and their
     failures are copied to the translated pairs.  This is exact:
     a translation sigma maps the labelled arrows onto themselves, so the
-    class table is invariant, and each cell (j, S) of a quotient's
+    paths from sigma(u) to sigma(v) carry the classes of those from u to v,
+    and each cell (j, S) of a quotient's
     hypercube complex and its facet incidences onto (sigma(j), S), head
     and tail moved, with equal divisor and classes.  So the basis
     (eta, dL) at (s, t, d) matches the (sigma(eta), dL) at (sigma(s),

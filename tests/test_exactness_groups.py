@@ -3,11 +3,13 @@
 `verify_exactness` reduces each group of pieces of P (x)_A A_0 with the
 same cells and augmentation once.  The oracle is the engine as it was
 before the grouping: every piece at one vertex pair per orbit of
-`_automorphisms` is built by `_one_sided_bases` and reduced on its own.
+`_automorphisms` is built by `_one_sided_bases`, which finds its basis
+by `Q.reachable`, and reduced on its own.
 """
 
 import itertools
 import math
+import os
 
 import pytest
 from hypothesis import given, settings
@@ -18,11 +20,11 @@ from toricell.complexes import Cell, ToricCellComplex, general_complex, mckay_co
 from toricell.errors import ConstructionError
 from toricell.inputs import parse_document, quiver_document
 from toricell.intlinalg import Packing, leq, vsub
+from toricell.quiver import mckay_quiver
 from toricell.resolution import (
     CellularResolution,
     ExactnessReport,
     _automorphisms,
-    _class_table,
     _gf2_cokernel,
     _packed_facets,
     _packing,
@@ -34,7 +36,7 @@ from toricell.resolution import (
 from toricell.superpotential import superpotential
 from toricell.variety import AbelianGroupData
 
-from conftest import load
+from conftest import INPUTS, load
 from test_quiver import SMALL_GROUPS
 from test_resolution import (
     FIXTURE_SYMMETRY,
@@ -51,16 +53,16 @@ from test_resolution import (
     spy,
     without_top_cells,
 )
-from test_translations import Z63, Z64
+from test_translations import Z63, Z64, check_class_fact
 
 
 def per_piece_exactness(res, bound):
-    """The report of `verify_exactness` at an integer bound, each piece
+    """The report of `verify_exactness` at a bound, each piece
     built and reduced on its own: sign failures in the box first, else
     every piece of P (x)_A A_0 at one pair per orbit, its failures copied
     to the orbit."""
     Q, n, C = res.Q, res.Q.n_vertices, res.complex
-    bound = (bound,) * Q.d
+    bound = (bound,) * Q.d if isinstance(bound, int) else bound
     products = {}
     for cid, _why in res.sign_failures:
         c = C.cells[cid]
@@ -71,7 +73,6 @@ def per_piece_exactness(res, bound):
                 for (s, t, d), ks in products.items()]
     if not products:
         pk = _packing(C, bound)
-        table = _class_table(Q, pk)
         ones = _packed_facets(res, pk, one_sided=True)
         offsets = [[delta for delta, _ in f] for f in ones]
         auts, covered = _automorphisms(res), set()
@@ -80,7 +81,7 @@ def per_piece_exactness(res, bound):
                 continue
             orbit = {(g[s], g[t]) for g in auts}
             covered |= orbit
-            pieces = resolution._one_sided_bases(C, pk, table, s, t)
+            pieces = resolution._one_sided_bases(C, pk, s, t)
             for d, bases in pieces.items():
                 aug = int(s == t and d == 0)
                 if _gf2_cokernel(pk, offsets, bases) != aug and (
@@ -101,9 +102,9 @@ def check_bounds(res, bounds):
 
 
 def on_lattice(res):
-    """The condition under which pieces are named by label-lattice
+    """The condition under which every piece is named by label-lattice
     points: a quiver from build_quiver, each cell's divisor carried from
-    its tail to its head."""
+    its tail to its head (the engine asks it of the tails it computes)."""
     Q = res.Q
     return Q.of_sections and all(Q.path_exists(c.tail, c.head, c.divisor)
                                  for c in res.complex.cells)
@@ -136,7 +137,8 @@ def test_large_quotients_match_per_piece_oracle(group):
 
 def test_large_bounds_match_per_piece_oracle():
     """mckay_z2_11 at bound 352, the largest MAX_PIECES admits: about
-    0.8 s of per-piece reductions on a 2-CPU machine."""
+    2.3 s on a 2-CPU machine, half of it the per-piece oracle's fill of
+    `Q.reachable` over the box."""
     C = mckay_complex(load("mckay_z2_11.json").group)
     check_bounds(build_resolution(C, signs=C.explicit_signs), [66, 352])
 
@@ -215,11 +217,12 @@ def test_coordinate_without_label_at_a_tail(name, request):
     """A hand-made complex in which x3 is in no divisor at tail 0: a
     nonzero d can truncate to m = 0 there, without augmentation, next to
     the augmented d = 0.  Z/6(1,2,3) finds its names in a box, the four
-    sheaves in the class table."""
+    sheaves in the box grouped by class, also below a vector bound with a
+    zero entry."""
     res = drop_coordinate(fixture_resolution(name, request), 0, 2)
     assert verify_square_zero(res) and on_lattice(res)
     assert not any(c.divisor[2] for c in res.complex.cells if c.tail == 0)
-    check_bounds(res, range(3))
+    check_bounds(res, [0, 1, 2, (2, 0, 3, 1)[:res.Q.d]])
     assert not verify_exactness(res, 2).exact
 
 
@@ -228,16 +231,72 @@ def test_one_reduction_per_name(monkeypatch):
     Z/7(1,2,4) at bound 3 have one orbit of tails and the eight names
     m <= (1, 1, 1) each, so 16 GF(2) reductions in place of the 216 and
     64 pieces of the per-piece engine, and no piece is built one by one
-    nor any class table."""
+    nor the box grouped by class."""
     reduced, built, tables = [], [], []
     spy(monkeypatch, "_gf2_cokernel", reduced)
     spy(monkeypatch, "_one_sided_bases", built)
-    spy(monkeypatch, "_class_table", tables)
+    spy(monkeypatch, "_box_classes", tables)
     for order, weights, bound in [(6, (1, 2, 3), 5), (7, (1, 2, 4), 3)]:
         C = mckay_complex(AbelianGroupData.cyclic(order, weights))
         assert verify_exactness(build_resolution(C, C.explicit_signs),
                                 bound).exact
     assert len(reduced) == 16 and not built and not tables
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(INPUTS)) + ["z63"])
+def test_paths_carry_their_class_difference(name, request):
+    """Every input's quiver at bounds 0-2 (the fourfold 0-1) and
+    Z/63(1,2,60) at bound 2; `check_layers` checks the 80 small quotients
+    and Z/64(1,1,1,61)."""
+    if name == "fourfold.json":
+        check_class_fact(request.getfixturevalue("fourfold_pipeline")[0], 1)
+    else:
+        check_class_fact(mckay_quiver(Z63) if name == "z63"
+                         else load(name).quiver(), 2)
+
+
+def off_lattice(Q):
+    """A complex on Z/2(1,1)'s quiver of sections with the 0-cell of vertex
+    0 and one 2-cell at (0, 0) of divisor (1, 0), which no path from 0 to 0
+    carries: d.d = 0, and its pieces must be named by their cells."""
+    cells = [Cell(id=0, dim=0, head=0, tail=0, divisor=(0, 0),
+                  payload=("vertex", 0)),
+             Cell(id=1, dim=2, head=0, tail=0, divisor=(1, 0),
+                  payload=("off",))]
+    return CellularResolution(ToricCellComplex(Q, 2, cells, []), {})
+
+
+def round_trip(name):
+    Q = parse_document(quiver_document(load(name).quiver())).quiver()
+    return build_resolution(general_complex(Q, superpotential(Q)))
+
+
+def test_engine_lattice_decision_is_path_exists(request, mckay_z6_complex,
+                                                monkeypatch):
+    """The engine names pieces by lattice points, building none, iff
+    `on_lattice` holds: on every fixture, the inexact controls, the
+    dimer_quiver round-trips and a complex with a cell whose divisor is
+    not carried from its tail to its head."""
+    cases = [fixture_resolution(name, request) for name in FIXTURE_SYMMETRY]
+    cases += [missing_top_cell(mckay_z6_complex),
+              without_top_cells(mckay_z6_complex),
+              drop_coordinate(fixture_resolution(
+                  "threefold_four_sheaves.json", request), 0, 2),
+              round_trip("threefold_four_sheaves.json"),
+              round_trip("conifold.json"),
+              off_lattice(load("mckay_z2_11.json").quiver())]
+    decided = []
+    for res in cases:
+        built = []
+        with monkeypatch.context() as mp:
+            spy(mp, "_one_sided_bases", built)
+            verify_exactness(res, 1)
+        decided.append((not built, on_lattice(res)))
+    assert [x for x, _ in decided] == [y for _, y in decided]
+    assert decided[-3:] == [(False, False)] * 3
+    res = cases[-1]
+    assert verify_square_zero(res) and res.Q.of_sections
+    check_bounds(res, range(3))
 
 
 @st.composite

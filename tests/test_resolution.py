@@ -1,7 +1,6 @@
 import functools
 import itertools
 import math
-import os
 import random
 import re
 
@@ -26,13 +25,11 @@ from toricell.resolution import (
     CellularResolution,
     ExactnessReport,
     _automorphisms,
-    _class_table,
     _differential,
     _gauge,
     _gf2_cokernel,
     _packed_facets,
     _packing,
-    _pair_bases,
     build_resolution,
     graded_piece,
     mckay_sign_crosscheck,
@@ -44,7 +41,7 @@ from toricell.quiver import QuiverOfSections, build_quiver
 from toricell.superpotential import consistency, relations, superpotential
 from toricell.variety import AbelianGroupData, mckay_toric_data
 
-from conftest import INPUTS, load
+from conftest import load
 from test_complexes import (
     check_solve_gf2_against_oracle,
     check_torus_homology,
@@ -234,12 +231,11 @@ def test_exactness_triple_limit(z6_resolution, request, monkeypatch):
     before any work.  The fourfold at bound 3 stays below it, and so does
     mckay_z2_11 at bound 66, which the bimodule triple count refused."""
     pk = _packing(z6_resolution.complex, (2, 2, 2))
-    table = _class_table(z6_resolution.Q, pk)
     count = guard_elements(z6_resolution, 2)
     assert count == sum(
         len(basis) for s in range(6) for t in range(6)
         for bases in resolution._one_sided_bases(
-            z6_resolution.complex, pk, table, s, t).values()
+            z6_resolution.complex, pk, s, t).values()
         for basis in bases)
     fourfold = fixture_resolution("fourfold.json", request)
     assert guard_elements(fourfold, 3) <= MAX_TRIPLES
@@ -250,49 +246,6 @@ def test_exactness_triple_limit(z6_resolution, request, monkeypatch):
     monkeypatch.setattr(resolution, "MAX_TRIPLES", count - 1)
     with pytest.raises(InputError, match="basis elements"):
         verify_exactness(z6_resolution, 2)
-
-
-def reachable_class_table(Q, pk):
-    """The class table from one `Q.reachable` walk per class and vertex:
-    the oracle for the packed sweep of _class_table."""
-    table = {}
-    for d in itertools.product(*[range(b + 1) for b in pk.bound]):
-        x = pk.pack(d)
-        for u in range(Q.n_vertices):
-            for v in Q.reachable(u, d):
-                table.setdefault((u, v), []).append(x)
-    return table
-
-
-@pytest.mark.parametrize("name", sorted(os.listdir(INPUTS)))
-def test_class_table_matches_reachable_oracle(name, request):
-    """Every input's quiver at the scalar bounds 0-3: the same keys, and
-    each key's classes in the same increasing order."""
-    if name == "fourfold.json":
-        Q = request.getfixturevalue("fourfold_pipeline")[0]
-    else:
-        Q = load(name).quiver()
-    for b in range(4):
-        pk = Packing((b,) * Q.d, 1)
-        assert _class_table(Q, pk) == reachable_class_table(Q, pk)
-
-
-def test_class_table_mixed_bound_and_label_above_it():
-    """A vector bound with a zero entry, and a quiver whose arrow 0 -> 1
-    has a label above the bound that overflows a field of the packing,
-    where it would read as (1, 0): the sweep drops that arrow, so no class
-    reaches vertex 1 from vertex 0."""
-    Q = load("threefold_four_sheaves.json").quiver()
-    pk = Packing((2, 0, 3, 1), 1)
-    assert _class_table(Q, pk) == reachable_class_table(Q, pk)
-    Q = QuiverOfSections(2, [(0, 1, (0, 16)), (1, 0, (0, 1)),
-                             (0, 0, (1, 1)), (1, 1, (2, 0))])
-    pk = Packing((2, 2), 0)
-    assert pk.pack((0, 16)) == pk.pack((1, 0))
-    table = _class_table(Q, pk)
-    assert table == reachable_class_table(Q, pk)
-    assert (0, 1) not in table
-    assert table[1, 0] == [pk.pack(d) for d in [(0, 1), (1, 2), (2, 1)]]
 
 
 def corrupt_facet(monkeypatch, res, cid, j):
@@ -469,10 +422,8 @@ def test_graded_pieces_match_brute_force(name, bound, request):
     Q = res.Q
     box = (bound,) * Q.d
     pk = _packing(res.complex, box)
-    table = _class_table(Q, pk)
     facets = _packed_facets(res, pk)
     for s, t in itertools.product(range(Q.n_vertices), repeat=2):
-        swept = _pair_bases(res.complex, pk, table, s, t)
         for dvec in itertools.product(range(bound + 1), repeat=Q.d):
             bases, matrices, dim_A = brute_force_piece(res, s, t, dvec)
             piece = graded_piece(res, s, t, dvec)
@@ -480,7 +431,6 @@ def test_graded_pieces_match_brute_force(name, bound, request):
             assert piece.matrices == matrices
             assert piece.dim_A == dim_A
             packed = packed_bases(pk, bases)
-            assert swept.get(pk.pack(dvec), [[]] * (res.n + 1)) == packed
             for k in range(res.n + 1):
                 cols = _differential(pk, facets, packed, k)
                 assert ([sum(1 << i for i, x in col.items() if x % 2)
@@ -1126,9 +1076,9 @@ def test_one_sided_verdict_is_the_sweeps(name, request, mckay_z6_complex):
 @pytest.mark.parametrize("n", sorted(SMALL_GROUPS))
 def test_one_sided_verdict_on_small_quotients(n, monkeypatch):
     """On the 80 small quotients, at bounds 0-2, the one-sided pieces
-    decide alone: every verdict is exact and no bimodule basis is built."""
+    decide alone: every verdict is exact and no bimodule piece is built."""
     bimodule = []
-    spy(monkeypatch, "_pair_bases", bimodule)
+    spy(monkeypatch, "graded_piece", bimodule)
     for G, C in zip(SMALL_GROUPS[n], small_complexes(n)):
         res = build_resolution(C, signs=C.explicit_signs)
         for bound in range(3):
@@ -1139,14 +1089,14 @@ def test_one_sided_verdict_on_small_quotients(n, monkeypatch):
 @pytest.mark.parametrize("name", sorted(FIXTURE_SYMMETRY))
 def test_one_sided_certificate_taken_when_exact(name, request, monkeypatch):
     """Exact, square-zero resolutions, with closed-form or solver signs:
-    the one-sided pieces settle them with no bimodule basis built, as
-    `_pair_bases` serves graded_piece alone."""
+    the one-sided pieces settle them with no bimodule piece built, as
+    graded_piece alone builds one, for tests and the benchmark."""
     cases = [fixture_resolution(name, request)]
     if name in QUOTIENTS:
         cases.append(solver_resolution(name))
     one_sided, bimodule = [], []
     spy(monkeypatch, "_one_sided_failures", one_sided)
-    spy(monkeypatch, "_pair_bases", bimodule)
+    spy(monkeypatch, "graded_piece", bimodule)
     for res in cases:
         assert verify_square_zero(res)
         assert verify_exactness(res, 1).exact
@@ -1232,12 +1182,11 @@ def test_gf2_cokernel_against_dense_ranks(name, mckay_z6_complex):
     res = (CellularResolution(C, C.explicit_signs) if name == "exact"
            else missing_top_cell(C))
     pk = _packing(res.complex, (2, 2, 2))
-    table = _class_table(res.Q, pk)
     ones = _packed_facets(res, pk, one_sided=True)
     offsets = facet_offsets(ones)
     seen = set()
     for s, t in itertools.product(range(6), repeat=2):
-        pieces = resolution._one_sided_bases(res.complex, pk, table, s, t)
+        pieces = resolution._one_sided_bases(res.complex, pk, s, t)
         assert (0 in pieces) == (s == t)
         for d, bases in pieces.items():
             aug = int(s == t and d == 0)
