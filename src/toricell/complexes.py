@@ -147,12 +147,6 @@ class ToricCellComplex:
                 {key: tuple(routes) for key, routes in groups.items()})
         return self._composites
 
-    def face_poset_check(self):
-        """Verify that every two-step route group has exactly two members."""
-        bad = [(key, routes) for key, routes
-               in sorted(self.composite_groups().items()) if len(routes) != 2]
-        return FacePosetReport(ok=not bad, violations=bad)
-
     # -- incidence function -------------------------------------------------
 
     def solve_incidence(self):
@@ -161,15 +155,16 @@ class ToricCellComplex:
         One unknown per incidence (sign = (-1)^x).  Each two-step group
         contributes x1+x2+x3+x4 = 1 over GF(2); each 1-cell contributes
         x(head incidence) + x(tail incidence) = 1 (the empty cell below the
-        0-cells carries sign +1).
+        0-cells carries sign +1).  A face poset needs exactly two routes
+        in every group, so ConstructionError is raised if some group has
+        another number, or if the solved signs fail `sign_failures`.
         """
-        poset = self.face_poset_check()
-        if not poset.ok:
-            raise ConstructionError(
-                f"face poset check failed on {len(poset.violations)} flags")
+        groups = self.composite_groups()
+        if bad := sum(len(routes) != 2 for routes in groups.values()):
+            raise ConstructionError(f"face poset check failed on {bad} flags")
         var = {inc: i for i, inc in enumerate(self.incidences)}
         equations = []
-        for key, routes in sorted(self.composite_groups().items()):
+        for key, routes in sorted(groups.items()):
             (a1, a2), (b1, b2) = routes
             mask = 0
             for inc in (a1, a2, b1, b2):
@@ -185,7 +180,8 @@ class ToricCellComplex:
             return IncidenceSolution(signs=None, feasible=False,
                                      certificate=certificate)
         signs = {inc: (-1) ** assignment[i] for inc, i in var.items()}
-        self.verify_signs(signs)
+        if failures := self.sign_failures(signs):
+            raise ConstructionError(failures[0][1])
         return IncidenceSolution(signs=signs, feasible=True, certificate=None)
 
     def sign_failures(self, signs):
@@ -199,16 +195,6 @@ class ToricCellComplex:
                      for c in self.by_dim.get(1, [])
                      if sum(signs[i] for i in self._facets_of[c.id])]
         return failures
-
-    def verify_signs(self, signs):
-        """Raise on the first failure of the cancellation identity."""
-        if failures := self.sign_failures(signs):
-            raise ConstructionError(failures[0][1])
-
-
-class FacePosetReport(NamedTuple):
-    ok: bool
-    violations: list
 
 
 class IncidenceSolution(NamedTuple):
@@ -329,20 +315,6 @@ def _mckay_complex(group):
 # complexes from superpotential data, n = 3 and 4
 
 
-def _relation_facets(Q, cell, rel):
-    """Facet incidences of a relation 2-cell: one per arrow occurrence,
-    left = suffix divisor, right = prefix divisor."""
-    out = []
-    for path in rel.pair:
-        for idx, arrow_id in enumerate(path):
-            out.append(FacetIncidence(
-                parent=cell.id,
-                facet=arrow_id,  # resolved to a cell id by the caller
-                left=Q.path_div(path[idx + 1:]),
-                right=Q.path_div(path[:idx])))
-    return out
-
-
 def _embeddings(W, arrow_idx, rel):
     """Each way a relation embeds in the cyclic words of W through an arrow.
 
@@ -366,13 +338,6 @@ def _embeddings(W, arrow_idx, rel):
             if other in bodies:
                 yield (cyclic_canonical(arrow + body), t_path, s_path,
                        cyclic_canonical(arrow + other))
-
-
-def _dual_facet_groups(Q, W, rel, arrow):
-    """Complement-divisor groups embedding a relation in the dual 3-cell of
-    an arrow: pairs (div(s), div(t)) with both cyclic words s.p.t.a in W."""
-    return sorted({(Q.path_div(s_path), Q.path_div(t_path))
-                   for _, t_path, s_path, _ in _embeddings(W, arrow.idx, rel)})
 
 
 def general_complex(Q, W, rels=None):
@@ -452,26 +417,32 @@ def general_complex(Q, W, rels=None):
         incidences.append(FacetIncidence(
             parent=cell.id, facet=vertex_cells[a.tail].id,
             left=a.label, right=zero))
+    # a relation 2-cell has one facet per arrow occurrence, left class the
+    # suffix and right class the prefix
     for rel, cell in rel_cells.items():
-        for inc in _relation_facets(Q, cell, rel):
-            incidences.append(FacetIncidence(
-                parent=cell.id, facet=arrow_cells[inc.facet].id,
-                left=inc.left, right=inc.right))
+        for path in rel.pair:
+            for idx, arrow_id in enumerate(path):
+                incidences.append(FacetIncidence(
+                    parent=cell.id, facet=arrow_cells[arrow_id].id,
+                    left=Q.path_div(path[idx + 1:]),
+                    right=Q.path_div(path[:idx])))
     if n == 4:
+        # the dual 3-cell of an arrow has one facet per complement group
+        # (div(s), div(t)) embedding a relation in it, both words s.p.t.a
+        # of W (`_embeddings`)
         for a in Q.arrows:
             parent = dual_arrow_cells[a.idx]
-            hit = False
-            for rel, facet in rel_cells.items():
-                # a relation may embed with several complement groups; each
-                # group carries its own incidence
-                for s_div, t_div in _dual_facet_groups(Q, W, rel, a):
-                    hit = True
-                    incidences.append(FacetIncidence(
-                        parent=parent.id, facet=facet.id,
-                        left=s_div, right=t_div))
-            if not hit:
+            facets = [FacetIncidence(parent=parent.id, facet=facet.id,
+                                     left=s_div, right=t_div)
+                      for rel, facet in rel_cells.items()
+                      for s_div, t_div in sorted(
+                          {(Q.path_div(s_path), Q.path_div(t_path))
+                           for _, t_path, s_path, _
+                           in _embeddings(W, a.idx, rel)})]
+            if not facets:
                 raise ConstructionError(
                     f"dual cell of {a.pretty()} has no relation facets")
+            incidences += facets
     for i in range(Q.n_vertices):
         parent = dual_vertex_cells[i]
         for a in Q.arrows:

@@ -8,7 +8,8 @@ the tens: cone generators, lattice maps, Smith forms), and those routines
 favour clarity over asymptotics.  The exception is rank, which also
 serves the differentials of graded pieces: for Z/6(1,2,3) at divisor
 bound 5 a piece has up to 1,331 basis elements and a differential up to
-243,000 entries, almost all zero.  So rank works on sparse rows.
+243,000 entries, almost all zero.  So rank works on sparse rows, and
+passes the small block it cannot pivot on a unit to `lattice_basis`.
 """
 
 from __future__ import annotations
@@ -370,8 +371,8 @@ def sparse_rank(rows):
     unit pivot is a matched pair of basis elements joined by an
     invertible entry.  Cancelling the pair leaves the Schur complement,
     which has rank exactly one less.  A leftover block with no unit
-    entry goes to the dense fraction-free routine.  The input rows are
-    not modified.
+    entry goes to `lattice_basis`, whose echelon basis has as many rows
+    as the block has rank.  The input rows are not modified.
     """
     rows = {i: dict(row) for i, row in enumerate(rows) if row}
     owners = {}   # column -> rows with a nonzero entry there
@@ -436,44 +437,7 @@ def sparse_rank(rows):
         for j, x in row.items():
             out[pos[j]] = x
         dense.append(out)
-    return r + _dense_rank(dense)
-
-
-def _dense_rank(A):
-    """Exact rank of an integer matrix via fraction-free elimination."""
-    m = len(A)
-    n = len(A[0]) if m else 0
-    if m == 0 or n == 0:
-        return 0
-    M = mat_copy(A)
-    r = 0
-    prev = 1
-    for col in range(n):
-        piv = None
-        # prefer unit pivots to keep entries small
-        for i in range(r, m):
-            if abs(M[i][col]) == 1:
-                piv = i
-                break
-        if piv is None:
-            for i in range(r, m):
-                if M[i][col] != 0:
-                    piv = i
-                    break
-        if piv is None:
-            continue
-        M[r], M[piv] = M[piv], M[r]
-        p = M[r][col]
-        for i in range(r + 1, m):
-            Mi, Mr = M[i], M[r]
-            f = Mi[col]
-            for j in range(col, n):
-                Mi[j] = (p * Mi[j] - f * Mr[j]) // prev
-        prev = p
-        r += 1
-        if r == m:
-            break
-    return r
+    return r + len(lattice_basis(dense, len(live_cols)))
 
 
 # ---------------------------------------------------------------------------

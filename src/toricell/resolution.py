@@ -94,27 +94,28 @@ def _packed_facets(res, pk, one_sided=False):
             for c in C.cells]
 
 
-def _one_sided_bases(complex_, pk, s, t):
-    """The pieces of P (x)_A A_0 at (s, t) with divisor <= pk.bound, as
-    {packed d: [basis of P_0, ..., basis of P_n]}: the (eta, dL) with
-    t(eta) = t and a path of class dL from h(eta) to s (`Q.reachable`),
-    by dimension in cell order.  The piece at divisor 0 is listed when
-    s = t, even if empty, as A_0 is not zero there."""
+def _one_sided_bases(complex_, pk, t):
+    """The pieces of P (x)_A A_0 at tail t with divisor <= pk.bound, as
+    {(s, packed d): [basis of P_0, ..., basis of P_n]}: the (eta, dL)
+    with t(eta) = t and a path of class dL from h(eta) to s
+    (`Q.reachable`), by dimension in cell order, in one scan of the box
+    per head.  The piece at (t, 0) is listed even if empty, as A_0 is
+    not zero there."""
     Q, n, H, top = complex_.Q, complex_.n, pk.H, pk.B | pk.H
     box = list(itertools.product(*(range(b + 1) for b in pk.bound)))
-    pieces = {0: [[] for _ in range(n + 1)]} if s == t else {}
-    carried = {}  # head -> the packed dL <= bound of its paths to s
+    pieces = {(t, 0): [[] for _ in range(n + 1)]}
+    carried = {}  # head -> (s, packed dL) for each dL <= bound of a path to s
     for c in complex_.cells:
         if c.tail != t:
             continue
-        if (dLs := carried.get(c.head)) is None:
-            dLs = carried[c.head] = [pk.pack(dL) for dL in box
-                                     if s in Q.reachable(c.head, dL)]
+        if (ends := carried.get(c.head)) is None:
+            ends = carried[c.head] = [(s, pk.pack(dL)) for dL in box
+                                      for s in Q.reachable(c.head, dL)]
         div, tag = pk.pack(c.divisor), c.id << pk.shift
-        for dL in dLs:
+        for s, dL in ends:
             if (top - (d := dL + div)) & H == H:  # d <= bound
-                if (basis := pieces.get(d)) is None:
-                    basis = pieces[d] = [[] for _ in range(n + 1)]
+                if (basis := pieces.get((s, d))) is None:
+                    basis = pieces[s, d] = [[] for _ in range(n + 1)]
                 basis[c.dim].append(tag | dL)
     return pieces
 
@@ -356,15 +357,14 @@ def _one_sided_failures(res, pk, auts):
             live = map(pk.pack, itertools.product(*(
                 range(min(b, x + 1) + 1) for b, x in zip(pk.bound, cap))))
         elif lattice:
-            box = box or _box_classes(pk, cl.coordinates)
+            box = box or _box_classes(pk, cl)
             live = (d for s in range(n)
                     for d in box.get(key(vsub(reps[s], reps[t])), ()))
         else:
-            for s in range(n):
-                for d, bases in _one_sided_bases(C, pk, s, t).items():
-                    name = tuple(x >> shift for basis in bases for x in basis)
-                    groups.setdefault((name, s == t and d == 0),
-                                      (bases, []))[1].append((s, d))
+            for (s, d), bases in _one_sided_bases(C, pk, t).items():
+                name = tuple(x >> shift for basis in bases for x in basis)
+                groups.setdefault((name, s == t and d == 0),
+                                  (bases, []))[1].append((s, d))
         top = pk.pack(cap)
         groups.update(dict.fromkeys((pk.meet(d, top), d == 0) for d in live))
         by_dim = [[(c.id << shift, pk.pack(c.divisor)) for c in at
@@ -377,7 +377,7 @@ def _one_sided_failures(res, pk, auts):
                     fail := _rank_failures(pk, ones, bases, aug)):
                 continue
             if members is None:
-                box = box or _box_classes(pk, cl.coordinates)
+                box = box or _box_classes(pk, cl)
                 members = [(s, d) for s in range(n)
                            for d in box.get(key(vsub(reps[s], reps[t])), ())
                            if (pk.meet(d, top), d == 0) == (name, aug)]
@@ -386,11 +386,21 @@ def _one_sided_failures(res, pk, auts):
     return failures
 
 
-def _box_classes(pk, key):
-    """{class key: [packed d]} over the d <= pk.bound, in increasing order."""
+def _box_classes(pk, cl):
+    """{class key (`cl.coordinates`): [packed d]} over the d <= pk.bound,
+    in increasing order.  Keys are additive modulo cl.moduli, so each
+    point's key is its prefix's plus a multiple of a unit vector's."""
+    mods, dim = cl.moduli, len(pk.bound)
+    points = [((0,) * len(mods), 0)]
+    for i, b in enumerate(pk.bound):
+        unit = cl.coordinates([int(j == i) for j in range(dim)])
+        steps = [(a, tuple(a * u for u in unit)) for a in range(b + 1)]
+        points = [(tuple((x + y) % m if m else x + y
+                         for x, y, m in zip(k, step, mods)), p << pk.w | a)
+                  for k, p in points for a, step in steps]
     classes = {}
-    for d in itertools.product(*(range(b + 1) for b in pk.bound)):
-        classes.setdefault(key(d), []).append(pk.pack(d))
+    for k, p in points:
+        classes.setdefault(k, []).append(p)
     return classes
 
 

@@ -143,7 +143,7 @@ def test_criterion_5_mckay_resolution(mckay_z6_group, mckay_z6_complex):
         assert C.counts() == (6, 18, 18, 6)
         t = C.tau()
         assert all(t[t[c.id]] == c.id for c in C.cells)
-        C.verify_signs(C.explicit_signs)
+        assert not C.sign_failures(C.explicit_signs)
         mckay_sign_crosscheck(mckay_z6_group)
         res = build_resolution(C, signs=C.explicit_signs)
         assert verify_square_zero(res)

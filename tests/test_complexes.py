@@ -34,6 +34,12 @@ def check_divisor_additivity(complex_):
     return n
 
 
+def is_face_poset(complex_):
+    """Every two-step route group has exactly two routes."""
+    return all(len(routes) == 2
+               for routes in complex_.composite_groups().values())
+
+
 def cellular_homology(complex_, signs):
     """Betti numbers and torsion of the cellular chain complex of Delta
     over Z: the divisor labels forgotten, the incidence signs kept.  Each
@@ -88,22 +94,35 @@ def test_mckay_z6_counts_and_duality(mckay_z6_complex):
     t = C.tau()
     assert all(t[t[c.id]] == c.id for c in C.cells)
     assert C.tau_antisymmetry_violations() == []
-    assert C.face_poset_check().ok
+    assert is_face_poset(C)
     assert check_divisor_additivity(C) > 0
 
 
 def test_mckay_z6_signs(mckay_z6_complex):
     C = mckay_z6_complex
-    C.verify_signs(C.explicit_signs)
+    assert not C.sign_failures(C.explicit_signs)
     sol = C.solve_incidence()
     assert sol.feasible
-    C.verify_signs(sol.signs)
+    assert not C.sign_failures(sol.signs)
+
+
+def test_solve_incidence_refuses_a_missing_incidence(mckay_z6_complex):
+    """Without the last incidence of Z/6(1,2,3)'s hypercube complex, a
+    3-cube onto a square, each of the square's four facets leaves a group
+    of one route."""
+    C = mckay_z6_complex
+    assert C.cells[C.incidences[-1].parent].dim == 3
+    D = ToricCellComplex(C.Q, C.n, C.cells, C.incidences[:-1])
+    assert not is_face_poset(D)
+    with pytest.raises(ConstructionError,
+                       match="^face poset check failed on 4 flags$"):
+        D.solve_incidence()
 
 
 def test_mckay_z2():
     C = mckay_complex(AbelianGroupData.cyclic(2, (1, 1)))
     assert C.counts() == (2, 4, 2)
-    assert C.face_poset_check().ok
+    assert is_face_poset(C)
     assert C.solve_incidence().feasible
 
 
@@ -118,7 +137,7 @@ def test_general_complex_dimension_three(quiver_four_sheaves):
         d = C.cells[t[c.id]]
         assert d.payload[0] == "dual_arrow" and d.payload[1] == c.payload[1]
     assert C.tau_antisymmetry_violations() == []
-    assert C.face_poset_check().ok
+    assert is_face_poset(C)
     assert C.solve_incidence().feasible
     assert check_divisor_additivity(C) > 0
 
@@ -144,7 +163,7 @@ def test_fourfold_complex(fourfold_pipeline):
     C = general_complex(Q, W, rels=rels)
     assert C.counts() == (8, 26, 36, 26, 8)
     assert C.tau_antisymmetry_violations() == []
-    assert C.face_poset_check().ok
+    assert is_face_poset(C)
     assert C.solve_incidence().feasible
     assert check_divisor_additivity(C) > 0
 

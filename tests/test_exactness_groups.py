@@ -3,8 +3,8 @@
 `verify_exactness` reduces each group of pieces of P (x)_A A_0 with the
 same cells and augmentation once.  The oracle is the engine as it was
 before the grouping: every piece at one vertex pair per orbit of
-`_automorphisms` is built by `_one_sided_bases`, which finds its basis
-by `Q.reachable`, and reduced on its own.
+`_automorphisms` is built by `piece_oracle.one_sided_bases`, which finds
+its basis by `Q.reachable`, and reduced on its own.
 """
 
 import itertools
@@ -37,6 +37,7 @@ from toricell.superpotential import superpotential
 from toricell.variety import AbelianGroupData
 
 from conftest import INPUTS, load
+from piece_oracle import one_sided_bases
 from test_quiver import SMALL_GROUPS
 from test_resolution import (
     FIXTURE_SYMMETRY,
@@ -81,7 +82,7 @@ def per_piece_exactness(res, bound):
                 continue
             orbit = {(g[s], g[t]) for g in auts}
             covered |= orbit
-            pieces = resolution._one_sided_bases(C, pk, s, t)
+            pieces = one_sided_bases(C, pk, s, t)
             for d, bases in pieces.items():
                 aug = int(s == t and d == 0)
                 if _gf2_cokernel(pk, offsets, bases) != aug and (
@@ -191,6 +192,25 @@ def test_weight_zero_quotient_matches_per_piece_oracle():
     assert all(any(a.tail == a.head == v for a in C.Q.arrows)
                for v in range(3))
     check_bounds(build_resolution(C, signs=C.explicit_signs), range(4))
+
+
+def test_per_tail_bases_match_per_pair_oracle(request, mckay_z6_complex):
+    """`_one_sided_bases` at a tail, restricted to each s, is the oracle's
+    pieces at (s, t), bases in the same order: on every fixture, the
+    dimer_quiver round-trips and the inexact controls, at bound 2 (the
+    fourfold 1)."""
+    cases = [fixture_resolution(name, request) for name in FIXTURE_SYMMETRY]
+    cases += [round_trip("threefold_four_sheaves.json"),
+              round_trip("conifold.json")]
+    cases += [control(mckay_z6_complex) for control in CONTROLS.values()]
+    for res in cases:
+        C, n = res.complex, res.Q.n_vertices
+        pk = _packing(C, (1 if C.n == 4 else 2,) * res.Q.d)
+        for t in range(n):
+            pieces = resolution._one_sided_bases(C, pk, t)
+            for s in range(n):
+                assert {d: bases for (u, d), bases in pieces.items()
+                        if u == s} == one_sided_bases(C, pk, s, t)
 
 
 def drop_coordinate(res, t, x):

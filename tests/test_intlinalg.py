@@ -1,14 +1,15 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from toricell import intlinalg
 from toricell.complexes import general_complex
 from toricell.errors import InternalError
 from toricell.intlinalg import (
     CokernelForm,
-    _dense_rank,
     adjugate,
     dot,
     echelon_coordinates,
@@ -41,6 +42,23 @@ def matrices(max_dim=4):
             lambda n: st.lists(
                 st.lists(small_int, min_size=n, max_size=n),
                 min_size=m, max_size=m)))
+
+
+def fraction_rank(A):
+    """Oracle: the rank of an integer matrix by Gaussian elimination over
+    the rationals."""
+    M = [[Fraction(x) for x in row] for row in A]
+    r = 0
+    for col in range(len(M[0]) if M else 0):
+        piv = next((i for i in range(r, len(M)) if M[i][col]), None)
+        if piv is None:
+            continue
+        M[r], M[piv] = M[piv], M[r]
+        for i in range(r + 1, len(M)):
+            if f := M[i][col] / M[r][col]:
+                M[i] = [x - f * y for x, y in zip(M[i], M[r])]
+        r += 1
+    return r
 
 
 def det3(M):
@@ -131,7 +149,7 @@ def test_echelon_coordinates_off_lattice():
 @settings(max_examples=100, deadline=None)
 @given(matrices())
 def test_rank_matches_dense_rank(A):
-    assert rank(A) == _dense_rank(A)
+    assert rank(A) == fraction_rank(A)
 
 
 def test_rank_randomized_sparse_agreement():
@@ -141,15 +159,33 @@ def test_rank_randomized_sparse_agreement():
         n = rng.randint(1, 9)
         A = [[rng.choice((-1, 0, 0, 0, 1, rng.randint(-5, 5)))
               for _ in range(n)] for _ in range(m)]
-        assert rank(A) == _dense_rank(A)
+        assert rank(A) == fraction_rank(A)
     # no unit entries at all, or units that elimination turns into
-    # non-units: the leftover block goes to the dense routine
+    # non-units: the leftover block goes to lattice_basis
     for entries in ((0, 0, 2, -2, 3, -3, 6, -6), (0, 0, 1, -1, 2, -3, 6)):
         for _ in range(200):
             m = rng.randint(1, 9)
             n = rng.randint(1, 9)
             A = [[rng.choice(entries) for _ in range(n)] for _ in range(m)]
-            assert rank(A) == _dense_rank(A)
+            assert rank(A) == fraction_rank(A)
+
+
+@pytest.mark.parametrize("A, r, fallback", [
+    ([[2, 4], [4, 2]], 2, True),
+    ([[2, 4], [1, 2]], 1, False),
+    ([[2, 0, 2], [0, 2, 2], [2, 2, 4]], 2, True),
+    ([[1, 1, 0], [1, -1, 0], [0, 0, 3]], 3, True),
+])
+def test_rank_of_blocks_without_units(A, r, fallback, monkeypatch):
+    """A block left with no unit entry goes to lattice_basis, whose row
+    count is its rank: no unit at all, a unit pivot that leaves nothing,
+    and a unit pivot that leaves a 2 and a 3."""
+    calls = []
+    real = intlinalg.lattice_basis
+    monkeypatch.setattr(intlinalg, "lattice_basis",
+                        lambda *args: calls.append(args) or real(*args))
+    assert rank(A) == fraction_rank(A) == r
+    assert bool(calls) == fallback
 
 
 @pytest.mark.parametrize("which", ["dimer", "z6"])
@@ -165,7 +201,7 @@ def test_rank_on_graded_piece_matrices(which, quiver_four_sheaves,
     piece = graded_piece(res, 0, 0, (3,) * res.Q.d)
     assert max(piece.dims()) > 50
     for m in piece.matrices[1:]:
-        assert rank(m) == _dense_rank(m) > 0
+        assert rank(m) == fraction_rank(m) > 0
         cols = [{i: row[j] for i, row in enumerate(m) if row[j]}
                 for j in range(len(m[0]))]
         assert sparse_rank(cols) == rank(m)

@@ -46,7 +46,6 @@ FIELDS = {
     "PerfectMatching": "functional values extremal_ray",
     "WeightZeroReport": "matches missing off_slice semigroup_basis",
     "Cell": "id dim head tail divisor payload",
-    "FacePosetReport": "ok violations",
     "IncidenceSolution": "signs feasible certificate",
     "SignParityReport": "arrow n_terms edges two_colorable odd_cycle",
     "MinimalityReport": "minimal unit_incidences",
@@ -80,7 +79,7 @@ def records():
         smith_normal_form([[2, 4], [6, 8]]),
         rels[0], consistency(Q, W, bound=1),
         perfect_matchings(Q)[0], weight_zero_check(Q),
-        C.cells[-1], C.face_poset_check(), C.solve_incidence(),
+        C.cells[-1], C.solve_incidence(),
         sign_infeasibility(Q, W, rels, 0),
         verify_minimality(res), graded_piece(res, 0, 0, Q.ones),
         verify_exactness(res, 1),

@@ -42,6 +42,7 @@ from toricell.superpotential import consistency, relations, superpotential
 from toricell.variety import AbelianGroupData, mckay_toric_data
 
 from conftest import load
+from piece_oracle import one_sided_bases
 from test_complexes import (
     check_solve_gf2_against_oracle,
     check_torus_homology,
@@ -234,8 +235,7 @@ def test_exactness_triple_limit(z6_resolution, request, monkeypatch):
     count = guard_elements(z6_resolution, 2)
     assert count == sum(
         len(basis) for s in range(6) for t in range(6)
-        for bases in resolution._one_sided_bases(
-            z6_resolution.complex, pk, s, t).values()
+        for bases in one_sided_bases(z6_resolution.complex, pk, s, t).values()
         for basis in bases)
     fourfold = fixture_resolution("fourfold.json", request)
     assert guard_elements(fourfold, 3) <= MAX_TRIPLES
@@ -1186,7 +1186,7 @@ def test_gf2_cokernel_against_dense_ranks(name, mckay_z6_complex):
     offsets = facet_offsets(ones)
     seen = set()
     for s, t in itertools.product(range(6), repeat=2):
-        pieces = resolution._one_sided_bases(res.complex, pk, s, t)
+        pieces = one_sided_bases(res.complex, pk, s, t)
         assert (0 in pieces) == (s == t)
         for d, bases in pieces.items():
             aug = int(s == t and d == 0)
