@@ -11,13 +11,14 @@ from the tail of the parent to the tail of the facet).
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import xor
 from types import MappingProxyType
 from typing import NamedTuple
 
 from .errors import ConstructionError, InputError
-from .intlinalg import leq, vadd, vsub
-from .quiver import mckay_quiver
+from .intlinalg import Packing, leq, vadd, vsub
+from .quiver import mckay_quiver, orbit_representatives
 from .superpotential import cyclic_canonical, relations
 
 
@@ -57,19 +58,34 @@ class ToricCellComplex:
     """Cells, deduplicated facet incidences and cells by dimension, all
     read-only: a complex may be shared (`mckay_complex`).  explicit_signs
     are closed-form signs that Q's translations keep, acting on cells by
-    (j, S) -> (sigma(j), S), or None (all but `mckay_complex`)."""
+    (j, S) -> (sigma(j), S), or None (all but `mckay_complex`).
 
-    def __init__(self, Q, n, cells, incidences):
+    orbits (`mckay_complex`) maps each incidence to a key of its orbit
+    under Q's translations; else each incidence is its own orbit.  The
+    sign layer works at the parents whose tail is an orbit representative,
+    and every parent is the image of one.  A translation sigma keeps
+    labels, so path_exists, and sends each incidence to one of its orbit
+    with the same dims, divisors and classes.  So at sigma(p), `_validate`,
+    the route groups, their equations in one unknown per orbit and the
+    sums of signs constant on the orbits are those at p, moved by sigma."""
+
+    def __init__(self, Q, n, cells, incidences, orbits=None):
         self.Q = Q
         self.n = n
         self.cells = cells = tuple(cells)
         self.by_dim = MappingProxyType(
             {k: tuple(c for c in cells if c.dim == k) for k in range(n + 1)})
         self.incidences = tuple(dict.fromkeys(incidences))
+        self._orbit = orbits or {}
+        self._reps = set(orbit_representatives(
+            Q.translations if orbits else Q.translations[:1]))
         self._facets_of = {c.id: [] for c in cells}
         for inc in self.incidences:
-            self._validate(inc)
+            if cells[inc.parent].tail in self._reps:
+                self._validate(inc)
             self._facets_of[inc.parent].append(inc)
+        self._local_groups = self._route_groups(
+            [i for i in self.incidences if cells[i.parent].tail in self._reps])
         self.explicit_signs = None
         self._tau = None
         self._composites = None
@@ -126,6 +142,23 @@ class ToricCellComplex:
 
     # -- two-step composites and the face poset -----------------------------
 
+    def _route_groups(self, incidences):
+        """`composite_groups` of the parents of the incidences, each class
+        packed once (`intlinalg.Packing`) so that composing is an int sum."""
+        pk = Packing((max((x for c in self.cells for x in c.divisor),
+                          default=0),) * self.Q.d, 0)
+        pack, unpack = lru_cache(None)(pk.pack), lru_cache(None)(pk.unpack)
+        packed, groups = {i: (pack(i.left), pack(i.right))
+                          for i in self.incidences}, {}
+        for inc1 in incidences:
+            l1, r1 = packed[inc1]
+            for inc2 in self._facets_of[inc1.facet]:
+                l2, r2 = packed[inc2]
+                groups.setdefault((inc1.parent, inc2.facet, l1 + l2, r1 + r2),
+                                  []).append((inc1, inc2))
+        return {(p, g, unpack(L), unpack(R)): tuple(routes)
+                for (p, g, L, R), routes in groups.items()}
+
     def composite_groups(self):
         """Two-step facet routes grouped by (parent, grandchild, left, right).
 
@@ -136,15 +169,8 @@ class ToricCellComplex:
         groups are built once and shared, read-only, by every caller.
         """
         if self._composites is None:
-            groups = {}
-            for inc1 in self.incidences:
-                for inc2 in self._facets_of[inc1.facet]:
-                    L = vadd(inc2.left, inc1.left)
-                    R = vadd(inc1.right, inc2.right)
-                    key = (inc1.parent, inc2.facet, L, R)
-                    groups.setdefault(key, []).append((inc1, inc2))
             self._composites = MappingProxyType(
-                {key: tuple(routes) for key, routes in groups.items()})
+                self._route_groups(self.incidences))
         return self._composites
 
     # -- incidence function -------------------------------------------------
@@ -152,30 +178,26 @@ class ToricCellComplex:
     def solve_incidence(self):
         """Find signs for all incidences satisfying the cancellation parity.
 
-        One unknown per incidence (sign = (-1)^x).  Each two-step group
-        contributes x1+x2+x3+x4 = 1 over GF(2); each 1-cell contributes
-        x(head incidence) + x(tail incidence) = 1 (the empty cell below the
-        0-cells carries sign +1).  A face poset needs exactly two routes
-        in every group, so ConstructionError is raised if some group has
-        another number, or if the solved signs fail `sign_failures`.
+        One unknown per orbit of incidences (sign = (-1)^x).  Each two-step
+        group at a representative tail gives x1+x2+x3+x4 = 1 over GF(2),
+        each such 1-cell x(head incidence) + x(tail incidence) = 1 (the
+        empty cell below the 0-cells has sign +1).  A face poset needs two
+        routes in every group, so ConstructionError is raised if some group
+        has another number, or if the solved signs fail `sign_failures`.
         """
-        groups = self.composite_groups()
-        if bad := sum(len(routes) != 2 for routes in groups.values()):
+        if any(len(routes) != 2 for routes in self._local_groups.values()):
+            bad = sum(len(r) != 2 for r in self.composite_groups().values())
             raise ConstructionError(f"face poset check failed on {bad} flags")
-        var = {inc: i for i, inc in enumerate(self.incidences)}
-        equations = []
-        for key, routes in sorted(groups.items()):
-            (a1, a2), (b1, b2) = routes
-            mask = 0
-            for inc in (a1, a2, b1, b2):
-                mask ^= 1 << var[inc]
-            equations.append((mask, 1, ("flag", key)))
-        for c in self.by_dim.get(1, []):
-            mask = 0
-            for inc in self._facets_of[c.id]:
-                mask ^= 1 << var[inc]
-            equations.append((mask, 1, ("boundary", c.id)))
-        assignment, certificate = solve_gf2(equations, len(self.incidences))
+        index = {}
+        var = {inc: index.setdefault(self._orbit.get(inc, inc), len(index))
+               for inc in self.incidences}
+        rows = [(("flag", key), sum(routes, ()))
+                for key, routes in sorted(self._local_groups.items())]
+        rows += [(("boundary", c.id), self._facets_of[c.id])
+                 for c in self.by_dim.get(1, ()) if c.tail in self._reps]
+        equations = [(reduce(xor, [1 << var[i] for i in incs], 0), 1, meta)
+                     for meta, incs in rows]
+        assignment, certificate = solve_gf2(equations, len(index))
         if assignment is None:
             return IncidenceSolution(signs=None, feasible=False,
                                      certificate=certificate)
@@ -185,12 +207,17 @@ class ToricCellComplex:
         return IncidenceSolution(signs=signs, feasible=True, certificate=None)
 
     def sign_failures(self, signs):
-        """(parent cell, why) for each way the signs break the cancellation
-        identity: they must cancel on each two-step route group, and on the
-        two ends of each 1-cell (the augmentation)."""
-        failures = [(key[0], f"d.d != 0 on flag {key}")
-                    for key, routes in self.composite_groups().items()
-                    if sum(signs[i1] * signs[i2] for i1, i2 in routes)]
+        """(parent cell, why) for each two-step route group, and each 1-cell
+        under the augmentation, whose signs do not cancel.  Signs constant
+        on the orbits get every group only if a representative one fails."""
+        first, orbit, failures = {}, self._orbit, []
+        if orbit and not all(first.setdefault(orbit.get(i, i), signs[i])
+                             == signs[i] for i in self.incidences) or any(
+                sum(signs[i1] * signs[i2] for i1, i2 in routes)
+                for routes in self._local_groups.values()):
+            failures = [(key[0], f"d.d != 0 on flag {key}")
+                        for key, routes in self.composite_groups().items()
+                        if sum(signs[i1] * signs[i2] for i1, i2 in routes)]
         failures += [(c.id, f"augmentation . d1 != 0 on cell {c.id}")
                      for c in self.by_dim.get(1, [])
                      if sum(signs[i] for i in self._facets_of[c.id])]
@@ -259,11 +286,11 @@ def mckay_complex(group, Q=None):
     an arrow, sign (-1)^nu) or the head (right class an arrow, sign
     (-1)^(nu+1)).  The closed-form signs are recorded alongside, read-only.
     With Q's translations (`quiver.build_quiver`), (j, S) ends at sigma(j)
-    for the sigma adding the class of e_S.  Translations commute, so each
-    sigma sends (j, S) to (sigma(j), S) and every incidence to one with
-    the same classes and closed-form sign, which depends on S and nu
-    alone.  Q is the group's quiver of sections; without it, the group's
-    `quiver.mckay_quiver` is used and the complex is shared too.
+    for the sigma adding the class of e_S.  Translations commute, so sigma
+    sends (j, S) to (sigma(j), S) and each incidence to one with the same
+    classes and closed-form sign; orbits are keyed by the representative
+    of j's orbit, S, nu and the side.  Q is the group's quiver of sections;
+    without it the complex is built on `quiver.mckay_quiver` and shared.
     """
     if Q is None:
         return _mckay_complex(group)
@@ -281,7 +308,8 @@ def mckay_complex(group, Q=None):
     ids = {c.payload[1:]: c.id for c in cells}
     zero = (0,) * n
     incidences = []
-    explicit = {}
+    explicit, orbits = {}, {}
+    base = [min(s[j] for s, _ in Q.translations) for j in range(r)]
     for j in range(r):
         for S in faces:
             parent = ids[j, S]
@@ -296,7 +324,9 @@ def mckay_complex(group, Q=None):
                 incidences += (tail_facet, head_facet)
                 explicit[tail_facet] = (-1) ** nu
                 explicit[head_facet] = (-1) ** (nu + 1)
-    complex_ = ToricCellComplex(Q, n, cells, incidences)
+                orbits[tail_facet] = base[j], S, -nu
+                orbits[head_facet] = base[j], S, nu
+    complex_ = ToricCellComplex(Q, n, cells, incidences, orbits)
     complex_.explicit_signs = MappingProxyType(explicit)
     # the 1-skeleton must be the quiver itself
     one_cells = {(c.tail, c.head, c.divisor) for c in complex_.by_dim[1]}

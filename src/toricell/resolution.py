@@ -293,9 +293,9 @@ def _automorphisms(res):
     delta.  sigma maps 0-cells to 0-cells, so delta' is +1 on them: each
     translation carries the signs to a gauge transform of themselves that
     is +1 on the 0-cells, as `verify_exactness` needs.  One gauge check
-    certifies them all."""
-    E = res.complex.explicit_signs
-    if E is None or _gauge(res.complex, res.signs, E)[1]:
+    certifies them all; signs that are E itself need none."""
+    C, E = res.complex, res.complex.explicit_signs
+    if E is None or res.signs is not E and _gauge(C, res.signs, E)[1]:
         return [tuple(range(res.Q.n_vertices))]
     return [sigma for sigma, _ in res.Q.translations]
 

@@ -15,8 +15,16 @@ from toricell.complexes import (
 from toricell.errors import ConstructionError, InputError
 from toricell.inputs import parse_document
 from toricell.intlinalg import mat_mul, smith_normal_form, vadd
-from toricell.quiver import QuiverOfSections, mckay_quiver
-from toricell.resolution import CellularResolution, mckay_sign_crosscheck
+from toricell.quiver import (
+    QuiverOfSections,
+    mckay_quiver,
+    orbit_representatives,
+)
+from toricell.resolution import (
+    CellularResolution,
+    build_resolution,
+    mckay_sign_crosscheck,
+)
 from toricell.superpotential import relations, superpotential
 from toricell.variety import AbelianGroupData
 
@@ -117,6 +125,86 @@ def test_solve_incidence_refuses_a_missing_incidence(mckay_z6_complex):
     with pytest.raises(ConstructionError,
                        match="^face poset check failed on 4 flags$"):
         D.solve_incidence()
+
+
+def test_non_invariant_signs_get_the_full_sweep(mckay_z6_complex):
+    """Z/6(1,2,3)'s closed-form signs with one incidence flipped whose
+    parent has tail 5, which is not an orbit representative: the signs are
+    not constant on the orbits, so every parent is swept, the flipped
+    parent is named and build_resolution raises.  The failures, and those
+    of signs that are constant on the orbits but fail, are those of the
+    complex rebuilt with singleton orbits.  A plain copy of the closed-form
+    signs passes."""
+    C = mckay_z6_complex
+    assert orbit_representatives(C.Q.translations) == [0]
+    D = ToricCellComplex(C.Q, C.n, C.cells, C.incidences)
+    inc = next(i for i in C.incidences if C.cells[i.parent].tail == 5)
+    flipped = dict(C.explicit_signs)
+    flipped[inc] = -flipped[inc]
+    failures = C.sign_failures(flipped)
+    assert inc.parent in {cid for cid, _ in failures}
+    assert failures == D.sign_failures(flipped)
+    with pytest.raises(ConstructionError):
+        build_resolution(C, flipped)
+    ones = {i: 1 for i in C.incidences}
+    assert C.sign_failures(ones) == D.sign_failures(ones) != []
+    assert not C.sign_failures(dict(C.explicit_signs))
+
+
+def gf2_rank(rows):
+    """The rank of int bitsets over GF(2), pivots keyed by the highest
+    bit."""
+    pivots = {}
+    for row in rows:
+        while row and (top := row.bit_length() - 1) in pivots:
+            row ^= pivots[top]
+        if row:
+            pivots[top] = row
+    return len(pivots)
+
+
+def incidence_system(C):
+    """The masks of the full GF(2) incidence system, bit k for the k-th
+    incidence, built as `solve_incidence` builds them with singleton
+    orbits: one per group of `composite_groups()` and one per 1-cell."""
+    bit = {inc: 1 << k for k, inc in enumerate(C.incidences)}
+    rows = []
+    for routes in C.composite_groups().values():
+        mask = 0
+        for inc in (i for route in routes for i in route):
+            mask ^= bit[inc]
+        rows.append(mask)
+    for c in C.by_dim[1]:
+        mask = 0
+        for inc in C.facet_incidences(c.id):
+            mask ^= bit[inc]
+        rows.append(mask)
+    return rows
+
+
+@pytest.mark.parametrize("name, n_incidences, gauges", [
+    ("conifold.json", 40, 10), ("threefold_four_sheaves.json", 88, 24),
+    ("fourfold.json", 440, 96), ("mckay_z6_123.json", 144, 42),
+    ("mckay_z2_11.json", 16, 6), ("trivial_a3.json", 24, 7)])
+def test_incidence_function_is_unique_up_to_gauge(name, n_incidences,
+                                                   gauges, request):
+    """The full incidence system has rank #incidences - #cells + #0-cells:
+    its solutions are one gauge class, of dimension #cells - #0-cells, the
+    gauges that keep the augmentation being constant on the 0-cells of a
+    connected complex.  So signs solved for on the orbits of a quotient's
+    translations lose nothing: any valid signs are a gauge transform of
+    them."""
+    if name == "fourfold.json":
+        Q, W, rels, _ = request.getfixturevalue("fourfold_pipeline")
+        C = general_complex(Q, W, rels=rels)
+    elif (doc := load(name)).group is not None:
+        C = mckay_complex(doc.group)
+    else:
+        Q = doc.quiver()
+        C = general_complex(Q, superpotential(Q))
+    assert len(C.incidences) == n_incidences
+    assert len(C.cells) - len(C.by_dim[0]) == gauges
+    assert gf2_rank(incidence_system(C)) == n_incidences - gauges
 
 
 def test_mckay_z2():

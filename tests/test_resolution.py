@@ -475,6 +475,21 @@ def test_automorphisms_of_fixtures(name, request):
     assert all(sorted(g) == list(range(n)) for g in auts)
 
 
+def test_closed_form_signs_keep_translations_without_a_gauge(
+        mckay_z6_complex, monkeypatch):
+    """Signs that are the complex's own closed-form signs keep every
+    translation with no gauge check (the gauge is 1); a copy of them is
+    checked once."""
+    C, calls = mckay_z6_complex, []
+    every = [sigma for sigma, _ in C.Q.translations]
+    spy(monkeypatch, "_gauge", calls)
+    assert _automorphisms(CellularResolution(C, C.explicit_signs)) == every
+    assert calls == []
+    assert _automorphisms(CellularResolution(C, dict(C.explicit_signs))) \
+        == every
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("check_products", [False, True])
 @pytest.mark.parametrize("name", sorted(FIXTURE_SYMMETRY))
 def test_exactness_matches_per_pair_oracle(name, check_products, request):

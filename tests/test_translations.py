@@ -29,6 +29,7 @@ from toricell.superpotential import (
 from toricell.variety import AbelianGroupData, mckay_toric_data
 
 from conftest import load
+from test_complexes import is_face_poset
 from test_quiver import SMALL_GROUPS
 from test_resolution import small_complexes
 
@@ -83,11 +84,15 @@ def check_class_fact(Q, bound, copy=None):
 def check_layers(C, bound, full_exactness=True):
     """W, consistency and the vertices `reachable` along each divisor in
     the box (`check_class_fact`) of C's quiver equal those of its identity
-    copy.  With full_exactness so does the exactness report
-    of C's cells on the copy, which has the identity alone and no
-    closed-form signs, so every vertex pair is computed.  Else the report
-    is that of C's cells rebuilt on C's quiver with C's closed-form
-    signs, which keep the translations through the gauge check."""
+    copy.  C's cells rebuilt with singleton orbits, D, validate every
+    incidence and build every route group: D is a face poset, its solve is
+    as feasible as C's, and C's solved signs, which are constant on C's
+    orbits, and closed-form signs pass D's full sweep.  With
+    full_exactness D is built on the copy, which has the identity alone,
+    and has no closed-form signs, so the exactness report computes every
+    vertex pair and must equal C's.  Else D is built on C's quiver with
+    C's closed-form signs, which keep the translations through the gauge
+    check."""
     Q = C.Q
     P = identity_copy(Q)
     W, V = superpotential(Q), superpotential(P)
@@ -96,6 +101,11 @@ def check_layers(C, bound, full_exactness=True):
     check_class_fact(Q, bound, P)
     D = ToricCellComplex(P if full_exactness else Q, C.n, C.cells,
                          C.incidences)
+    sol = C.solve_incidence()
+    assert D.solve_incidence().feasible == sol.feasible
+    assert not D.sign_failures(sol.signs)
+    assert not D.sign_failures(C.explicit_signs)
+    assert is_face_poset(D)
     if not full_exactness:
         D.explicit_signs = C.explicit_signs
     assert (verify_exactness(build_resolution(C, C.explicit_signs), bound)
@@ -106,10 +116,10 @@ def check_layers(C, bound, full_exactness=True):
 def test_translations_on_quotients():
     """On the 80 small quotients and Z/64(1,1,1,61): the translations map
     labelled arrows onto labelled arrows, paths carry exactly their class
-    difference, and every orbit layer agrees with the identity copy at
-    bound 2 (on Z/64 the copy's complex keeps
+    difference, and every orbit layer, the sign layer included, agrees
+    with the identity copy at bound 2 (on Z/64 the copy's complex keeps
     its translations, as a sweep of all 4,096 vertex pairs takes
-    seconds).  About 2 s on a 2-CPU machine, the complexes of the small
+    seconds).  About 3.5 s on a 2-CPU machine, the complexes of the small
     quotients already built."""
     for n in sorted(SMALL_GROUPS):
         for C in small_complexes(n):
