@@ -58,7 +58,8 @@ class ToricCellComplex:
     """Cells, deduplicated facet incidences and cells by dimension, all
     read-only: a complex may be shared (`mckay_complex`).  explicit_signs
     are closed-form signs that Q's translations keep, acting on cells by
-    (j, S) -> (sigma(j), S), or None (all but `mckay_complex`).
+    (j, S) -> (sigma(j), S), or None (all but `mckay_complex`), and
+    solved_signs the read-only signs the last `solve_incidence` verified.
 
     orbits (`mckay_complex`) maps each incidence to a key of its orbit
     under Q's translations; else each incidence is its own orbit.  The
@@ -86,9 +87,8 @@ class ToricCellComplex:
             self._facets_of[inc.parent].append(inc)
         self._local_groups = self._route_groups(
             [i for i in self.incidences if cells[i.parent].tail in self._reps])
-        self.explicit_signs = None
-        self._tau = None
-        self._composites = None
+        self.explicit_signs = self.solved_signs = None
+        self._tau = self._composites = None
 
     def _validate(self, inc):
         p, f = self.cells[inc.parent], self.cells[inc.facet]
@@ -201,9 +201,11 @@ class ToricCellComplex:
         if assignment is None:
             return IncidenceSolution(signs=None, feasible=False,
                                      certificate=certificate)
-        signs = {inc: (-1) ** assignment[i] for inc, i in var.items()}
+        signs = MappingProxyType({inc: (-1) ** assignment[i]
+                                  for inc, i in var.items()})
         if failures := self.sign_failures(signs):
             raise ConstructionError(failures[0][1])
+        self.solved_signs = signs
         return IncidenceSolution(signs=signs, feasible=True, certificate=None)
 
     def sign_failures(self, signs):
@@ -225,7 +227,7 @@ class ToricCellComplex:
 
 
 class IncidenceSolution(NamedTuple):
-    signs: object      # {FacetIncidence: +1 or -1}, or None when infeasible
+    signs: object      # read-only {FacetIncidence: +1 or -1}; None if infeasible
     feasible: bool
     certificate: object  # conflicting flag descriptions when infeasible
 

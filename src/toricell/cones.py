@@ -181,19 +181,27 @@ class FiberContext:
         keys = [self._key(c) for c in classes]
         todo = {k: tuple(c) for k, c in zip(keys, classes) if k not in self._fibers}
         if todo:
-            cap = tuple(map(max, zip(*map(self.box, todo.values()))))
+            zero = self.images((0,) * self.d)
+            cap = tuple(map(max, zip(*[self.box(self.images(c), zero)
+                                       for c in todo.values()])))
             found = self.walk(cap, set(todo))[0]
             self._fibers.update((k, sorted(v)) for k, v in found.items())
         return [self._fibers[k] for k in keys]
 
-    def box(self, c):
+    def images(self, c):
+        """The image v_S(c) of c under each vertex map (S, K, den) (see box)."""
+        return [vsub(vscale(den, c), mat_vec(K, [c[i] for i in S]))
+                for S, K, den in self.vertex_maps]
+
+    def box(self, images, base):
         """z plus the floor of the max over V of c + B t: the cap of the
-        generators of class c (see fibers).  The point where the rows S are
-        tight is t = -B_S^{-1} c_S, so den (c + B t) = den c - K c_S for
-        den = |det B_S| and K = sign(det B_S) B adj(B_S)."""
+        generators of class c (see fibers), from the images of c + b and b.
+        Where the rows S are tight, t = -B_S^{-1} c_S and den (c + B t) =
+        den c - K c_S = v_S(c), den = |det B_S|, K = sign(det B_S) B adj(B_S);
+        v_S is linear, so v_S(c) = v_S(c + b) - v_S(b)."""
         cap = self.z
-        for S, K, den in self.vertex_maps:
-            v = vsub(vscale(den, c), mat_vec(K, [c[i] for i in S]))
+        for (_, _, den), v, u in zip(self.vertex_maps, images, base):
+            v = vsub(v, u)
             if min(v) >= 0:
                 cap = tuple(max(a, x // den + b) for a, x, b in zip(cap, v, self.z))
         return cap

@@ -16,8 +16,8 @@ from .quiver import QuiverOfSections, build_quiver, mckay_quiver
 from .variety import (
     AbelianGroupData,
     Collection,
-    GorensteinToricVariety,
     mckay_toric_data,
+    toric_variety,
 )
 
 
@@ -122,10 +122,9 @@ class InputDocument:
 
     def quiver(self):
         if self.kind == "dimer_quiver":
-            X = None
-            coll = None
+            X = coll = None
             if self.rays is not None:
-                X = GorensteinToricVariety(self.rays)
+                X = toric_variety(self.rays)
                 if self.collection_reps is not None:
                     coll = Collection(X, self.collection_reps)
             return QuiverOfSections(self.vertices, self.arrows, X=X,
@@ -135,7 +134,7 @@ class InputDocument:
             if order is None:
                 return mckay_quiver(self.group)
             return build_quiver(*mckay_toric_data(self.group), arrow_order=order)
-        X = GorensteinToricVariety(self.rays)
+        X = toric_variety(self.rays)
         return build_quiver(X, Collection(X, self.collection_reps),
                             arrow_order=order)
 
@@ -173,9 +172,7 @@ def parse_document(doc):
     else:  # dimer_quiver
         vertices = _require(doc, "vertices", int)
         arrows = _arrow_list(_require(doc, "arrows", list), "arrows")
-        rays = None
-        reps = None
-        n = d = None
+        rays = reps = n = d = None
         if "rays" in doc:
             rays = _int_matrix(doc["rays"], "rays")
             n, d = len(rays[0]), len(rays)

@@ -286,15 +286,16 @@ def build_quiver(X, collection, arrow_order=None):
     reps = [c.representative for c in collection.classes]
     # class keys are additive modulo cl.moduli (CokernelForm.coordinates)
     keys = [cl.coordinates(r) for r in reps]
+    images = [ctx.images(r) for r in reps] if 0 in cl.moduli else None
     arrows, heads_of = [], []
-    for i, (rep_i, key_i) in enumerate(zip(reps, keys)):
+    for i, key_i in enumerate(keys):
         heads = {tuple((a - b) % m if m else a - b
                        for a, b, m in zip(key_j, key_i, cl.moduli)): j
                  for j, key_j in enumerate(keys) if j != i}
         heads_of.append(heads)
         cap = ctx.z
-        if 0 in cl.moduli:
-            boxes = [ctx.box(vsub(rep, rep_i)) for rep in reps if rep != rep_i]
+        if images:
+            boxes = [ctx.box(im, images[i]) for j, im in enumerate(images) if j != i]
             cap = tuple(map(max, zip(cap, *boxes)))
         found, loops = ctx.walk(cap, stop=heads)
         arrows += [(i, i, s) for s in loops]

@@ -21,24 +21,24 @@ from .intlinalg import Packing, is_zero, leq, sparse_rank, vsub
 
 
 class CellularResolution:
-    """A toric cell complex with a fixed incidence sign assignment and
-    its `ToricCellComplex.sign_failures`, found once."""
+    """A toric cell complex with a fixed incidence sign assignment and its
+    `ToricCellComplex.sign_failures`, found once (none for `solved_signs`)."""
 
     def __init__(self, complex_, signs):
         self.complex = complex_
         self.Q = complex_.Q
         self.n = complex_.n
         self.signs = signs
-        self.sign_failures = tuple(complex_.sign_failures(signs))
+        self.sign_failures = () if signs is complex_.solved_signs is not None \
+            else tuple(complex_.sign_failures(signs))
 
 
 def build_resolution(complex_, signs=None):
     if signs is None:
         sol = complex_.solve_incidence()
         if not sol.feasible:
-            raise ConstructionError(
-                f"no incidence function exists: {sol.certificate}")
-        return CellularResolution(complex_, sol.signs)
+            raise ConstructionError(f"no incidence function exists: {sol.certificate}")
+        signs = sol.signs
     res = CellularResolution(complex_, signs)
     verify_square_zero(res)
     return res

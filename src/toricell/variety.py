@@ -9,6 +9,7 @@ of the class difference.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
 from math import lcm
 from typing import NamedTuple
@@ -90,6 +91,17 @@ class GorensteinToricVariety:
     def section_semigroup_hilbert_basis(self):
         """Hilbert basis of the degree-zero semigroup N^d ∩ ker(deg)."""
         return list(self.fiber_context.s0_hilbert)
+
+
+def toric_variety(rays):
+    """The variety of these rays in their given order, with its fiber
+    context, built once for each of the 8 ray lists used last and shared
+    by all its callers, so they must not change it; a rejected list raises."""
+    return _shared_variety(tuple(map(tuple, rays)))
+
+
+_shared_variety = lru_cache(maxsize=8)(GorensteinToricVariety)
+toric_variety.cache_clear = _shared_variety.cache_clear
 
 
 class WeilClass(NamedTuple):

@@ -10,6 +10,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from toricell.complexes import _mckay_complex  # noqa: E402
 from toricell.inputs import load_document  # noqa: E402
 from toricell.quiver import mckay_quiver  # noqa: E402
+from toricell.variety import toric_variety  # noqa: E402
 
 INPUTS = os.path.join(os.path.dirname(__file__), "..", "inputs")
 
@@ -24,10 +25,12 @@ def load(name):
 
 @pytest.fixture(autouse=True)
 def fresh_quotient_memos():
-    """Empty the per-group quiver and complex memos before each test, so
-    that no test reads the builds of another."""
+    """Empty the per-group quiver and complex memos and the per-ray-list
+    variety memo before each test, so that no test reads the builds of
+    another."""
     mckay_quiver.cache_clear()
     _mckay_complex.cache_clear()
+    toric_variety.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -151,6 +151,34 @@ def test_non_invariant_signs_get_the_full_sweep(mckay_z6_complex):
     assert not C.sign_failures(dict(C.explicit_signs))
 
 
+def test_solved_signs_are_checked_once(monkeypatch):
+    """The solver's signs on the four sheaves' complex are read-only, and
+    a resolution on that very object does not check them again; on no
+    solve, or on a copy, the check runs, and a flipped copy still raises."""
+    Q = load("threefold_four_sheaves.json").quiver()
+    C = general_complex(Q, superpotential(Q))
+    calls = []
+    check = ToricCellComplex.sign_failures
+    monkeypatch.setattr(ToricCellComplex, "sign_failures",
+                        lambda self, signs: calls.append(signs)
+                        or check(self, signs))
+    assert C.solved_signs is None
+    sol = C.solve_incidence()
+    assert C.solved_signs is sol.signs and calls == [sol.signs]
+    inc = next(i for i in C.incidences if C.cells[i.parent].dim == 2)
+    with pytest.raises(TypeError):
+        sol.signs[inc] = -sol.signs[inc]
+    assert build_resolution(C, signs=sol.signs).sign_failures == ()
+    assert build_resolution(C).sign_failures == ()
+    assert len(calls) == 2  # one per solve
+    signs = dict(sol.signs)
+    assert build_resolution(C, signs=signs).sign_failures == ()
+    assert len(calls) == 3
+    signs[inc] = -signs[inc]
+    with pytest.raises(ConstructionError, match="d.d != 0"):
+        build_resolution(C, signs=signs)
+
+
 def gf2_rank(rows):
     """The rank of int bitsets over GF(2), pivots keyed by the highest
     bit."""

@@ -1,4 +1,5 @@
 import ast
+import collections
 import itertools
 import json
 import math
@@ -412,31 +413,43 @@ def fraction_seed(A):
 
 
 def test_integer_caps_and_seeds_match_fraction_oracle(monkeypatch):
-    """For every cap that build_quiver asks for, on every fixture and on
-    Z/16(1,2,13) and Z/32(1,1,1,29), the integer cap equals the Fraction
-    cap; and dual_cone_rays of the rays and of the facets of each variety
-    equal the rays grown from the Fraction seed."""
-    requested = []
+    """build_quiver takes one cap per ordered pair of members on every
+    fixture with a free class group, from the vertex images of the two
+    members, and each equals the Fraction cap of c_j - c_i; on finite
+    class groups, those of Z/16(1,2,13) and Z/32(1,1,1,29) among them, it
+    takes none.  dual_cone_rays of the rays and of the facets of each
+    variety equal the rays grown from the Fraction seed."""
+    used = []
     box = FiberContext.box
-    monkeypatch.setattr(FiberContext, "box", lambda ctx, c: (
-        requested.append((ctx, c)) or box(ctx, c)))
+
+    def recorded(ctx, images, base):
+        cap = box(ctx, images, base)
+        used.append((ctx, (id(ctx), tuple(images), tuple(base)), cap))
+        return cap
+
+    monkeypatch.setattr(FiberContext, "box", recorded)
     quivers = [load(name).quiver() for name in sorted(os.listdir(INPUTS))]
     for G in [AbelianGroupData.cyclic(16, (1, 2, 13)),
               AbelianGroupData.cyclic(32, (1, 1, 1, 29))]:
         quivers.append(build_quiver(*mckay_toric_data(G)))
     contexts = [Q.X.fiber_context for Q in quivers]
     assert len(contexts) == 11
-    # a finite class group caps every walk at z and asks for no box; the
-    # free ones ask for the box of every E_j - E_i out of every tail
-    free = [Q for Q in quivers if 0 in Q.X.cl.moduli]
-    assert {id(ctx) for ctx, _ in requested} == {
-        id(Q.X.fiber_context) for Q in free}
-    assert len(requested) == sum(len(Q.collection) * (len(Q.collection) - 1)
-                                 for Q in free)
+    want = {}
+    pairs = collections.Counter()
+    for Q in quivers:
+        if 0 not in Q.X.cl.moduli:
+            continue
+        ctx, reps = Q.X.fiber_context, [c.representative
+                                        for c in Q.collection.classes]
+        for ci, cj in itertools.permutations(reps, 2):
+            key = id(ctx), tuple(ctx.images(cj)), tuple(ctx.images(ci))
+            want[key] = fraction_box(ctx, vsub(cj, ci))
+            pairs[key] += 1
+    assert collections.Counter(key for _, key, _ in used) == pairs
     moved = 0
-    for ctx, c in requested:
-        assert box(ctx, c) == fraction_box(ctx, c)
-        moved += box(ctx, c) != ctx.z
+    for ctx, key, cap in used:
+        assert cap == want[key]
+        moved += cap != ctx.z
     assert moved > 0  # some vertex raises a cap above z
     cones_in = [gens for ctx in contexts
                 for gens in ([tuple(row) for row in ctx.B],

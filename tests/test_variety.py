@@ -1,16 +1,23 @@
+import itertools
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from toricell.cli import main
 from toricell.errors import InputError
+from toricell.inputs import parse_document, quiver_document
+from toricell.quiver import build_quiver
 from toricell.variety import (
     AbelianGroupData,
     Collection,
     GorensteinToricVariety,
     mckay_toric_data,
+    toric_variety,
 )
 
+from conftest import load
 from test_quiver import SMALL_GROUPS
 
 F1_RAYS = [(1, 0, 1), (0, 1, 1), (-1, 1, 1), (0, -1, 1)]
@@ -215,3 +222,60 @@ def test_representatives_match_enumeration(n):
         _, coll = mckay_toric_data(G)
         assert [c.representative for c in coll.classes] == \
             representatives_by_enumeration(G), G
+
+
+def test_toric_variety_is_shared_per_ray_order():
+    """A list and a tuple of the same rays, in one order, give one shared
+    variety with one fiber context; the same rays reordered give another."""
+    X = toric_variety(F1_RAYS)
+    assert toric_variety(tuple(F1_RAYS)) is X
+    assert toric_variety([list(r) for r in F1_RAYS]) is X
+    assert X.fiber_context is toric_variety(F1_RAYS).fiber_context
+    Y = toric_variety(F1_RAYS[1:] + F1_RAYS[:1])
+    assert Y is not X and sorted(Y.rays) == sorted(X.rays)
+
+
+def test_rejected_ray_list_raises_every_time(tmp_path, capsys):
+    """A ray list that is refused is not memoized: it raises InputError on
+    every call, and a document with it exits 2 every time."""
+    bad = [(1, 0, 2), (0, 1, 2), (-1, 0, 2), (0, -1, 2)]
+    for _ in range(2):
+        with pytest.raises(InputError, match="not Gorenstein"):
+            toric_variety(bad)
+    doc = tmp_path / "bad.json"
+    doc.write_text(json.dumps({"kind": "toric", "rays": bad,
+                               "collection": [[0, 0, 0, 0]]}))
+    for _ in range(2):
+        assert main(["quiver", str(doc)]) == 2
+        assert "not Gorenstein" in capsys.readouterr().err
+
+
+SAME_CONE = ["threefold_three_sheaves.json", "threefold_four_sheaves.json",
+             "threefold_five_sheaves.json"]
+
+
+def test_documents_on_one_cone_share_it_in_every_order():
+    """The three threefold documents on one cone, built in all 6 orders in
+    one process, share one variety, and their arrows are those of builds
+    on fresh varieties."""
+    docs = {name: load(name) for name in SAME_CONE}
+    fresh = {}
+    for name, doc in docs.items():
+        X = GorensteinToricVariety(doc.rays)
+        fresh[name] = build_quiver(X, Collection(X, doc.collection_reps),
+                                   arrow_order=doc.options.get("arrow_order")
+                                   ).arrows
+    for order in itertools.permutations(SAME_CONE):
+        quivers = [docs[name].quiver() for name in order]
+        assert len({id(Q.X) for Q in quivers}) == 1
+        assert [Q.arrows for Q in quivers] == [fresh[name] for name in order]
+
+
+def test_dimer_quiver_document_with_rays_shares_the_variety():
+    """A dimer_quiver document that carries rays reads the variety of its
+    rays from the memo; one without rays has no variety."""
+    Q = load("threefold_four_sheaves.json").quiver()
+    doc = quiver_document(Q)
+    assert parse_document(doc).quiver().X is Q.X
+    del doc["rays"], doc["collection"]
+    assert parse_document(doc).quiver().X is None
