@@ -93,7 +93,8 @@ def _matchings(doc, args):
     Q = doc.quiver()
     pi = PiMap(Q)
     ms = perfect_matchings(Q, pi=pi)
-    payload = {
+    wz = weight_zero_check(Q)
+    _emit({
         "rank": pi.rank,
         "matchings": [
             {"values": list(m.values),
@@ -101,15 +102,9 @@ def _matchings(doc, args):
              "extremal_ray": None if m.extremal_ray is None
              else m.extremal_ray + 1}
             for m in ms],
-    }
-    code = 0
-    if Q.X is not None:
-        wz = weight_zero_check(Q)
-        payload["weight_zero_matches"] = wz.matches
-        if not wz.matches:
-            code = 1
-    _emit(payload)
-    return code
+        "weight_zero_matches": wz.matches,
+    })
+    return 0 if wz.matches else 1
 
 
 def _build_complex(doc):
@@ -201,8 +196,6 @@ def _svg(tiling, path):
 
 def _reconstruct(doc, args):
     Q = doc.quiver()
-    if Q.X is None:
-        raise InputError("quiver has no attached variety")
     W = build_superpotential(Q)
     proj = projection_maps(Q.X, m_basis=doc.options.get("m_basis"))
     tiling = dimer_reconstruct(Q, W, proj=proj,

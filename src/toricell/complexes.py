@@ -16,7 +16,7 @@ from operator import xor
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .errors import ConstructionError, InputError
+from .errors import ConstructionError
 from .intlinalg import Packing, leq, vadd, vsub
 from .quiver import mckay_quiver, orbit_representatives
 from .superpotential import cyclic_canonical, relations
@@ -68,7 +68,15 @@ class ToricCellComplex:
     labels, so path_exists, and sends each incidence to one of its orbit
     with the same dims, divisors and classes.  So at sigma(p), `_validate`,
     the route groups, their equations in one unknown per orbit and the
-    sums of signs constant on the orbits are those at p, moved by sigma."""
+    sums of signs constant on the orbits are those at p, moved by sigma.
+
+    Each cell's divisor is carried from its tail to its head, as the
+    exactness engine needs (`resolution._one_sided_failures`): a cell
+    with no facet at a representative tail that breaks it is refused.  A
+    validated incidence (p, f, L, R) has div(p) = L + div(f) + R, so p
+    inherits the condition from f along paths of class R and L, and a
+    translate from its preimage.  No complex built here has a cell of
+    dimension >= 1 without a facet."""
 
     def __init__(self, Q, n, cells, incidences, orbits=None):
         self.Q = Q
@@ -85,6 +93,11 @@ class ToricCellComplex:
             if cells[inc.parent].tail in self._reps:
                 self._validate(inc)
             self._facets_of[inc.parent].append(inc)
+        for c in cells:
+            if c.tail in self._reps and not self._facets_of[c.id] \
+                    and not Q.path_exists(c.tail, c.head, c.divisor):
+                raise ConstructionError(f"no path carries the divisor of "
+                                        f"{c.describe(Q)} from tail to head")
         self._local_groups = self._route_groups(
             [i for i in self.incidences if cells[i.parent].tail in self._reps])
         self.explicit_signs = self.solved_signs = None
@@ -380,8 +393,6 @@ def general_complex(Q, W, rels=None):
     layer coincide (each arrow determines the relation pair of its
     derivative).
     """
-    if Q.X is None:
-        raise InputError("quiver has no attached variety")
     n = Q.X.n
     if n not in (3, 4):
         raise ConstructionError(f"no cell complex construction for dimension {n}")

@@ -4,7 +4,7 @@ Four kinds are accepted.  "toric" gives ray generators and a collection
 of divisor vectors; "cyclic_quotient" and "abelian_quotient" give group
 data for an abelian quotient of affine space; "dimer_quiver" gives an
 explicit quiver (as written by the quiver subcommand, so output files
-round-trip as inputs).
+round-trip as inputs), which must be a quiver of sections.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 
 from .errors import InputError
+from .intlinalg import kernel_basis, lattice_basis, mat_vec, transpose
 from .quiver import QuiverOfSections, build_quiver, mckay_quiver
 from .variety import (
     AbelianGroupData,
@@ -122,13 +123,7 @@ class InputDocument:
 
     def quiver(self):
         if self.kind == "dimer_quiver":
-            X = coll = None
-            if self.rays is not None:
-                X = toric_variety(self.rays)
-                if self.collection_reps is not None:
-                    coll = Collection(X, self.collection_reps)
-            return QuiverOfSections(self.vertices, self.arrows, X=X,
-                                    collection=coll)
+            return self._certified()
         order = self.options.get("arrow_order")
         if self.kind in ("cyclic_quotient", "abelian_quotient"):
             if order is None:
@@ -137,6 +132,33 @@ class InputDocument:
         X = toric_variety(self.rays)
         return build_quiver(X, Collection(X, self.collection_reps),
                             arrow_order=order)
+
+    def _certified(self):
+        """The quiver of sections of the document's arrows, in their order,
+        built on its rays and collection, else on recovered rays and the
+        spanning-tree lifts; refused unless the arrows come out the same
+        (so a connected quiver and the collection have as many vertices).
+
+        Recovery: each cycle of a quiver of sections carries a divisor of
+        class 0, a point of B(M) (`variety`).  The integer cycles are the
+        kernel of the vertex-arrow incidence matrix, and if their divisors
+        span B(M), the columns of a basis of it are the rays in a basis of
+        N; if not, the rebuild refuses the document."""
+        Q = QuiverOfSections(self.vertices, self.arrows)
+        try:
+            lifts, rays = Q.preferred_lifts(), self.rays
+            if rays is None:
+                incidence = [[(a.head == v) - (a.tail == v) for a in Q.arrows]
+                             for v in range(Q.n_vertices)]
+                labels = transpose([a.label for a in Q.arrows])
+                rays = list(zip(*lattice_basis(
+                    [mat_vec(labels, k) for k in kernel_basis(incidence)], Q.d)))
+            X = toric_variety(rays)
+            reps = self.collection_reps or lifts
+            return build_quiver(X, Collection(X, reps), arrow_order=self.arrows)
+        except InputError as exc:
+            raise InputError(
+                f"dimer_quiver arrows are not a quiver of sections: {exc}") from None
 
 
 def parse_document(doc):
@@ -221,14 +243,10 @@ def load_document(path):
 
 def quiver_document(Q):
     """A dimer_quiver document reproducing Q, suitable for round-trips."""
-    doc = {
+    return {
         "kind": "dimer_quiver",
         "vertices": Q.n_vertices,
         "arrows": [[a.tail, a.head, list(a.label)] for a in Q.arrows],
+        "rays": [list(r) for r in Q.X.rays],
+        "collection": [list(c.representative) for c in Q.collection.classes],
     }
-    if Q.X is not None:
-        doc["rays"] = [list(r) for r in Q.X.rays]
-        if Q.collection is not None:
-            doc["collection"] = [list(c.representative)
-                                 for c in Q.collection.classes]
-    return doc

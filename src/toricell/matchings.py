@@ -157,8 +157,6 @@ def weight_zero_check(Q):
     fails.
     """
     X = Q.X
-    if X is None:
-        raise InputError("quiver has no attached variety")
     cycle_divs = {Q.path_div(c) for c in simple_cycles(Q)}
     hb = sorted(tuple(v) for v in X.section_semigroup_hilbert_basis())
     missing = [v for v in hb if v not in cycle_divs]

@@ -13,7 +13,7 @@ limit.
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import Counter, deque
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -49,12 +49,12 @@ class QuiverOfSections:
     numbered in the given order.
 
     Labels are nonzero vectors of one length; loops are allowed.
-    `build_quiver` computes the arrow data of a collection.
+    `build_quiver` computes the arrow data of a collection on X, and
+    `InputDocument.quiver` rebuilds each dimer_quiver document so.
 
     ``translations``: a group of (vertex map, arrow map) tuple pairs,
     identity first, each sending an arrow (t, h, label) to one (sigma(t),
     sigma(h), label); the identity alone unless `build_quiver` found more.
-    ``of_sections``: True when `build_quiver` found the arrows.
     """
 
     def __init__(self, n_vertices, arrows, X=None, collection=None):
@@ -80,7 +80,6 @@ class QuiverOfSections:
         self.ones = (1,) * self.d
         self.translations = ((tuple(range(n_vertices)),
                               tuple(range(len(self.arrows)))),)
-        self.of_sections = False
         self._reach_memo = {}
         self._lifts = None
 
@@ -304,14 +303,14 @@ def build_quiver(X, collection, arrow_order=None):
     arrows.sort()
     if arrow_order is not None:
         want = [(t, h, tuple(lab)) for t, h, lab in arrow_order]
-        have = [(t, h, tuple(lab)) for t, h, lab in arrows]
-        if sorted(want) != sorted(have):
-            raise InputError(
-                "arrow_order is not a permutation of the computed arrows; "
-                f"computed {sorted(have)}")
+        extra, lost = Counter(want) - Counter(arrows), Counter(arrows) - Counter(want)
+        if extra or lost:
+            t, h, lab = arrow = min([*extra, *lost])
+            why = "not computed" if arrow in extra else "computed, not listed"
+            raise InputError("arrow_order is not a permutation of the computed "
+                             f"arrows: {t} -> {h} ({monomial(lab)}) is {why}")
         arrows = want
     Q = QuiverOfSections(len(collection), arrows, X=X, collection=collection)
-    Q.of_sections = True
     if 0 not in cl.moduli and len(keys) == math.prod(cl.moduli):
         # heads_of[i][key of c_g] is the vertex of class c_i + c_g, g != 0
         sigmas = [tuple([h.get(key, i) for i, h in enumerate(heads_of)])

@@ -94,32 +94,6 @@ def _packed_facets(res, pk, one_sided=False):
             for c in C.cells]
 
 
-def _one_sided_bases(complex_, pk, t):
-    """The pieces of P (x)_A A_0 at tail t with divisor <= pk.bound, as
-    {(s, packed d): [basis of P_0, ..., basis of P_n]}: the (eta, dL)
-    with t(eta) = t and a path of class dL from h(eta) to s
-    (`Q.reachable`), by dimension in cell order, in one scan of the box
-    per head.  The piece at (t, 0) is listed even if empty, as A_0 is
-    not zero there."""
-    Q, n, H, top = complex_.Q, complex_.n, pk.H, pk.B | pk.H
-    box = list(itertools.product(*(range(b + 1) for b in pk.bound)))
-    pieces = {(t, 0): [[] for _ in range(n + 1)]}
-    carried = {}  # head -> (s, packed dL) for each dL <= bound of a path to s
-    for c in complex_.cells:
-        if c.tail != t:
-            continue
-        if (ends := carried.get(c.head)) is None:
-            ends = carried[c.head] = [(s, pk.pack(dL)) for dL in box
-                                      for s in Q.reachable(c.head, dL)]
-        div, tag = pk.pack(c.divisor), c.id << pk.shift
-        for s, dL in ends:
-            if (top - (d := dL + div)) & H == H:  # d <= bound
-                if (basis := pieces.get((s, d))) is None:
-                    basis = pieces[s, d] = [[] for _ in range(n + 1)]
-                basis[c.dim].append(tag | dL)
-    return pieces
-
-
 def _off_piece(pk, y):
     """The message for a facet triple y outside its piece: the classes of
     every incidence are validated, so only a bug can lead there."""
@@ -304,31 +278,26 @@ def _one_sided_failures(res, pk, auts):
     """(s, t, d, detail) for each piece of P (x)_A A_0 -> A_0 at divisor
     d <= pk.bound that is not exact, detail its failed rank identities.
 
-    A piece (`_one_sided_bases`) has at most one element (eta, d -
-    div(eta)) per cell eta at its tail, the differential of the
-    incidences with right class 0, each onto the facet's element, and an
-    augmentation of rank 1 at (t, t, 0) and 0 elsewhere: in the cells, it
-    depends on its cells and augmentation alone.  So the pieces at each
-    tail t, one per orbit of `auts`, are grouped by (name, aug) and each
-    group is reduced once; a failure goes to the group's (s, t, d) and
-    their translates (`verify_exactness`), each once, as translations act
-    freely.
+    A piece has at most one element (eta, d - div(eta)) per cell eta at
+    its tail, the differential of the incidences with right class 0, each
+    onto the facet's element, and an augmentation of rank 1 at (t, t, 0)
+    and 0 elsewhere: in the cells, it depends on its cells and
+    augmentation alone.  So the pieces at each tail t, one per orbit of
+    `auts`, are grouped by (name, aug) and each group is reduced once; a
+    failure goes to the group's (s, t, d) and their translates
+    (`verify_exactness`), each once, as translations act freely.
 
-    Names.  In a quiver of sections (`build_quiver`) each section is a
-    sum of arrows, so a path from u to v carries exactly the d >= 0 of
-    class c_v - c_u.  If the divisor of each cell at t is carried from t
-    to its head, (eta, d - div(eta)) is thus in the piece at (s, t, d)
-    iff div(eta) <= d and class(d) = c_s - c_t: its cells are those at t
-    with div(eta) <= m = min(d, M_t), M_t the join of the divisors at t,
-    and (m, d = 0) names it.  Class keys (`Q.X.cl.coordinates`) decide
-    all of it: a divisor is carried from t to h iff its key is that of
-    c_h - c_t, and the d with pieces at t are those with the key of some
-    c_s - c_t, read off the box grouped by key (`_box_classes`), which
-    also lists a failing group's members.  If the collection is all of a
-    finite Cl, every d has a piece, and each name is that of a d <=
-    min(bound, M_t + 1).  Pieces at other tails, and on other quivers,
-    are built over `Q.reachable` (`_one_sided_bases`) and named by their
-    cells.
+    Names.  Q is a quiver of sections, so a path from u to v carries
+    exactly the d >= 0 of class c_v - c_u (each section is a sum of
+    arrows), and each cell's divisor is carried from its tail to its head
+    (`ToricCellComplex`).  So (eta, d - div(eta)) is in the piece at
+    (s, t, d) iff div(eta) <= d and class(d) = c_s - c_t: its cells are
+    those at t with div(eta) <= m = min(d, M_t), M_t the join of the
+    divisors at t, and (m, d = 0) names it.  The (s, d) with pieces at t
+    are read off the box grouped by class key (`_box_classes`), as are a
+    failing group's members.  If the collection is all of a finite Cl,
+    every d has a piece, and each name is that of a d <= min(bound,
+    M_t + 1).
 
     The caller knows d.d = 0 on every piece, and GF(2) ranks are tried
     first (`_gf2_cokernel`).  An odd minor is nonzero, so the GF(2) rank
@@ -338,11 +307,14 @@ def _one_sided_failures(res, pk, auts):
     `sparse_rank` (`_rank_failures`).
     """
     C, Q, n, shift = res.complex, res.Q, res.Q.n_vertices, pk.shift
-    if Q.of_sections:
-        cl, reps = Q.X.cl, [E.representative for E in Q.collection.classes]
-        key = functools.cache(cl.coordinates)
-        every = 0 not in cl.moduli and n == math.prod(cl.moduli)
-    box = None
+    cl, reps = Q.X.cl, [E.representative for E in Q.collection.classes]
+    key, box = functools.cache(cl.coordinates), functools.cache(_box_classes)
+    every = 0 not in cl.moduli and n == math.prod(cl.moduli)
+
+    def pieces(t):
+        return [(s, d) for s in range(n)
+                for d in box(pk, cl).get(key(vsub(reps[s], reps[t])), ())]
+
     ones = _packed_facets(res, pk, one_sided=True)
     offsets = [[delta for delta, _ in f] for f in ones]
     failures = []
@@ -350,39 +322,23 @@ def _one_sided_failures(res, pk, auts):
         at = [c for c in C.cells if c.tail == t]
         cap = [min(b, max(x)) for b, x in zip(pk.bound, zip(
             (0,) * Q.d, *(c.divisor for c in at)))]
-        groups, live = {}, ()
-        lattice = Q.of_sections and all(
-            key(c.divisor) == key(vsub(reps[c.head], reps[t])) for c in at)
-        if lattice and every:
+        if every:
             live = map(pk.pack, itertools.product(*(
                 range(min(b, x + 1) + 1) for b, x in zip(pk.bound, cap))))
-        elif lattice:
-            box = box or _box_classes(pk, cl)
-            live = (d for s in range(n)
-                    for d in box.get(key(vsub(reps[s], reps[t])), ()))
         else:
-            for (s, d), bases in _one_sided_bases(C, pk, t).items():
-                name = tuple(x >> shift for basis in bases for x in basis)
-                groups.setdefault((name, s == t and d == 0),
-                                  (bases, []))[1].append((s, d))
+            live = (d for _, d in pieces(t))
         top = pk.pack(cap)
-        groups.update(dict.fromkeys((pk.meet(d, top), d == 0) for d in live))
         by_dim = [[(c.id << shift, pk.pack(c.divisor)) for c in at
                    if c.dim == k] for k in range(C.n + 1)]
-        for (name, aug), group in groups.items():
-            bases, members = group or ([
-                [tag | name - div for tag, div in cells if pk.leq(div, name)]
-                for cells in by_dim], None)
+        for name, aug in dict.fromkeys((pk.meet(d, top), d == 0) for d in live):
+            bases = [[tag | name - div for tag, div in cells if pk.leq(div, name)]
+                     for cells in by_dim]
             if _gf2_cokernel(pk, offsets, bases) == aug or not (
                     fail := _rank_failures(pk, ones, bases, aug)):
                 continue
-            if members is None:
-                box = box or _box_classes(pk, cl)
-                members = [(s, d) for s in range(n)
-                           for d in box.get(key(vsub(reps[s], reps[t])), ())
-                           if (pk.meet(d, top), d == 0) == (name, aug)]
             failures.extend((g[s], g[t], pk.unpack(d), list(fail))
-                            for s, d in members for g in auts)
+                            for s, d in pieces(t) for g in auts
+                            if (pk.meet(d, top), d == 0) == (name, aug))
     return failures
 
 
@@ -407,7 +363,7 @@ def _box_classes(pk, cl):
 def verify_exactness(res, bound, check_products=False):
     """Check the rank identities in every graded piece with divisor
     componentwise <= bound (an integer or a vector) at every vertex pair
-    (s, t).
+    (s, t), for a quiver of sections with its variety and collection.
 
     A request of more than MAX_PIECES pieces or MAX_TRIPLES one-sided
     basis elements is refused before any work; `pieces_checked` counts
@@ -417,7 +373,7 @@ def verify_exactness(res, bound, check_products=False):
     piece (h(eta), t(eta), div(eta)).  Those pieces in the box are the
     failures, with the k of each.  Without one, d.d = 0 on every piece in
     the box, as a triple (eta, dL, dR) lies in it only if div(eta) does,
-    and the pieces of P (x)_A A_0 decide (`_one_sided_failures`).
+    and the class-keyed pieces of P (x)_A A_0 decide (`_one_sided_failures`).
     check_products is kept for old callers and changes nothing: failing
     signs are always reported, and passing signs make every product 0.
 

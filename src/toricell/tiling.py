@@ -109,8 +109,6 @@ def dimer_reconstruct(Q, W, proj=None, lifts=None):
     0, for every arrow.
     """
     if proj is None:
-        if Q.X is None:
-            raise InputError("quiver has no attached variety")
         proj = projection_maps(Q.X)
     if lifts is None:
         lifts = Q.preferred_lifts()

@@ -31,10 +31,13 @@ from .intlinalg import (
 
 
 class GorensteinToricVariety:
-    """Affine Gorenstein toric variety from primitive ray generators."""
+    """Affine Gorenstein toric variety from primitive ray generators.
+
+    ``rays``, ``B`` (the same tuple) and ``facets`` are tuples of tuples,
+    so a variety shared by `toric_variety` cannot be changed in place."""
 
     def __init__(self, rays):
-        rays = [tuple(r) for r in rays]
+        rays = tuple(map(tuple, rays))
         if not rays:
             raise InputError("no rays")
         n = len(rays[0])
@@ -45,10 +48,10 @@ class GorensteinToricVariety:
         for r in rays:
             if is_zero(r) or primitive(r) != r:
                 raise InputError(f"ray {r} is not primitive")
-        if rank([list(r) for r in rays]) != n:
+        if rank(rays) != n:
             raise InputError("cone is not full-dimensional")
         # facet normals of the cone, the rays of its dual
-        self.facets = dual_cone_rays(rays)
+        self.facets = tuple(map(tuple, dual_cone_rays(rays)))
         if rank(self.facets) != n:
             raise InputError("cone is not pointed (contains a line)")
         if dual_cone_rays(self.facets) != sorted(rays):
@@ -57,7 +60,7 @@ class GorensteinToricVariety:
         self.n = n
         self.d = len(rays)
         # deg: Z^d -> Cl(X) = coker(B), B rows = rays
-        self.B = [list(r) for r in rays]
+        self.B = rays
         self.cl = CokernelForm(self.B)
         # B has full column rank, so u with B u = 1 is unique if it exists,
         # and then it is the left inverse applied to 1

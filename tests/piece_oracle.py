@@ -1,6 +1,6 @@
-"""The one-sided pieces at one vertex pair, kept as the oracle for
-`resolution._one_sided_bases`, which builds every piece at a tail in one
-scan of the box per head.
+"""The one-sided pieces at one vertex pair, found over `Q.reachable`:
+the oracle for `resolution._one_sided_failures`, which names the pieces
+at a tail by class keys and never builds one from paths.
 
 It scans the box once per (s, head) pair, so it is for small cases and
 tests only.

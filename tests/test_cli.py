@@ -298,6 +298,8 @@ with open(input_path("threefold_four_sheaves.json")) as fh:
 # the four-sheaves quiver as a dimer_quiver without rays
 DIMER = {"kind": "dimer_quiver", "vertices": 4,
          "arrows": FOUR["options"]["arrow_order"]}
+# the same without its last arrow: not a quiver of sections
+BROKEN = dict(DIMER, arrows=DIMER["arrows"][:-1])
 
 
 # a quotient whose arrow order lists one of its nine arrows
@@ -351,9 +353,9 @@ def test_rejected_document_exit_code(capsys, tmp_path, doc, message):
     ("reconstruct", four_sheaves(lifts=[[0, 0, 0, 0], [0, 1, 0, 0],
                                         [1, 1, 0, 0], [0, 0, 0, -1]]),
      "lifts are not compatible with a"),
-    ("complex", DIMER, "quiver has no attached variety"),
-    ("resolution", DIMER, "quiver has no attached variety"),
-    ("reconstruct", DIMER, "quiver has no attached variety"),
+    ("complex", BROKEN, "arrows are not a quiver of sections"),
+    ("resolution", BROKEN, "arrows are not a quiver of sections"),
+    ("reconstruct", BROKEN, "arrows are not a quiver of sections"),
     # complex and resolution built the quotient's complex without its
     # arrow order and exited 0
     *[(command, BAD_ORDER, "arrow_order is not a permutation")
@@ -365,6 +367,22 @@ def test_rejected_request_exit_code(capsys, tmp_path, command, doc, message):
     each of these exited 1 or raised a traceback, or exited 1 under one
     subcommand and 2 under another."""
     check_rejected(capsys, tmp_path, doc, message, command)
+
+
+@pytest.mark.parametrize("argv", [
+    ["complex"], ["resolution", "--verify-exactness", "--bound", "2"],
+    ["matchings"]], ids=["complex", "resolution", "matchings"])
+def test_bare_dimer_document_prints_the_toric_output(capsys, tmp_path, argv):
+    """The four sheaves' arrows alone are certified as their quiver of
+    sections, with recovered rays and spanning-tree lifts, and print what
+    the toric document prints."""
+    bare = tmp_path / "dimer.json"
+    bare.write_text(json.dumps(DIMER))
+    outputs = []
+    for path in (input_path("threefold_four_sheaves.json"), str(bare)):
+        code = main([argv[0], path, *argv[1:]])
+        outputs.append((code, capsys.readouterr()))
+    assert outputs[0][0] == 0 and outputs[0] == outputs[1]
 
 
 def check_rejected(capsys, tmp_path, doc, message, command):

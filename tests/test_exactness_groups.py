@@ -15,7 +15,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricell import resolution
 from toricell.complexes import Cell, ToricCellComplex, general_complex, mckay_complex
 from toricell.errors import ConstructionError
 from toricell.inputs import parse_document, quiver_document
@@ -104,11 +103,11 @@ def check_bounds(res, bounds):
 
 def on_lattice(res):
     """The condition under which every piece is named by label-lattice
-    points: a quiver from build_quiver, each cell's divisor carried from
-    its tail to its head (the engine asks it of the tails it computes)."""
+    points, each cell's divisor carried from its tail to its head: a
+    complex refuses a cell that breaks it."""
     Q = res.Q
-    return Q.of_sections and all(Q.path_exists(c.tail, c.head, c.divisor)
-                                 for c in res.complex.cells)
+    return all(Q.path_exists(c.tail, c.head, c.divisor)
+               for c in res.complex.cells)
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURE_SYMMETRY))
@@ -163,24 +162,24 @@ def test_controls_match_per_piece_oracle(name, mckay_z6_complex):
 
 @pytest.mark.parametrize("name", ["threefold_four_sheaves.json",
                                   "conifold.json"])
-def test_dimer_document_is_named_by_cells(name, monkeypatch):
-    """A dimer_quiver document with the rays, collection and arrows that
-    `quiver` writes is not a quiver of sections to the engine, so each
-    piece is built and named by its cells; the reports are those of the
-    quiver built from the collection, named by lattice points."""
+@pytest.mark.parametrize("strip", [(), ("rays", "collection")],
+                         ids=["full", "bare"])
+def test_dimer_document_is_named_by_classes(name, strip):
+    """A dimer_quiver document that `quiver` writes, with or without its
+    rays and collection, is certified as a quiver of sections, so the
+    engine names its pieces by class keys: the reports are those of the
+    quiver built from the collection and of the per-piece oracle."""
     Q = load(name).quiver()
-    P = parse_document(quiver_document(Q)).quiver()
-    assert P.X is not None and P.collection is not None
-    assert Q.of_sections and not P.of_sections
-    built = []
-    spy(monkeypatch, "_one_sided_bases", built)
+    doc = quiver_document(Q)
+    for field in strip:
+        del doc[field]
+    P = parse_document(doc).quiver()
+    assert P.X.cl.moduli == Q.X.cl.moduli and P.arrows == Q.arrows
     for bound in range(3):
         reports = []
         for R in (Q, P):
-            built.clear()
             res = build_resolution(general_complex(R, superpotential(R)))
             reports.append(verify_exactness(res, bound))
-            assert bool(built) == (R is P)
             assert reports[-1] == per_piece_exactness(res, bound)
         assert reports[0] == reports[1] and reports[0].exact
 
@@ -192,25 +191,6 @@ def test_weight_zero_quotient_matches_per_piece_oracle():
     assert all(any(a.tail == a.head == v for a in C.Q.arrows)
                for v in range(3))
     check_bounds(build_resolution(C, signs=C.explicit_signs), range(4))
-
-
-def test_per_tail_bases_match_per_pair_oracle(request, mckay_z6_complex):
-    """`_one_sided_bases` at a tail, restricted to each s, is the oracle's
-    pieces at (s, t), bases in the same order: on every fixture, the
-    dimer_quiver round-trips and the inexact controls, at bound 2 (the
-    fourfold 1)."""
-    cases = [fixture_resolution(name, request) for name in FIXTURE_SYMMETRY]
-    cases += [round_trip("threefold_four_sheaves.json"),
-              round_trip("conifold.json")]
-    cases += [control(mckay_z6_complex) for control in CONTROLS.values()]
-    for res in cases:
-        C, n = res.complex, res.Q.n_vertices
-        pk = _packing(C, (1 if C.n == 4 else 2,) * res.Q.d)
-        for t in range(n):
-            pieces = resolution._one_sided_bases(C, pk, t)
-            for s in range(n):
-                assert {d: bases for (u, d), bases in pieces.items()
-                        if u == s} == one_sided_bases(C, pk, s, t)
 
 
 def drop_coordinate(res, t, x):
@@ -250,17 +230,16 @@ def test_one_reduction_per_name(monkeypatch):
     """The benchmark's mckay_exactness: Z/6(1,2,3) at bound 5 and
     Z/7(1,2,4) at bound 3 have one orbit of tails and the eight names
     m <= (1, 1, 1) each, so 16 GF(2) reductions in place of the 216 and
-    64 pieces of the per-piece engine, and no piece is built one by one
-    nor the box grouped by class."""
-    reduced, built, tables = [], [], []
+    64 pieces of the per-piece engine, and the box is not grouped by
+    class."""
+    reduced, tables = [], []
     spy(monkeypatch, "_gf2_cokernel", reduced)
-    spy(monkeypatch, "_one_sided_bases", built)
     spy(monkeypatch, "_box_classes", tables)
     for order, weights, bound in [(6, (1, 2, 3), 5), (7, (1, 2, 4), 3)]:
         C = mckay_complex(AbelianGroupData.cyclic(order, weights))
         assert verify_exactness(build_resolution(C, C.explicit_signs),
                                 bound).exact
-    assert len(reduced) == 16 and not built and not tables
+    assert len(reduced) == 16 and not tables
 
 
 @pytest.mark.parametrize("name", sorted(os.listdir(INPUTS)) + ["z63"])
@@ -278,12 +257,12 @@ def test_paths_carry_their_class_difference(name, request):
 def off_lattice(Q):
     """A complex on Z/2(1,1)'s quiver of sections with the 0-cell of vertex
     0 and one 2-cell at (0, 0) of divisor (1, 0), which no path from 0 to 0
-    carries: d.d = 0, and its pieces must be named by their cells."""
+    carries."""
     cells = [Cell(id=0, dim=0, head=0, tail=0, divisor=(0, 0),
                   payload=("vertex", 0)),
              Cell(id=1, dim=2, head=0, tail=0, divisor=(1, 0),
                   payload=("off",))]
-    return CellularResolution(ToricCellComplex(Q, 2, cells, []), {})
+    return ToricCellComplex(Q, 2, cells, [])
 
 
 def round_trip(name):
@@ -291,32 +270,22 @@ def round_trip(name):
     return build_resolution(general_complex(Q, superpotential(Q)))
 
 
-def test_engine_lattice_decision_is_path_exists(request, mckay_z6_complex,
-                                                monkeypatch):
-    """The engine names pieces by lattice points, building none, iff
-    `on_lattice` holds: on every fixture, the inexact controls, the
-    dimer_quiver round-trips and a complex with a cell whose divisor is
-    not carried from its tail to its head."""
+def test_engine_lattice_decision_is_path_exists(request, mckay_z6_complex):
+    """Every complex the engine reads has each cell's divisor carried from
+    its tail to its head (`on_lattice`): the fixtures, the inexact
+    controls and the dimer_quiver round-trips have it, and a complex with
+    a cell whose divisor no path carries is refused when it is made."""
     cases = [fixture_resolution(name, request) for name in FIXTURE_SYMMETRY]
     cases += [missing_top_cell(mckay_z6_complex),
               without_top_cells(mckay_z6_complex),
               drop_coordinate(fixture_resolution(
                   "threefold_four_sheaves.json", request), 0, 2),
               round_trip("threefold_four_sheaves.json"),
-              round_trip("conifold.json"),
-              off_lattice(load("mckay_z2_11.json").quiver())]
-    decided = []
-    for res in cases:
-        built = []
-        with monkeypatch.context() as mp:
-            spy(mp, "_one_sided_bases", built)
-            verify_exactness(res, 1)
-        decided.append((not built, on_lattice(res)))
-    assert [x for x, _ in decided] == [y for _, y in decided]
-    assert decided[-3:] == [(False, False)] * 3
-    res = cases[-1]
-    assert verify_square_zero(res) and res.Q.of_sections
-    check_bounds(res, range(3))
+              round_trip("conifold.json")]
+    assert all(on_lattice(res) for res in cases)
+    with pytest.raises(ConstructionError, match="no path carries the "
+                       "divisor of off from tail to head"):
+        off_lattice(load("mckay_z2_11.json").quiver())
 
 
 @st.composite

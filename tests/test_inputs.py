@@ -1,9 +1,14 @@
+import json
+import os
+import re
+
 import pytest
 
+from toricell.cli import main
 from toricell.errors import InputError
 from toricell.inputs import load_document, parse_document, quiver_document
 
-from conftest import fixture_documents, input_path
+from conftest import INPUTS, fixture_documents, input_path, load
 
 
 def test_all_fixture_documents_load():
@@ -46,6 +51,54 @@ def test_dimer_quiver_roundtrip(quiver_four_sheaves):
     assert Q.n_vertices == quiver_four_sheaves.n_vertices
     assert [(a.tail, a.head, a.label) for a in Q.arrows] == \
         [(a.tail, a.head, a.label) for a in quiver_four_sheaves.arrows]
+
+
+@pytest.mark.parametrize("strip", [(), ("rays", "collection")],
+                         ids=["full", "bare"])
+@pytest.mark.parametrize("name", sorted(os.listdir(INPUTS)))
+def test_dimer_quiver_is_certified(name, strip, capsys, tmp_path):
+    """The document `quiver` writes for each fixture, with or without its
+    rays and collection, rebuilds its quiver of sections: the class group,
+    the arrows in their order and the translations, |G| of them for a
+    quotient; one with both writes itself again.  Without its last arrow
+    it exits 2 with a message."""
+    Q = load(name).quiver()
+    doc = quiver_document(Q)
+    for field in strip:
+        doc.pop(field, None)
+    P = parse_document(doc).quiver()
+    assert P.X.cl.moduli == Q.X.cl.moduli and P.arrows == Q.arrows
+    assert P.translations == Q.translations
+    if not strip:
+        assert quiver_document(P) == doc
+    if "mckay" in name:
+        assert len(P.translations) == P.n_vertices > 1
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(doc, arrows=doc["arrows"][:-1])))
+    assert main(["quiver", str(bad)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(
+        "error: dimer_quiver arrows are not a quiver of sections: ")
+    assert err.count("\n") == 1
+
+
+def test_dimer_refusal_names_the_first_differing_arrow():
+    """A dimer_quiver document whose arrows differ from those rebuilt
+    names the least arrow in one list and not the other; one whose rays
+    cannot be recovered says why."""
+    doc = quiver_document(load("threefold_four_sheaves.json").quiver())
+    lost = dict(doc, arrows=[a for a in doc["arrows"] if a[:2] != [1, 2]])
+    with pytest.raises(InputError, match=re.escape(
+            "dimer_quiver arrows are not a quiver of sections: arrow_order "
+            "is not a permutation of the computed arrows: 1 -> 2 (x2) is "
+            "computed, not listed")):
+        parse_document(lost).quiver()
+    conifold = quiver_document(load("conifold.json").quiver())
+    del conifold["rays"], conifold["collection"]
+    conifold["arrows"].pop()
+    with pytest.raises(InputError, match=r"not a quiver of sections: "
+                       r"ray \(0, 0\) is not primitive"):
+        parse_document(conifold).quiver()
 
 
 def test_malformed_arrow_rejected():

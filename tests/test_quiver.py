@@ -10,7 +10,7 @@ from toricell import cones
 from toricell.cones import FiberContext
 from toricell.errors import InputError
 from toricell.intlinalg import mat_vec
-from toricell.quiver import QuiverOfSections, build_quiver
+from toricell.quiver import QuiverOfSections, build_quiver, monomial
 from toricell.variety import (
     AbelianGroupData,
     Collection,
@@ -45,6 +45,15 @@ def test_arrow_order_must_be_permutation():
     coll = Collection(X, [(0, 0, 0, 0), (1, 0, 0, 0)])
     with pytest.raises(InputError, match="not a permutation"):
         build_quiver(X, coll, arrow_order=[(0, 1, (1, 0, 0, 0))])
+    arrows = [a[1:] for a in build_quiver(X, coll).arrows]
+    for order, why in [(arrows + [(0, 0, (1, 1, 1, 1))],
+                        "0 -> 0 (x1x2x3x4) is not computed"),
+                       (arrows[1:], f"0 -> 1 ({monomial(arrows[0][2])}) "
+                        "is computed, not listed")]:
+        with pytest.raises(InputError) as err:
+            build_quiver(X, coll, arrow_order=order)
+        assert str(err.value) == ("arrow_order is not a permutation of the "
+                                  "computed arrows: " + why)
 
 
 def test_trivial_collection_gives_loops(quiver_trivial_a3):

@@ -273,9 +273,26 @@ def test_documents_on_one_cone_share_it_in_every_order():
 
 def test_dimer_quiver_document_with_rays_shares_the_variety():
     """A dimer_quiver document that carries rays reads the variety of its
-    rays from the memo; one without rays has no variety."""
+    rays from the memo; one without rays reads that of its recovered rays,
+    another basis of the same class group."""
     Q = load("threefold_four_sheaves.json").quiver()
     doc = quiver_document(Q)
     assert parse_document(doc).quiver().X is Q.X
     del doc["rays"], doc["collection"]
-    assert parse_document(doc).quiver().X is None
+    X = parse_document(doc).quiver().X
+    assert X is toric_variety(X.rays) and X.cl.moduli == Q.X.cl.moduli
+
+
+def test_shared_variety_cannot_be_changed():
+    """The variety that documents on one cone share is made of tuples:
+    changing its rays, B or facets in place raises, so the next document
+    on the cone reads the rays it was built from."""
+    X = load("threefold_four_sheaves.json").quiver().X
+    with pytest.raises(AttributeError):
+        X.rays.reverse()
+    with pytest.raises(TypeError):
+        X.B[0][0] = 7
+    with pytest.raises(TypeError):
+        X.facets[0] = (0, 0, 1)
+    assert load("threefold_three_sheaves.json").quiver().X is X
+    assert X.rays == X.B == tuple(F1_RAYS)
