@@ -19,7 +19,7 @@ import os
 import sys
 from math import gcd
 
-from .complexes import general_complex, mckay_complex, sign_infeasibility
+from .complexes import general_complex, hypercube_complex, sign_infeasibility
 from .errors import ConstructionError, InputError, InternalError
 from .inputs import load_document, quiver_document
 from .matchings import PiMap, perfect_matchings, weight_zero_check
@@ -108,12 +108,12 @@ def _matchings(doc, args):
 
 
 def _build_complex(doc):
-    """The hypercube complex of a quotient, else the superpotential one."""
+    """The hypercube complex of a McKay collection, else the
+    superpotential one."""
     Q = doc.quiver()
-    if doc.group is not None:
-        return mckay_complex(doc.group, Q)
-    W = build_superpotential(Q)
-    return general_complex(Q, W)
+    if Q.is_mckay:
+        return hypercube_complex(Q)
+    return general_complex(Q, build_superpotential(Q))
 
 
 def _complex(doc, args):
@@ -260,7 +260,7 @@ def main(argv=None):
     add("matchings", _matchings, help="perfect matchings and the "
         "weight-zero slice check")
     add("complex", _complex, help="toric cell complex and incidences; the "
-        "hypercube complex for a quotient input")
+        "hypercube complex for a McKay collection")
     p = add("resolution", _resolution, help="cellular bimodule resolution "
             "over the same complex")
     p.add_argument("--verify-exactness", action="store_true")

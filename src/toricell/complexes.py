@@ -58,10 +58,10 @@ class ToricCellComplex:
     """Cells, deduplicated facet incidences and cells by dimension, all
     read-only: a complex may be shared (`mckay_complex`).  explicit_signs
     are closed-form signs that Q's translations keep, acting on cells by
-    (j, S) -> (sigma(j), S), or None (all but `mckay_complex`), and
+    (j, S) -> (sigma(j), S), or None (all but `hypercube_complex`), and
     solved_signs the read-only signs the last `solve_incidence` verified.
 
-    orbits (`mckay_complex`) maps each incidence to a key of its orbit
+    orbits (`hypercube_complex`) maps each incidence to a key of its orbit
     under Q's translations; else each incidence is its own orbit.  The
     sign layer works at the parents whose tail is an orbit representative,
     and every parent is the image of one.  A translation sigma keeps
@@ -293,54 +293,47 @@ def solve_gf2(equations, n_vars):
 # hypercube complexes of abelian quotients
 
 
-def mckay_complex(group, Q=None):
-    """The cell complex of hypercube faces for an abelian quotient A^n / G.
+def hypercube_complex(Q):
+    """The cell complex of hypercube faces of a quiver of sections whose
+    collection is all of a finite Cl, as for an abelian quotient A^n / G.
 
     Cells are pairs (vertex, S) for S a subset of the coordinate directions;
     the facet dropping the nu-th direction of S shares the tail (left class
     an arrow, sign (-1)^nu) or the head (right class an arrow, sign
     (-1)^(nu+1)).  The closed-form signs are recorded alongside, read-only.
-    With Q's translations (`quiver.build_quiver`), (j, S) ends at sigma(j)
-    for the sigma adding the class of e_S.  Translations commute, so sigma
-    sends (j, S) to (sigma(j), S) and each incidence to one with the same
-    classes and closed-form sign; orbits are keyed by the representative
-    of j's orbit, S, nu and the side.  Q is the group's quiver of sections;
-    without it the complex is built on `quiver.mckay_quiver` and shared.
+    (j, S) ends at the vertex of class c_j + [e_S]: sigma(j) for the
+    translation sigma adding the class of e_S, that of the vertex
+    Q.path_head(0, e_S) (`quiver.build_quiver`).  Translations commute, so
+    sigma sends (j, S) to (sigma(j), S) and each incidence to one with the
+    same classes and closed-form sign; they act transitively, so orbits
+    are keyed by S, nu and the side.
     """
-    if Q is None:
-        return _mckay_complex(group)
     n, r = Q.X.n, Q.n_vertices
     faces = [tuple(i for i in range(n) if bits >> i & 1)
              for bits in range(1 << n)]
-    vertex_of_char = {group.character(c.representative): j
-                      for j, c in enumerate(Q.collection.classes)}
-    shift = {S: Q.translations[vertex_of_char[group.character(
-        tuple(int(i in S) for i in range(n)))]][0] for S in faces}
+    cube = {S: tuple(int(i in S) for i in range(n)) for S in faces}
+    shift = {S: Q.translations[Q.path_head(0, e_S)][0]
+             for S, e_S in cube.items()}
     cells = [Cell(id=j * len(faces) + k, dim=len(S), head=shift[S][j], tail=j,
-                  divisor=tuple(int(i in S) for i in range(n)),
-                  payload=("cube", j, S))
+                  divisor=cube[S], payload=("cube", j, S))
              for j in range(r) for k, S in enumerate(faces)]
     ids = {c.payload[1:]: c.id for c in cells}
-    zero = (0,) * n
-    incidences = []
-    explicit, orbits = {}, {}
-    base = [min(s[j] for s, _ in Q.translations) for j in range(r)]
+    zero, incidences, explicit, orbits = cube[()], [], {}, {}
     for j in range(r):
         for S in faces:
             parent = ids[j, S]
             for nu, i in enumerate(S, start=1):
                 rest = tuple(k for k in S if k != i)
-                e_i = tuple(1 if k == i else 0 for k in range(n))
                 tail_facet = FacetIncidence(parent=parent, facet=ids[j, rest],
-                                            left=e_i, right=zero)
+                                            left=cube[i,], right=zero)
                 head_facet = FacetIncidence(
                     parent=parent, facet=ids[shift[i,][j], rest],
-                    left=zero, right=e_i)
+                    left=zero, right=cube[i,])
                 incidences += (tail_facet, head_facet)
                 explicit[tail_facet] = (-1) ** nu
                 explicit[head_facet] = (-1) ** (nu + 1)
-                orbits[tail_facet] = base[j], S, -nu
-                orbits[head_facet] = base[j], S, nu
+                orbits[tail_facet] = S, -nu
+                orbits[head_facet] = S, nu
     complex_ = ToricCellComplex(Q, n, cells, incidences, orbits)
     complex_.explicit_signs = MappingProxyType(explicit)
     # the 1-skeleton must be the quiver itself
@@ -352,8 +345,9 @@ def mckay_complex(group, Q=None):
 
 
 @lru_cache(maxsize=8)
-def _mckay_complex(group):
-    return mckay_complex(group, mckay_quiver(group))
+def mckay_complex(group):
+    """The hypercube complex of `mckay_quiver(group)`, shared read-only."""
+    return hypercube_complex(mckay_quiver(group))
 
 
 # ---------------------------------------------------------------------------

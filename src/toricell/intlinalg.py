@@ -515,15 +515,15 @@ class CokernelForm:
             self._Uinv = unimodular_inverse(sf.U)
             self._diag = [sf.S[i][i] if i < ncols else 0 for i in range(m)]
         # the Smith coordinates that carry a class: torsion, or 0 when free
-        self.moduli = tuple(d for d in self._diag if d != 1)
+        rows = [(row, d) for row, d in zip(self._U, self._diag) if d != 1]
+        self._rows, self.moduli = rows, tuple(d for _, d in rows)
 
     def coordinates(self, v):
         """The reduced Smith coordinates of v's coset: equal for two vectors
         iff they differ by a column combination of A, and additive modulo
         ``moduli`` (a free coordinate, modulus 0, is not reduced)."""
-        y = mat_vec(self._U, v)
-        return tuple(y[i] % d if d else y[i]
-                     for i, d in enumerate(self._diag) if d != 1)
+        return tuple(dot(row, v) % d if d else dot(row, v)
+                     for row, d in self._rows)
 
     def canonical(self, v):
         y = iter(self.coordinates(v))

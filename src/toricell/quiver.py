@@ -5,9 +5,13 @@ Paths are tuples of arrow ids, first-applied first; the printed form
 follows the algebraic convention (rightmost acts first), e.g. (1, 4, 7)
 prints as "a8a5a2".
 
-Every walk over paths (`paths_from`, `enumerate_paths`, `reachable`) runs
-from an explicit stack, so long paths cannot exhaust Python's recursion
-limit.
+A quiver with a collection must be its quiver of sections, as
+`build_quiver` makes it.  So the paths from i to j carry exactly the
+divisors d >= 0 of class c_j - c_i, as each section is a sum of arrows
+(Craw-Smith, arXiv:math/0608183), and `path_exists` reads class keys; a
+quiver without a collection answers no path query (InternalError).
+The walks over paths (`paths_from`, `enumerate_paths`) run from an
+explicit stack, so long paths cannot exhaust Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -80,7 +84,12 @@ class QuiverOfSections:
         self.ones = (1,) * self.d
         self.translations = ((tuple(range(n_vertices)),
                               tuple(range(len(self.arrows)))),)
-        self._reach_memo = {}
+        self._heads = {}
+        if collection is not None:  # is_mckay: the collection is all of a finite Cl
+            cl = X.cl
+            self._vertex_of = {cl.coordinates(E.representative): j
+                               for j, E in enumerate(collection.classes)}
+            self.is_mckay = 0 not in cl.moduli and n_vertices == math.prod(cl.moduli)
         self._lifts = None
 
     # -- basic path machinery ----------------------------------------------
@@ -137,40 +146,21 @@ class QuiverOfSections:
         return [p for h, p, rest in self._walk(i, div, target=j)
                 if h == j and is_zero(rest)]
 
-    def reachable(self, i, div):
-        """Vertices reachable from i along paths with divisor exactly div.
-
-        Results are memoized per (vertex, divisor).  Missing subproblems
-        are solved from an explicit stack, children before parents, each
-        entry holding its children's keys.
-        """
-        memo = self._reach_memo
-        key = (i, tuple(div))
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        stack = [(key, None)]
-        while stack:
-            top, subs = stack[-1]
-            if top in memo:
-                stack.pop()
-                continue
-            v, d = top
-            if subs is None and any(d):
-                subs = [(a.head, vsub(d, a.label)) for a in self.out[v]
-                        if leq(a.label, d)]
-                missing = [(s, None) for s in subs if s not in memo]
-                if missing:
-                    stack[-1] = (top, subs)
-                    stack += missing
-                    continue
-            memo[top] = (frozenset((v,)) if subs is None
-                         else frozenset().union(*[memo[s] for s in subs]))
-            stack.pop()
-        return memo[key]
+    def path_head(self, i, div):
+        """The head of the paths from i with divisor div, or None if there
+        are none: the vertex of class c_i + [div] if div >= 0.  Memoized
+        per (i, div)."""
+        key = i, tuple(div)
+        if key not in self._heads:
+            if self.collection is None:
+                raise InternalError("path query on a quiver with no collection")
+            self._heads[key] = None if min(div) < 0 else self._vertex_of.get(
+                self.X.cl.coordinates(vadd(
+                    self.collection.classes[i].representative, div)))
+        return self._heads[key]
 
     def path_exists(self, i, j, div):
-        return j in self.reachable(i, div)
+        return self.path_head(i, div) == j
 
     # -- structural checks --------------------------------------------------
 
@@ -311,7 +301,7 @@ def build_quiver(X, collection, arrow_order=None):
                              f"arrows: {t} -> {h} ({monomial(lab)}) is {why}")
         arrows = want
     Q = QuiverOfSections(len(collection), arrows, X=X, collection=collection)
-    if 0 not in cl.moduli and len(keys) == math.prod(cl.moduli):
+    if Q.is_mckay:
         # heads_of[i][key of c_g] is the vertex of class c_i + c_g, g != 0
         sigmas = [tuple([h.get(key, i) for i, h in enumerate(heads_of)])
                   for key in keys]

@@ -309,7 +309,6 @@ def _one_sided_failures(res, pk, auts):
     C, Q, n, shift = res.complex, res.Q, res.Q.n_vertices, pk.shift
     cl, reps = Q.X.cl, [E.representative for E in Q.collection.classes]
     key, box = functools.cache(cl.coordinates), functools.cache(_box_classes)
-    every = 0 not in cl.moduli and n == math.prod(cl.moduli)
 
     def pieces(t):
         return [(s, d) for s in range(n)
@@ -322,7 +321,7 @@ def _one_sided_failures(res, pk, auts):
         at = [c for c in C.cells if c.tail == t]
         cap = [min(b, max(x)) for b, x in zip(pk.bound, zip(
             (0,) * Q.d, *(c.divisor for c in at)))]
-        if every:
+        if Q.is_mckay:
             live = map(pk.pack, itertools.product(*(
                 range(min(b, x + 1) + 1) for b, x in zip(pk.bound, cap))))
         else:

@@ -116,6 +116,8 @@ def dimer_reconstruct(Q, W, proj=None, lifts=None):
         lifts = [tuple(u) for u in lifts]
         if len(lifts) != Q.n_vertices:
             raise InputError("one lift per vertex is required")
+        if {len(u) for u in lifts} != {Q.d}:
+            raise InputError(f"lifts must have length {Q.d}")
         for a in Q.arrows:
             gap = vsub(vsub(lifts[a.head], lifts[a.tail]), a.label)
             if any(Q.X.cl.coordinates(gap)):

@@ -7,7 +7,7 @@ import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from toricell.complexes import _mckay_complex  # noqa: E402
+from toricell.complexes import mckay_complex  # noqa: E402
 from toricell.inputs import load_document  # noqa: E402
 from toricell.quiver import mckay_quiver  # noqa: E402
 from toricell.variety import toric_variety  # noqa: E402
@@ -29,7 +29,7 @@ def fresh_quotient_memos():
     variety memo before each test, so that no test reads the builds of
     another."""
     mckay_quiver.cache_clear()
-    _mckay_complex.cache_clear()
+    mckay_complex.cache_clear()
     toric_variety.cache_clear()
 
 

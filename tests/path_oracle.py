@@ -1,18 +1,61 @@
-"""The path-level consistency engine, kept as the oracle for
-`superpotential.consistency`.
+"""Path-level oracles: the consistency engine, kept as the oracle for
+`superpotential.consistency`, and `reachable`, the oracle for
+`QuiverOfSections.path_exists`.
 
-It grows every path up to the bound one arrow at a time, sorts the
-nonempty paths into buckets (tail, head, div), and joins the paths of each
-bucket that one rewrite step u -> v of a relation (u, v) connects.  Its
-work grows with the number of paths, so it is for small cases only.
+The consistency engine grows every path up to the bound one arrow at a
+time, sorts the nonempty paths into buckets (tail, head, div), and joins
+the paths of each bucket that one rewrite step u -> v of a relation
+(u, v) connects.  Its work grows with the number of paths, so it is for
+small cases only.
+
+`reachable` finds the heads of the paths with a given tail and divisor by
+a memoized recursion over the arrows out of the tail, where
+`path_exists` reads class keys.
 """
 
-from toricell.intlinalg import leq, vadd
+import weakref
+
+from toricell.intlinalg import leq, vadd, vsub
 from toricell.superpotential import (
     ConsistencyReport,
     FRelation,
     arrow_coverage,
 )
+
+
+_REACH = weakref.WeakKeyDictionary()  # quiver -> {(vertex, div): heads}
+
+
+def reachable(Q, i, div):
+    """The vertices reachable from i along paths of Q with divisor exactly
+    div: {i} at div = 0, else the union over the arrows a out of i with
+    label <= div of those reachable from h(a) along div - label.
+
+    Results are memoized per quiver and (vertex, divisor).  Missing
+    subproblems are solved from an explicit stack, children before
+    parents, each entry holding its children's keys, so long paths cannot
+    exhaust Python's recursion limit."""
+    memo = _REACH.setdefault(Q, {})
+    key = (i, tuple(div))
+    stack = [(key, None)]
+    while stack:
+        top, subs = stack[-1]
+        if top in memo:
+            stack.pop()
+            continue
+        v, d = top
+        if subs is None and any(d):
+            subs = [(a.head, vsub(d, a.label)) for a in Q.out[v]
+                    if leq(a.label, d)]
+            missing = [(s, None) for s in subs if s not in memo]
+            if missing:
+                stack[-1] = (top, subs)
+                stack += missing
+                continue
+        memo[top] = (frozenset((v,)) if subs is None
+                     else frozenset().union(*[memo[s] for s in subs]))
+        stack.pop()
+    return memo[key]
 
 
 def _rule_index(rules):

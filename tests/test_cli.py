@@ -361,6 +361,14 @@ def test_rejected_document_exit_code(capsys, tmp_path, doc, message):
     *[(command, BAD_ORDER, "arrow_order is not a permutation")
       for command in ("quiver", "consistency", "matchings", "complex",
                       "resolution", "reconstruct")],
+    # lifts of the wrong width on a document without rays, where the
+    # parser does not know d: rows one entry long exited 3, empty rows 1,
+    # and rows one entry short 2 with a message about an arrow
+    *[("reconstruct", dict(DIMER, options={"lifts": rows}),
+       "lifts must have length 4")
+      for rows in ([r + [0] for r in FOUR["options"]["lifts"]],
+                   [[] for _ in FOUR["options"]["lifts"]],
+                   [r[:-1] for r in FOUR["options"]["lifts"]])],
 ])
 def test_rejected_request_exit_code(capsys, tmp_path, command, doc, message):
     """Options and subcommands the document does not fit exit 2 as well;

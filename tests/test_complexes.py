@@ -8,6 +8,7 @@ from toricell import complexes
 from toricell.complexes import (
     ToricCellComplex,
     general_complex,
+    hypercube_complex,
     mckay_complex,
     sign_infeasibility,
     solve_gf2,
@@ -410,7 +411,7 @@ def test_quotient_chain_builds_once(name, monkeypatch):
     mckay_sign_crosscheck(doc.group)
     assert doc.quiver() is Q and mckay_complex(doc.group) is C
     assert built[QuiverOfSections] == [Q] and built[ToricCellComplex] == [C]
-    assert mckay_complex(doc.group, Q) is not C
+    assert hypercube_complex(Q) is not C
 
 
 def test_arrow_order_quotient_gets_its_own_quiver():
@@ -440,17 +441,17 @@ def test_rejected_group_raises_on_every_call(order, weights, why):
             with pytest.raises(InputError, match=why):
                 build()
     assert mckay_quiver.cache_info().currsize == 0
-    assert complexes._mckay_complex.cache_info().currsize == 0
+    assert mckay_complex.cache_info().currsize == 0
 
 
 def test_memos_stay_within_their_size():
     """Past its size, each memo drops the group used longest ago."""
     groups = [AbelianGroupData.cyclic(r, (1, r - 1)) for r in range(2, 14)]
-    for memo in (mckay_quiver, complexes._mckay_complex):
+    for memo in (mckay_quiver, mckay_complex):
         assert memo.cache_info().maxsize < len(groups)
     for G in groups:
         mckay_complex(G)
-    for memo in (mckay_quiver, complexes._mckay_complex):
+    for memo in (mckay_quiver, mckay_complex):
         info = memo.cache_info()
         assert info.currsize == info.maxsize
         memo(groups[-1])

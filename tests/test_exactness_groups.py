@@ -4,7 +4,8 @@
 same cells and augmentation once.  The oracle is the engine as it was
 before the grouping: every piece at one vertex pair per orbit of
 `_automorphisms` is built by `piece_oracle.one_sided_bases`, which finds
-its basis by `Q.reachable`, and reduced on its own.
+its basis by `path_oracle.reachable`, a recursion over the arrows where
+the engine reads class keys, and reduced on its own.
 """
 
 import itertools
@@ -138,7 +139,7 @@ def test_large_quotients_match_per_piece_oracle(group):
 def test_large_bounds_match_per_piece_oracle():
     """mckay_z2_11 at bound 352, the largest MAX_PIECES admits: about
     2.3 s on a 2-CPU machine, half of it the per-piece oracle's fill of
-    `Q.reachable` over the box."""
+    `path_oracle.reachable` over the box."""
     C = mckay_complex(load("mckay_z2_11.json").group)
     check_bounds(build_resolution(C, signs=C.explicit_signs), [66, 352])
 

@@ -60,8 +60,11 @@ def test_dimer_quiver_is_certified(name, strip, capsys, tmp_path):
     """The document `quiver` writes for each fixture, with or without its
     rays and collection, rebuilds its quiver of sections: the class group,
     the arrows in their order and the translations, |G| of them for a
-    quotient; one with both writes itself again.  Without its last arrow
-    it exits 2 with a message."""
+    quotient; one with both writes itself again.  One whose collection is
+    all of a finite Cl prints its source's `complex` and `resolution
+    --verify-exactness --bound 2` output byte for byte, as both take the
+    hypercube complex.  Without its last arrow it exits 2 with a
+    message."""
     Q = load(name).quiver()
     doc = quiver_document(Q)
     for field in strip:
@@ -73,6 +76,14 @@ def test_dimer_quiver_is_certified(name, strip, capsys, tmp_path):
         assert quiver_document(P) == doc
     if "mckay" in name:
         assert len(P.translations) == P.n_vertices > 1
+    if P.is_mckay:
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        for cmd, *args in (["complex"],
+                           ["resolution", "--verify-exactness", "--bound", "2"]):
+            outputs = [(main([cmd, source, *args]), capsys.readouterr())
+                       for source in (input_path(name), str(path))]
+            assert outputs[0][0] == 0 and outputs[0] == outputs[1]
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(dict(doc, arrows=doc["arrows"][:-1])))
     assert main(["quiver", str(bad)]) == 2

@@ -8,7 +8,7 @@ import pytest
 
 from toricell import cones
 from toricell.cones import FiberContext
-from toricell.errors import InputError
+from toricell.errors import InputError, InternalError
 from toricell.intlinalg import mat_vec
 from toricell.quiver import QuiverOfSections, build_quiver, monomial
 from toricell.variety import (
@@ -19,6 +19,7 @@ from toricell.variety import (
 )
 
 from conftest import INPUTS, load
+from path_oracle import reachable
 from quiver_oracle import candidate_arrows
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -82,10 +83,12 @@ def test_enumerate_paths_buckets(quiver_four_sheaves):
 
 
 def test_path_exists_matches_enumeration(quiver_four_sheaves):
+    """Also at divisors with an entry -1, some of a class that a path
+    carries, such as (1, 0, -1, 0) of class 0: no path carries them."""
     Q = quiver_four_sheaves
     for i in range(4):
         for j in range(4):
-            for div in [(1, 0, 0, 0), (0, 1, 0, 1), (1, 1, 1, 1)]:
+            for div in itertools.product(range(-1, 3), repeat=4):
                 assert Q.path_exists(i, j, div) == bool(
                     Q.enumerate_paths(i, j, div))
 
@@ -112,8 +115,19 @@ def test_multi_vertex_quiver_with_loops_accepted():
                              (1, 0, (0, 1, 0)), (1, 1, (0, 0, 1))])
     assert Q.is_strongly_connected()
     assert [a.idx for a in Q.out[1]] == [2, 3]
-    assert Q.enumerate_paths(0, 0, (1, 1, 1)) == [(0, 1, 2), (1, 2, 0),
-                                                 (1, 3, 2)]
+    cycles = [p for h, p in Q.paths_from(0, (1, 1, 1))
+              if h == 0 and Q.path_div(p) == (1, 1, 1)]
+    assert cycles == [(0, 1, 2), (1, 2, 0), (1, 3, 2)]
+
+
+def test_bare_quiver_answers_no_path_query():
+    """Paths are named by the classes of a collection, so a quiver built
+    without one refuses every path query as a bug."""
+    Q = QuiverOfSections(2, [(0, 1, (1, 0)), (1, 0, (0, 1))])
+    for query in (lambda: Q.path_exists(0, 1, (1, 0)),
+                  lambda: Q.enumerate_paths(0, 0, (1, 1))):
+        with pytest.raises(InternalError, match="no collection"):
+            query()
 
 
 def test_to_dot_mentions_all_arrows(quiver_four_sheaves):
@@ -158,17 +172,22 @@ def test_walk_order_matches_recursion(quiver_four_sheaves, quiver_five_sheaves,
                         if h == j and Q.path_div(p) == div]
 
 
-def test_long_paths_do_not_recurse():
-    """A 1,200-arrow path is deeper than Python's default recursion limit."""
-    Q = QuiverOfSections(2, [(0, 1, (1, 0)), (1, 0, (0, 1))])
-    found = Q.paths_from(0, (600, 600))
+def test_long_paths_do_not_recurse(quiver_conifold):
+    """A 1,200-arrow path is deeper than Python's default recursion limit:
+    on the conifold, a1 and a3 alternate along the one path of divisor
+    (600, 0, 600, 0), and the path oracle's recursion over it runs from a
+    stack too."""
+    Q, div = quiver_conifold, (600, 0, 600, 0)
+    found = Q.paths_from(0, div)
     assert len(found) == 1201
-    assert found[-1] == (0, (0, 1) * 600)
-    assert Q.reachable(0, (600, 600)) == {0}
-    assert Q.reachable(1, (599, 600)) == {0}
-    assert Q.reachable(1, (600, 599)) == set()
-    assert not Q.path_exists(0, 1, (600, 600))
-    assert Q.enumerate_paths(0, 0, (600, 600)) == [(0, 1) * 600]
+    assert found[-1] == (0, (0, 2) * 600)
+    assert reachable(Q, 0, div) == {0}
+    assert reachable(Q, 1, (599, 0, 600, 0)) == {0}
+    assert reachable(Q, 1, (600, 0, 599, 0)) == set()
+    assert Q.path_exists(0, 0, div) and not Q.path_exists(0, 1, div)
+    assert Q.path_exists(1, 0, (599, 0, 600, 0))
+    assert not Q.path_exists(1, 0, (600, 0, 599, 0))
+    assert Q.enumerate_paths(0, 0, div) == [(0, 2) * 600]
 
 
 def small_abelian_groups(n, max_order):

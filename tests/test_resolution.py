@@ -15,6 +15,7 @@ from toricell.complexes import (
     IncidenceSolution,
     ToricCellComplex,
     general_complex,
+    hypercube_complex,
     mckay_complex,
 )
 from toricell.errors import ConstructionError, InputError, InternalError
@@ -192,7 +193,7 @@ def test_weight_zero_quotient_z3_1110():
     assert sum(a.tail == a.head for a in Q.arrows) == 3
     rep = consistency(Q, superpotential(Q), 3)
     assert rep.consistent and rep.n_relations == 18
-    C = mckay_complex(G, Q)
+    C = hypercube_complex(Q)
     assert C.counts() == (3, 12, 18, 12, 3)
     res = build_resolution(C, signs=C.explicit_signs)
     assert verify_square_zero(res)

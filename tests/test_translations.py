@@ -9,7 +9,7 @@ import random
 import pytest
 
 from toricell.cones import FiberContext
-from toricell.complexes import ToricCellComplex, mckay_complex
+from toricell.complexes import ToricCellComplex, hypercube_complex, mckay_complex
 from toricell.errors import InternalError
 from toricell.inputs import parse_document
 from toricell.quiver import QuiverOfSections, build_quiver, mckay_quiver
@@ -29,6 +29,7 @@ from toricell.superpotential import (
 from toricell.variety import AbelianGroupData, mckay_toric_data
 
 from conftest import load
+from path_oracle import reachable
 from test_complexes import is_face_poset
 from test_quiver import SMALL_GROUPS
 from test_resolution import small_complexes
@@ -67,9 +68,10 @@ def check_translations(Q):
 
 
 def check_class_fact(Q, bound, copy=None):
-    """On a quiver that build_quiver made, s is in Q.reachable(t, d) iff
-    class(d) = c_s - c_t, for every d <= bound: so at most one s.  A copy
-    of Q reaches the same vertices."""
+    """On a quiver that build_quiver made, the paths from t with divisor d
+    reach s (`path_oracle.reachable`) iff class(d) = c_s - c_t, for every
+    d <= bound: so at most one s.  `Q.path_exists`, which reads class keys,
+    and the same on a copy of Q, answer as the oracle does."""
     X, reps = Q.X, [E.representative for E in Q.collection.classes]
     heads = [{X.class_of_difference(u, v): s for s, v in enumerate(reps)}
              for u in reps]
@@ -77,12 +79,14 @@ def check_class_fact(Q, bound, copy=None):
         cls = X.divisor_class(d)
         for t, head in enumerate(heads):
             want = {head[cls]} if cls in head else set()
-            assert Q.reachable(t, d) == want, (t, d)
-            assert copy is None or copy.reachable(t, d) == want, (t, d)
+            assert reachable(Q, t, d) == want, (t, d)
+            for P in filter(None, (Q, copy)):
+                assert {s for s in range(P.n_vertices)
+                        if P.path_exists(t, s, d)} == want, (t, d)
 
 
 def check_layers(C, bound, full_exactness=True):
-    """W, consistency and the vertices `reachable` along each divisor in
+    """W, consistency and the vertices reached along each divisor in
     the box (`check_class_fact`) of C's quiver equal those of its identity
     copy.  C's cells rebuilt with singleton orbits, D, validate every
     incidence and build every route group: D is a face poset, its solve is
@@ -235,7 +239,7 @@ def test_permuted_arrow_order_keeps_translations():
     assert Q is not mckay_quiver(doc.group)
     assert [[a.tail, a.head, list(a.label)] for a in Q.arrows] == order
     check_translations(Q)
-    C = mckay_complex(doc.group, Q)
+    C = hypercube_complex(Q)
     check_layers(C, 2)
     for bound in (2, 3):
         W, V = superpotential(Q), superpotential(default)
